@@ -135,7 +135,7 @@ func BenchmarkSDCDegradationQuery(b *testing.B) {
 // study.
 func BenchmarkAblationSymmetry(b *testing.B) { benchAblation(b, "ablation-symmetry") }
 
-// BenchmarkAblationWorkers measures the worker-parallel expansion study.
+// BenchmarkAblationWorkers measures the parallel best-first search study.
 func BenchmarkAblationWorkers(b *testing.B) { benchAblation(b, "ablation-workers") }
 
 // BenchmarkAblationOnline measures the online-policy vs offline-target

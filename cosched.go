@@ -186,9 +186,11 @@ type Options struct {
 	// searches (OA*/HA*): 0 picks runtime.GOMAXPROCS(0), 1 forces the
 	// exact legacy sequential path, higher values run the sharded-frontier
 	// parallel engine when the configuration's answer is order-independent
-	// (admissible unweighted heuristics, or any beam search) and silently
-	// fall back to sequential otherwise. The schedule's Stats.Parallelism
-	// records what actually ran. IP/PG/O-SVP/brute-force ignore it.
+	// (admissible unweighted heuristics with exact dismissal — SE
+	// accounting or ExactParallel when the batch has parallel jobs — or
+	// any beam search) and silently fall back to sequential otherwise.
+	// The schedule's Stats.Parallelism records what actually ran.
+	// IP/PG/O-SVP/brute-force ignore it.
 	Parallelism int
 	// IPConfig selects the branch-and-bound preset by name
 	// ("bnb-best+round", "bnb-best", "bnb-depth", "bnb-basic"); empty

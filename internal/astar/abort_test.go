@@ -2,7 +2,6 @@ package astar
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -155,41 +154,6 @@ func TestAbortPreservesIncumbent(t *testing.T) {
 	}
 }
 
-// TestWorkerCancellationRace cancels a worker-parallel solve mid-flight
-// from another goroutine; run under -race (the ci.sh astar race gate
-// matches this test by name) it checks the done-channel poll against the
-// expansion crew teardown.
-func TestWorkerCancellationRace(t *testing.T) {
-	g := syntheticGraph(t, 20, 4, 5, degradation.ModePC)
-	ctx, cancel := context.WithCancel(context.Background())
-	s, err := NewSolver(g, Options{H: HPerProc, Workers: 4, Ctx: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(200 * time.Microsecond)
-		cancel()
-	}()
-	res, err := s.Solve()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("cancelled solve errored: %v", err)
-	}
-	if res.Stats.Degraded {
-		if res.Stats.Aborted != abort.Cancel {
-			t.Errorf("abort reason = %v; want cancel", res.Stats.Aborted)
-		}
-	} else if res.Stats.Aborted != abort.None {
-		t.Errorf("completed solve carries abort reason %v", res.Stats.Aborted)
-	}
-	if err := g.Cost.ValidatePartition(res.Groups); err != nil {
-		t.Errorf("schedule invalid after cancellation: %v", err)
-	}
-}
-
 // TestAbortEmitsTrace checks the degraded trace shape end to end: one
 // abort event carrying the reason, a stats event, and a solution event
 // repeating the reason, plus the astar.aborts.* counter.
@@ -246,13 +210,13 @@ func TestPollAbortAllocationFree(t *testing.T) {
 	}
 	start := time.Now()
 	var stats Stats
-	warm := sv.makeChildIn(sv.pool, root, node)
+	warm := sv.makeChild(root, node)
 	sv.recycle(warm)
 	allocs := testing.AllocsPerRun(200, func() {
 		if reason := sv.pollAbort(done, &stats, start, 64); reason != abort.None {
 			t.Fatalf("armed-but-untriggered poll aborted: %v", reason)
 		}
-		c := sv.makeChildIn(sv.pool, root, node)
+		c := sv.makeChild(root, node)
 		if ref := sv.table.find(c.keyWords); ref < 0 {
 			stats.DismissedWorse++
 		}

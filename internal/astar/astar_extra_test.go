@@ -85,21 +85,31 @@ func TestHWeightRejectedForOAStar(t *testing.T) {
 	}
 }
 
+// peMixInstance builds the PE-heavy mix pinned by the Theorem-1 tests:
+// two PE jobs (5 and 4 ranks) plus three serial jobs on a quad-core
+// machine. Seed 1 is the instance on which plain set-keyed dismissal
+// misses the Eq. 13 optimum (DESIGN.md §5a).
+func peMixInstance(t *testing.T, seed int64) *workload.Instance {
+	t.Helper()
+	m := cache.QuadCore
+	s := workload.NewSpec()
+	s.AddPE(workload.SyntheticProgram("pe1", randFor(seed)), 5)
+	s.AddPE(workload.SyntheticProgram("pe2", randFor(seed+100)), 4)
+	s.AddSerial(workload.SyntheticProgram("s1", randFor(seed+200)))
+	s.AddSerial(workload.SyntheticProgram("s2", randFor(seed+300)))
+	s.AddSerial(workload.SyntheticProgram("s3", randFor(seed+400)))
+	in, err := s.Build(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func TestClassEnumerationMatchesRawOptimum(t *testing.T) {
 	// With condensation (class enumeration + PE key canonicalisation)
 	// the optimum must match the raw search and brute force.
-	m := cache.QuadCore
 	for seed := int64(1); seed <= 4; seed++ {
-		s := workload.NewSpec()
-		s.AddPE(workload.SyntheticProgram("pe1", randFor(seed)), 5)
-		s.AddPE(workload.SyntheticProgram("pe2", randFor(seed+100)), 4)
-		s.AddSerial(workload.SyntheticProgram("s1", randFor(seed+200)))
-		s.AddSerial(workload.SyntheticProgram("s2", randFor(seed+300)))
-		s.AddSerial(workload.SyntheticProgram("s3", randFor(seed+400)))
-		in, err := s.Build(&m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := peMixInstance(t, seed)
 		c := in.Cost(degradation.ModePE)
 		g := graph.New(c, in.Patterns)
 		bf, err := bruteforce.Solve(c)

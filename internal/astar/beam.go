@@ -159,7 +159,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 			} else {
 				avail := s.available(e, job.ProcID(leader))
 				s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID) {
-					admitBeam(s.makeChildIn(s.pool, e, node))
+					admitBeam(s.makeChild(e, node))
 				})
 			}
 		}
@@ -277,7 +277,7 @@ func (s *Solver) beamGenerate(workers []*Solver, frontier []*element, gens [][]*
 				avail := w.available(e, job.ProcID(leader))
 				var kids []*element
 				w.forEachCandidate(e, job.ProcID(leader), avail, &local, func(node []job.ProcID) {
-					child := w.makeChildIn(w.pool, e, node)
+					child := w.makeChild(e, node)
 					child.h = w.heuristic(child)
 					kids = append(kids, child)
 				})

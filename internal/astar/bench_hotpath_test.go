@@ -77,7 +77,7 @@ func BenchmarkHotPathMakeChild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := sv.makeChildIn(sv.pool, root, node)
+		c := sv.makeChild(root, node)
 		_ = sv.table.find(c.keyWords)
 		sv.recycle(c)
 	}
@@ -98,7 +98,7 @@ func BenchmarkHotPathPackKey(b *testing.B) {
 // growth included, against fresh tables.
 func BenchmarkHotPathTableInsert(b *testing.B) {
 	sv, root, node := hotPathSolver(b, 120, 4, true)
-	c := sv.makeChildIn(sv.pool, root, node)
+	c := sv.makeChild(root, node)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -150,10 +150,10 @@ func TestDismissedChildStaysAllocationFree(t *testing.T) {
 			sv, root, node := hotPathSolver(t, cfg.n, cfg.u, cfg.pairwise)
 			// Warm the pool (and the node-cost cache): the first child
 			// allocates its backing storage, every later one reuses it.
-			warm := sv.makeChildIn(sv.pool, root, node)
+			warm := sv.makeChild(root, node)
 			sv.recycle(warm)
 			allocs := testing.AllocsPerRun(200, func() {
-				c := sv.makeChildIn(sv.pool, root, node)
+				c := sv.makeChild(root, node)
 				_ = sv.table.find(c.keyWords)
 				sv.recycle(c)
 			})

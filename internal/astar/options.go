@@ -137,22 +137,16 @@ type Options struct {
 	// path depth and a depth-extrapolated ETA. The solver polls it every
 	// 256 pops; the reporter's Every field controls line frequency.
 	Progress *telemetry.ProgressReporter
-	// Workers parallelises child evaluation within each expansion (the
-	// paper's §VII future-work direction). Values above 1 spread the
-	// degradation-oracle queries of one expansion across goroutines;
-	// the search order and result stay deterministic. Only the
-	// table-free h strategies (HNone, HPerProc, HPerProcAvg) support
-	// it; 0 and 1 mean serial. Ignored when Parallelism > 1 — whole
-	// expansions are then the unit of parallel work.
-	Workers int
 	// Parallelism runs N independent expansion workers over a sharded
-	// frontier (parsolve.go): per-shard heaps, work stealing, a shared
-	// incumbent bound, and a memory-aware load balancer that parks
-	// workers as the MemoryBudget footprint grows. 0 and 1 select the
-	// exact legacy single-goroutine search. Values above 1 apply only
-	// to configurations whose answer is provably order-independent —
-	// best-first search with an admissible heuristic (HNone, HPerProc)
-	// at HWeight <= 1, and the beam search with any thread-safe
+	// frontier (parsolve.go), the paper's §VII future-work direction:
+	// per-shard heaps, work stealing, a shared incumbent bound, and a
+	// memory-aware load balancer that parks workers as the MemoryBudget
+	// footprint grows. 0 and 1 select the exact legacy single-goroutine
+	// search. Values above 1 apply only to configurations whose answer
+	// is provably order-independent — best-first search with an
+	// admissible heuristic (HNone, HPerProc) at HWeight <= 1 and exact
+	// dismissal (ExactParallel or SE accounting when the batch has
+	// parallel jobs), and the beam search with any thread-safe
 	// heuristic (HNone, HPerProc, HPerProcAvg); everything else
 	// silently runs sequentially. Stats.Parallelism records the worker
 	// count actually used, so callers can observe the fallback.

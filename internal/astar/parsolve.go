@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cosched/internal/abort"
+	"cosched/internal/degradation"
 	"cosched/internal/job"
 	"cosched/internal/telemetry"
 )
@@ -26,16 +27,16 @@ import (
 //
 // Correctness model: the engine only runs configurations whose answer is
 // order-independent — an admissible heuristic (HNone, HPerProc) at
-// effective weight 1 (see eligibleParallelism). The trimmed candidate
-// graph is a pure function of each element's process set, dismissal is
-// the same Theorem-1 rule against one shared (striped) best-g table, and
-// pruning only ever discards children that provably cannot beat an
-// already-achieved bound; so whatever order workers expand in, the
-// cheapest complete schedule they can prove has the same cost as the
-// sequential solver's, bit for bit. Expansion counts, dismissal counts
-// and which of several equal-cost optima is returned may differ — the
-// admission invariant (Generated == Expanded + Dismissed + InFrontier)
-// still holds for every run.
+// effective weight 1, with exact dismissal (see eligibleParallelism).
+// The trimmed candidate graph is a pure function of each element's
+// process set, dismissal is the same Theorem-1 rule against one shared
+// (striped) best-g table, and pruning only ever discards children that
+// provably cannot beat an already-achieved bound; so whatever order
+// workers expand in, the cheapest complete schedule they can prove has
+// the same cost as the sequential solver's, bit for bit. Expansion
+// counts, dismissal counts and which of several equal-cost optima is
+// returned may differ — the admission invariant (Generated == Expanded
+// + Dismissed + InFrontier) still holds for every run.
 const (
 	// maxParallelism caps Options.Parallelism.
 	maxParallelism = 64
@@ -127,8 +128,10 @@ type parEngine struct {
 // eligibleParallelism resolves Options.Parallelism for the best-first
 // path: the worker count to run, or 1 when the configuration cannot be
 // parallelised without changing the answer (inadmissible or weighted
-// heuristics, and the lazily-built level-minima strategies whose tables
-// are not goroutine-safe).
+// heuristics, the lazily-built level-minima strategies whose tables
+// are not goroutine-safe, and set-keyed dismissal under Eq. 13's
+// per-job maxima, where which same-set sub-path survives depends on
+// expansion order — DESIGN.md §5a).
 func (s *Solver) eligibleParallelism() int {
 	p := s.opts.Parallelism
 	if p <= 1 {
@@ -138,6 +141,9 @@ func (s *Solver) eligibleParallelism() int {
 		p = maxParallelism
 	}
 	if s.opts.HWeight > 1 {
+		return 1
+	}
+	if len(s.parJobs) > 0 && s.cost.Mode != degradation.ModeSE && !s.opts.ExactParallel {
 		return 1
 	}
 	switch s.opts.H {
@@ -151,7 +157,7 @@ func (s *Solver) eligibleParallelism() int {
 // workerClone returns a Solver sharing every read-only table of s
 // (graph, oracle, heuristic floors, key geometry, the node-cost memo)
 // but owning its own element pool and candidate-generation scratch, so
-// an expansion worker can run makeChildIn/forEachCandidate/heuristic
+// an expansion worker can run makeChild/forEachCandidate/heuristic
 // without touching another worker's buffers.
 func (s *Solver) workerClone() *Solver {
 	c := new(Solver)
@@ -159,10 +165,7 @@ func (s *Solver) workerClone() *Solver {
 	c.table = nil
 	c.pool = s.newPool() // registered on s for end-of-solve stats
 	c.allPools = nil
-	c.workerPools = nil
 	c.availBuf = nil
-	c.nodeFlat = nil
-	c.childBuf = nil
 	c.greedyNd = nil
 	c.greedyCd = nil
 	c.candFlat = nil
@@ -623,7 +626,7 @@ func (en *parEngine) expandElement(w *Solver, e *element) {
 	avail := w.available(e, job.ProcID(leader))
 	var local Stats
 	w.forEachCandidate(e, job.ProcID(leader), avail, &local, func(node []job.ProcID) {
-		en.admitChild(w, popIdx, w.makeChildIn(w.pool, e, node))
+		en.admitChild(w, popIdx, w.makeChild(e, node))
 	})
 	if local.Condensed != 0 {
 		en.condensed.Add(local.Condensed)

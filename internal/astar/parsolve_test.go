@@ -2,12 +2,14 @@ package astar
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"cosched/internal/abort"
 	"cosched/internal/degradation"
+	"cosched/internal/graph"
 )
 
 // This file tests the parallel best-first engine (parsolve.go) and the
@@ -71,19 +73,63 @@ func TestParallelCostMatchesSequential(t *testing.T) {
 }
 
 // TestParallelCostMatchesSequentialMixed repeats the matrix on mixed
-// serial+parallel batches (per-job maxima in the dismissal key, the
-// Eq. 13 accounting).
+// serial+parallel batches (the Eq. 13 accounting). The engine runs where
+// set-keyed dismissal is exact — SE accounting, or ExactParallel's
+// per-job maxima in the key — and must match the sequential cost there.
+// Plain dismissal under PE/PC accounting keeps whichever same-set
+// sub-path is admitted first (DESIGN.md §5a), so those configurations,
+// the pinned Theorem-1 instance among them, must fall back to one
+// worker and answer exactly as the sequential solver does.
 func TestParallelCostMatchesSequentialMixed(t *testing.T) {
+	type input struct {
+		name     string
+		g        *graph.Graph
+		opts     Options
+		parallel bool // the engine runs (else: sequential fallback)
+	}
+	var inputs []input
 	for seed := int64(1); seed <= 3; seed++ {
-		g := mixedGraph(t, 12, 2, 3, 4, seed, degradation.ModePC)
-		base := solveWith(t, g, Options{H: HPerProc})
-		for _, p := range []int{2, 8} {
-			res := solveWith(t, g, Options{H: HPerProc, Parallelism: p})
-			checkInvariant(t, &res.Stats)
-			if math.Abs(res.Cost-base.Cost) > eps {
-				t.Errorf("seed %d p=%d: parallel cost %v != sequential %v", seed, p, res.Cost, base.Cost)
+		pc := mixedGraph(t, 12, 2, 3, 4, seed, degradation.ModePC)
+		se := mixedGraph(t, 12, 2, 3, 4, seed, degradation.ModeSE)
+		inputs = append(inputs,
+			input{fmt.Sprintf("seed%d-pc-exact", seed), pc, Options{H: HPerProc, ExactParallel: true}, true},
+			input{fmt.Sprintf("seed%d-se", seed), se, Options{H: HPerProc}, true},
+			input{fmt.Sprintf("seed%d-pc-plain", seed), pc, Options{H: HPerProc}, false})
+	}
+	inputs = append(inputs, input{"seed5-pc-exact",
+		mixedGraph(t, 12, 2, 3, 4, 5, degradation.ModePC), Options{H: HPerProc, ExactParallel: true}, true})
+	pinned := peMixInstance(t, 1)
+	for _, mode := range []degradation.Mode{degradation.ModePE, degradation.ModePC} {
+		g := graph.New(pinned.Cost(mode), pinned.Patterns)
+		inputs = append(inputs,
+			input{fmt.Sprintf("pinned-%v-plain", mode), g, Options{H: HPerProc}, false},
+			input{fmt.Sprintf("pinned-%v-condense-incumbent", mode), g,
+				Options{H: HPerProc, Condense: true, UseIncumbent: true}, false},
+			input{fmt.Sprintf("pinned-%v-exact", mode), g, Options{H: HPerProc, ExactParallel: true}, true})
+	}
+	pinnedSE := graph.New(pinned.Cost(degradation.ModeSE), pinned.Patterns)
+	inputs = append(inputs, input{"pinned-se", pinnedSE, Options{H: HPerProc, Condense: true}, true})
+
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			base := solveWith(t, in.g, in.opts)
+			for _, p := range []int{2, 4, 8} {
+				opts := in.opts
+				opts.Parallelism = p
+				res := solveWith(t, in.g, opts)
+				checkInvariant(t, &res.Stats)
+				want := 1
+				if in.parallel {
+					want = p
+				}
+				if res.Stats.Parallelism != want {
+					t.Errorf("p=%d: solve ran at parallelism %d, want %d", p, res.Stats.Parallelism, want)
+				}
+				if math.Abs(res.Cost-base.Cost) > eps {
+					t.Errorf("p=%d: parallel cost %v != sequential %v", p, res.Cost, base.Cost)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -312,11 +358,11 @@ func TestParallelWorkerDismissedChildAllocationFree(t *testing.T) {
 	w := workers[1]
 	st := newStripedTable(sv.keyStride, 8)
 	root := w.rootElement()
-	warm := w.makeChildIn(w.pool, root, node)
+	warm := w.makeChild(root, node)
 	st.admit(warm.keyWords, warm.g)
 	w.pool.put(warm)
 	allocs := testing.AllocsPerRun(200, func() {
-		c := w.makeChildIn(w.pool, root, node)
+		c := w.makeChild(root, node)
 		if g, ok := st.bestG(c.keyWords); !ok || g > c.g {
 			t.Fatal("warm key missing from striped table")
 		}

@@ -14,11 +14,12 @@ import (
 // the priority list; recycling them turns the per-child cost from several
 // heap allocations into plain copies into warm storage.
 //
-// A pool is single-goroutine: the solver owns one for the serial path and
-// the persistent expansion workers own one per chunk (see parallel.go).
-// Elements remember their owning pool, so the admit path — which always
-// runs on the solver goroutine, while the workers are parked between
-// expansions — can return a dismissed child wherever it came from.
+// A pool is single-goroutine: the solver owns one, and so does each
+// worker clone of the parallel engine and the parallel beam generator
+// (workerClone in parsolve.go). Elements remember their owning pool, so
+// the beam's serial merge — which runs on the solver goroutine after the
+// generators have joined — can return a dismissed child to whichever
+// worker produced it.
 //
 // Only never-admitted children (and stale popped elements, which were
 // skipped without being expanded) are recycled: anything pushed into the

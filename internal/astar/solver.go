@@ -68,15 +68,12 @@ type Solver struct {
 	// Hot-path storage, reused across expansions within one solve: the
 	// best-g table, the element free lists (one per producing goroutine),
 	// and the scratch buffers of available / candidate gathering.
-	table       *gTable
-	pool        *elemPool
-	allPools    []*elemPool
-	workerPools []*elemPool // per-chunk free lists, reused by every crew
-	availBuf    []job.ProcID
-	nodeFlat    []job.ProcID // gathered candidate nodes, u entries each
-	childBuf    []*element   // per-expansion children, candidate order
-	greedyNd    []job.ProcID // greedySchedule's node under construction
-	greedyCd    []job.ProcID // greedySchedule's candidate scratch (never aliases greedyNd)
+	table    *gTable
+	pool     *elemPool
+	allPools []*elemPool
+	availBuf []job.ProcID
+	greedyNd []job.ProcID // greedySchedule's node under construction
+	greedyCd []job.ProcID // greedySchedule's candidate scratch (never aliases greedyNd)
 
 	// Candidate-enumeration scratch (expand.go): the full-enumeration
 	// fallback's flat node store + weights + sort permutation, and the
@@ -223,9 +220,6 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 // prepare precomputes the heuristic tables the selected strategy needs.
 func (s *Solver) prepare() error {
 	if err := s.validateAvgUse(); err != nil {
-		return err
-	}
-	if err := s.validateWorkers(); err != nil {
 		return err
 	}
 	s.pairW = s.pairWeights()
@@ -430,11 +424,6 @@ func (s *Solver) Solve() (*Result, error) {
 
 	s.table = newGTable(s.keyStride)
 	root := s.rootElement()
-	var wp *workerPool
-	if s.opts.Workers > 1 {
-		wp = s.startWorkers()
-		defer wp.stop()
-	}
 
 	hw := s.opts.HWeight
 	if hw < 1 {
@@ -512,8 +501,10 @@ func (s *Solver) Solve() (*Result, error) {
 			return &Result{Groups: groups, Cost: e.g, Stats: stats}, nil
 		}
 		avail := s.available(e, job.ProcID(leader))
-
-		admit := func(child *element) {
+		s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID) {
+			child := s.makeChild(e, node)
+			// One probe serves both the dismissal and the admission below:
+			// nothing between them touches the best-g table.
 			ref := s.table.find(child.keyWords)
 			if ref >= 0 && s.table.gs[ref] <= child.g {
 				stats.DismissedWorse++
@@ -521,8 +512,9 @@ func (s *Solver) Solve() (*Result, error) {
 					hooks.dismiss.Dismiss(stats.VisitedPaths, child.q, child.g, DismissWorse)
 				}
 				s.recycle(child)
-				return
+				return // dismissed before spending h work
 			}
+			child.h = s.heuristic(child)
 			f := child.g + hw*child.h
 			if pruneExact && f > ub {
 				stats.Pruned++
@@ -559,24 +551,7 @@ func (s *Solver) Solve() (*Result, error) {
 			pq.push(heapEntry{f: f, g: child.g, seq: seq, e: child})
 			seq++
 			stats.Generated++
-		}
-		if wp != nil {
-			s.expandParallel(wp, e, job.ProcID(leader), avail, &stats, admit)
-		} else {
-			s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID) {
-				child := s.makeChildIn(s.pool, e, node)
-				if ref := s.table.find(child.keyWords); ref >= 0 && s.table.gs[ref] <= child.g {
-					stats.DismissedWorse++
-					if hooks.dismiss != nil {
-						hooks.dismiss.Dismiss(stats.VisitedPaths, child.q, child.g, DismissWorse)
-					}
-					s.recycle(child)
-					return // dismissed before spending h work
-				}
-				child.h = s.heuristic(child)
-				admit(child)
-			})
-		}
+		})
 	}
 	// Exhausted queue: fall back to the best complete schedule seen. The
 	// trace still ends with stats + solution events so offline analysis
@@ -636,13 +611,12 @@ func (s *Solver) available(e *element, leader job.ProcID) []job.ProcID {
 	return avail
 }
 
-// makeChildIn extends a sub-path with one node, maintaining the Eq. 13
+// makeChild extends a sub-path with one node, maintaining the Eq. 13
 // distance and the per-parallel-job maxima incrementally. The child comes
-// from the given free list (the solver's own on the serial path, a
-// per-chunk one under worker parallelism) and touches no heap once the
-// list is warm.
-func (s *Solver) makeChildIn(pl *elemPool, e *element, node []job.ProcID) *element {
-	child := pl.get()
+// from the solver's own free list (a worker clone's, under parallel
+// search) and touches no heap once the list is warm.
+func (s *Solver) makeChild(e *element, node []job.ProcID) *element {
+	child := s.pool.get()
 	child.set.CopyFrom(e.set)
 	child.q = e.q + len(node)
 	child.g = e.g

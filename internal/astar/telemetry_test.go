@@ -197,10 +197,10 @@ func TestDismissedChildAllocFreeWithTelemetry(t *testing.T) {
 	met := newSolverMetrics(sv.opts.Metrics)
 	met.begin(sv)
 	var stats Stats
-	warm := sv.makeChildIn(sv.pool, root, node)
+	warm := sv.makeChild(root, node)
 	sv.recycle(warm)
 	allocs := testing.AllocsPerRun(200, func() {
-		c := sv.makeChildIn(sv.pool, root, node)
+		c := sv.makeChild(root, node)
 		if ref := sv.table.find(c.keyWords); ref < 0 {
 			stats.DismissedWorse++
 		}
@@ -240,10 +240,10 @@ func TestDismissedChildAllocFreeWithTracing(t *testing.T) {
 	}
 
 	var stats Stats
-	warm := sv.makeChildIn(sv.pool, root, node)
+	warm := sv.makeChild(root, node)
 	sv.recycle(warm)
 	allocs := testing.AllocsPerRun(200, func() {
-		c := sv.makeChildIn(sv.pool, root, node)
+		c := sv.makeChild(root, node)
 		if ref := sv.table.find(c.keyWords); ref < 0 {
 			stats.DismissedWorse++
 		}

@@ -7,6 +7,7 @@ import (
 	"cosched/internal/astar"
 	"cosched/internal/degradation"
 	"cosched/internal/graph"
+	"cosched/internal/pg"
 	"cosched/internal/workload"
 )
 
@@ -155,7 +156,14 @@ func ablationBeam(opts RunOptions) (*Report, error) {
 			fmtDeg(res.Cost / float64(len(in.Batch.Jobs))),
 			fmtSec(time.Since(start).Seconds())})
 	}
-	rep.Notes = append(rep.Notes, "expected: wider beams buy small quality gains at roughly linear time cost")
+	// PG on the same instance is the reference every beam width must beat.
+	start := time.Now()
+	pgRes := pg.Solve(in.Cost(degradation.ModePC))
+	rep.Rows = append(rep.Rows, []string{
+		fmt.Sprint(n), "PG",
+		fmtDeg(pgRes.Cost / float64(len(in.Batch.Jobs))),
+		fmtSec(time.Since(start).Seconds())})
+	rep.Notes = append(rep.Notes, "expected: wider beams buy small quality gains at roughly linear time cost; every width beats PG")
 	return rep, nil
 }
 

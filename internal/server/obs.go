@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -219,7 +220,7 @@ func (s *Server) observe(route string, full bool, h func(http.ResponseWriter, *h
 			s.sloLatency.Record(totalMS <= s.sloLatencyMS)
 		}
 		if s.ring != nil {
-			s.ring.put(reqRecord{
+			s.ring.Put(reqRecord{
 				atMS:        float64(start.Sub(s.epoch)) / float64(time.Millisecond),
 				id:          info.id,
 				route:       route,
@@ -297,4 +298,50 @@ func (s *Server) logAccess(info *reqInfo, totalMS float64) {
 		attrs = append(attrs, slog.Int("items", info.items))
 	}
 	log.LogAttrs(context.Background(), level, "request", attrs...)
+}
+
+// reqRecord is one completed request as retained by the /debug/requests
+// ring: identity, route, outcome, and the phase breakdown.
+type reqRecord struct {
+	atMS        float64 // request start, ms since server epoch
+	id          string
+	route       string
+	cache       string
+	abort       string
+	fp          string
+	status      int
+	parallelism int
+	items       int
+	queueMS     float64
+	solveMS     float64
+	encodeMS    float64
+	totalMS     float64
+	solveID     uint64
+	degraded    bool
+}
+
+// handleRequests serves the recent-requests ring as a human-readable
+// table (the /debug/requests endpoint): one row per retained request,
+// ordered by start time, with the full phase breakdown.
+func (s *Server) handleRequests(w http.ResponseWriter, _ *http.Request) {
+	recs := s.ring.Snapshot()
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].atMS < recs[j].atMS })
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintf(w, "=== recent requests: %d retained (ring %d) ===\n", len(recs), s.ring.Cap())
+	if len(recs) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%10s  %-24s  %-15s  %3s  %9s  %9s  %9s  %9s  %-6s  %-3s  %4s  %-12s  %8s  %s\n",
+		"t_ms", "req_id", "route", "st", "queue_ms", "solve_ms", "enc_ms", "total_ms",
+		"cache", "deg", "par", "fp", "solve_id", "abort")
+	for _, rec := range recs {
+		deg := ""
+		if rec.degraded {
+			deg = "yes"
+		}
+		fmt.Fprintf(w, "%10.1f  %-24s  %-15s  %3d  %9.2f  %9.2f  %9.2f  %9.2f  %-6s  %-3s  %4d  %-12s  %8d  %s\n",
+			rec.atMS, rec.id, rec.route, rec.status,
+			rec.queueMS, rec.solveMS, rec.encodeMS, rec.totalMS,
+			rec.cache, deg, rec.parallelism, rec.fp, rec.solveID, rec.abort)
+	}
 }

@@ -261,11 +261,11 @@ func TestDebugRequestsRing(t *testing.T) {
 }
 
 func TestRequestRingSeqlock(t *testing.T) {
-	rr := newRequestRing(4)
+	rr := telemetry.NewRing[reqRecord](4)
 	for i := 0; i < 10; i++ {
-		rr.put(reqRecord{id: string(rune('a' + i)), atMS: float64(i)})
+		rr.Put(reqRecord{id: string(rune('a' + i)), atMS: float64(i)})
 	}
-	recs := rr.snapshot()
+	recs := rr.Snapshot()
 	if len(recs) != 4 {
 		t.Fatalf("snapshot retained %d records, want 4", len(recs))
 	}

@@ -205,13 +205,13 @@ type Server struct {
 	scaleShrinks  *telemetry.Counter
 	scaleP90      *telemetry.FloatGauge
 
-	// Request-scoped observability (obs.go / ring.go).
+	// Request-scoped observability (obs.go).
 	inflight     *telemetry.Gauge
 	routes       map[string]*routeMetrics
 	sloAvail     *telemetry.SLO
 	sloLatency   *telemetry.SLO
 	sloLatencyMS float64
-	ring         *requestRing
+	ring         *telemetry.Ring[reqRecord]
 }
 
 // queueDelayBoundsMS buckets the admission-to-pop delay: sub-millisecond
@@ -325,7 +325,7 @@ func New(cfg Config) (*Server, error) {
 		SlowWindow: cfg.SLOSlowWindow,
 	})
 	if cfg.RequestRing > 0 {
-		s.ring = newRequestRing(cfg.RequestRing)
+		s.ring = telemetry.NewRing[reqRecord](cfg.RequestRing)
 	}
 	if cfg.CacheEntries > 0 {
 		ccfg := solvecache.Config[*solvecache.Solution]{
@@ -434,7 +434,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/batch", s.observe("v1_batch", true, s.handleBatch))
 	mux.HandleFunc("GET /healthz", s.observe("healthz", false, s.handleHealthz))
 	if s.ring != nil {
-		mux.HandleFunc("GET /debug/requests", s.ring.handler())
+		mux.HandleFunc("GET /debug/requests", s.handleRequests)
 	}
 	return mux
 }

@@ -1,101 +1,45 @@
 package telemetry
 
-import (
-	"io"
-	"sync/atomic"
-)
+import "io"
 
 // FlightRecorder keeps the last N trace events in a fixed ring so a
 // misbehaving long-running solve can be diagnosed after the fact without
-// having had a durable -trace enabled. Emit is lock-free and
-// allocation-free: each slot is guarded by a per-slot sequence word
-// (seqlock), the writer claims a global position with one atomic add and
-// copies the event in place. Readers (Events, Dump, the /debug/trace
-// endpoint and the coschedcli SIGQUIT handler) snapshot slots optimistically
-// and drop any slot a concurrent writer touched mid-copy — a dump taken
-// during a solve is a consistent subset, never a torn event.
+// having had a durable -trace enabled. It is a Ring of events: Emit is
+// lock-free and allocation-free, and readers (Events, Dump, the
+// /debug/trace endpoint and the coschedcli SIGQUIT handler) see a
+// consistent subset of a ring being written, never a torn event.
 //
 // The recorder implements EventSink, so it can stand alone or fan in
 // behind MultiSink alongside a durable EventWriter.
 type FlightRecorder struct {
-	slots []recorderSlot
-	// head is the count of Emit calls; event i lives in slot i mod N.
-	head atomic.Uint64
-}
-
-// recorderSlot pairs an event payload with its seqlock word. seq == 0 is
-// empty; an odd value marks a write in progress; the even value 2*(pos+1)
-// publishes the event written for global position pos, letting readers
-// detect both torn reads and wrap-around overwrites.
-type recorderSlot struct {
-	seq atomic.Uint64
-	ev  Event
+	ring *Ring[Event]
 }
 
 // NewFlightRecorder returns a recorder holding the last n events
 // (n < 1 is raised to 1).
 func NewFlightRecorder(n int) *FlightRecorder {
-	if n < 1 {
-		n = 1
-	}
-	return &FlightRecorder{slots: make([]recorderSlot, n)}
+	return &FlightRecorder{ring: NewRing[Event](n)}
 }
 
 // Cap returns the ring capacity.
-func (fr *FlightRecorder) Cap() int { return len(fr.slots) }
+func (fr *FlightRecorder) Cap() int { return fr.ring.Cap() }
 
 // Len returns how many events are currently retained (at most Cap).
-func (fr *FlightRecorder) Len() int {
-	h := fr.head.Load()
-	if n := uint64(len(fr.slots)); h > n {
-		return int(n)
-	}
-	return int(fr.head.Load())
-}
+func (fr *FlightRecorder) Len() int { return fr.ring.Len() }
 
 // Emit implements EventSink: record the event, overwriting the oldest
 // when full. It never fails and never allocates (the event struct is
 // copied into a preallocated slot; slice fields alias the caller's
 // backing arrays).
 func (fr *FlightRecorder) Emit(ev Event) error {
-	pos := fr.head.Add(1) - 1
-	slot := &fr.slots[pos%uint64(len(fr.slots))]
-	slot.seq.Store(2*pos + 1) // odd: write in progress
-	slot.ev = ev
-	slot.seq.Store(2 * (pos + 1)) // even: published for position pos
+	fr.ring.Put(ev)
 	return nil
 }
 
 // Events returns the retained events, oldest first. Slots being
 // overwritten during the snapshot are skipped, so the result is a
 // consistent (possibly shorter) window.
-func (fr *FlightRecorder) Events() []Event {
-	n := uint64(len(fr.slots))
-	h := fr.head.Load()
-	start := uint64(0)
-	if h > n {
-		start = h - n
-	}
-	out := make([]Event, 0, h-start)
-	for pos := start; pos < h; pos++ {
-		slot := &fr.slots[pos%n]
-		want := 2 * (pos + 1)
-		for retry := 0; retry < 4; retry++ {
-			s1 := slot.seq.Load()
-			if s1 != want {
-				// Empty, mid-write, or already overwritten by a newer
-				// event (which a later pos will pick up).
-				break
-			}
-			ev := slot.ev
-			if slot.seq.Load() == s1 {
-				out = append(out, ev)
-				break
-			}
-		}
-	}
-	return out
-}
+func (fr *FlightRecorder) Events() []Event { return fr.ring.Snapshot() }
 
 // Dump writes the retained events to w as JSONL — the same format as a
 // durable trace, so coschedtrace can analyse a flight-recorder dump

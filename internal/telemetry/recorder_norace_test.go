@@ -2,13 +2,13 @@
 
 package telemetry
 
-// The flight recorder's seqlock protocol copies event payloads outside
-// any lock: readers validate the per-slot sequence word before and after
-// the copy and discard torn reads. That is correct under the Go memory
-// model for the data the reader keeps, but the discarded speculative
-// copies are flagged by the race detector, so this stress test is
-// excluded from -race runs (scripts/ci.sh races the astar worker pool,
-// not this package).
+// The flight recorder's seqlock protocol (Ring) copies event payloads
+// outside any lock: readers validate the per-slot sequence word before
+// and after the copy and discard torn reads. That is correct under the
+// Go memory model for the data the reader keeps, but the discarded
+// speculative copies are flagged by the race detector, so this stress
+// test is excluded from -race runs (scripts/ci.sh races the parallel
+// search engine and the serving layer, not this package).
 
 import (
 	"sync"
@@ -37,6 +37,9 @@ func TestFlightRecorderConcurrentEmitAndDump(t *testing.T) {
 		case <-done:
 			alive = false
 		default:
+		}
+		if got := fr.Len(); got > fr.Cap() {
+			t.Fatalf("recorder len = %d exceeds cap %d under concurrent emits", got, fr.Cap())
 		}
 		for _, ev := range fr.Events() {
 			// Every surfaced event must be fully-formed, never torn: a

@@ -35,10 +35,10 @@ go test ./...
 # never silently drop the gate).
 go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing' -count=1
 
-# Race matrix over the concurrent search paths: the per-expansion worker
-# crew, the work-stealing parallel engine (DESIGN.md §5d) and its
-# striped dismissal table.
-go test -race ./internal/astar/ -run 'Parallel|Worker|Striped'
+# Race matrix over the concurrent search paths: the work-stealing
+# parallel engine (DESIGN.md §5d), its striped dismissal table and the
+# parallel beam generator.
+go test -race ./internal/astar/ -run 'Parallel|Striped'
 
 # Serving-layer race pass: many SolveContext/SolveRobust calls sharing
 # one Instance and memoized oracle (the coschedd usage pattern), plus
