@@ -17,10 +17,11 @@
 // Telemetry lives on the same listener: Prometheus metrics under
 // /metrics (the server.* family plus solver metrics), expvar under
 // /debug/vars, pprof under /debug/pprof/, the flight recorder's recent
-// solver events under /debug/trace, and the recent-requests ring under
-// /debug/requests. Every request is logged as one structured JSON line
-// (-access-log; -access-log-slow keeps only slow or failed requests)
-// carrying the request ID the daemon echoes on X-Request-ID.
+// solver and request events under /debug/trace, and the last 256
+// request records under /debug/requests. Every request is logged as one
+// structured JSON line (-access-log) carrying the request ID the daemon
+// echoes on X-Request-ID; the line, the request event and the
+// /debug/requests row render the same record.
 package main
 
 import (
@@ -65,8 +66,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight solves on shutdown")
 		solvePar     = flag.Int("solve-parallelism", 1, "expansion workers per graph solve for requests that set no parallelism (1 = exact sequential path)")
 		accessLog    = flag.String("access-log", "stderr", "structured access-log destination: stderr, stdout, a file path, or 'off'")
-		accessSlow   = flag.Duration("access-log-slow", 0, "log only requests at least this slow or with status >= 400 (0 = log everything)")
-		requestsRing = flag.Int("requests-ring", 256, "/debug/requests retained-request count (-1 disables)")
 		sloLatency   = flag.Duration("slo-latency", 500*time.Millisecond, "latency objective: a 200 within this is a good event for server.slo.latency")
 		sloObjective = flag.Float64("slo-objective", 0.99, "target good fraction for the availability and latency SLOs")
 		replicaID    = flag.String("replica-id", "", "stable fleet identity for this daemon, shown in /healthz, access logs and request events (empty = boot-generated)")
@@ -103,8 +102,6 @@ func main() {
 		Metrics:            telemetry.Default,
 		Recorder:           recorder,
 		AccessLog:          logger,
-		AccessLogSlow:      *accessSlow,
-		RequestRing:        *requestsRing,
 		SLOLatency:         *sloLatency,
 		SLOObjective:       *sloObjective,
 		ReplicaID:          *replicaID,

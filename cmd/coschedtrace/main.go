@@ -21,9 +21,10 @@
 // the same way and renders the solution-cache history coschedd recorded:
 // the boot replay from -cache-dir, stores, and bound-driven evictions,
 // each with the cache's resident bytes. requests renders every HTTP
-// request the daemon recorded, with its request ID, phase breakdown and
-// the solve_id to feed back into `timeline -solve`; -slow N marks
-// requests that took at least N ms. fleet renders a coschedclient trace
+// request the daemon recorded as the table /debug/requests serves live:
+// request ID, phase breakdown, cache outcome, parallelism, fingerprint
+// prefix and the solve_id to feed back into `timeline -solve`; -slow N
+// marks requests that took at least N ms. fleet renders a coschedclient trace
 // (coschedload -client-trace) as a chronology of per-attempt calls,
 // per-request summaries and circuit-breaker transitions — the req_id
 // column joins each attempt to the replica access log that served it.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -21,18 +22,21 @@ type Runner struct {
 	// timeout; the timeout is the generator's give-up bound and counts
 	// as a transport error, not a server verdict).
 	Client *http.Client
-	// Do, when non-nil, replaces the direct HTTP POST for every
-	// request: it receives the schedule-assigned request ID and the
-	// marshalled /v1/solve body and returns the final HTTP verdict and
-	// response body. This is the fleet-client hook — coschedclient's
-	// DoJSON plugs in here so the ladder exercises retries, hedging and
-	// failover while the runner keeps doing open-loop arrivals and
-	// latency accounting. A zero status with a non-nil error counts as
-	// a transport failure; a non-zero status counts as that verdict
-	// even when err is non-nil (the daemon answered, the fleet client
-	// gave up on it).
+	// Do sends every request: it receives the schedule-assigned request
+	// ID and the marshalled /v1/solve body and returns the final HTTP
+	// verdict and the whole response body. Nil means a direct POST to
+	// BaseURL carrying the ID as X-Request-ID. This is the fleet-client
+	// hook — coschedclient's DoJSON plugs in here so the ladder
+	// exercises retries, hedging and failover while the runner keeps
+	// doing open-loop arrivals and latency accounting. A zero status
+	// with a non-nil error counts as a transport failure; a non-zero
+	// status counts as that verdict even when err is non-nil (the daemon
+	// answered, the fleet client gave up on it).
 	Do func(ctx context.Context, id string, body []byte) (status int, respBody []byte, err error)
 }
+
+// defaultClient is the HTTP client of a Runner that sets none.
+var defaultClient = &http.Client{Timeout: 30 * time.Second}
 
 // solveReply is the subset of the daemon's SolveResponse the runner
 // reads back for accounting.
@@ -122,11 +126,6 @@ func (a *rungAgg) record(id string, latency time.Duration, code int, reply *solv
 // arrival.
 func (r *Runner) Run(ctx context.Context, cfg Config, sched []Request) (*Report, error) {
 	cfg = cfg.withDefaults()
-	client := r.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	url := r.BaseURL + "/v1/solve"
 
 	aggs := make([]*rungAgg, len(cfg.Rungs))
 	fired := make([]int64, len(cfg.Rungs))
@@ -159,7 +158,7 @@ launch:
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.one(ctx, client, url, req, aggs[req.Rung])
+			r.one(ctx, req, aggs[req.Rung])
 		}()
 	}
 	wg.Wait()
@@ -206,57 +205,58 @@ launch:
 	return report, ctx.Err()
 }
 
-// one issues a single request — carrying its schedule-assigned ID as
-// X-Request-ID so the daemon's observability joins on it — and records
-// the outcome.
-func (r *Runner) one(ctx context.Context, client *http.Client, url string, req *Request, agg *rungAgg) {
-	if r.Do != nil {
-		sent := time.Now()
-		status, body, err := r.Do(ctx, req.ID, req.Body)
-		latency := time.Since(sent)
-		if status == 0 {
-			errText := "request failed"
-			if err != nil {
-				errText = err.Error()
-			}
-			agg.record(req.ID, 0, 0, nil, errText)
-			return
-		}
-		var reply *solveReply
-		if status == http.StatusOK {
-			reply = &solveReply{}
-			if jsonErr := json.Unmarshal(body, reply); jsonErr != nil {
-				reply = nil
-			}
-		}
-		agg.record(req.ID, latency, status, reply, "")
-		return
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(req.Body))
-	if err != nil {
-		agg.record(req.ID, 0, 0, nil, err.Error())
-		return
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if req.ID != "" {
-		httpReq.Header.Set("X-Request-ID", req.ID)
+// one issues a single request through Do (a direct POST when Do is nil)
+// and records the outcome; latency runs from the send to the last byte
+// of the response body.
+func (r *Runner) one(ctx context.Context, req *Request, agg *rungAgg) {
+	do := r.Do
+	if do == nil {
+		do = r.post
 	}
 	sent := time.Now()
-	resp, err := client.Do(httpReq)
+	status, body, err := do(ctx, req.ID, req.Body)
 	latency := time.Since(sent)
-	if err != nil {
-		agg.record(req.ID, 0, 0, nil, err.Error())
+	if status == 0 {
+		errText := "request failed"
+		if err != nil {
+			errText = err.Error()
+		}
+		agg.record(req.ID, 0, 0, nil, errText)
 		return
 	}
-	defer resp.Body.Close() //nolint:errcheck
 	var reply *solveReply
-	if resp.StatusCode == http.StatusOK {
+	if status == http.StatusOK {
 		reply = &solveReply{}
-		if err := json.NewDecoder(resp.Body).Decode(reply); err != nil {
+		if json.Unmarshal(body, reply) != nil {
 			reply = nil
 		}
 	}
-	agg.record(req.ID, latency, resp.StatusCode, reply, "")
+	agg.record(req.ID, latency, status, reply, "")
+}
+
+// post is the default Do: a direct POST of body to the daemon's
+// /v1/solve carrying id as X-Request-ID — so the daemon's observability
+// joins on it — read to the last byte.
+func (r *Runner) post(ctx context.Context, id string, body []byte) (int, []byte, error) {
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.BaseURL+"/v1/solve", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	httpReq.Header.Set("Content-Type", "application/json")
+	if id != "" {
+		httpReq.Header.Set("X-Request-ID", id)
+	}
+	client := r.Client
+	if client == nil {
+		client = defaultClient
+	}
+	resp, err := client.Do(httpReq)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close() //nolint:errcheck
+	respBody, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, respBody, err
 }
 
 // ms converts a duration to float milliseconds for the report.

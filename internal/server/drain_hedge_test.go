@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cosched/internal/telemetry"
 )
 
 // jsonReader wraps a JSON literal for http.Post.
@@ -42,7 +44,7 @@ func TestDrainWithInFlightHedgeCancel(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	req1 := &SolveRequest{Synthetic: 26, Method: "oastar", NoCache: true}
-	t1, aerr := s.admit(WithRequestID(ctx1, "hedge-loser-1"), req1, false)
+	t1, aerr := s.admit(ctx1, req1, false, &telemetry.Event{ReqID: "hedge-loser-1"})
 	if aerr != nil {
 		t.Fatalf("admit 1: %+v", aerr)
 	}
@@ -58,7 +60,7 @@ func TestDrainWithInFlightHedgeCancel(t *testing.T) {
 	// Request 2: queued behind it, same vanished client.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	req2 := &SolveRequest{Synthetic: 8, Method: "hastar", NoCache: true}
-	t2, aerr := s.admit(WithRequestID(ctx2, "hedge-loser-2"), req2, false)
+	t2, aerr := s.admit(ctx2, req2, false, &telemetry.Event{ReqID: "hedge-loser-2"})
 	if aerr != nil {
 		t.Fatalf("admit 2: %+v", aerr)
 	}
@@ -122,7 +124,7 @@ func TestQueuedTaskForGoneClientSkipsSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // client is already gone at admission's queue hop
 	req := &SolveRequest{Synthetic: 6, Method: "hastar", NoCache: true}
-	tk, aerr := s.admit(WithRequestID(ctx, "gone"), req, false)
+	tk, aerr := s.admit(ctx, req, false, &telemetry.Event{ReqID: "gone"})
 	if aerr != nil {
 		t.Fatalf("admit: %+v", aerr)
 	}

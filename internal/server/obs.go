@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -69,55 +68,6 @@ func inboundRequestID(r *http.Request) string {
 		}
 	}
 	return id
-}
-
-// reqIDCtxKey keys the request ID in a context.
-type reqIDCtxKey struct{}
-
-// WithRequestID returns ctx carrying the request ID, the form handlers
-// pass down through admission → queue → solve so deeper layers can
-// stamp it into their own diagnostics.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, reqIDCtxKey{}, id)
-}
-
-// RequestIDFromContext returns the request ID carried by ctx ("" when
-// the context is not part of an observed request).
-func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDCtxKey{}).(string)
-	return id
-}
-
-// reqInfo is one observed request's accumulated facts: the middleware
-// fills identity/route/status/timing, the handler fills the solve-side
-// fields it learns from its task.
-type reqInfo struct {
-	id          string
-	route       string
-	status      int
-	queueMS     float64
-	solveMS     float64
-	encodeMS    float64
-	cache       string // hit|shared|miss|bypass, "" when no solve ran
-	degraded    bool
-	abort       string
-	parallelism int
-	fp          string // fingerprint prefix, "" when not computed
-	solveID     uint64
-	items       int // batch requests: item count
-}
-
-// fromTask copies the solve-side facts a finished task learned into the
-// request record.
-func (info *reqInfo) fromTask(t *task) {
-	info.queueMS = t.queueMS
-	info.solveMS = t.solveMS
-	info.cache = t.cacheOutcome
-	info.degraded = t.degraded
-	info.abort = t.abortReason
-	info.parallelism = t.parallelism
-	info.fp = t.fpPrefix
-	info.solveID = t.solveID
 }
 
 // statusWriter captures the status code a handler wrote (200 when the
@@ -192,156 +142,95 @@ func (rm *routeMetrics) observe(status int, totalMS float64) {
 	rm.duration.Observe(totalMS)
 }
 
+// requestRingSize is how many completed requests /debug/requests
+// retains; emitting into the ring is allocation-free, so it is always on.
+const requestRingSize = 256
+
 // observe wraps a handler with the request-scoped observability layer:
 // request-ID assignment and echo, the in-flight gauge, RED metrics, and
-// — for solve routes (full) — SLO accounting, the request ring, a
-// "request" trace event, and the access log. The handler receives the
-// reqInfo to fill with what it learns from its task.
-func (s *Server) observe(route string, full bool, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
+// — for solve routes (full) — SLO accounting and the request record.
+// The record is one "request" event: observe allocates it with the
+// request's identity, the handler and its worker write their phases and
+// outcome into it, and at response write it is rendered three ways —
+// the /debug/requests ring, the flight recorder and the access log.
+func (s *Server) observe(route string, full bool, h func(http.ResponseWriter, *http.Request, *telemetry.Event)) http.HandlerFunc {
 	rm := s.routes[route]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		info := &reqInfo{route: route, id: inboundRequestID(r)}
-		w.Header().Set(RequestIDHeader, info.id)
+		ev := &telemetry.Event{
+			Ev:      "request",
+			TMS:     float64(start.Sub(s.epoch)) / float64(time.Millisecond),
+			ReqID:   inboundRequestID(r),
+			Route:   route,
+			Replica: s.cfg.ReplicaID,
+		}
+		w.Header().Set(RequestIDHeader, ev.ReqID)
 		s.inflight.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r.WithContext(WithRequestID(r.Context(), info.id)), info)
+		h(sw, r, ev)
 		s.inflight.Add(-1)
-		info.status = sw.code()
-		totalMS := float64(time.Since(start)) / float64(time.Millisecond)
+		ev.Status = sw.code()
+		ev.TotalMS = float64(time.Since(start)) / float64(time.Millisecond)
 		if rm != nil {
-			rm.observe(info.status, totalMS)
+			rm.observe(ev.Status, ev.TotalMS)
 		}
 		if !full {
 			return
 		}
-		s.sloAvail.Record(info.status < http.StatusInternalServerError)
-		if info.status == http.StatusOK {
-			s.sloLatency.Record(totalMS <= s.sloLatencyMS)
+		s.sloAvail.Record(ev.Status < http.StatusInternalServerError)
+		if ev.Status == http.StatusOK {
+			s.sloLatency.Record(ev.TotalMS <= s.sloLatencyMS)
 		}
-		if s.ring != nil {
-			s.ring.Put(reqRecord{
-				atMS:        float64(start.Sub(s.epoch)) / float64(time.Millisecond),
-				id:          info.id,
-				route:       route,
-				status:      info.status,
-				queueMS:     info.queueMS,
-				solveMS:     info.solveMS,
-				encodeMS:    info.encodeMS,
-				totalMS:     totalMS,
-				cache:       info.cache,
-				degraded:    info.degraded,
-				abort:       info.abort,
-				parallelism: info.parallelism,
-				fp:          info.fp,
-				solveID:     info.solveID,
-				items:       info.items,
-			})
-		}
+		s.requests.Emit(*ev) //nolint:errcheck // ring emit cannot fail
 		if s.cfg.Recorder != nil {
-			s.cfg.Recorder.Emit(telemetry.Event{ //nolint:errcheck // ring emit cannot fail
-				Ev:       "request",
-				Replica:  s.cfg.ReplicaID,
-				TMS:      float64(start.Sub(s.epoch)) / float64(time.Millisecond),
-				SolveID:  info.solveID,
-				ReqID:    info.id,
-				Route:    route,
-				Status:   info.status,
-				QueueMS:  info.queueMS,
-				SolveMS:  info.solveMS,
-				EncodeMS: info.encodeMS,
-				TotalMS:  totalMS,
-				Cache:    info.cache,
-				Degraded: info.degraded,
-				Reason:   info.abort,
-			})
+			s.cfg.Recorder.Emit(*ev) //nolint:errcheck // ring emit cannot fail
 		}
-		s.logAccess(info, totalMS)
+		s.logAccess(ev)
 	}
 }
 
 // logAccess emits the request's structured access-log line: one JSON
-// object per request with the full phase breakdown. With AccessLogSlow
-// set, fast successful requests are skipped — only requests at or above
-// the threshold, or with status >= 400, are logged.
-func (s *Server) logAccess(info *reqInfo, totalMS float64) {
+// object per request with the full phase breakdown.
+func (s *Server) logAccess(ev *telemetry.Event) {
 	log := s.cfg.AccessLog
 	if log == nil {
 		return
 	}
-	if slow := s.cfg.AccessLogSlow; slow > 0 &&
-		totalMS < float64(slow)/float64(time.Millisecond) &&
-		info.status < http.StatusBadRequest {
-		return
-	}
 	level := slog.LevelInfo
-	if info.status >= http.StatusInternalServerError {
+	if ev.Status >= http.StatusInternalServerError {
 		level = slog.LevelWarn
 	}
 	attrs := []slog.Attr{
-		slog.String("req_id", info.id),
-		slog.String("replica", s.cfg.ReplicaID),
-		slog.String("route", info.route),
-		slog.Int("status", info.status),
-		slog.Float64("queue_ms", info.queueMS),
-		slog.Float64("solve_ms", info.solveMS),
-		slog.Float64("encode_ms", info.encodeMS),
-		slog.Float64("total_ms", totalMS),
-		slog.String("cache", info.cache),
-		slog.Bool("degraded", info.degraded),
-		slog.String("abort", info.abort),
-		slog.Int("parallelism", info.parallelism),
-		slog.String("fp", info.fp),
-		slog.Uint64("solve_id", info.solveID),
+		slog.String("req_id", ev.ReqID),
+		slog.String("replica", ev.Replica),
+		slog.String("route", ev.Route),
+		slog.Int("status", ev.Status),
+		slog.Float64("queue_ms", ev.QueueMS),
+		slog.Float64("solve_ms", ev.SolveMS),
+		slog.Float64("encode_ms", ev.EncodeMS),
+		slog.Float64("total_ms", ev.TotalMS),
+		slog.String("cache", ev.Cache),
+		slog.Bool("degraded", ev.Degraded),
+		slog.String("abort", ev.Reason),
+		slog.Int("parallelism", ev.Parallelism),
+		slog.String("fp", ev.FP),
+		slog.Uint64("solve_id", ev.SolveID),
 	}
-	if info.items > 0 {
-		attrs = append(attrs, slog.Int("items", info.items))
+	if ev.N > 0 {
+		attrs = append(attrs, slog.Int("items", ev.N))
 	}
 	log.LogAttrs(context.Background(), level, "request", attrs...)
 }
 
-// reqRecord is one completed request as retained by the /debug/requests
-// ring: identity, route, outcome, and the phase breakdown.
-type reqRecord struct {
-	atMS        float64 // request start, ms since server epoch
-	id          string
-	route       string
-	cache       string
-	abort       string
-	fp          string
-	status      int
-	parallelism int
-	items       int
-	queueMS     float64
-	solveMS     float64
-	encodeMS    float64
-	totalMS     float64
-	solveID     uint64
-	degraded    bool
-}
-
-// handleRequests serves the recent-requests ring as a human-readable
-// table (the /debug/requests endpoint): one row per retained request,
-// ordered by start time, with the full phase breakdown.
+// handleRequests serves the request ring as a human-readable table (the
+// /debug/requests endpoint): one row per retained request, ordered by
+// start time, with the full phase breakdown.
 func (s *Server) handleRequests(w http.ResponseWriter, _ *http.Request) {
-	recs := s.ring.Snapshot()
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].atMS < recs[j].atMS })
+	evs := s.requests.Events()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "=== recent requests: %d retained (ring %d) ===\n", len(recs), s.ring.Cap())
-	if len(recs) == 0 {
+	fmt.Fprintf(w, "=== recent requests: %d retained (ring %d) ===\n", len(evs), s.requests.Cap())
+	if len(evs) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "%10s  %-24s  %-15s  %3s  %9s  %9s  %9s  %9s  %-6s  %-3s  %4s  %-12s  %8s  %s\n",
-		"t_ms", "req_id", "route", "st", "queue_ms", "solve_ms", "enc_ms", "total_ms",
-		"cache", "deg", "par", "fp", "solve_id", "abort")
-	for _, rec := range recs {
-		deg := ""
-		if rec.degraded {
-			deg = "yes"
-		}
-		fmt.Fprintf(w, "%10.1f  %-24s  %-15s  %3d  %9.2f  %9.2f  %9.2f  %9.2f  %-6s  %-3s  %4d  %-12s  %8d  %s\n",
-			rec.atMS, rec.id, rec.route, rec.status,
-			rec.queueMS, rec.solveMS, rec.encodeMS, rec.totalMS,
-			rec.cache, deg, rec.parallelism, rec.fp, rec.solveID, rec.abort)
-	}
+	telemetry.WriteRequestTable(w, evs, 0) //nolint:errcheck // client gone = nothing to do
 }

@@ -53,19 +53,15 @@ func waitForLog(t *testing.T, buf *syncBuf, needle string) string {
 	}
 }
 
-func TestRequestIDEchoAccessLogAndTraceJoin(t *testing.T) {
-	buf := &syncBuf{}
-	rec := telemetry.NewFlightRecorder(4096)
-	reg := telemetry.New()
-	_, ts := newTestServer(t, Config{
-		Workers:   1,
-		Metrics:   reg,
-		Recorder:  rec,
-		AccessLog: slog.New(slog.NewJSONHandler(buf, nil)),
-	})
+// joinBody is a solve of several milliseconds, so a cache hit that
+// reported the original run's solve time would break its own phase sum.
+const joinBody = `{"synthetic": 12, "seed": 5, "method": "oastar"}`
 
-	const reqID = "test-req-abc"
-	httpReq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", strings.NewReader(specBody))
+// postWithID sends joinBody to /v1/solve under the given X-Request-ID and
+// returns the decoded answer after checking the status and the echo.
+func postWithID(t *testing.T, url, reqID string) SolveResponse {
+	t.Helper()
+	httpReq, err := http.NewRequest(http.MethodPost, url+"/v1/solve", strings.NewReader(joinBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +85,22 @@ func TestRequestIDEchoAccessLogAndTraceJoin(t *testing.T) {
 	if body.RequestID != reqID {
 		t.Errorf("body request_id = %q, want %q", body.RequestID, reqID)
 	}
+	return body
+}
+
+func TestRequestIDEchoAccessLogAndTraceJoin(t *testing.T) {
+	buf := &syncBuf{}
+	rec := telemetry.NewFlightRecorder(4096)
+	reg := telemetry.New()
+	_, ts := newTestServer(t, Config{
+		Workers:   1,
+		Metrics:   reg,
+		Recorder:  rec,
+		AccessLog: slog.New(slog.NewJSONHandler(buf, nil)),
+	})
+
+	const reqID = "test-req-abc"
+	body := postWithID(t, ts.URL, reqID)
 	if body.SolveID == 0 {
 		t.Error("body solve_id = 0, want the answering run's id")
 	}
@@ -152,6 +164,61 @@ func TestRequestIDEchoAccessLogAndTraceJoin(t *testing.T) {
 	}
 	if _, ok := snap["server.slo.latency.burn_fast"]; !ok {
 		t.Error("server.slo.latency.burn_fast not registered")
+	}
+
+	// A repeat is a hit. Its record attributes this request's own time:
+	// the phases fit inside total_ms in the log line and the event alike,
+	// and the access log, the request event and the /debug/requests row
+	// all render the same record.
+	const hitID = "test-hit-abc"
+	if hit := postWithID(t, ts.URL, hitID); !hit.Cached {
+		t.Fatalf("repeat request was not served from the cache: %+v", hit)
+	}
+	var hitEntry map[string]any
+	if err := json.Unmarshal([]byte(waitForLog(t, buf, hitID)), &hitEntry); err != nil {
+		t.Fatal(err)
+	}
+	if hitEntry["cache"] != "hit" {
+		t.Fatalf("repeat request cache = %v, want hit", hitEntry["cache"])
+	}
+	num := func(k string) float64 { v, _ := hitEntry[k].(float64); return v }
+	if sum := num("queue_ms") + num("solve_ms") + num("encode_ms"); sum > num("total_ms") {
+		t.Errorf("hit access-log phases sum to %v ms > total_ms %v", sum, num("total_ms"))
+	}
+	var hitEv *telemetry.Event
+	for _, ev := range rec.Events() {
+		if ev.Ev == "request" && ev.ReqID == hitID {
+			hitEv = &ev
+		}
+	}
+	if hitEv == nil {
+		t.Fatal("no request event for the hit")
+	}
+	if sum := hitEv.QueueMS + hitEv.SolveMS + hitEv.EncodeMS; sum > hitEv.TotalMS {
+		t.Errorf("hit request event phases sum to %v ms > total_ms %v", sum, hitEv.TotalMS)
+	}
+	for k, want := range map[string]any{
+		"req_id": hitEv.ReqID, "status": float64(hitEv.Status), "cache": hitEv.Cache,
+		"queue_ms": hitEv.QueueMS, "solve_ms": hitEv.SolveMS, "encode_ms": hitEv.EncodeMS,
+		"total_ms": hitEv.TotalMS, "solve_id": float64(hitEv.SolveID),
+	} {
+		if hitEntry[k] != want {
+			t.Errorf("access log %s = %v, request event says %v", k, hitEntry[k], want)
+		}
+	}
+	var row strings.Builder
+	if err := telemetry.WriteRequestTable(&row, []telemetry.Event{*hitEv}, 0); err != nil {
+		t.Fatal(err)
+	}
+	wantRow := strings.Split(row.String(), "\n")[1]
+	dbg, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(dbg.Body)
+	dbg.Body.Close() //nolint:errcheck
+	if !strings.Contains(string(page), wantRow+"\n") {
+		t.Errorf("/debug/requests lacks the hit's row\n%s\ngot:\n%s", wantRow, page)
 	}
 }
 
@@ -220,7 +287,7 @@ func TestHealthzReportsDrainState(t *testing.T) {
 }
 
 func TestDebugRequestsRing(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, RequestRing: 8})
+	_, ts := newTestServer(t, Config{Workers: 1})
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", strings.NewReader(specBody))
 	if err != nil {
@@ -257,22 +324,6 @@ func TestDebugRequestsRing(t *testing.T) {
 			t.Fatalf("/debug/requests never showed the request:\n%s", page)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func TestRequestRingSeqlock(t *testing.T) {
-	rr := telemetry.NewRing[reqRecord](4)
-	for i := 0; i < 10; i++ {
-		rr.Put(reqRecord{id: string(rune('a' + i)), atMS: float64(i)})
-	}
-	recs := rr.Snapshot()
-	if len(recs) != 4 {
-		t.Fatalf("snapshot retained %d records, want 4", len(recs))
-	}
-	for i, rec := range recs {
-		if want := float64(6 + i); rec.atMS != want {
-			t.Errorf("record %d atMS = %v, want %v (oldest-first)", i, rec.atMS, want)
-		}
 	}
 }
 

@@ -14,19 +14,22 @@
 //	POST /v1/solve-robust — same, through the SolveRobust fallback ladder
 //	POST /v1/batch        — a list of solve requests answered together
 //	GET  /healthz         — liveness and drain state (503 once draining)
-//	GET  /debug/requests  — recent-requests ring with phase breakdowns
+//	GET  /debug/requests  — the last 256 request records, as a table
 //
 // plus the telemetry surface (/metrics, /debug/vars, /debug/pprof,
 // /debug/trace) from internal/telemetry.DebugMux. Request admission,
 // queueing, solving and cache effectiveness are all measured into the
 // server.* metric family (see DESIGN.md §6b).
 //
-// Every request carries an ID — accepted from X-Request-ID or generated
-// at admission, echoed back on the response header and body — threaded
-// by context through admission → queue → solve → encode, stamped into a
-// "request" telemetry event (joinable to the solver's solve_id
-// timeline), logged as one structured access-log line, and counted into
-// per-route RED metrics and SLO burn rates (see obs.go).
+// Every request has one record, a "request" telemetry.Event. The
+// observe middleware allocates it with the request's ID — accepted from
+// X-Request-ID or generated, echoed back on the response header and
+// body — admission hands it to the task, and the worker writes queue,
+// solve and cache facts straight into it. At response write that one
+// value becomes the access-log line, the flight-recorder event
+// (joinable to the solver's solve_id timeline) and the /debug/requests
+// row, and is counted into per-route RED metrics and SLO burn rates
+// (see obs.go).
 package server
 
 import (
@@ -123,13 +126,6 @@ type Config struct {
 	// request with the full phase breakdown (cmd/coschedd wires a JSON
 	// handler here; see logAccess in obs.go for the field set).
 	AccessLog *slog.Logger
-	// AccessLogSlow gates the access log: when > 0 only requests that
-	// took at least this long, or ended with status >= 400, are logged
-	// (0 logs every request).
-	AccessLogSlow time.Duration
-	// RequestRing sizes the /debug/requests recent-requests ring
-	// (< 0 disables it, 0 means 256 retained requests).
-	RequestRing int
 	// SLOLatency is the latency objective behind server.slo.latency: a
 	// 200 response is good when served within it (<= 0 means 500ms).
 	SLOLatency time.Duration
@@ -211,7 +207,7 @@ type Server struct {
 	sloAvail     *telemetry.SLO
 	sloLatency   *telemetry.SLO
 	sloLatencyMS float64
-	ring         *telemetry.Ring[reqRecord]
+	requests     *telemetry.FlightRecorder // request records behind /debug/requests
 }
 
 // queueDelayBoundsMS buckets the admission-to-pop delay: sub-millisecond
@@ -258,9 +254,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.OraclePoolEntries == 0 {
 		cfg.OraclePoolEntries = 64
-	}
-	if cfg.RequestRing == 0 {
-		cfg.RequestRing = 256
 	}
 	if cfg.SLOLatency <= 0 {
 		cfg.SLOLatency = 500 * time.Millisecond
@@ -324,9 +317,7 @@ func New(cfg Config) (*Server, error) {
 		FastWindow: cfg.SLOFastWindow,
 		SlowWindow: cfg.SLOSlowWindow,
 	})
-	if cfg.RequestRing > 0 {
-		s.ring = telemetry.NewRing[reqRecord](cfg.RequestRing)
-	}
+	s.requests = telemetry.NewFlightRecorder(requestRingSize)
 	if cfg.CacheEntries > 0 {
 		ccfg := solvecache.Config[*solvecache.Solution]{
 			Capacity: cfg.CacheEntries,
@@ -428,14 +419,12 @@ func (s *Server) emitCacheEvent(reason string, n int64) {
 func (s *Server) Handler() http.Handler {
 	mux := telemetry.DebugMux(s.cfg.Metrics, s.cfg.Recorder)
 	mux.HandleFunc("POST /v1/solve", s.observe("v1_solve", true,
-		func(w http.ResponseWriter, r *http.Request, info *reqInfo) { s.handleSolve(w, r, info, false) }))
+		func(w http.ResponseWriter, r *http.Request, ev *telemetry.Event) { s.handleSolve(w, r, ev, false) }))
 	mux.HandleFunc("POST /v1/solve-robust", s.observe("v1_solve_robust", true,
-		func(w http.ResponseWriter, r *http.Request, info *reqInfo) { s.handleSolve(w, r, info, true) }))
+		func(w http.ResponseWriter, r *http.Request, ev *telemetry.Event) { s.handleSolve(w, r, ev, true) }))
 	mux.HandleFunc("POST /v1/batch", s.observe("v1_batch", true, s.handleBatch))
 	mux.HandleFunc("GET /healthz", s.observe("healthz", false, s.handleHealthz))
-	if s.ring != nil {
-		mux.HandleFunc("GET /debug/requests", s.handleRequests)
-	}
+	mux.HandleFunc("GET /debug/requests", s.handleRequests)
 	return mux
 }
 
@@ -496,7 +485,7 @@ func (s *Server) CloseCache() error {
 // handleHealthz reports liveness: 503 {"status":"draining"} once drain
 // begins — the signal a load balancer needs to stop routing before the
 // listener closes — and 200 with queue and worker occupancy otherwise.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *reqInfo) {
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *telemetry.Event) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
@@ -517,26 +506,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *reqInf
 	})
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, info *reqInfo, robust bool) {
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, ev *telemetry.Event, robust bool) {
 	var req SolveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	t, err := s.admit(r.Context(), &req, robust)
+	t, err := s.admit(r.Context(), &req, robust, ev)
 	if err != nil {
 		err.write(w)
 		return
 	}
 	<-t.done
-	info.fromTask(t)
 	if t.errMsg != "" {
 		writeError(w, t.status, t.errMsg)
 		return
 	}
 	encodeStart := time.Now()
 	writeJSON(w, http.StatusOK, t.resp)
-	info.encodeMS = float64(time.Since(encodeStart)) / float64(time.Millisecond)
+	ev.EncodeMS = float64(time.Since(encodeStart)) / float64(time.Millisecond)
 }
 
 // BatchRequest is the /v1/batch body: requests answered positionally.
@@ -563,10 +551,11 @@ type BatchResponse struct {
 	Items []BatchItem `json:"items"`
 }
 
-// handleBatch answers a batch under one umbrella request ID (every item
-// shares it); the batch's access-log line aggregates its items — worst
-// queue wait, summed solve time, "mixed" when cache outcomes differ.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqInfo) {
+// handleBatch answers a batch under one umbrella request ID (every
+// item's response carries it). Each item's worker fills a record of its
+// own, and the batch's one request record aggregates them — worst queue
+// wait, summed solve time, "mixed" when cache outcomes differ.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ev *telemetry.Event) {
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
@@ -576,14 +565,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 		writeError(w, http.StatusBadRequest, "batch has no requests")
 		return
 	}
-	info.items = len(req.Requests)
+	ev.N = len(req.Requests)
 	items := make([]BatchItem, len(req.Requests))
 	tasks := make([]*task, len(req.Requests))
+	itemEvs := make([]telemetry.Event, len(req.Requests))
 	// Admit everything first — the queue outlives the admission loop and
 	// enqueueing never blocks, so a batch wider than the queue fails its
 	// overflow items with 429 instead of deadlocking behind itself.
 	for i := range req.Requests {
-		t, aerr := s.admit(r.Context(), &req.Requests[i], req.Requests[i].Robust)
+		itemEvs[i].ReqID = ev.ReqID
+		t, aerr := s.admit(r.Context(), &req.Requests[i], req.Requests[i].Robust, &itemEvs[i])
 		if aerr != nil {
 			items[i] = BatchItem{Status: aerr.status, Error: aerr.msg}
 			continue
@@ -595,20 +586,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 			continue
 		}
 		<-t.done
-		if t.queueMS > info.queueMS {
-			info.queueMS = t.queueMS
+		item := &itemEvs[i]
+		ev.QueueMS = max(ev.QueueMS, item.QueueMS)
+		ev.SolveMS += item.SolveMS
+		ev.Degraded = ev.Degraded || item.Degraded
+		if ev.Reason == "" {
+			ev.Reason = item.Reason
 		}
-		info.solveMS += t.solveMS
-		info.degraded = info.degraded || t.degraded
-		if info.abort == "" {
-			info.abort = t.abortReason
-		}
-		info.parallelism = t.parallelism
+		ev.Parallelism = item.Parallelism
 		switch {
-		case info.cache == "":
-			info.cache = t.cacheOutcome
-		case info.cache != t.cacheOutcome:
-			info.cache = "mixed"
+		case ev.Cache == "":
+			ev.Cache = item.Cache
+		case ev.Cache != item.Cache:
+			ev.Cache = "mixed"
 		}
 		if t.errMsg != "" {
 			items[i] = BatchItem{Status: t.status, Error: t.errMsg}
@@ -618,7 +608,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *reqIn
 	}
 	encodeStart := time.Now()
 	writeJSON(w, http.StatusOK, BatchResponse{Items: items})
-	info.encodeMS = float64(time.Since(encodeStart)) / float64(time.Millisecond)
+	ev.EncodeMS = float64(time.Since(encodeStart)) / float64(time.Millisecond)
 }
 
 // admitError is an admission failure with its HTTP mapping; a non-zero
@@ -651,10 +641,10 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 }
 
 // admit validates the request, builds its instance and options, applies
-// the deadline policy, and enqueues a task — or explains why not. The
-// request ID rides in from ctx (set by the observe middleware) and is
-// carried by the task across the queue hop.
-func (s *Server) admit(ctx context.Context, req *SolveRequest, robust bool) (*task, *admitError) {
+// the deadline policy, and enqueues a task — or explains why not. ctx is
+// the caller's (done = caller gone); ev is the request record the
+// task's worker fills in, carrying the request ID across the queue hop.
+func (s *Server) admit(ctx context.Context, req *SolveRequest, robust bool, ev *telemetry.Event) (*task, *admitError) {
 	inst, opts, err := s.prepare(req)
 	if err != nil {
 		return nil, &admitError{status: http.StatusBadRequest, msg: err.Error()}
@@ -690,15 +680,14 @@ func (s *Server) admit(ctx context.Context, req *SolveRequest, robust bool) (*ta
 	}
 
 	t := &task{
-		inst:        inst,
-		opts:        opts,
-		robust:      robust,
-		trace:       req.Trace,
-		reqID:       RequestIDFromContext(ctx),
-		clientCtx:   ctx,
-		parallelism: opts.Parallelism,
-		enqueued:    time.Now(),
-		done:        make(chan struct{}),
+		inst:      inst,
+		opts:      opts,
+		robust:    robust,
+		trace:     req.Trace,
+		clientCtx: ctx,
+		ev:        ev,
+		enqueued:  time.Now(),
+		done:      make(chan struct{}),
 	}
 	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	if deadline <= 0 {
@@ -716,10 +705,6 @@ func (s *Server) admit(ctx context.Context, req *SolveRequest, robust bool) (*ta
 			tag = "robust"
 		}
 		t.key = ifp + "|" + opts.Fingerprint() + "|" + tag
-		t.fpPrefix = ifp
-		if len(t.fpPrefix) > 12 {
-			t.fpPrefix = t.fpPrefix[:12]
-		}
 	}
 
 	// The pending count must rise under the same lock that checks the
@@ -818,27 +803,19 @@ type task struct {
 	robust    bool
 	trace     bool
 	key       string          // solution-cache key; "" = don't cache
-	reqID     string          // request ID carried across the queue hop
 	clientCtx context.Context // the HTTP request's context: done = caller gone
-
-	fpPrefix    string // instance-fingerprint prefix (when the key was computed)
-	parallelism int
-	deadline    time.Time
-	enqueued    time.Time
+	deadline  time.Time
+	enqueued  time.Time
 
 	// Written by the worker before closing done, read by the handler
-	// after.
-	resp         *SolveResponse
-	traceJSONL   string
-	status       int
-	errMsg       string
-	queueMS      float64
-	solveMS      float64
-	cacheOutcome string // hit|shared|miss|bypass
-	degraded     bool
-	abortReason  string
-	solveID      uint64
-	done         chan struct{}
+	// after: the request record's queue, solve, cache and answer fields,
+	// and the response or error.
+	ev         *telemetry.Event
+	resp       *SolveResponse
+	traceJSONL string
+	status     int
+	errMsg     string
+	done       chan struct{}
 }
 
 // worker drains the admission queue until the queue closes (drain) or
@@ -868,10 +845,15 @@ func (s *Server) worker(quit chan struct{}) {
 }
 
 // process runs one admitted task: deadline check, cache lookup, solve.
+// It writes the request record's queue, solve, cache and answer fields.
 func (s *Server) process(t *task) {
-	queueMS := float64(time.Since(t.enqueued)) / float64(time.Millisecond)
-	t.queueMS = queueMS
-	s.queueDelay.Observe(queueMS)
+	ev := t.ev
+	ev.QueueMS = float64(time.Since(t.enqueued)) / float64(time.Millisecond)
+	ev.Parallelism = t.opts.Parallelism
+	if t.key != "" {
+		ev.FP = t.key[:12] // keys open with the 64-hex instance fingerprint
+	}
+	s.queueDelay.Observe(ev.QueueMS)
 	if !t.deadline.IsZero() && !time.Now().Before(t.deadline) {
 		s.rejectedDL.Add(1)
 		t.status = http.StatusGatewayTimeout
@@ -890,13 +872,9 @@ func (s *Server) process(t *task) {
 		return
 	}
 
-	// Rebuild the request-scoped context on the worker side of the queue
-	// hop: the handler's context dies with the HTTP goroutine's select,
-	// but the identity must reach the solve.
+	// The deadline was fixed at admission, so queue time counts against
+	// the solve's budget.
 	ctx := context.Background()
-	if t.reqID != "" {
-		ctx = WithRequestID(ctx, t.reqID)
-	}
 	if !t.deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, t.deadline)
@@ -927,23 +905,27 @@ func (s *Server) process(t *task) {
 	// Exactly one cache consultation — a single Do, never a Get probe
 	// first — so each request contributes one outcome to the cache's
 	// Stats and the server.cache.* hit rate stays per-request truthful.
+	// The record's solve_ms is this request's own time in that step:
+	// about 0 on a hit, the wait for the leader's run when shared.
 	var (
 		sol     *solvecache.Solution
 		outcome = solvecache.Miss
 		err     error
 	)
+	step := time.Now()
 	if t.key != "" {
 		sol, outcome, err = s.cache.Do(t.key, compute)
+		ev.SolveMS = float64(time.Since(step)) / float64(time.Millisecond)
 		switch outcome {
 		case solvecache.Hit:
 			s.cacheHits.Add(1)
-			t.cacheOutcome = "hit"
+			ev.Cache = "hit"
 		case solvecache.Shared:
 			s.cacheShared.Add(1)
-			t.cacheOutcome = "shared"
+			ev.Cache = "shared"
 		default:
 			s.cacheMisses.Add(1)
-			t.cacheOutcome = "miss"
+			ev.Cache = "miss"
 		}
 		s.refreshCacheGauges()
 		if outcome == solvecache.Miss && err == nil && sol != nil && !sol.Degraded {
@@ -953,7 +935,8 @@ func (s *Server) process(t *task) {
 		}
 	} else {
 		sol, _, err = compute()
-		t.cacheOutcome = "bypass"
+		ev.SolveMS = float64(time.Since(step)) / float64(time.Millisecond)
+		ev.Cache = "bypass"
 	}
 	if err != nil {
 		if t.clientCtx != nil && t.clientCtx.Err() != nil {
@@ -969,19 +952,18 @@ func (s *Server) process(t *task) {
 		t.errMsg = err.Error()
 		return
 	}
-	t.solveMS = sol.SolveMS
-	t.solveID = sol.SolveID
-	t.degraded = sol.Degraded
-	t.abortReason = sol.AbortReason
-	t.resp = buildResponse(sol, outcome, queueMS)
+	ev.SolveID = sol.SolveID
+	ev.Degraded = sol.Degraded
+	ev.Reason = sol.AbortReason
+	t.resp = buildResponse(sol, outcome, ev.QueueMS)
 	if t.robust {
 		t.resp.Method = "robust"
 	} else {
 		t.resp.Method = t.opts.Method.String()
 	}
 	t.resp.TraceJSONL = t.traceJSONL
-	t.resp.RequestID = t.reqID
-	t.resp.SolveID = t.solveID
+	t.resp.RequestID = ev.ReqID
+	t.resp.SolveID = sol.SolveID
 }
 
 // solve runs the task's solver call, wiring trace capture and the

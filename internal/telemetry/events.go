@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -58,16 +60,21 @@ import (
 //	             carry no solve_id — they describe the tier, not a solve
 //	             — and t_ms counts from server start
 //	request      req_id, route, status, queue_ms, solve_ms, encode_ms,
-//	             total_ms, cache, degraded, reason — serving layer: one
-//	             HTTP request's lifecycle summary, emitted at response
-//	             write. solve_id is the solve that answered it (the
-//	             original run's for cache hits), which is the join key
-//	             between the HTTP timeline and the solver timeline;
-//	             requests that ran no solver (rejections, bad requests)
-//	             carry solve_id 0. cache is hit|shared|miss|bypass (""
-//	             when the route does not consult the cache); reason
-//	             repeats the abort reason of a degraded answer. t_ms
-//	             counts from server start
+//	             total_ms, cache, degraded, reason, parallelism, fp, n,
+//	             replica — serving layer: one HTTP request's record,
+//	             emitted at response write; coschedd's access log and
+//	             /debug/requests render the same value. solve_ms is
+//	             this request's own time in the cache-or-solve step
+//	             (about 0 on a hit). solve_id is the solve that answered
+//	             it (the original run's for cache hits), which is the
+//	             join key between the HTTP timeline and the solver
+//	             timeline; requests that ran no solver (rejections, bad
+//	             requests) carry solve_id 0. cache is
+//	             hit|shared|miss|bypass|mixed ("" when no worker ran);
+//	             reason repeats the abort reason of a degraded answer;
+//	             fp is the instance fingerprint's 12-hex prefix; n counts
+//	             a batch's items. t_ms is the request's start, counted
+//	             from server start
 //	solution     cost, groups, pop, reason — one per solve, last line;
 //	             reason is non-empty on degraded solves and matches the
 //	             abort event
@@ -159,14 +166,16 @@ type Event struct {
 	Bytes int64 `json:"bytes,omitempty"`
 
 	// Request-lifecycle fields (request): the coschedd serving layer's
-	// per-request summary. ReqID is the request's identity (generated at
+	// per-request record. ReqID is the request's identity (generated at
 	// admission or accepted from an X-Request-ID header); Route the
 	// endpoint; Status the HTTP status written; QueueMS/SolveMS/EncodeMS/
 	// TotalMS the phase breakdown in wall-clock milliseconds; Cache the
-	// solution-cache outcome (hit|shared|miss|bypass); Degraded whether
-	// the answer was a budget-breached incumbent (Reason then names the
-	// broken budget). SolveID on a request event is the answering solve,
-	// joining the HTTP lifecycle to the solver timeline.
+	// solution-cache outcome (hit|shared|miss|bypass|mixed); Degraded
+	// whether the answer was a budget-breached incumbent (Reason then
+	// names the broken budget); FP the instance fingerprint's prefix.
+	// SolveID on a request event is the answering solve, joining the
+	// HTTP lifecycle to the solver timeline; Parallelism the solve's
+	// expansion-worker count; N a batch's item count.
 	ReqID    string  `json:"req_id,omitempty"`
 	Route    string  `json:"route,omitempty"`
 	Status   int     `json:"status,omitempty"`
@@ -176,6 +185,7 @@ type Event struct {
 	TotalMS  float64 `json:"total_ms,omitempty"`
 	Cache    string  `json:"cache,omitempty"`
 	Degraded bool    `json:"degraded,omitempty"`
+	FP       string  `json:"fp,omitempty"`
 
 	// Fleet-client fields (client_attempt, client_request,
 	// client_breaker) — and, on a server "request" event, Replica is the
@@ -189,6 +199,36 @@ type Event struct {
 	Hedged  bool   `json:"hedged,omitempty"`
 	Replica string `json:"replica,omitempty"`
 	Breaker string `json:"breaker,omitempty"`
+}
+
+// WriteRequestTable renders request events as the table both coschedd's
+// /debug/requests and `coschedtrace requests` print: a header, then one
+// row per event in start (t_ms) order — evs is sorted in place — with
+// the phase breakdown, cache outcome, parallelism, fingerprint prefix
+// and the solve_id to drill into. Rows whose total_ms reaches slowMS
+// (when > 0) end in " *".
+func WriteRequestTable(w io.Writer, evs []Event, slowMS float64) error {
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TMS < evs[j].TMS })
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%10s  %-24s  %-15s  %3s  %9s  %9s  %9s  %9s  %-6s  %-3s  %4s  %-12s  %8s  %s\n",
+		"t_ms", "req_id", "route", "st", "queue_ms", "solve_ms", "enc_ms", "total_ms",
+		"cache", "deg", "par", "fp", "solve_id", "abort")
+	for _, ev := range evs {
+		deg := ""
+		if ev.Degraded {
+			deg = "yes"
+		}
+		mark := ""
+		if slowMS > 0 && ev.TotalMS >= slowMS {
+			mark = " *"
+		}
+		fmt.Fprintf(&sb, "%10.1f  %-24s  %-15s  %3d  %9.2f  %9.2f  %9.2f  %9.2f  %-6s  %-3s  %4d  %-12s  %8d  %s%s\n",
+			ev.TMS, ev.ReqID, ev.Route, ev.Status,
+			ev.QueueMS, ev.SolveMS, ev.EncodeMS, ev.TotalMS,
+			ev.Cache, deg, ev.Parallelism, ev.FP, ev.SolveID, ev.Reason, mark)
+	}
+	_, err := io.WriteString(w, sb.String())
+	return err
 }
 
 // EventSink receives trace events one at a time. EventWriter (durable

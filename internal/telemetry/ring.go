@@ -10,8 +10,8 @@ import "sync/atomic"
 // slot a concurrent writer touched mid-copy: a snapshot taken under load
 // is a consistent, possibly shorter, window — never a torn value.
 //
-// FlightRecorder (trace events) and the daemon's /debug/requests ring
-// (completed requests) are both Rings.
+// FlightRecorder, a Ring of events, backs both the daemon's /debug/trace
+// (solver and request events) and its /debug/requests (request records).
 type Ring[T any] struct {
 	slots []ringSlot[T]
 	// head is the count of Put calls; value i lives in slot i mod N.

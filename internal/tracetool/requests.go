@@ -3,60 +3,33 @@ package tracetool
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"cosched/internal/telemetry"
 )
 
-// RequestEvents collects the serving layer's request-lifecycle events
-// from a split trace stream, ordered by emission time. A served request
-// carries the solve_id of the run that answered it, so Split files it
-// into that solve's trace; a rejected request ran no solve and lands in
-// the ambient (id 0) trace — this walks both.
-func RequestEvents(traces []*Trace) []telemetry.Event {
-	var out []telemetry.Event
+// WriteRequests renders a captured trace's request events as the same
+// table /debug/requests serves live (telemetry.WriteRequestTable): one
+// row per request with its phase breakdown, cache outcome, and the
+// solve_id to drill into with `coschedtrace timeline -solve <id>`.
+// Requests slower than slowMS (when > 0) are marked with a trailing `*`.
+// A served request carries the solve_id of the run that answered it, so
+// Split files it into that solve's trace; a rejected request ran no
+// solve and lands in the ambient (id 0) trace — this walks both.
+func WriteRequests(w io.Writer, traces []*Trace, slowMS float64) error {
+	var events []telemetry.Event
 	for _, tr := range traces {
 		for _, ev := range tr.Events {
 			if ev.Ev == "request" {
-				out = append(out, ev)
+				events = append(events, ev)
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TMS < out[j].TMS })
-	return out
-}
-
-// WriteRequests renders a captured trace's request events as the same
-// table /debug/requests serves live: one row per request with its phase
-// breakdown (queue/solve/encode/total), cache outcome, and the solve_id
-// to drill into with `coschedtrace timeline -solve <id>`. Requests
-// slower than slowMS (when > 0) are marked with a trailing `*`.
-func WriteRequests(w io.Writer, traces []*Trace, slowMS float64) error {
-	events := RequestEvents(traces)
 	if len(events) == 0 {
 		_, err := io.WriteString(w, "no request events: the trace was not captured from a serving daemon (or no requests arrived)\n")
 		return err
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "=== requests: %d ===\n", len(events))
-	fmt.Fprintf(&sb, "%10s  %-24s  %-15s  %3s  %9s  %9s  %9s  %9s  %-6s  %-3s  %8s  %s\n",
-		"t_ms", "req_id", "route", "st", "queue_ms", "solve_ms", "enc_ms", "total_ms",
-		"cache", "deg", "solve_id", "abort")
-	for _, ev := range events {
-		deg := ""
-		if ev.Degraded {
-			deg = "yes"
-		}
-		mark := ""
-		if slowMS > 0 && ev.TotalMS >= slowMS {
-			mark = " *"
-		}
-		fmt.Fprintf(&sb, "%10.1f  %-24s  %-15s  %3d  %9.2f  %9.2f  %9.2f  %9.2f  %-6s  %-3s  %8d  %s%s\n",
-			ev.TMS, ev.ReqID, ev.Route, ev.Status,
-			ev.QueueMS, ev.SolveMS, ev.EncodeMS, ev.TotalMS,
-			ev.Cache, deg, ev.SolveID, ev.Reason, mark)
+	if _, err := fmt.Fprintf(w, "=== requests: %d ===\n", len(events)); err != nil {
+		return err
 	}
-	_, err := io.WriteString(w, sb.String())
-	return err
+	return telemetry.WriteRequestTable(w, events, slowMS)
 }

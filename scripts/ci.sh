@@ -50,11 +50,32 @@ go test -race . -run TestConcurrentSolvesShareInstance -count=1
 go test -race ./internal/server/ ./internal/solvecache/ ./internal/loadgen/ \
     ./internal/coschedclient/ ./internal/chaosproxy/ -count=1
 
+tracedir="$(mktemp -d)"
+# On exit, kill every background job still running: the daemons the
+# gates below boot, and any load generator or parked request.
+trap 'kill -9 $(jobs -p) 2>/dev/null || true; rm -rf "$tracedir"' EXIT
+
+# boot_coschedd LOG ARGS... starts the built coschedd with ARGS, logging
+# to LOG, and waits up to 5s for its listen line. It sets coschedd_pid
+# and addr.
+boot_coschedd() {
+    local log="$1"
+    shift
+    "$tracedir/coschedd" "$@" > "$log" 2>&1 &
+    coschedd_pid=$!
+    addr=""
+    for _ in $(seq 1 50); do
+        addr="$(sed -n 's#^coschedd: listening on http://##p' "$log")"
+        [[ -n "$addr" ]] && return 0
+        sleep 0.1
+    done
+    echo "ci: coschedd never printed its address ($log)" >&2
+    exit 1
+}
+
 # Trace-invariant matrix: generate a small trace from every producer
 # (OA*, HA*-trimmed, beam, branch-and-bound, online) and replay each
 # against its invariants; the summaries must render too.
-tracedir="$(mktemp -d)"
-trap 'rm -rf "$tracedir"; for p in "${coschedd_pid:-}" "${chaos_r1_pid:-}" "${chaos_r2_pid:-}"; do [[ -n "$p" ]] && kill -9 "$p" 2>/dev/null || true; done' EXIT
 go run ./cmd/coschedcli -synthetic 12 -trace "$tracedir/oa.jsonl" > /dev/null
 go run ./cmd/coschedcli -synthetic 24 -method hastar -trace "$tracedir/ha.jsonl" > /dev/null
 go run ./cmd/coschedcli -synthetic 44 -method hastar -trace "$tracedir/beam.jsonl" > /dev/null
@@ -126,15 +147,7 @@ echo "ci: fault-injected online simulation trace is causally consistent" >&2
 # HTTP, scrape the server.* Prometheus metrics, and verify a SIGTERM
 # drain exits 0.
 go build -o "$tracedir/coschedd" ./cmd/coschedd
-"$tracedir/coschedd" -addr 127.0.0.1:0 -workers 1 > "$tracedir/coschedd.log" 2>&1 &
-coschedd_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's#^coschedd: listening on http://##p' "$tracedir/coschedd.log")"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$addr" ]] || { echo "ci: coschedd never printed its address" >&2; exit 1; }
+boot_coschedd "$tracedir/coschedd.log" -addr 127.0.0.1:0 -workers 1
 curl -sf "http://$addr/healthz" > /dev/null
 
 solve_req='{"synthetic": 8, "seed": 4, "method": "hastar"}'
@@ -183,16 +196,7 @@ echo "ci: coschedd serves, caches, rejects expired work and drains clean" >&2
 # request is already a cache hit, (c) /metrics counts the replay, and
 # (d) the /debug/trace cache timeline renders the replay/store history.
 cache_dir="$tracedir/cache-spill"
-"$tracedir/coschedd" -addr 127.0.0.1:0 -workers 1 -cache-dir "$cache_dir" \
-    > "$tracedir/coschedd-warm.log" 2>&1 &
-coschedd_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's#^coschedd: listening on http://##p' "$tracedir/coschedd-warm.log")"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$addr" ]] || { echo "ci: spill coschedd never printed its address" >&2; exit 1; }
+boot_coschedd "$tracedir/coschedd-warm.log" -addr 127.0.0.1:0 -workers 1 -cache-dir "$cache_dir"
 for seed in 1 2 3 4 5; do
     curl -sf -d "{\"synthetic\": 8, \"seed\": $seed, \"method\": \"hastar\"}" \
         "http://$addr/v1/solve" > /dev/null
@@ -201,16 +205,7 @@ kill -TERM "$coschedd_pid"
 wait "$coschedd_pid" || {
     echo "ci: spill coschedd did not drain cleanly" >&2; exit 1; }
 
-"$tracedir/coschedd" -addr 127.0.0.1:0 -workers 1 -cache-dir "$cache_dir" \
-    > "$tracedir/coschedd-warm2.log" 2>&1 &
-coschedd_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's#^coschedd: listening on http://##p' "$tracedir/coschedd-warm2.log")"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$addr" ]] || { echo "ci: rebooted spill coschedd never printed its address" >&2; exit 1; }
+boot_coschedd "$tracedir/coschedd-warm2.log" -addr 127.0.0.1:0 -workers 1 -cache-dir "$cache_dir"
 grep -Eq 'cache warm: replayed [1-9][0-9]* records' "$tracedir/coschedd-warm2.log" || {
     echo "ci: rebooted coschedd did not report a cache replay at boot" >&2; exit 1; }
 curl -sf -d '{"synthetic": 8, "seed": 3, "method": "hastar"}' "http://$addr/v1/solve" \
@@ -239,16 +234,7 @@ echo "ci: coschedd restarts warm from its spill directory" >&2
 last_seg="$(ls "$cache_dir"/cache-*.seg | sort | tail -n 1)"
 [[ -n "$last_seg" ]] || { echo "ci: spill directory holds no segments to corrupt" >&2; exit 1; }
 truncate -s -5 "$last_seg"
-"$tracedir/coschedd" -addr 127.0.0.1:0 -workers 1 -cache-dir "$cache_dir" \
-    > "$tracedir/coschedd-torn.log" 2>&1 &
-coschedd_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's#^coschedd: listening on http://##p' "$tracedir/coschedd-torn.log")"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$addr" ]] || { echo "ci: torn-tail coschedd never booted" >&2; exit 1; }
+boot_coschedd "$tracedir/coschedd-torn.log" -addr 127.0.0.1:0 -workers 1 -cache-dir "$cache_dir"
 curl -sf "http://$addr/healthz" > /dev/null || {
     echo "ci: torn-tail coschedd is not healthy" >&2; exit 1; }
 grep -Eq 'cache warm: replayed [0-9]+ records \([1-9][0-9]* skipped\)' "$tracedir/coschedd-torn.log" || {
@@ -263,21 +249,13 @@ echo "ci: coschedd tolerates a crash-torn spill segment" >&2
 # Request-observability gate: boot coschedd with a JSON access log,
 # fire a warm/cold/rejected mix with caller-supplied request IDs, and
 # require: the ID echoed on the response header and body, every
-# access-log line a JSON object with the full field set and each ID in
-# exactly one line (scripts/obscheck), the request events joinable to
-# their solve timeline in /debug/trace via `coschedtrace requests`, the
-# live /debug/requests ring showing the request, and the RED/SLO/
-# in-flight series in /metrics.
-"$tracedir/coschedd" -addr 127.0.0.1:0 -workers 1 -access-log "$tracedir/access.log" \
-    > "$tracedir/coschedd-obs.log" 2>&1 &
-coschedd_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's#^coschedd: listening on http://##p' "$tracedir/coschedd-obs.log")"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$addr" ]] || { echo "ci: observability coschedd never printed its address" >&2; exit 1; }
+# access-log line a JSON object with the full field set, each ID in
+# exactly one line, and every non-batch line's queue+solve+encode within
+# its total_ms — the warm hit included (scripts/obscheck), the request
+# events joinable to their solve timeline in /debug/trace via
+# `coschedtrace requests`, the live /debug/requests ring showing the
+# request, and the RED/SLO/in-flight series in /metrics.
+boot_coschedd "$tracedir/coschedd-obs.log" -addr 127.0.0.1:0 -workers 1 -access-log "$tracedir/access.log"
 
 obs_req='{"synthetic": 8, "seed": 9, "method": "hastar"}'
 echo_id="$(curl -sf -D - -o "$tracedir/obs-cold.json" -H 'X-Request-ID: ci-obs-cold' \
@@ -317,7 +295,6 @@ done
 
 kill -TERM "$coschedd_pid"
 wait "$coschedd_pid" || { echo "ci: observability coschedd did not drain cleanly" >&2; exit 1; }
-coschedd_pid=""
 echo "ci: request observability — IDs echoed, access log validates, trace joins, metrics present" >&2
 
 # Serving benchmark + autoscaler gate: boot coschedd with a 1..4
@@ -329,17 +306,8 @@ echo "ci: request observability — IDs echoed, access log validates, trace join
 # renderable scaling timeline from /debug/trace, and a clean SIGTERM
 # drain.
 go build -o "$tracedir/coschedload" ./cmd/coschedload
-"$tracedir/coschedd" -addr 127.0.0.1:0 -workers-min 1 -workers-max 4 \
-    -scale-interval 200ms -scale-up-p90 5ms -scale-idle 1500ms -scale-cooldown 400ms \
-    > "$tracedir/coschedd-scale.log" 2>&1 &
-coschedd_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's#^coschedd: listening on http://##p' "$tracedir/coschedd-scale.log")"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$addr" ]] || { echo "ci: autoscaling coschedd never printed its address" >&2; exit 1; }
+boot_coschedd "$tracedir/coschedd-scale.log" -addr 127.0.0.1:0 -workers-min 1 -workers-max 4 \
+    -scale-interval 200ms -scale-up-p90 5ms -scale-idle 1500ms -scale-cooldown 400ms
 "$tracedir/coschedload" -addr "http://$addr" -rungs 15x3s,25x3s -synthetic 20 -warm 0.3 \
     -out "$tracedir/BENCH_serving.json" > "$tracedir/coschedload.out"
 "$tracedir/coschedload" -check "$tracedir/BENCH_serving.json" > /dev/null
@@ -358,7 +326,6 @@ grep -q 'autoscale timeline' "$tracedir/scaling.out" || {
     echo "ci: /debug/trace yields no autoscale timeline" >&2; exit 1; }
 kill -TERM "$coschedd_pid"
 wait "$coschedd_pid" || { echo "ci: autoscaling coschedd did not drain cleanly" >&2; exit 1; }
-coschedd_pid=""
 echo "ci: autoscaler grew under load, shrank when idle, BENCH_serving.json validates" >&2
 
 # Chaos fleet gate: two replica daemons behind the fault-tolerant fleet
@@ -372,26 +339,14 @@ echo "ci: autoscaler grew under load, shrank when idle, BENCH_serving.json valid
 # ID must appear with status 200 in exactly one replica's access log
 # (no duplicate side effects), and `coschedtrace fleet` must render the
 # client trace.
-"$tracedir/coschedd" -addr 127.0.0.1:0 -workers 2 -replica-id r-one \
-    -access-log "$tracedir/chaos-r1.access" > "$tracedir/chaos-r1.log" 2>&1 &
-chaos_r1_pid=$!
-r1_addr=""
-for _ in $(seq 1 50); do
-    r1_addr="$(sed -n 's#^coschedd: listening on http://##p' "$tracedir/chaos-r1.log")"
-    [[ -n "$r1_addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$r1_addr" ]] || { echo "ci: chaos replica r-one never printed its address" >&2; exit 1; }
-"$tracedir/coschedd" -addr 127.0.0.1:0 -workers 2 -replica-id r-two \
-    -access-log "$tracedir/chaos-r2.access" > "$tracedir/chaos-r2.log" 2>&1 &
-chaos_r2_pid=$!
-r2_addr=""
-for _ in $(seq 1 50); do
-    r2_addr="$(sed -n 's#^coschedd: listening on http://##p' "$tracedir/chaos-r2.log")"
-    [[ -n "$r2_addr" ]] && break
-    sleep 0.1
-done
-[[ -n "$r2_addr" ]] || { echo "ci: chaos replica r-two never printed its address" >&2; exit 1; }
+boot_coschedd "$tracedir/chaos-r1.log" -addr 127.0.0.1:0 -workers 2 -replica-id r-one \
+    -access-log "$tracedir/chaos-r1.access"
+chaos_r1_pid=$coschedd_pid
+r1_addr=$addr
+boot_coschedd "$tracedir/chaos-r2.log" -addr 127.0.0.1:0 -workers 2 -replica-id r-two \
+    -access-log "$tracedir/chaos-r2.access"
+chaos_r2_pid=$coschedd_pid
+r2_addr=$addr
 
 "$tracedir/coschedload" -replicas "http://$r1_addr,http://$r2_addr" \
     -rungs 15x3s,15x3s,15x3s -synthetic 6 -deadline-ms 2000 \
@@ -454,8 +409,6 @@ grep -q '=== fleet' "$tracedir/chaos-fleet.out" || {
 kill -TERM "$chaos_r1_pid" "$chaos_r2_pid"
 wait "$chaos_r1_pid" || { echo "ci: chaos replica r-one did not drain cleanly" >&2; exit 1; }
 wait "$chaos_r2_pid" || { echo "ci: chaos replica r-two did not drain cleanly" >&2; exit 1; }
-chaos_r1_pid=""
-chaos_r2_pid=""
 echo "ci: chaos gate — replica killed and revived mid-ladder, breaker opened ($opens) and recovered ($half_opens), $failovers failovers, no duplicate side effects" >&2
 
 # The recorded benchmark gates (no bench run — validate the committed

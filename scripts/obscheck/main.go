@@ -1,8 +1,10 @@
 // Command obscheck validates a coschedd structured access log for the
 // CI observability gate: every line must parse as a JSON object
-// carrying the full request-lifecycle field set, and each request ID
-// named on the command line must appear in exactly one line. jq-free on
-// purpose — the gate runs on bare builders.
+// carrying the full request-lifecycle field set, every non-batch line's
+// phases must fit inside its total (queue_ms+solve_ms+encode_ms ≤
+// total_ms), and each request ID named on the command line must appear
+// in exactly one line. jq-free on purpose — the gate runs on bare
+// builders.
 //
 // Usage:
 //
@@ -27,6 +29,10 @@ var requiredFields = []string{
 	"queue_ms", "solve_ms", "encode_ms", "total_ms",
 	"cache", "degraded", "abort", "parallelism", "fp", "solve_id",
 }
+
+// phaseSlackMS absorbs float rounding in the phase-sum check: each phase
+// and the total are separately converted to milliseconds.
+const phaseSlackMS = 0.01
 
 func main() {
 	logPath := flag.String("log", "", "access-log file to validate")
@@ -59,6 +65,14 @@ func main() {
 		for _, field := range requiredFields {
 			if _, ok := entry[field]; !ok {
 				fail("line %d missing field %q: %s", lines, field, line)
+			}
+		}
+		// A batch's items solve concurrently and its solve_ms sums them,
+		// so only single requests must fit their phases in total_ms.
+		if entry["route"] != "v1_batch" {
+			num := func(k string) float64 { v, _ := entry[k].(float64); return v }
+			if sum := num("queue_ms") + num("solve_ms") + num("encode_ms"); sum > num("total_ms")+phaseSlackMS {
+				fail("line %d phases sum to %.3f ms, more than total_ms %.3f: %s", lines, sum, num("total_ms"), line)
 			}
 		}
 		if id, _ := entry["req_id"].(string); id != "" {
