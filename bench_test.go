@@ -10,31 +10,15 @@
 package cosched
 
 import (
-	"os"
 	"strconv"
 	"testing"
 
 	"cosched/internal/experiments"
 )
 
-// benchParallelism reads COSCHED_PARALLELISM, the knob
-// scripts/benchdiff.sh --workers sweeps to produce BENCH_parallel.json
-// (0/unset = the sequential baseline).
-func benchParallelism(b *testing.B) int {
-	v := os.Getenv("COSCHED_PARALLELISM")
-	if v == "" {
-		return 0
-	}
-	p, err := strconv.Atoi(v)
-	if err != nil || p < 0 {
-		b.Fatalf("bad COSCHED_PARALLELISM %q", v)
-	}
-	return p
-}
-
 func benchExperiment(b *testing.B, id string) *experiments.Report {
 	b.Helper()
-	opts := experiments.RunOptions{Quick: true, Seed: 1, Parallelism: benchParallelism(b)}
+	opts := experiments.RunOptions{Quick: true, Seed: 1}
 	var rep *experiments.Report
 	var err error
 	for i := 0; i < b.N; i++ {

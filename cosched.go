@@ -39,6 +39,7 @@ import (
 	"cosched/internal/degradation"
 	"cosched/internal/graph"
 	"cosched/internal/ip"
+	"cosched/internal/job"
 	"cosched/internal/osvp"
 	"cosched/internal/pg"
 	"cosched/internal/telemetry"
@@ -213,15 +214,11 @@ type Options struct {
 	// until the process dies. Zero means unbounded; IP/PG/brute-force
 	// ignore it.
 	MemoryBudget int64
-	// TraceWriter, when non-nil, receives a text trace of the graph
-	// search (sampled expansions plus the final solution).
-	TraceWriter io.Writer
 	// EventTraceWriter, when non-nil, receives the machine-readable JSONL
 	// event stream of the solve (telemetry.Event per line: solve_start,
 	// expansions, dismissals with reason, progress, phase spans, final
-	// stats, solution; see DESIGN.md §6). Takes precedence over
-	// TraceWriter when both are set. The stream is what cmd/coschedtrace
-	// analyses offline.
+	// stats, solution; see DESIGN.md §6). The stream is what
+	// cmd/coschedtrace analyses offline.
 	EventTraceWriter io.Writer
 	// EventSink, when non-nil, receives the same event stream through the
 	// telemetry.EventSink interface — typically a FlightRecorder keeping
@@ -290,13 +287,13 @@ func (o *Options) validate() error {
 }
 
 // solveObs bundles the per-call observation state every Solve carries:
-// one solve id shared by every producer of the call, the phase-span
-// recorder (always on — four clock reads per solve — so Stats.Phases is
-// populated even without telemetry), and the optional event sink.
+// the call's trace emitter — one solve id and epoch shared by the phase
+// spans, the graph search, IP and the PG/brute-force answers — and the
+// phase-span recorder (always on — four clock reads per solve — so
+// Stats.Phases is populated even without telemetry).
 type solveObs struct {
-	sink    telemetry.EventSink
-	spans   *telemetry.SpanRecorder
-	solveID uint64
+	em    telemetry.Emitter
+	spans *telemetry.SpanRecorder
 }
 
 func newSolveObs(opts *Options) *solveObs {
@@ -304,12 +301,8 @@ func newSolveObs(opts *Options) *solveObs {
 	if opts.EventTraceWriter != nil {
 		sink = telemetry.MultiSink(telemetry.NewEventWriter(opts.EventTraceWriter), sink)
 	}
-	id := telemetry.NextSolveID()
-	return &solveObs{
-		sink:    sink,
-		spans:   telemetry.NewSpanRecorder(opts.Metrics, sink, id),
-		solveID: id,
-	}
+	em := telemetry.NewEmitter(sink)
+	return &solveObs{em: em, spans: telemetry.NewSpanRecorder(opts.Metrics, em)}
 }
 
 // phases converts the completed spans into the Stats breakdown.
@@ -356,7 +349,7 @@ func SolveContext(ctx context.Context, inst *Instance, opts Options) (sched *Sch
 	obs := newSolveObs(&opts)
 	defer func() {
 		if r := recover(); r != nil {
-			telemetry.FlushSink(obs.sink) //nolint:errcheck // keep the partial trace
+			obs.em.Flush() //nolint:errcheck // keep the partial trace
 			sched, err = nil, abort.Recovered(r)
 		}
 	}()
@@ -368,42 +361,63 @@ func SolveContext(ctx context.Context, inst *Instance, opts Options) (sched *Sch
 		sched, err = solveGraph(ctx, inst, cost, opts, obs)
 	case MethodIP:
 		sched, err = solveIP(ctx, inst, cost, opts, obs)
-	case MethodPG:
-		sp = obs.spans.Start("search")
-		res := pg.SolveObserved(cost, opts.Metrics)
-		sp.End()
-		// PG is a one-pass greedy pairing: it always finishes, so an
-		// already-done context only marks its answer degraded rather
-		// than suppressing it — PG is the ladder rung that never fails.
-		st := Stats{}
-		if ctx.Err() != nil {
-			st.Degraded = true
-			st.AbortReason = abort.FromContext(ctx)
-		}
-		sched = newSchedule(inst, cost, res.Groups, res.Cost, st)
-	case MethodBruteForce:
-		sp = obs.spans.Start("search")
-		res, bfErr := bruteforce.SolveContext(ctx, cost)
-		sp.End()
-		if bfErr != nil {
-			telemetry.FlushSink(obs.sink) //nolint:errcheck // keep the partial trace
-			return nil, bfErr
-		}
-		sched = newSchedule(inst, cost, res.Groups, res.Cost, Stats{
-			Degraded:    res.Degraded,
-			AbortReason: res.Aborted,
-		})
+	case MethodPG, MethodBruteForce:
+		sched, err = solveOneShot(ctx, inst, cost, opts, obs)
 	default:
 		return nil, &OptionError{Field: "Method", Value: int(opts.Method), Reason: "unknown method"}
 	}
 	if err != nil {
-		telemetry.FlushSink(obs.sink) //nolint:errcheck // keep the partial trace
+		obs.em.Flush() //nolint:errcheck // keep the partial trace
 		return nil, err
 	}
 	sched.Stats.Phases = obs.phases()
-	sched.Stats.SolveID = obs.solveID
-	telemetry.FlushSink(obs.sink) //nolint:errcheck // span events after the solution
+	sched.Stats.SolveID = obs.em.SolveID()
+	obs.em.Flush() //nolint:errcheck // span events after the solution
 	return sched, nil
+}
+
+// solveOneShot runs the two solvers that have no search events of their
+// own, PG and brute force, and traces their header and answer:
+// solve_start, an abort when the context had already expired, a
+// zero-counter stats event and the solution.
+func solveOneShot(ctx context.Context, inst *Instance, cost *degradation.Cost, opts Options, obs *solveObs) (*Schedule, error) {
+	b := cost.Batch
+	obs.em.Emit(telemetry.Event{Ev: "solve_start", N: b.NumProcs(), U: b.Cores, Method: opts.Method.String()})
+	sp := obs.spans.Start("search")
+	var groups [][]job.ProcID
+	var total float64
+	var st Stats
+	if opts.Method == MethodPG {
+		res := pg.SolveObserved(cost, opts.Metrics)
+		groups, total = res.Groups, res.Cost
+		// PG is a one-pass greedy pairing: it always finishes, so an
+		// already-done context only marks its answer degraded rather
+		// than suppressing it — PG is the ladder rung that never fails.
+		if ctx.Err() != nil {
+			st.Degraded = true
+			st.AbortReason = abort.FromContext(ctx)
+		}
+	} else {
+		res, err := bruteforce.SolveContext(ctx, cost)
+		if err != nil {
+			sp.End()
+			return nil, err
+		}
+		groups, total = res.Groups, res.Cost
+		st.Degraded, st.AbortReason = res.Degraded, res.Aborted
+	}
+	sp.End()
+	if obs.em.On() {
+		if st.Degraded {
+			obs.em.Emit(telemetry.Event{Ev: "abort", Reason: st.AbortReason.String()})
+		}
+		obs.em.Emit(telemetry.Event{Ev: "stats"})
+		obs.em.Emit(telemetry.Event{
+			Ev: "solution", Cost: total, Groups: telemetry.GroupInts(groups),
+			Reason: st.AbortReason.String(),
+		})
+	}
+	return newSchedule(inst, cost, groups, total, st), nil
 }
 
 func solveGraph(ctx context.Context, inst *Instance, cost *degradation.Cost, opts Options, obs *solveObs) (*Schedule, error) {
@@ -425,16 +439,8 @@ func solveGraph(ctx context.Context, inst *Instance, cost *degradation.Cost, opt
 		Ctx:           ctx,
 		Metrics:       opts.Metrics,
 	}
-	var tr *astar.EventTracer
-	if opts.TraceWriter != nil {
-		aopts.Tracer = &astar.WriterTracer{W: opts.TraceWriter, Every: 100}
-	}
-	if obs.sink != nil {
-		tr = astar.NewEventTracer(obs.sink)
-		tr.SolveID = obs.solveID
-		tr.Epoch = obs.spans.Epoch()
-		aopts.Tracer = tr
-	}
+	tr := astar.NewEventTracer(obs.em)
+	aopts.Tracer = tr
 	if opts.ProgressWriter != nil {
 		aopts.Progress = &telemetry.ProgressReporter{W: opts.ProgressWriter, Every: opts.ProgressEvery}
 	}
@@ -464,7 +470,7 @@ func solveGraph(ctx context.Context, inst *Instance, cost *degradation.Cost, opt
 			Ctx:           ctx,
 			MemoryBudget:  opts.MemoryBudget,
 			Metrics:       opts.Metrics,
-			Tracer:        aopts.Tracer,
+			Tracer:        tr,
 			Progress:      aopts.Progress,
 		})
 		sp.End()
@@ -541,9 +547,7 @@ func solveIP(ctx context.Context, inst *Instance, cost *degradation.Cost, opts O
 		cfg.MaxNodes = opts.MaxExpansions
 	}
 	cfg.Metrics = opts.Metrics
-	cfg.Events = obs.sink
-	cfg.SolveID = obs.solveID
-	cfg.Epoch = obs.spans.Epoch()
+	cfg.Trace = obs.em
 	sp = obs.spans.Start("search")
 	res, err := ip.Solve(model, cfg)
 	sp.End()

@@ -2,11 +2,14 @@ package cosched
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"cosched/internal/telemetry"
+	"cosched/internal/tracetool"
 )
 
 func buildSmallInstance(t *testing.T) *Instance {
@@ -497,5 +500,70 @@ func TestSolvePhasesAndEventSink(t *testing.T) {
 	}
 	if len(plain.Stats.Phases) == 0 {
 		t.Error("Stats.Phases empty without telemetry configured")
+	}
+}
+
+// TestPGAndBruteForceTraces pins the trace of the two solvers with no
+// search events of their own: a solve_start header, an abort when the
+// context had already expired, a zero-counter stats event, and a
+// solution carrying the schedule's cost and echoing the abort reason.
+// Those traces must pass coschedtrace check, whose partition-validity
+// and abort-reason rules then cover PG and brute force too.
+func TestPGAndBruteForceTraces(t *testing.T) {
+	inst := buildSmallInstance(t)
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, m := range []Method{MethodPG, MethodBruteForce} {
+		for _, tc := range []struct {
+			name   string
+			ctx    context.Context
+			reason string
+		}{{"completed", context.Background(), ""}, {"expired", expired, "deadline"}} {
+			var buf bytes.Buffer
+			sched, err := SolveContext(tc.ctx, inst, Options{Method: m, EventTraceWriter: &buf})
+			if err != nil {
+				t.Fatalf("%v %s: %v", m, tc.name, err)
+			}
+			if got := sched.Stats.AbortReason.String(); got != tc.reason {
+				t.Fatalf("%v %s: abort reason %q, want %q", m, tc.name, got, tc.reason)
+			}
+			traces, err := tracetool.Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(traces) != 1 {
+				t.Fatalf("%v %s: %d traces, want 1", m, tc.name, len(traces))
+			}
+			tr := traces[0]
+			if tr.Method() != m.String() {
+				t.Errorf("%v %s: trace method %q", m, tc.name, tr.Method())
+			}
+			if vs := tracetool.Check(tr); len(vs) > 0 {
+				t.Errorf("%v %s: trace failed check: %v", m, tc.name, vs)
+			}
+			var kinds []string
+			for _, ev := range tr.Events {
+				switch ev.Ev {
+				case "span_start", "span_end":
+					continue
+				case "solution":
+					if math.Abs(ev.Cost-sched.TotalDegradation) > 1e-9 {
+						t.Errorf("%v %s: solution cost %v != schedule cost %v",
+							m, tc.name, ev.Cost, sched.TotalDegradation)
+					}
+					if ev.Reason != tc.reason {
+						t.Errorf("%v %s: solution reason %q, want %q", m, tc.name, ev.Reason, tc.reason)
+					}
+				}
+				kinds = append(kinds, ev.Ev)
+			}
+			want := "solve_start,stats,solution"
+			if tc.reason != "" {
+				want = "solve_start,abort,stats,solution"
+			}
+			if got := strings.Join(kinds, ","); got != want {
+				t.Errorf("%v %s: solver events %s, want %s", m, tc.name, got, want)
+			}
+		}
 	}
 }

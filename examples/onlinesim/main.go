@@ -52,14 +52,14 @@ func main() {
 	// -trace captures every policy run's event stream into one file;
 	// the runs stay separable by their solve ids (coschedtrace splits
 	// them).
-	var obs online.Observer
+	var sink telemetry.EventSink
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close() //nolint:errcheck
-		obs.Events = telemetry.NewEventWriter(f)
+		sink = telemetry.NewEventWriter(f)
 	}
 
 	// The fault plan is built once and replayed identically for every
@@ -81,9 +81,11 @@ func main() {
 		online.Random{Rng: rand.New(rand.NewSource(1))},
 	}
 	for _, p := range policies {
-		o := obs
-		o.SolveID = 0 // each run self-assigns a fresh solve id
-		res, err := online.SimulateWithFaults(c, in.SoloTime, machines, arrivals, p, o, plan)
+		var obs online.Observer
+		if sink != nil {
+			obs.Trace = telemetry.NewEmitter(sink) // one solve id per run
+		}
+		res, err := online.SimulateWithFaults(c, in.SoloTime, machines, arrivals, p, obs, plan)
 		if err != nil {
 			log.Fatal(err)
 		}

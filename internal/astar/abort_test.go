@@ -161,7 +161,7 @@ func TestAbortEmitsTrace(t *testing.T) {
 	g := syntheticGraph(t, 16, 4, 1, degradation.ModePC)
 	reg := telemetry.New()
 	rec := telemetry.NewFlightRecorder(256)
-	tr := NewEventTracer(rec)
+	tr := NewEventTracer(telemetry.NewEmitter(rec))
 	s, err := NewSolver(g, Options{H: HNone, MaxExpansions: 2, Tracer: tr, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)

@@ -106,8 +106,7 @@ func (s *Solver) degradedGroups(bestComplete *element, greedyGroups [][]job.Proc
 // admission-identity frontier at the abort point (priority-list length,
 // or the beam's mid-depth survivors plus unprocessed frontier).
 func (s *Solver) finishAbort(reason abort.Reason, stats *Stats, inFrontier int64,
-	groups [][]job.ProcID, cost float64, start time.Time,
-	hooks *tracerHooks, met *solverMetrics) (*Result, error) {
+	groups [][]job.ProcID, cost float64, start time.Time, met *solverMetrics) (*Result, error) {
 
 	stats.Degraded = true
 	stats.Aborted = reason
@@ -115,17 +114,10 @@ func (s *Solver) finishAbort(reason abort.Reason, stats *Stats, inFrontier int64
 	stats.Duration = time.Since(start)
 	s.fillAllocStats(stats)
 	met.abort(reason)
-	if hooks.abort != nil {
-		hooks.abort.Abort(stats.VisitedPaths, reason.String())
-	}
+	s.opts.Tracer.Abort(stats.VisitedPaths, reason)
 	if groups == nil {
 		return nil, fmt.Errorf("astar: search aborted (%s) with no feasible fallback schedule", reason)
 	}
-	if hooks.stats != nil {
-		hooks.stats.SolveStats(stats)
-	}
-	if hooks.base != nil {
-		hooks.base.Solution(cost, groups)
-	}
+	s.opts.Tracer.Finish(stats, cost, groups)
 	return &Result{Groups: groups, Cost: cost, Stats: *stats}, nil
 }

@@ -38,9 +38,9 @@ func (s *Solver) solveBeam() (*Result, error) {
 	var stats Stats
 	var frontier []*element
 	qMax := 0
-	hooks := newTracerHooks(s.opts.Tracer)
+	tr := s.opts.Tracer
 	met := newSolverMetrics(s.opts.Metrics)
-	prog := s.progressReporter(&hooks)
+	prog := s.progressReporter()
 	met.begin(s)
 	stats.PrepareDuration = s.prepDur
 	s.prepDur = 0
@@ -50,13 +50,8 @@ func (s *Solver) solveBeam() (*Result, error) {
 	var gens [][]*element
 	if bp > 1 {
 		genWorkers = s.ensureClones(bp)
-		if pt, ok := s.opts.Tracer.(ParallelismTracer); ok {
-			pt.SetParallelism(bp)
-		}
 	}
-	if hooks.start != nil {
-		hooks.start.SolveStart(s.n, s.u, s.searchMethod())
-	}
+	tr.SolveStart(s.n, s.u, s.searchMethod(), bp)
 	defer func() {
 		met.flush(&stats, len(frontier), qMax/s.u, s.table, time.Since(start))
 		met.finish(&stats)
@@ -102,7 +97,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 					}
 				}
 				groups, cost := s.degradedGroups(nil, nil)
-				return s.finishAbort(reason, &stats, inFrontier, groups, cost, start, &hooks, met)
+				return s.finishAbort(reason, &stats, inFrontier, groups, cost, start, met)
 			}
 			stats.VisitedPaths++
 			if e.q > 0 {
@@ -112,8 +107,8 @@ func (s *Solver) solveBeam() (*Result, error) {
 				}
 			}
 			leader := e.set.SmallestAbsent(s.n)
-			if hooks.base != nil {
-				hooks.base.Expand(stats.VisitedPaths, e.q/s.u, e.g, e.h, job.ProcID(leader))
+			if tr != nil {
+				tr.Expand(stats.VisitedPaths, e.q/s.u, e.g, e.h, job.ProcID(leader))
 			}
 			if leader == 0 {
 				continue
@@ -122,8 +117,8 @@ func (s *Solver) solveBeam() (*Result, error) {
 				ref := t.find(child.keyWords)
 				if ref >= 0 && t.gs[ref] <= child.g {
 					stats.DismissedWorse++
-					if hooks.dismiss != nil {
-						hooks.dismiss.Dismiss(stats.VisitedPaths, child.q, child.g, DismissWorse)
+					if tr != nil {
+						tr.Dismiss(stats.VisitedPaths, child.q, child.g, DismissWorse)
 					}
 					s.recycle(child)
 					return
@@ -138,8 +133,8 @@ func (s *Solver) solveBeam() (*Result, error) {
 					// The superseded same-key child was generated this
 					// depth and never expanded; recycle it.
 					stats.Dismissed++
-					if hooks.dismiss != nil {
-						hooks.dismiss.Dismiss(stats.VisitedPaths, t.elems[ref].q, t.gs[ref], DismissStale)
+					if tr != nil {
+						tr.Dismiss(stats.VisitedPaths, t.elems[ref].q, t.gs[ref], DismissStale)
 					}
 					s.recycle(t.elems[ref])
 					t.gs[ref] = child.g
@@ -178,8 +173,8 @@ func (s *Solver) solveBeam() (*Result, error) {
 		if len(next) > s.opts.BeamWidth {
 			for _, e := range next[s.opts.BeamWidth:] {
 				stats.BeamTrimmed++
-				if hooks.dismiss != nil {
-					hooks.dismiss.Dismiss(stats.VisitedPaths, e.q, e.g, DismissBeamTrim)
+				if tr != nil {
+					tr.Dismiss(stats.VisitedPaths, e.q, e.g, DismissBeamTrim)
 				}
 				s.recycle(e) // trimmed before expansion: no descendants
 			}
@@ -189,7 +184,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 			stats.MaxQueue = len(next)
 		}
 		frontier = next
-		s.maybeProgress(prog, &hooks, &stats, len(frontier), (d+1)*s.u, start)
+		s.maybeProgress(prog, &stats, len(frontier), (d+1)*s.u, start)
 		met.flush(&stats, len(frontier), d+1, s.table, time.Since(start))
 	}
 
@@ -203,12 +198,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 	stats.Duration = time.Since(start)
 	s.fillAllocStats(&stats)
 	groups := reconstruct(best)
-	if hooks.stats != nil {
-		hooks.stats.SolveStats(&stats)
-	}
-	if hooks.base != nil {
-		hooks.base.Solution(best.g, groups)
-	}
+	tr.Finish(&stats, best.g, groups)
 	return &Result{Groups: groups, Cost: best.g, Stats: stats}, nil
 }
 

@@ -24,7 +24,8 @@
 // condensation; heuristics.go the h(v) strategies of §III-D; keytable.go
 // the word-packed dismissal table; pool.go the element free lists behind
 // the allocation-free hot path; parsolve.go and stripetable.go the
-// parallel best-first engine (DESIGN.md §5d); trace.go the Tracer
-// interfaces; telemetry.go the metrics/JSONL/progress layer (DESIGN.md
-// §6); options.go the Options/Stats/Result surface.
+// parallel best-first engine (DESIGN.md §5d); abortpath.go the
+// anytime abort poll and degraded results; telemetry.go the event
+// tracer, metrics and progress layer (DESIGN.md §6); options.go the
+// Options/Stats/Result surface.
 package astar

@@ -117,13 +117,11 @@ type Options struct {
 	// instead of growing the frontier until the process dies. Zero means
 	// unbounded.
 	MemoryBudget int64
-	// Tracer, when non-nil, receives search events: Expand for every pop
-	// and Solution once at the end. Tracers additionally implementing the
-	// optional DismissTracer, ProgressTracer or StartTracer extensions
-	// (trace.go) also receive dismissal, progress and solve-start events.
-	// See WriterTracer for a text renderer and JSONLTracer for the
-	// machine-readable JSONL stream. The zero-overhead default is nil.
-	Tracer Tracer
+	// Tracer, when non-nil, writes the solve's event trace (solve_start,
+	// every expansion and dismissal, progress, abort, stats, solution)
+	// through its telemetry.Emitter; build one with NewEventTracer. The
+	// default nil costs one pointer test per traced site.
+	Tracer *EventTracer
 	// Metrics, when non-nil, receives live solver telemetry: the
 	// "astar.*" counters and gauges catalogued in DESIGN.md §6 (pops,
 	// expansions, dismissals by reason, condensations, beam trims,

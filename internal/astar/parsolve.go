@@ -116,11 +116,11 @@ type parEngine struct {
 	allocElems   atomic.Int64
 	activeTarget atomic.Int32
 
-	// trMu serializes user tracer callbacks (Tracer implementations are
-	// not required to be goroutine-safe); unused when no tracer is
-	// attached.
+	// trMu serializes the tracer's events (its sink sees one ordered
+	// stream, and its per-solve state is not goroutine-safe); unused
+	// when no tracer is attached.
 	trMu   sync.Mutex
-	hooks  *tracerHooks
+	tr     *EventTracer
 	start  time.Time
 	doneCh <-chan struct{}
 }
@@ -208,22 +208,17 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 	start := time.Now()
 	var stats Stats
 	stats.Parallelism = p
-	hooks := newTracerHooks(s.opts.Tracer)
+	tr := s.opts.Tracer
 	met := newSolverMetrics(s.opts.Metrics)
 	pmet := newParallelMetrics(s.opts.Metrics)
-	prog := s.progressReporter(&hooks)
+	prog := s.progressReporter()
 
 	workers := s.ensureClones(p)
 	s.table = nil // stats come from the striped table this solve
 	met.begin(s)
 	stats.PrepareDuration = s.prepDur
 	s.prepDur = 0
-	if pt, ok := s.opts.Tracer.(ParallelismTracer); ok {
-		pt.SetParallelism(p)
-	}
-	if hooks.start != nil {
-		hooks.start.SolveStart(s.n, s.u, s.searchMethod())
-	}
+	tr.SolveStart(s.n, s.u, s.searchMethod(), p)
 
 	nShards := shardCount(p)
 	en := &parEngine{
@@ -231,7 +226,7 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 		workers: workers,
 		shards:  make([]*frontierShard, nShards),
 		table:   newStripedTable(s.keyStride, nShards),
-		hooks:   &hooks,
+		tr:      tr,
 		start:   start,
 		doneCh:  s.abortDone(),
 	}
@@ -283,7 +278,7 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 			frontier := int(en.frontierSize.Load())
 			qMax := int(en.qMax.Load())
 			en.trMu.Lock()
-			s.maybeProgress(prog, &hooks, &stats, frontier, qMax, start)
+			s.maybeProgress(prog, &stats, frontier, qMax, start)
 			en.trMu.Unlock()
 			met.flush(&stats, frontier, qMax/s.u, nil, time.Since(start))
 			pmet.flush(en)
@@ -306,7 +301,7 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 			inFrontier-- // the never-Generated root is still queued
 		}
 		groups, cost := en.degradedGroups()
-		return s.finishAbort(r, &stats, inFrontier, groups, cost, start, &hooks, met)
+		return s.finishAbort(r, &stats, inFrontier, groups, cost, start, met)
 	}
 
 	stats.InFrontier = en.frontierSize.Load()
@@ -316,12 +311,7 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 	if !ok {
 		return nil, errors.New("astar: priority list exhausted without a complete schedule")
 	}
-	if hooks.stats != nil {
-		hooks.stats.SolveStats(&stats)
-	}
-	if hooks.base != nil {
-		hooks.base.Solution(cost, groups)
-	}
+	tr.Finish(&stats, cost, groups)
 	return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
 }
 
@@ -603,9 +593,9 @@ func (en *parEngine) expandElement(w *Solver, e *element) {
 		}
 	}
 	leader := e.set.SmallestAbsent(w.n)
-	if en.hooks.base != nil {
+	if en.tr != nil {
 		en.trMu.Lock()
-		en.hooks.base.Expand(popIdx, e.q/w.u, e.g, e.h, job.ProcID(leader))
+		en.tr.Expand(popIdx, e.q/w.u, e.g, e.h, job.ProcID(leader))
 		en.trMu.Unlock()
 	}
 	if leader == 0 {
@@ -740,17 +730,17 @@ func groupsLess(a, b [][]job.ProcID) bool {
 	return false
 }
 
-// traceDismiss forwards a dismissal to the user tracer under trMu. The
+// traceDismiss forwards a dismissal to the tracer under trMu. The
 // pop index attributes the child to the most recently counted expansion
 // — with concurrent workers exact attribution is meaningless, and trace
 // consumers only reconcile totals.
 func (en *parEngine) traceDismiss(q int, g float64, r DismissReason) {
-	if en.hooks.dismiss == nil {
+	if en.tr == nil {
 		return
 	}
 	pop := en.visited.Load()
 	en.trMu.Lock()
-	en.hooks.dismiss.Dismiss(pop, q, g, r)
+	en.tr.Dismiss(pop, q, g, r)
 	en.trMu.Unlock()
 }
 

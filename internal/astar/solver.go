@@ -394,15 +394,13 @@ func (s *Solver) Solve() (*Result, error) {
 	stats.Parallelism = 1
 	var pq pqueue
 	qMax := 0
-	hooks := newTracerHooks(s.opts.Tracer)
+	tr := s.opts.Tracer
 	met := newSolverMetrics(s.opts.Metrics)
-	prog := s.progressReporter(&hooks)
+	prog := s.progressReporter()
 	met.begin(s)
 	stats.PrepareDuration = s.prepDur
 	s.prepDur = 0
-	if hooks.start != nil {
-		hooks.start.SolveStart(s.n, s.u, s.searchMethod())
-	}
+	tr.SolveStart(s.n, s.u, s.searchMethod(), 1)
 	// The deferred flush publishes final (or, on aborted solves, partial)
 	// counters whatever the return path.
 	defer func() {
@@ -447,7 +445,7 @@ func (s *Solver) Solve() (*Result, error) {
 				inFrontier--
 			}
 			groups, cost := s.degradedGroups(bestComplete, greedyGroups)
-			return s.finishAbort(reason, &stats, inFrontier, groups, cost, start, &hooks, met)
+			return s.finishAbort(reason, &stats, inFrontier, groups, cost, start, met)
 		}
 		if len(pq) > stats.MaxQueue {
 			stats.MaxQueue = len(pq)
@@ -459,8 +457,8 @@ func (s *Solver) Solve() (*Result, error) {
 			// was never expanded, so nothing references it and it can be
 			// recycled — unless it is the incumbent complete schedule.
 			stats.Dismissed++
-			if hooks.dismiss != nil {
-				hooks.dismiss.Dismiss(stats.VisitedPaths, e.q, e.g, DismissStale)
+			if tr != nil {
+				tr.Dismiss(stats.VisitedPaths, e.q, e.g, DismissStale)
 			}
 			if e != bestComplete {
 				s.recycle(e)
@@ -475,14 +473,14 @@ func (s *Solver) Solve() (*Result, error) {
 			}
 		}
 		if stats.VisitedPaths&255 == 0 {
-			s.maybeProgress(prog, &hooks, &stats, len(pq), qMax, start)
+			s.maybeProgress(prog, &stats, len(pq), qMax, start)
 			if stats.VisitedPaths&(flushEvery-1) == 0 {
 				met.flush(&stats, len(pq), qMax/s.u, s.table, time.Since(start))
 			}
 		}
 		leader := e.set.SmallestAbsent(s.n)
-		if hooks.base != nil {
-			hooks.base.Expand(stats.VisitedPaths, e.q/s.u, e.g, e.h, job.ProcID(leader))
+		if tr != nil {
+			tr.Expand(stats.VisitedPaths, e.q/s.u, e.g, e.h, job.ProcID(leader))
 		}
 		if leader == 0 {
 			if bestComplete != nil && bestComplete.g < e.g {
@@ -492,12 +490,7 @@ func (s *Solver) Solve() (*Result, error) {
 			stats.Duration = time.Since(start)
 			s.fillAllocStats(&stats)
 			groups := reconstruct(e)
-			if hooks.stats != nil {
-				hooks.stats.SolveStats(&stats)
-			}
-			if hooks.base != nil {
-				hooks.base.Solution(e.g, groups)
-			}
+			tr.Finish(&stats, e.g, groups)
 			return &Result{Groups: groups, Cost: e.g, Stats: stats}, nil
 		}
 		avail := s.available(e, job.ProcID(leader))
@@ -508,8 +501,8 @@ func (s *Solver) Solve() (*Result, error) {
 			ref := s.table.find(child.keyWords)
 			if ref >= 0 && s.table.gs[ref] <= child.g {
 				stats.DismissedWorse++
-				if hooks.dismiss != nil {
-					hooks.dismiss.Dismiss(stats.VisitedPaths, child.q, child.g, DismissWorse)
+				if tr != nil {
+					tr.Dismiss(stats.VisitedPaths, child.q, child.g, DismissWorse)
 				}
 				s.recycle(child)
 				return // dismissed before spending h work
@@ -518,8 +511,8 @@ func (s *Solver) Solve() (*Result, error) {
 			f := child.g + hw*child.h
 			if pruneExact && f > ub {
 				stats.Pruned++
-				if hooks.dismiss != nil {
-					hooks.dismiss.Dismiss(stats.VisitedPaths, child.q, child.g, DismissPruned)
+				if tr != nil {
+					tr.Dismiss(stats.VisitedPaths, child.q, child.g, DismissPruned)
 				}
 				s.recycle(child)
 				return
@@ -528,8 +521,8 @@ func (s *Solver) Solve() (*Result, error) {
 			// prunable too: a path with f == ub cannot beat it.
 			if pruneExact && f >= ub-1e-12 && (bestComplete != nil || greedyGroups != nil) && child.q < s.n {
 				stats.Pruned++
-				if hooks.dismiss != nil {
-					hooks.dismiss.Dismiss(stats.VisitedPaths, child.q, child.g, DismissPruned)
+				if tr != nil {
+					tr.Dismiss(stats.VisitedPaths, child.q, child.g, DismissPruned)
 				}
 				s.recycle(child)
 				return
@@ -558,24 +551,19 @@ func (s *Solver) Solve() (*Result, error) {
 	// (coschedtrace check) can account for fully-drained searches too.
 	stats.Duration = time.Since(start)
 	s.fillAllocStats(&stats)
-	if hooks.stats != nil {
-		hooks.stats.SolveStats(&stats)
+	var groups [][]job.ProcID
+	var cost float64
+	switch {
+	case bestComplete != nil:
+		groups, cost = reconstruct(bestComplete), bestComplete.g
+	case greedyGroups != nil:
+		groups, cost = greedyGroups, s.cost.PartitionCost(greedyGroups)
 	}
-	if bestComplete != nil {
-		groups := reconstruct(bestComplete)
-		if hooks.base != nil {
-			hooks.base.Solution(bestComplete.g, groups)
-		}
-		return &Result{Groups: groups, Cost: bestComplete.g, Stats: stats}, nil
+	tr.Finish(&stats, cost, groups)
+	if groups == nil {
+		return nil, errors.New("astar: priority list exhausted without a complete schedule")
 	}
-	if greedyGroups != nil {
-		cost := s.cost.PartitionCost(greedyGroups)
-		if hooks.base != nil {
-			hooks.base.Solution(cost, greedyGroups)
-		}
-		return &Result{Groups: greedyGroups, Cost: cost, Stats: stats}, nil
-	}
-	return nil, errors.New("astar: priority list exhausted without a complete schedule")
+	return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
 }
 
 // rootElement builds the empty sub-path from the solver's pool.

@@ -2,7 +2,6 @@ package astar
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"cosched/internal/abort"
@@ -11,11 +10,11 @@ import (
 )
 
 // This file is the solver side of the telemetry layer (see
-// internal/telemetry and DESIGN.md §6): the JSONL event tracer, the
-// registry flush, and the progress/ETA reports. Nothing here runs per
-// generated child — per-child accounting stays in the stack-local Stats
-// struct and is folded into the registry every flushEvery pops, which is
-// what preserves the 0-alloc dismissed-child guarantee of
+// internal/telemetry and DESIGN.md §6): the event tracer, the registry
+// flush, and the progress/ETA reports. Nothing here runs per generated
+// child — per-child accounting stays in the stack-local Stats struct and
+// is folded into the registry every flushEvery pops, which is what
+// preserves the 0-alloc dismissed-child guarantee of
 // bench_hotpath_test.go when telemetry is enabled.
 
 // flushEvery is the pop interval between registry flushes (and progress
@@ -23,130 +22,105 @@ import (
 // searches pay a few hundred atomic writes total.
 const flushEvery = 4096
 
-// EventTracer renders the full search event stream into a
-// telemetry.EventSink (telemetry.Event, one per event): solve_start,
-// sampled expansions, dismissals with reason, progress spans, the final
-// stats accounting, and the solution. It implements Tracer plus all four
-// optional extensions. The sink decides durability: a
+// DismissReason classifies why a sub-path left the search without being
+// expanded; it is the per-reason breakdown behind Stats.DismissedWorse,
+// Stats.Dismissed, Stats.Pruned and Stats.BeamTrimmed.
+type DismissReason uint8
+
+const (
+	// DismissWorse: a same-key sub-path at least as cheap was already
+	// recorded (Theorem 1 dismissal before admission).
+	DismissWorse DismissReason = iota
+	// DismissStale: the sub-path was admitted but superseded by a cheaper
+	// same-key one before its expansion (stale pop / beam supersede).
+	DismissStale
+	// DismissPruned: the sub-path's f exceeded the incumbent bound.
+	DismissPruned
+	// DismissBeamTrim: the beam's per-depth width cap dropped it.
+	DismissBeamTrim
+)
+
+// String implements fmt.Stringer with the stable names the JSONL event
+// schema uses.
+func (r DismissReason) String() string {
+	switch r {
+	case DismissWorse:
+		return "worse"
+	case DismissStale:
+		return "stale"
+	case DismissPruned:
+		return "pruned"
+	case DismissBeamTrim:
+		return "beam_trim"
+	default:
+		return fmt.Sprintf("DismissReason(%d)", uint8(r))
+	}
+}
+
+// EventTracer writes a graph search's trace through one
+// telemetry.Emitter: solve_start, every expansion, every dismissal with
+// its reason, progress, the abort of a degraded solve, and the closing
+// stats and solution events. The Emitter's sink decides durability: a
 // telemetry.EventWriter gives the JSONL trace file, a FlightRecorder the
 // in-memory last-N window, MultiSink both.
 //
-// JSONLTracer is the historical name for the EventWriter-backed use; it
-// remains as an alias.
+// A nil *EventTracer is tracing off. The solver tests tr != nil inline
+// before each per-pop and per-child call (Expand, Dismiss); SolveStart,
+// Progress, Abort and Finish are nil-safe.
 type EventTracer struct {
-	sink telemetry.EventSink
-	// Every samples expand events: only each Every-th expansion is
-	// emitted (0 or 1 means all). Dismiss events follow DismissEvery the
-	// same way. solve_start, progress, stats and solution events are
-	// always emitted.
-	Every        int64
-	DismissEvery int64
-	// SolveID tags every event of this solve
-	// (telemetry.Event.SolveID); when zero the tracer assigns itself one
-	// from telemetry.NextSolveID at SolveStart, so multi-solve traces
-	// stay separable. Callers coordinating several producers (cosched
-	// threading one id through search and IP) set it explicitly.
-	SolveID uint64
+	em telemetry.Emitter
 	// HName names the heuristic strategy for the solve_start event
 	// (Options.H.String(); empty omits the field).
 	HName string
-	// Epoch is the monotonic origin for the t_ms stamps. When zero the
-	// tracer starts its own clock at SolveStart; cosched passes its
-	// SpanRecorder epoch so search events and phase spans share one
-	// timeline.
-	Epoch time.Time
 	u     int
-	// abortReason remembers the abort event's reason so the solution
-	// event repeats it (the tracetool abort-reason invariant ties them).
-	abortReason string
-	// parallelism is the expansion-worker count recorded by
-	// SetParallelism for the next solve_start event; consumed (emitted
-	// and cleared) there so a reused tracer never mislabels a later
-	// sequential solve.
-	parallelism int
 }
 
-// JSONLTracer is the original name of EventTracer, kept as an alias for
-// the PR-2 API surface.
-type JSONLTracer = EventTracer
-
-// NewJSONLTracer returns a tracer writing JSONL events to w. The stream
-// is buffered; Solution flushes it, and Flush forces it at any time.
-func NewJSONLTracer(w io.Writer) *EventTracer {
-	return NewEventTracer(telemetry.NewEventWriter(w))
+// NewEventTracer returns a tracer writing through em, or nil — tracing
+// off — when em has no sink.
+func NewEventTracer(em telemetry.Emitter) *EventTracer {
+	if !em.On() {
+		return nil
+	}
+	return &EventTracer{em: em}
 }
 
-// NewEventTracer returns a tracer emitting into sink.
-func NewEventTracer(sink telemetry.EventSink) *EventTracer {
-	return &EventTracer{sink: sink}
-}
-
-// stamp fills the cross-cutting fields every event carries: the shared
-// monotonic clock and the solve tag. It runs on the dismissal hot path,
-// so it must stay allocation-free (time.Since and two field writes).
-func (t *EventTracer) stamp(ev *telemetry.Event) {
-	if !t.Epoch.IsZero() {
-		ev.TMS = float64(time.Since(t.Epoch)) / float64(time.Millisecond)
-	}
-	ev.SolveID = t.SolveID
-}
-
-// SolveStart implements StartTracer.
-func (t *EventTracer) SolveStart(n, u int, method string) {
-	t.u = u
-	t.abortReason = "" // a reused tracer must not leak a prior solve's abort
-	if t.SolveID == 0 {
-		t.SolveID = telemetry.NextSolveID()
-	}
-	if t.Epoch.IsZero() {
-		t.Epoch = time.Now()
-	}
-	ev := telemetry.Event{
-		Ev: "solve_start", N: n, U: u, Method: method, HName: t.HName,
-	}
-	if t.parallelism > 1 {
-		ev.Parallelism = t.parallelism
-	}
-	t.parallelism = 0
-	if t.Every > 1 {
-		ev.Sample = t.Every
-	}
-	if t.DismissEvery > 1 {
-		ev.DismissSample = t.DismissEvery
-	}
-	t.stamp(&ev)
-	t.sink.Emit(ev) //nolint:errcheck
-}
-
-// SetParallelism implements ParallelismTracer: the next solve_start
-// event will carry the worker count in its parallelism field.
-func (t *EventTracer) SetParallelism(p int) { t.parallelism = p }
-
-// Expand implements Tracer.
-func (t *EventTracer) Expand(popIndex int64, depth int, g, h float64, leader job.ProcID) {
-	if t.Every > 1 && popIndex%t.Every != 0 {
+// SolveStart opens a solve's trace with the batch geometry, the search
+// mode (Solver.searchMethod) and the expansion-worker count, recorded
+// only when above 1: parallel workers interleave expand events, so trace
+// consumers relax the order-sensitive invariants.
+func (t *EventTracer) SolveStart(n, u int, method string, parallelism int) {
+	if t == nil {
 		return
 	}
-	ev := telemetry.Event{
+	t.u = u
+	ev := telemetry.Event{Ev: "solve_start", N: n, U: u, Method: method, HName: t.HName}
+	if parallelism > 1 {
+		ev.Parallelism = parallelism
+	}
+	t.em.Emit(ev)
+}
+
+// Expand records one popped element. t must be non-nil.
+func (t *EventTracer) Expand(popIndex int64, depth int, g, h float64, leader job.ProcID) {
+	t.em.Emit(telemetry.Event{
 		Ev: "expand", Pop: popIndex, Depth: depth, Q: depth * t.u,
 		G: g, H: h, Leader: int(leader),
-	}
-	t.stamp(&ev)
-	t.sink.Emit(ev) //nolint:errcheck
+	})
 }
 
-// Dismiss implements DismissTracer.
+// Dismiss records one dismissed sub-path: popIndex is the expansion that
+// generated it (the current pop for pre-admission dismissals), q its
+// scheduled-process count and g its Eq. 13 distance. t must be non-nil.
 func (t *EventTracer) Dismiss(popIndex int64, q int, g float64, reason DismissReason) {
-	if t.DismissEvery > 1 && popIndex%t.DismissEvery != 0 {
+	t.em.Emit(telemetry.Event{Ev: "dismiss", Pop: popIndex, Q: q, G: g, Reason: reason.String()})
+}
+
+// Progress mirrors a rate-limited progress report into the trace
+// (etaSec < 0 means no estimate yet).
+func (t *EventTracer) Progress(popIndex int64, frontier int, popsPerSec, etaSec, elapsedSec float64) {
+	if t == nil {
 		return
 	}
-	ev := telemetry.Event{Ev: "dismiss", Pop: popIndex, Q: q, G: g, Reason: reason.String()}
-	t.stamp(&ev)
-	t.sink.Emit(ev) //nolint:errcheck
-}
-
-// Progress implements ProgressTracer.
-func (t *EventTracer) Progress(popIndex int64, frontier int, popsPerSec, etaSec, elapsedSec float64) {
 	ev := telemetry.Event{
 		Ev: "progress", Pop: popIndex, Frontier: frontier,
 		PopsPerSec: popsPerSec, ElapsedSec: elapsedSec,
@@ -154,15 +128,31 @@ func (t *EventTracer) Progress(popIndex int64, frontier int, popsPerSec, etaSec,
 	if etaSec >= 0 {
 		ev.ETASec = etaSec
 	}
-	t.stamp(&ev)
-	t.sink.Emit(ev) //nolint:errcheck
+	t.em.Emit(ev)
 }
 
-// SolveStats implements StatsTracer: the final search accounting as one
-// "stats" event, which makes the trace self-verifying (coschedtrace
-// check reconciles the event stream against these counters).
-func (t *EventTracer) SolveStats(st *Stats) {
-	ev := telemetry.Event{
+// Abort records an early stop (deadline, cancellation, expansion cap or
+// memory budget) with the pop index at which it was detected and the
+// reason's stable name. The solution event then repeats the reason, so a
+// degraded trace is self-describing and coschedtrace check can tie the
+// two together.
+func (t *EventTracer) Abort(popIndex int64, reason abort.Reason) {
+	if t == nil {
+		return
+	}
+	t.em.Emit(telemetry.Event{Ev: "abort", Pop: popIndex, Reason: reason.String()})
+}
+
+// Finish closes a solve's trace: the final counters as one stats event,
+// which makes the trace self-verifying (coschedtrace check reconciles
+// the event stream against them), then the solution when groups is
+// non-nil (repeating st.Aborted on a degraded solve), then a sink
+// flush.
+func (t *EventTracer) Finish(st *Stats, cost float64, groups [][]job.ProcID) {
+	if t == nil {
+		return
+	}
+	t.em.Emit(telemetry.Event{
 		Ev:             "stats",
 		Visited:        st.VisitedPaths,
 		Expanded:       st.Expanded,
@@ -173,41 +163,14 @@ func (t *EventTracer) SolveStats(st *Stats) {
 		BeamTrimmed:    st.BeamTrimmed,
 		InFrontier:     st.InFrontier,
 		Condensed:      st.Condensed,
+	})
+	if groups != nil {
+		t.em.Emit(telemetry.Event{
+			Ev: "solution", Cost: cost, Groups: telemetry.GroupInts(groups), Reason: st.Aborted.String(),
+		})
 	}
-	t.stamp(&ev)
-	t.sink.Emit(ev) //nolint:errcheck
+	t.em.Flush() //nolint:errcheck // the trace is best-effort
 }
-
-// Abort implements AbortTracer: one "abort" event with the pop index at
-// which the abort was detected and the stable reason name. The
-// subsequent solution event repeats the reason, so a degraded trace is
-// self-describing and coschedtrace check can tie the two together.
-func (t *EventTracer) Abort(popIndex int64, reason string) {
-	t.abortReason = reason
-	ev := telemetry.Event{Ev: "abort", Pop: popIndex, Reason: reason}
-	t.stamp(&ev)
-	t.sink.Emit(ev) //nolint:errcheck
-}
-
-// Solution implements Tracer and flushes the sink. On degraded solves
-// the event carries the abort reason recorded by Abort.
-func (t *EventTracer) Solution(cost float64, groups [][]job.ProcID) {
-	ints := make([][]int, len(groups))
-	for i, g := range groups {
-		ints[i] = make([]int, len(g))
-		for j, p := range g {
-			ints[i][j] = int(p)
-		}
-	}
-	ev := telemetry.Event{Ev: "solution", Cost: cost, Groups: ints, Reason: t.abortReason}
-	t.stamp(&ev)
-	t.sink.Emit(ev)             //nolint:errcheck
-	telemetry.FlushSink(t.sink) //nolint:errcheck
-}
-
-// Flush forces buffered events to the underlying sink (useful when a
-// solve aborts before its solution event).
-func (t *EventTracer) Flush() error { return telemetry.FlushSink(t.sink) }
 
 // solverMetrics caches the registry handles of the astar.* metric
 // family, resolved once per solve. All methods are nil-receiver-safe, so
@@ -330,12 +293,16 @@ func (m *solverMetrics) abort(r abort.Reason) {
 }
 
 // searchMethod names the active search mode for the solve_start event.
+// An untrimmed best-first search with h = 0 is uniform-cost search: the
+// O-SVP baseline (internal/osvp).
 func (s *Solver) searchMethod() string {
 	switch {
 	case s.opts.BeamWidth > 0:
 		return "beam"
 	case s.opts.KPerLevel > 0:
 		return "HA*"
+	case s.opts.H == HNone:
+		return "O-SVP"
 	default:
 		return "OA*"
 	}
@@ -344,23 +311,22 @@ func (s *Solver) searchMethod() string {
 // progressReporter picks the active reporter for this solve:
 // Options.Progress when set, a default-cadence internal one when only the
 // tracer wants progress events, nil when nobody does.
-func (s *Solver) progressReporter(hooks *tracerHooks) *telemetry.ProgressReporter {
+func (s *Solver) progressReporter() *telemetry.ProgressReporter {
 	if s.opts.Progress != nil {
 		return s.opts.Progress
 	}
-	if hooks.progress != nil {
+	if s.opts.Tracer != nil {
 		return &telemetry.ProgressReporter{}
 	}
 	return nil
 }
 
-// maybeProgress emits a progress report (to the reporter's writer and,
-// when the tracer implements ProgressTracer, into the trace) if one is
-// due. qMax is the deepest scheduled-process count reached; the ETA
-// extrapolates elapsed time linearly over remaining depth, a deliberately
-// coarse estimate that is primarily useful for beam/HA* searches whose
-// work per depth is bounded.
-func (s *Solver) maybeProgress(p *telemetry.ProgressReporter, hooks *tracerHooks, st *Stats, frontierLen, qMax int, start time.Time) {
+// maybeProgress emits a progress report (to the reporter's writer and
+// into the trace) if one is due. qMax is the deepest scheduled-process
+// count reached; the ETA extrapolates elapsed time linearly over
+// remaining depth, a deliberately coarse estimate that is primarily
+// useful for beam/HA* searches whose work per depth is bounded.
+func (s *Solver) maybeProgress(p *telemetry.ProgressReporter, st *Stats, frontierLen, qMax int, start time.Time) {
 	if p == nil {
 		return
 	}
@@ -382,7 +348,5 @@ func (s *Solver) maybeProgress(p *telemetry.ProgressReporter, hooks *tracerHooks
 		}
 		fmt.Fprintln(p.W, line) //nolint:errcheck
 	}
-	if hooks.progress != nil {
-		hooks.progress.Progress(st.VisitedPaths, frontierLen, rate, eta, elapsed.Seconds())
-	}
+	s.opts.Tracer.Progress(st.VisitedPaths, frontierLen, rate, eta, elapsed.Seconds())
 }

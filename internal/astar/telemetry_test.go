@@ -98,13 +98,13 @@ func TestAdmissionInvariant(t *testing.T) {
 	}
 }
 
-// TestJSONLTraceRoundTrip runs a full OA* solve through the JSONL tracer
+// TestJSONLTraceRoundTrip runs a full OA* solve traced into JSONL
 // and decodes the stream back: the event sequence must open with
 // solve_start, close with the solution, and carry one dismiss event per
 // dismissal the Stats counted.
 func TestJSONLTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewJSONLTracer(&buf)
+	tr := NewEventTracer(telemetry.NewEmitter(telemetry.NewEventWriter(&buf)))
 	g := pairwiseGraphTB(t, 16, 4, 7)
 	res := solveWith(t, g, Options{H: HPerProc, UseIncumbent: true, Tracer: tr})
 
@@ -120,7 +120,7 @@ func TestJSONLTraceRoundTrip(t *testing.T) {
 		t.Errorf("bad solve_start event: %+v", first)
 	}
 	if first.SolveID == 0 {
-		t.Error("tracer did not self-assign a solve_id")
+		t.Error("trace events carry no solve_id")
 	}
 	for i, ev := range events {
 		if ev.SolveID != first.SolveID {
@@ -228,16 +228,11 @@ func TestDismissedChildAllocFreeWithTracing(t *testing.T) {
 	met.begin(sv)
 
 	rec := telemetry.NewFlightRecorder(256)
-	spans := telemetry.NewSpanRecorder(sv.opts.Metrics, rec, 7)
-	tr := NewEventTracer(rec)
-	tr.SolveID = 7
-	tr.Epoch = spans.Epoch()
-	tr.SolveStart(120, 4, "OA*")
+	em := telemetry.NewEmitter(rec)
+	spans := telemetry.NewSpanRecorder(sv.opts.Metrics, em)
+	tr := NewEventTracer(em)
+	tr.SolveStart(120, 4, "OA*", 1)
 	search := spans.Start("search")
-	hooks := newTracerHooks(tr)
-	if hooks.dismiss == nil {
-		t.Fatal("EventTracer must implement DismissTracer")
-	}
 
 	var stats Stats
 	warm := sv.makeChild(root, node)
@@ -247,7 +242,7 @@ func TestDismissedChildAllocFreeWithTracing(t *testing.T) {
 		if ref := sv.table.find(c.keyWords); ref < 0 {
 			stats.DismissedWorse++
 		}
-		hooks.dismiss.Dismiss(stats.VisitedPaths, c.q, c.g, DismissWorse)
+		tr.Dismiss(stats.VisitedPaths, c.q, c.g, DismissWorse)
 		sv.recycle(c)
 		met.flush(&stats, 1, 1, sv.table, time.Millisecond)
 	})
@@ -257,7 +252,7 @@ func TestDismissedChildAllocFreeWithTracing(t *testing.T) {
 	}
 	dismissed := 0
 	for _, ev := range rec.Events() {
-		if ev.SolveID != 7 || ev.TMS <= 0 {
+		if ev.SolveID != em.SolveID() || ev.TMS <= 0 {
 			t.Fatalf("recorded event not stamped: %+v", ev)
 		}
 		if ev.Ev == "dismiss" {

@@ -34,13 +34,13 @@ type RunOptions struct {
 	Metrics *telemetry.Registry
 	// Events, when non-nil, receives the JSONL event trace of every
 	// solve the experiment performs (cmd/experiments' -trace flag).
-	// Solves are distinguished by their self-assigned solve_id, so one
-	// sink may span many experiments; split with coschedtrace.
+	// Every solve gets its own solve_id, so one sink may span many
+	// experiments; split with coschedtrace.
 	Events telemetry.EventSink
 	// Parallelism sets the graph searches' expansion-worker count
-	// (cmd/experiments -parallel, scripts/benchdiff.sh --workers). 0 and
-	// 1 run the exact sequential path; ineligible configurations fall
-	// back to it silently, so timing columns stay comparable.
+	// (cmd/experiments -parallel). 0 and 1 run the exact sequential
+	// path; ineligible configurations fall back to it silently, so
+	// timing columns stay comparable.
 	Parallelism int
 }
 
@@ -57,6 +57,16 @@ var (
 	// that does not pick its own worker count.
 	activeParallelism int
 )
+
+// solveTrace starts the trace of one solve of the running experiment:
+// a fresh Emitter on the active sink, or the zero Emitter (tracing off)
+// when the experiment runs untraced.
+func solveTrace() telemetry.Emitter {
+	if activeSink == nil {
+		return telemetry.Emitter{}
+	}
+	return telemetry.NewEmitter(activeSink)
+}
 
 // Report is the regenerated table/figure.
 type Report struct {

@@ -21,18 +21,15 @@ func init() {
 // and a bounded beam (DESIGN.md §3 records why the thousand-process runs
 // need the estimator/beam instead of the priority-list search).
 func haLargeOptions(n, u int) astar.Options {
-	opts := astar.Options{
+	return astar.Options{
 		H:           astar.HPerProcAvg,
 		HWeight:     1.2,
 		KPerLevel:   n / u,
 		BeamWidth:   16,
 		Parallelism: activeParallelism,
 		Metrics:     activeMetrics,
+		Tracer:      astar.NewEventTracer(solveTrace()),
 	}
-	if activeSink != nil {
-		opts.Tracer = astar.NewEventTracer(activeSink)
-	}
-	return opts
 }
 
 // fig12 reproduces Figure 12: average degradation of HA* vs PG on large

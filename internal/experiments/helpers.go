@@ -30,8 +30,8 @@ func solveOAOpt(in *workload.Instance, mode degradation.Mode, opts astar.Options
 	if opts.Metrics == nil {
 		opts.Metrics = activeMetrics
 	}
-	if opts.Tracer == nil && activeSink != nil {
-		opts.Tracer = astar.NewEventTracer(activeSink)
+	if opts.Tracer == nil {
+		opts.Tracer = astar.NewEventTracer(solveTrace())
 	}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = activeParallelism
@@ -89,10 +89,8 @@ func solveHA(in *workload.Instance, mode degradation.Mode) (*astar.Result, error
 	g := graph.New(c, in.Patterns)
 	n, u := g.N(), g.U()
 	opts := astar.Options{KPerLevel: n / u, Condense: true, UseIncumbent: true,
-		Parallelism: activeParallelism, Metrics: activeMetrics}
-	if activeSink != nil {
-		opts.Tracer = astar.NewEventTracer(activeSink)
-	}
+		Parallelism: activeParallelism, Metrics: activeMetrics,
+		Tracer: astar.NewEventTracer(solveTrace())}
 	if n > 40 {
 		opts.H = astar.HPerProcAvg
 		opts.HWeight = 1.2
@@ -132,7 +130,7 @@ func solveIPBest(in *workload.Instance, mode degradation.Mode, limit time.Durati
 	cfg := ip.ConfigA
 	cfg.TimeLimit = limit
 	cfg.Metrics = activeMetrics
-	cfg.Events = activeSink
+	cfg.Trace = solveTrace()
 	return ip.Solve(model, cfg)
 }
 

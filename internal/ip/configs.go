@@ -42,17 +42,12 @@ type Config struct {
 	// flushed every few hundred nodes, so the per-node cost is nil
 	// checks only.
 	Metrics *telemetry.Registry
-	// Events, when non-nil, receives the trace-event stream of the solve
-	// (solve_start, incumbent improvements, final stats, solution) so IP
-	// runs land in the same JSONL traces the graph searches produce and
-	// cmd/coschedtrace can account for them.
-	Events telemetry.EventSink
-	// SolveID tags the emitted events; zero lets the solver assign one
-	// from telemetry.NextSolveID. Epoch is the monotonic origin for the
-	// events' t_ms stamps; zero starts a fresh clock at Solve. cosched
-	// threads its per-call id and span epoch through both.
-	SolveID uint64
-	Epoch   time.Time
+	// Trace writes the solve's event trace (solve_start, incumbent
+	// improvements, abort, final stats, solution) so IP runs land in the
+	// same JSONL traces the graph searches produce and cmd/coschedtrace
+	// can account for them. cosched passes the emitter its phase spans
+	// and other producers share; the zero Emitter traces nothing.
+	Trace telemetry.Emitter
 }
 
 // The four preset configurations, strongest first.

@@ -208,7 +208,7 @@ func TestSolveEmitsTraceEvents(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cfg := ConfigA
-	cfg.Events = telemetry.NewEventWriter(&buf)
+	cfg.Trace = telemetry.NewEmitter(telemetry.NewEventWriter(&buf))
 	res, err := Solve(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestSolveEmitsTraceEvents(t *testing.T) {
 		t.Errorf("bad solve_start: %+v", first)
 	}
 	if first.SolveID == 0 {
-		t.Error("solve_id not self-assigned")
+		t.Error("trace events carry no solve_id")
 	}
 	if last.Ev != "solution" || math.Abs(last.Cost-res.Cost) > 1e-9 {
 		t.Errorf("bad solution event: %+v (want cost %v)", last, res.Cost)
@@ -329,7 +329,7 @@ func TestAbortNodeCapDegrades(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := ConfigA
 	cfg.MaxNodes = 1
-	cfg.Events = telemetry.NewEventWriter(&buf)
+	cfg.Trace = telemetry.NewEmitter(telemetry.NewEventWriter(&buf))
 	res, err := Solve(m, cfg)
 	if err != nil {
 		t.Fatalf("node-capped solve errored instead of degrading: %v", err)

@@ -96,81 +96,21 @@ func (m *ipMetrics) abortCounter(r abort.Reason) {
 	m.reg.Counter("ip.aborts." + r.String()).Add(1)
 }
 
-// ipEvents is the trace-event side of the IP telemetry: one solve_start,
-// an incumbent event per bound improvement, and the closing stats +
-// solution pair, all stamped with the solve id and the shared monotonic
-// clock. A nil *ipEvents (Config.Events unset) disables everything.
-type ipEvents struct {
-	sink    telemetry.EventSink
-	solveID uint64
-	epoch   time.Time
-	// abortReason remembers the abort event's reason so the solution
-	// event repeats it (the tracetool abort-reason invariant).
-	abortReason string
-}
-
-func newIPEvents(cfg *Config, n int) *ipEvents {
-	if cfg.Events == nil {
-		return nil
-	}
-	e := &ipEvents{sink: cfg.Events, solveID: cfg.SolveID, epoch: cfg.Epoch}
-	if e.solveID == 0 {
-		e.solveID = telemetry.NextSolveID()
-	}
-	if e.epoch.IsZero() {
-		e.epoch = time.Now()
-	}
-	e.emit(telemetry.Event{Ev: "solve_start", N: n, Method: "ip:" + cfg.Name})
-	return e
-}
-
-func (e *ipEvents) emit(ev telemetry.Event) {
-	if e == nil {
+// traceFinish closes an IP trace: the final accounting, the solution
+// when one exists (a degraded solve repeats its abort reason on it),
+// and a sink flush.
+func traceFinish(tr telemetry.Emitter, st *Stats, cost float64, groups [][]job.ProcID) {
+	if !tr.On() {
 		return
 	}
-	ev.SolveID = e.solveID
-	ev.TMS = float64(time.Since(e.epoch)) / float64(time.Millisecond)
-	e.sink.Emit(ev) //nolint:errcheck
-}
-
-// incumbent records a bound improvement (Pop carries the node count at
-// which it happened, mirroring the graph searches' expansion index).
-func (e *ipEvents) incumbent(cost float64, nodes int64) {
-	if e == nil {
-		return
-	}
-	e.emit(telemetry.Event{Ev: "incumbent", Cost: cost, Pop: nodes})
-}
-
-// abortEvent records an early stop: one "abort" event carrying the node
-// count and the reason, which the closing solution event repeats.
-func (e *ipEvents) abortEvent(nodes int64, reason string) {
-	if e == nil {
-		return
-	}
-	e.abortReason = reason
-	e.emit(telemetry.Event{Ev: "abort", Pop: nodes, Reason: reason})
-}
-
-// finish closes the trace: the final accounting, the solution when one
-// exists (degraded solves repeat the abort reason on it), and a sink
-// flush.
-func (e *ipEvents) finish(st *Stats, cost float64, groups [][]job.ProcID) {
-	if e == nil {
-		return
-	}
-	e.emit(telemetry.Event{Ev: "stats", Nodes: st.Nodes, LPIters: st.LPIters})
+	tr.Emit(telemetry.Event{Ev: "stats", Nodes: st.Nodes, LPIters: st.LPIters})
 	if groups != nil {
-		ints := make([][]int, len(groups))
-		for i, g := range groups {
-			ints[i] = make([]int, len(g))
-			for j, p := range g {
-				ints[i][j] = int(p)
-			}
-		}
-		e.emit(telemetry.Event{Ev: "solution", Cost: cost, Groups: ints, Pop: st.Nodes, Reason: e.abortReason})
+		tr.Emit(telemetry.Event{
+			Ev: "solution", Cost: cost, Groups: telemetry.GroupInts(groups), Pop: st.Nodes,
+			Reason: st.Aborted.String(),
+		})
 	}
-	telemetry.FlushSink(e.sink) //nolint:errcheck
+	tr.Flush() //nolint:errcheck // the trace is best-effort
 }
 
 // Result is an exact (or best-found, if timed out) IP solution.
@@ -223,7 +163,10 @@ func Solve(m *Model, cfg Config) (*Result, error) {
 	incumbent := math.Inf(1)
 	var incumbentSel []int
 	met := newIPMetrics(cfg.Metrics)
-	evs := newIPEvents(&cfg, m.Cost.Batch.NumProcs())
+	tr := cfg.Trace
+	if tr.On() {
+		tr.Emit(telemetry.Event{Ev: "solve_start", N: m.Cost.Batch.NumProcs(), Method: "ip:" + cfg.Name})
+	}
 
 	var best nodeHeap // best-first frontier
 	var stack []*bbNode
@@ -315,7 +258,7 @@ func Solve(m *Model, cfg Config) (*Result, error) {
 					incumbent = sol.Objective
 					incumbentSel = sel
 					stats.BoundImprovements++
-					evs.incumbent(incumbent, stats.Nodes)
+					tr.Emit(telemetry.Event{Ev: "incumbent", Cost: incumbent, Pop: stats.Nodes})
 				}
 				continue
 			}
@@ -324,7 +267,7 @@ func Solve(m *Model, cfg Config) (*Result, error) {
 					incumbent = cost
 					incumbentSel = sel
 					stats.BoundImprovements++
-					evs.incumbent(incumbent, stats.Nodes)
+					tr.Emit(telemetry.Event{Ev: "incumbent", Cost: incumbent, Pop: stats.Nodes})
 				}
 			}
 			// Branch on the fractional column.
@@ -347,25 +290,27 @@ func Solve(m *Model, cfg Config) (*Result, error) {
 		stats.Degraded = true
 		stats.Aborted = aborted
 		met.abortCounter(aborted)
-		evs.abortEvent(stats.Nodes, aborted.String())
+		tr.Emit(telemetry.Event{Ev: "abort", Pop: stats.Nodes, Reason: aborted.String()})
 	}
 	met.finish(&stats, incumbent)
-	if incumbentSel == nil {
-		if aborted != abort.None {
-			// Aborted before any incumbent: degrade to the trivial
-			// sequential partition so the caller still gets a feasible
-			// schedule instead of an error.
-			groups := sequentialGroups(m)
-			cost := m.Cost.PartitionCost(groups)
-			evs.finish(&stats, cost, groups)
-			return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
-		}
-		evs.finish(&stats, 0, nil)
+	var groups [][]job.ProcID
+	var cost float64
+	switch {
+	case incumbentSel != nil:
+		groups = m.Groups(incumbentSel)
+	case aborted != abort.None:
+		// Aborted before any incumbent: degrade to the trivial
+		// sequential partition so the caller still gets a feasible
+		// schedule instead of an error.
+		groups = sequentialGroups(m)
+	}
+	if groups != nil {
+		cost = m.Cost.PartitionCost(groups)
+	}
+	traceFinish(tr, &stats, cost, groups)
+	if groups == nil {
 		return nil, fmt.Errorf("ip: no feasible solution found")
 	}
-	groups := m.Groups(incumbentSel)
-	cost := m.Cost.PartitionCost(groups)
-	evs.finish(&stats, cost, groups)
 	return &Result{
 		Groups:  groups,
 		Cost:    cost,

@@ -197,14 +197,14 @@ func (s *System) applyFaults() {
 		f.idx++
 		if !ev.down {
 			s.down[ev.m] = false
-			s.evs.emit(telemetry.Event{Ev: "machine_up", Machines: []int{ev.m}, T: s.now})
+			s.trace.Emit(telemetry.Event{Ev: "machine_up", Machines: []int{ev.m}, T: s.now})
 			continue
 		}
 		s.down[ev.m] = true
 		if s.met != nil {
 			s.met.machineDowns.Add(1)
 		}
-		s.evs.emit(telemetry.Event{Ev: "machine_down", Machines: []int{ev.m}, T: s.now})
+		s.trace.Emit(telemetry.Event{Ev: "machine_down", Machines: []int{ev.m}, T: s.now})
 		// Evict every job touching the crashed machine, in on-machine
 		// order, so the outcome is deterministic.
 		var victims []job.JobID
@@ -248,5 +248,5 @@ func (s *System) evictJob(jid job.JobID) {
 	if s.met != nil {
 		s.met.evictions.Add(1)
 	}
-	s.evs.emit(telemetry.Event{Ev: "evict", Job: int(jid) + 1, Machines: machines, T: s.now})
+	s.trace.Emit(telemetry.Event{Ev: "evict", Job: int(jid) + 1, Machines: machines, T: s.now})
 }

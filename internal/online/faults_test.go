@@ -28,7 +28,7 @@ func TestSimulateWithFaultsCompletes(t *testing.T) {
 	var buf bytes.Buffer
 	reg := telemetry.New()
 	res, err := SimulateWithFaults(c, solo, 3, arrivals, FirstFit{},
-		Observer{Metrics: reg, Events: telemetry.NewEventWriter(&buf)}, crashPlan())
+		Observer{Metrics: reg, Trace: telemetry.NewEmitter(telemetry.NewEventWriter(&buf))}, crashPlan())
 	if err != nil {
 		t.Fatal(err)
 	}

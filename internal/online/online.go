@@ -55,36 +55,7 @@ type System struct {
 	// telemetry layer can compute placement delays.
 	arrivedAt map[job.JobID]float64
 	met       *onlineMetrics
-	evs       *onlineEvents
-}
-
-// onlineEvents is the trace-event side of the online telemetry: one
-// solve_start, then arrival/place/job_done events on the simulated
-// clock (Event.T, not t_ms), and a closing solution event carrying the
-// makespan. Job numbers are 1-based in the trace so job 0 survives the
-// schema's omitempty encoding. A nil *onlineEvents disables everything.
-type onlineEvents struct {
-	sink    telemetry.EventSink
-	solveID uint64
-}
-
-func newOnlineEvents(obs Observer) *onlineEvents {
-	if obs.Events == nil {
-		return nil
-	}
-	e := &onlineEvents{sink: obs.Events, solveID: obs.SolveID}
-	if e.solveID == 0 {
-		e.solveID = telemetry.NextSolveID()
-	}
-	return e
-}
-
-func (e *onlineEvents) emit(ev telemetry.Event) {
-	if e == nil {
-		return
-	}
-	ev.SolveID = e.solveID
-	e.sink.Emit(ev) //nolint:errcheck
+	trace     telemetry.Emitter
 }
 
 // onlineMetrics caches the registry handles of the online.* metric
@@ -174,52 +145,37 @@ func (s *System) Now() float64 { return s.now }
 // time-sorted; every job of the batch must appear exactly once.
 func Simulate(c *degradation.Cost, solo func(job.ProcID) float64, machines int,
 	arrivals []Arrival, p Policy) (*Result, error) {
-	return SimulateObserved(c, solo, machines, arrivals, p, nil)
+	return SimulateWithFaults(c, solo, machines, arrivals, p, Observer{}, nil)
 }
 
-// Observer bundles the optional observation surfaces of a simulation:
-// a metrics registry (the "online.*" family), a trace-event sink (the
-// arrival/place/job_done stream an incident dump or coschedtrace
-// consumes), and the solve id stamped on those events (zero
-// self-assigns one from telemetry.NextSolveID).
+// Observer bundles the optional observation surfaces of a simulation
+// run: a metrics registry (the "online.*" family: simulations,
+// placements, simulation events, speed recomputations, queue length,
+// and a placement-delay histogram in simulated time units; DESIGN.md
+// §6) and the run's trace emitter. The trace opens with solve_start
+// (method "online:<policy>"), carries the arrival/place/job_done stream
+// on the simulated clock (Event.T) with 1-based job numbers, and closes
+// with a solution event whose Cost is the makespan. Build one Emitter
+// per run (telemetry.NewEmitter) so each run gets its own solve ID; the
+// zero Emitter traces nothing.
 type Observer struct {
 	Metrics *telemetry.Registry
-	Events  telemetry.EventSink
-	SolveID uint64
+	Trace   telemetry.Emitter
 }
 
-// SimulateObserved is Simulate with metrics: a non-nil registry
-// receives the "online.*" family (simulations, placements, simulation
-// events, speed recomputations, queue length, and a placement-delay
-// histogram in simulated time units; DESIGN.md §6).
-func SimulateObserved(c *degradation.Cost, solo func(job.ProcID) float64, machines int,
-	arrivals []Arrival, p Policy, reg *telemetry.Registry) (*Result, error) {
-	return SimulateTraced(c, solo, machines, arrivals, p, Observer{Metrics: reg})
-}
-
-// SimulateTraced is Simulate with the full observation surface: metrics
-// plus the trace-event stream. Events carry the simulated clock in T and
-// 1-based job numbers; the stream opens with solve_start (method
-// "online:<policy>") and closes with a solution event whose Cost is the
-// makespan.
-func SimulateTraced(c *degradation.Cost, solo func(job.ProcID) float64, machines int,
-	arrivals []Arrival, p Policy, obs Observer) (*Result, error) {
-	return SimulateWithFaults(c, solo, machines, arrivals, p, obs, nil)
-}
-
-// SimulateWithFaults is SimulateTraced under a seeded fault plan:
-// machines crash and restore on schedule (crashes evict whole jobs —
-// remaining work preserved, job requeued at the front), placements fail
-// transiently with capped exponential backoff, and the speed model runs
-// on a perturbed degradation oracle. A nil plan simulates fault-free. A
-// panic thrown by the policy's Place is recovered into an
-// *abort.PanicError after flushing the event sink, so one broken policy
-// cannot take the whole experiment down.
+// SimulateWithFaults is Simulate with an Observer and a seeded fault
+// plan: machines crash and restore on schedule (crashes evict whole
+// jobs — remaining work preserved, job requeued at the front),
+// placements fail transiently with capped exponential backoff, and the
+// speed model runs on a perturbed degradation oracle. A nil plan
+// simulates fault-free. A panic thrown by the policy's Place is
+// recovered into an *abort.PanicError after flushing the trace, so one
+// broken policy cannot take the whole experiment down.
 func SimulateWithFaults(c *degradation.Cost, solo func(job.ProcID) float64, machines int,
 	arrivals []Arrival, p Policy, obs Observer, plan *FaultPlan) (res *Result, err error) {
 	s := NewSystem(c, solo, machines)
 	s.met = newOnlineMetrics(obs.Metrics)
-	s.evs = newOnlineEvents(obs)
+	s.trace = obs.Trace
 	if plan != nil {
 		s.faults = newFaultState(plan, machines, c.Batch.NumProcs())
 	}
@@ -240,13 +196,11 @@ func SimulateWithFaults(c *degradation.Cost, solo func(job.ProcID) float64, mach
 	s.arrivedAt = arrivalTime
 	defer func() {
 		if r := recover(); r != nil {
-			if s.evs != nil {
-				telemetry.FlushSink(s.evs.sink) //nolint:errcheck // keep the partial trace
-			}
+			s.trace.Flush() //nolint:errcheck // keep the partial trace
 			res, err = nil, abort.Recovered(r)
 		}
 	}()
-	s.evs.emit(telemetry.Event{
+	s.trace.Emit(telemetry.Event{
 		Ev: "solve_start", N: b.NumProcs(), U: b.Cores, Method: "online:" + p.Name(),
 	})
 
@@ -275,7 +229,7 @@ func SimulateWithFaults(c *degradation.Cost, solo func(job.ProcID) float64, mach
 			if s.met != nil {
 				s.met.queued.Add(1)
 			}
-			s.evs.emit(telemetry.Event{Ev: "arrival", Job: int(arrivals[next].Job) + 1, T: s.now})
+			s.trace.Emit(telemetry.Event{Ev: "arrival", Job: int(arrivals[next].Job) + 1, T: s.now})
 			next++
 		case tFault <= tComp && tFault <= tRetry && !math.IsInf(tFault, 1):
 			s.progress(tFault - s.now)
@@ -310,10 +264,8 @@ func SimulateWithFaults(c *degradation.Cost, solo func(job.ProcID) float64, mach
 		sum += t - arrivalTime[job.JobID(jid)]
 	}
 	res.MeanTurnaround = sum / float64(len(s.finished))
-	if s.evs != nil {
-		s.evs.emit(telemetry.Event{Ev: "solution", Cost: res.Makespan, T: s.now})
-		telemetry.FlushSink(s.evs.sink) //nolint:errcheck
-	}
+	s.trace.Emit(telemetry.Event{Ev: "solution", Cost: res.Makespan, T: s.now})
+	s.trace.Flush() //nolint:errcheck // the trace is best-effort
 	return res, nil
 }
 
@@ -356,7 +308,7 @@ func (s *System) drainQueue(p Policy) {
 			if s.met != nil {
 				s.met.placeFailures.Add(1)
 			}
-			s.evs.emit(telemetry.Event{
+			s.trace.Emit(telemetry.Event{
 				Ev: "place_fail", Job: int(j) + 1, T: s.now,
 				Reason: "transient", Delay: delay,
 			})
@@ -380,8 +332,8 @@ func (s *System) drainQueue(p Policy) {
 			s.met.placements.Add(1)
 			s.met.placementDelay.Observe(delay)
 		}
-		if s.evs != nil {
-			s.evs.emit(telemetry.Event{
+		if s.trace.On() {
+			s.trace.Emit(telemetry.Event{
 				Ev: "place", Job: int(j) + 1, T: s.now,
 				Machines: append([]int(nil), placement...), Delay: delay,
 			})
@@ -479,7 +431,7 @@ func (s *System) reap(arrivalTime map[job.JobID]float64) {
 		}
 		if all {
 			s.finished[j.ID] = s.now
-			s.evs.emit(telemetry.Event{Ev: "job_done", Job: int(j.ID) + 1, T: s.now})
+			s.trace.Emit(telemetry.Event{Ev: "job_done", Job: int(j.ID) + 1, T: s.now})
 		}
 	}
 	_ = arrivalTime

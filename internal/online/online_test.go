@@ -225,8 +225,8 @@ func TestSimulateTracedEmitsEvents(t *testing.T) {
 	c, solo, arrivals := testSetup(t, 8, 1)
 	var buf bytes.Buffer
 	reg := telemetry.New()
-	res, err := SimulateTraced(c, solo, 2, arrivals, FirstFit{},
-		Observer{Metrics: reg, Events: telemetry.NewEventWriter(&buf)})
+	res, err := SimulateWithFaults(c, solo, 2, arrivals, FirstFit{},
+		Observer{Metrics: reg, Trace: telemetry.NewEmitter(telemetry.NewEventWriter(&buf))}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSimulateTracedEmitsEvents(t *testing.T) {
 		t.Errorf("bad solve_start: %+v", first)
 	}
 	if first.SolveID == 0 {
-		t.Error("solve_id not self-assigned")
+		t.Error("trace events carry no solve_id")
 	}
 	if last.Ev != "solution" || math.Abs(last.Cost-res.Makespan) > 1e-9 {
 		t.Errorf("bad solution event: %+v (want makespan %v)", last, res.Makespan)

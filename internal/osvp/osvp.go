@@ -31,12 +31,13 @@ type Options struct {
 	// MemoryBudget caps the search's estimated live bytes (0 = none).
 	MemoryBudget int64
 	// Metrics, when non-nil, receives the underlying search telemetry
-	// ("astar.*" family, method "OA*" with h = 0) plus the
-	// "osvp.solves" counter (DESIGN.md §6).
+	// ("astar.*" family with h = 0) plus the "osvp.solves" counter
+	// (DESIGN.md §6).
 	Metrics *telemetry.Registry
-	// Tracer receives search events exactly as astar.Options.Tracer
-	// does, including the JSONL stream extensions.
-	Tracer astar.Tracer
+	// Tracer, when non-nil, writes the search's event trace exactly as
+	// astar.Options.Tracer does; its solve_start names the method
+	// O-SVP.
+	Tracer *astar.EventTracer
 	// Progress receives rate-limited progress lines for long searches.
 	Progress *telemetry.ProgressReporter
 }

@@ -43,16 +43,15 @@
 //     address (the -debug-addr flag of cmd/coschedcli and
 //     cmd/experiments).
 //   - EventWriter / ReadEvents define the machine-readable JSONL trace:
-//     one Event per line, round-trippable, produced by the astar
-//     EventTracer (expansions, dismissals with reason, progress spans,
-//     final accounting, the solution) and analysed offline by
-//     cmd/coschedtrace. Producers target the EventSink interface, so
-//     the same stream can feed a durable EventWriter, an in-memory
-//     FlightRecorder (last-N ring for post-hoc incident capture), or
-//     both through MultiSink.
+//     one Event per line, round-trippable, analysed offline by
+//     cmd/coschedtrace. Every solver writes it through one Emitter per
+//     solve, which stamps each event with the solve ID and t_ms on the
+//     solve's epoch. The sink behind the Emitter can be a durable
+//     EventWriter, an in-memory FlightRecorder (last-N ring for
+//     post-hoc incident capture), or both through MultiSink.
 //   - SpanRecorder times the named phases of a solve pipeline (oracle
 //     precompute, graph construction, condensation, search, IP model
-//     build/solve) against one monotonic epoch, exporting each phase as
+//     build/solve) against its Emitter's epoch, exporting each phase as
 //     span.<name>_ms histograms, span_start/span_end trace events, and
 //     the cosched.Stats phase breakdown.
 //   - ProgressReporter rate-limits human-readable progress lines (pops,

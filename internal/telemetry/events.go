@@ -10,17 +10,25 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Event is one line of the structured JSONL solver trace. Ev identifies
 // the event type; the other fields are populated per type (zero-valued
 // fields are omitted from the encoding):
 //
-//	solve_start  n, u, method, h, sample, dismiss_sample, parallelism
-//	             — one per solve, first search event; parallelism is the
-//	             expansion-worker count, present only when > 1 (parallel
-//	             workers interleave expand events, so order-sensitive
-//	             consumers must relax per-stream invariants)
+//	solve_start  n, u, method, h, parallelism — one per solve, first
+//	             solver event. method is OA*|O-SVP|HA*|beam for the
+//	             graph searches, PG|brute-force for the two solvers
+//	             with no search events (their traces hold just this
+//	             header, an abort when the context had expired, a
+//	             zero-counter stats event and the solution),
+//	             ip:<config> for branch-and-bound and online:<policy>
+//	             for an online simulation run; h names the heuristic;
+//	             parallelism is the expansion-worker count, present only
+//	             when > 1 (parallel workers interleave expand events, so
+//	             order-sensitive consumers must relax per-stream
+//	             invariants)
 //	expand       pop, depth, q, g, h_est, leader
 //	dismiss      pop, q, g, reason     — reason: worse|stale|pruned|beam_trim
 //	progress     pop, frontier, pops_per_sec, eta_sec, elapsed_sec
@@ -84,12 +92,12 @@ import (
 // depth in machines, q the number of scheduled processes, g/h the Eq. 13
 // distance and heuristic estimate of the sub-path in degradation units.
 //
-// Every event may additionally carry t_ms (monotonic milliseconds since
+// Every solve-scoped event carries t_ms (monotonic milliseconds since
 // the solve epoch) and solve_id (a process-unique solve tag from
 // NextSolveID, separating interleaved or concatenated multi-solve
-// traces). Online-simulation events use t — the simulated clock — instead
-// of t_ms, and 1-based job numbers. The schema is append-only: decoders
-// must ignore unknown fields.
+// traces), both stamped by Emitter.Emit. Online-simulation events also
+// carry t — the simulated clock — and 1-based job numbers. The schema
+// is append-only: decoders must ignore unknown fields.
 type Event struct {
 	Ev string `json:"ev"`
 
@@ -98,17 +106,12 @@ type Event struct {
 	TMS     float64 `json:"t_ms,omitempty"`
 	SolveID uint64  `json:"solve_id,omitempty"`
 
-	// Solve identification (solve_start). HName names the h strategy;
-	// Sample/DismissSample record the tracer's expand/dismiss sampling
-	// intervals (0 or 1 = every event emitted), which tells trace
-	// consumers whether event counts reconcile with the stats event.
-	N             int    `json:"n,omitempty"`
-	U             int    `json:"u,omitempty"`
-	Method        string `json:"method,omitempty"`
-	HName         string `json:"h,omitempty"`
-	Sample        int64  `json:"sample,omitempty"`
-	DismissSample int64  `json:"dismiss_sample,omitempty"`
-	Parallelism   int    `json:"parallelism,omitempty"`
+	// Solve identification (solve_start). HName names the h strategy.
+	N           int    `json:"n,omitempty"`
+	U           int    `json:"u,omitempty"`
+	Method      string `json:"method,omitempty"`
+	HName       string `json:"h,omitempty"`
+	Parallelism int    `json:"parallelism,omitempty"`
 
 	// Search-span fields (expand, dismiss, progress, solution).
 	Pop    int64   `json:"pop,omitempty"`
@@ -313,9 +316,69 @@ var solveIDCounter atomic.Uint64
 // multi-solve trace without relying on solve_start ordering.
 func NextSolveID() uint64 { return solveIDCounter.Add(1) }
 
+// Emitter is one solve's trace-event source: the sink, the solve ID and
+// the monotonic epoch that every producer of the solve shares (phase
+// spans, the graph search, branch-and-bound, the PG and brute-force
+// answers, an online simulation run). Its Emit is the one place a
+// solve-scoped event gets its solve_id and t_ms stamps. The zero
+// Emitter has no sink and drops every event.
+type Emitter struct {
+	sink  EventSink
+	id    uint64
+	epoch time.Time
+}
+
+// NewEmitter starts one solve's trace into sink: it draws the solve ID
+// from NextSolveID and starts the t_ms clock now. A nil sink drops the
+// events but still draws the ID, which cosched reports as
+// Stats.SolveID.
+func NewEmitter(sink EventSink) Emitter {
+	return Emitter{sink: sink, id: NextSolveID(), epoch: time.Now()}
+}
+
+// On reports whether events reach a sink.
+func (e Emitter) On() bool { return e.sink != nil }
+
+// SolveID returns the solve's tag (0 for the zero Emitter).
+func (e Emitter) SolveID() uint64 { return e.id }
+
+// Emit stamps ev with the solve ID and the milliseconds since the epoch
+// and hands it to the sink. It allocates nothing of its own (the
+// dismissed-child hot path calls it); sink errors surface on Flush.
+func (e Emitter) Emit(ev Event) {
+	if e.sink == nil {
+		return
+	}
+	ev.SolveID = e.id
+	ev.TMS = e.sinceMS(time.Now())
+	e.sink.Emit(ev) //nolint:errcheck // sink errors surface on Flush
+}
+
+// Flush pushes a buffering sink's events out; a no-op without one.
+func (e Emitter) Flush() error { return FlushSink(e.sink) }
+
+// sinceMS converts t to milliseconds since the epoch.
+func (e Emitter) sinceMS(t time.Time) float64 {
+	return float64(t.Sub(e.epoch)) / float64(time.Millisecond)
+}
+
+// GroupInts converts a schedule's machine groups into the plain ints of
+// the solution event's groups field.
+func GroupInts[P ~int](groups [][]P) [][]int {
+	out := make([][]int, len(groups))
+	for i, g := range groups {
+		out[i] = make([]int, len(g))
+		for j, p := range g {
+			out[i][j] = int(p)
+		}
+	}
+	return out
+}
+
 // EventWriter encodes Events as JSON Lines. It buffers internally; call
 // Flush (or Close the underlying writer after Flush) when the trace must
-// be durable — the astar EventTracer flushes on every solution event.
+// be durable — every solver flushes its Emitter after the solution
+// event.
 // Emit is safe for concurrent use.
 type EventWriter struct {
 	mu  sync.Mutex

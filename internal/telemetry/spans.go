@@ -23,53 +23,33 @@ type SpanResult struct {
 	Depth int
 }
 
-// SpanRecorder times the named phases of a solve pipeline against one
-// monotonic epoch. Start opens a span, the returned Span's End closes it;
-// spans nest (Depth tracks the open count). Each completed span is
+// SpanRecorder times the named phases of a solve pipeline against its
+// Emitter's epoch. Start opens a span, the returned Span's End closes
+// it; spans nest (Depth tracks the open count). Each completed span is
 //
 //   - kept in order for Results (the cosched.Stats phase breakdown),
 //   - observed into the registry as a "span.<name>_ms" histogram and a
 //     "span.<name>_ns" counter (scrapeable totals), and
-//   - emitted to the event sink as span_start/span_end trace events
-//     stamped with t_ms on the shared epoch.
+//   - emitted through the Emitter as span_start/span_end trace events.
 //
 // A nil *SpanRecorder is the disabled state: Start returns a nil *Span
 // and both are safe to call, so instrumented code needs no guards. The
 // recorder serialises Start/End under a mutex — phases are pipeline-level
 // (a handful per solve), never per-node.
 type SpanRecorder struct {
-	epoch   time.Time
-	reg     *Registry
-	sink    EventSink
-	solveID uint64
+	em  Emitter
+	reg *Registry
 
 	mu    sync.Mutex
 	depth int
 	done  []SpanResult
 }
 
-// NewSpanRecorder returns a recorder with a fresh monotonic epoch.
-// Registry and sink may be nil (that surface is then skipped); solveID
-// tags the emitted events (0 leaves them untagged).
-func NewSpanRecorder(reg *Registry, sink EventSink, solveID uint64) *SpanRecorder {
-	return &SpanRecorder{epoch: time.Now(), reg: reg, sink: sink, solveID: solveID}
-}
-
-// Epoch returns the recorder's monotonic time origin so other producers
-// (the astar EventTracer) can stamp t_ms on the same clock.
-func (r *SpanRecorder) Epoch() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.epoch
-}
-
-// SinceMS returns the monotonic milliseconds elapsed since the epoch.
-func (r *SpanRecorder) SinceMS() float64 {
-	if r == nil {
-		return 0
-	}
-	return float64(time.Since(r.epoch)) / float64(time.Millisecond)
+// NewSpanRecorder returns a recorder timing against em's epoch and
+// emitting through it. Registry may be nil (that surface is then
+// skipped), and so may em's sink.
+func NewSpanRecorder(reg *Registry, em Emitter) *SpanRecorder {
+	return &SpanRecorder{em: em, reg: reg}
 }
 
 // Span is one open phase; see SpanRecorder.Start.
@@ -92,14 +72,7 @@ func (r *SpanRecorder) Start(name string) *Span {
 	depth := r.depth
 	r.depth++
 	r.mu.Unlock()
-	if r.sink != nil {
-		r.sink.Emit(Event{ //nolint:errcheck // sink errors surface on flush
-			Ev:      "span_start",
-			Span:    name,
-			TMS:     float64(start.Sub(r.epoch)) / float64(time.Millisecond),
-			SolveID: r.solveID,
-		})
-	}
+	r.em.Emit(Event{Ev: "span_start", Span: name})
 	return &Span{rec: r, name: name, start: start, depth: depth}
 }
 
@@ -115,7 +88,7 @@ func (s *Span) End() {
 	dur := end.Sub(s.start)
 	res := SpanResult{
 		Name:    s.name,
-		StartMS: float64(s.start.Sub(r.epoch)) / float64(time.Millisecond),
+		StartMS: r.em.sinceMS(s.start),
 		DurMS:   float64(dur) / float64(time.Millisecond),
 		Depth:   s.depth,
 	}
@@ -127,15 +100,7 @@ func (s *Span) End() {
 		r.reg.Histogram("span."+s.name+"_ms", spanBoundsMS).Observe(res.DurMS)
 		r.reg.Counter("span." + s.name + "_ns").Add(dur.Nanoseconds())
 	}
-	if r.sink != nil {
-		r.sink.Emit(Event{ //nolint:errcheck // sink errors surface on flush
-			Ev:      "span_end",
-			Span:    s.name,
-			TMS:     float64(end.Sub(r.epoch)) / float64(time.Millisecond),
-			DurMS:   res.DurMS,
-			SolveID: r.solveID,
-		})
-	}
+	r.em.Emit(Event{Ev: "span_end", Span: s.name, DurMS: res.DurMS})
 }
 
 // Results returns the completed spans in completion order. Safe on a nil

@@ -194,6 +194,36 @@ func TestNextSolveIDMonotone(t *testing.T) {
 	}
 }
 
+// TestEmitterStampsEvents pins the one stamping point of solve-scoped
+// events: each emitter draws its own solve ID, every event it passes on
+// carries that ID and a t_ms on its epoch, and the zero Emitter drops
+// events.
+func TestEmitterStampsEvents(t *testing.T) {
+	fr := NewFlightRecorder(8)
+	a, b := NewEmitter(fr), NewEmitter(fr)
+	if a.SolveID() == 0 || b.SolveID() == a.SolveID() || !a.On() {
+		t.Fatalf("emitters share or lack a solve id: %d, %d", a.SolveID(), b.SolveID())
+	}
+	time.Sleep(time.Millisecond)
+	a.Emit(Event{Ev: "expand", Pop: 1, SolveID: 99, TMS: -1})
+	b.Emit(Event{Ev: "expand", Pop: 2})
+	var off Emitter
+	off.Emit(Event{Ev: "expand", Pop: 3})
+	if off.On() || off.Flush() != nil {
+		t.Fatal("zero emitter is not off")
+	}
+	evs := fr.Events()
+	if len(evs) != 2 {
+		t.Fatalf("recorded %d events, want 2 (the zero emitter drops): %v", len(evs), evs)
+	}
+	if evs[0].SolveID != a.SolveID() || evs[1].SolveID != b.SolveID() {
+		t.Fatalf("events not stamped with their emitter's solve id: %+v", evs)
+	}
+	if evs[0].TMS < 1 || evs[1].TMS <= 0 {
+		t.Fatalf("events not stamped with t_ms since the epoch: %+v", evs)
+	}
+}
+
 func TestFlightRecorderRetainsLastN(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	if fr.Cap() != 4 || fr.Len() != 0 {
@@ -238,15 +268,13 @@ func TestSpanRecorderNilSafe(t *testing.T) {
 	if got := r.Results(); got != nil {
 		t.Fatalf("nil recorder results = %v", got)
 	}
-	if !r.Epoch().IsZero() || r.SinceMS() != 0 {
-		t.Fatal("nil recorder clock should be zero")
-	}
 }
 
 func TestSpanRecorderRecordsPhases(t *testing.T) {
 	reg := New()
 	fr := NewFlightRecorder(16)
-	r := NewSpanRecorder(reg, fr, 42)
+	em := NewEmitter(fr)
+	r := NewSpanRecorder(reg, em)
 
 	outer := r.Start("solve")
 	inner := r.Start("search")
@@ -282,7 +310,7 @@ func TestSpanRecorderRecordsPhases(t *testing.T) {
 	var kinds []string
 	for _, ev := range evs {
 		kinds = append(kinds, ev.Ev+":"+ev.Span)
-		if ev.SolveID != 42 {
+		if ev.SolveID != em.SolveID() {
 			t.Fatalf("event %v missing solve_id", ev)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"cosched/internal/cache"
 	"cosched/internal/degradation"
 	"cosched/internal/graph"
+	"cosched/internal/telemetry"
 	"cosched/internal/workload"
 )
 
@@ -29,7 +30,7 @@ func degradedTrace(t *testing.T) []byte {
 	var buf bytes.Buffer
 	s, err := astar.NewSolver(g, astar.Options{
 		H: astar.HPerProc, Condense: true, UseIncumbent: true,
-		Ctx: ctx, Tracer: astar.NewJSONLTracer(&buf)})
+		Ctx: ctx, Tracer: astar.NewEventTracer(telemetry.NewEmitter(telemetry.NewEventWriter(&buf)))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,20 +29,21 @@ const costEps = 1e-9
 // Check replays one solve's trace against the invariants its producer
 // guarantees and returns every violation found (nil for a clean trace).
 //
-// Search traces (OA*, HA*, beam):
+// Search traces (OA*, O-SVP, HA*, beam, and the header-and-answer
+// traces of PG and brute force):
 //
 //   - admission-identity: the stats event must reconcile as
 //     Generated == Expanded + DismissedStale + BeamTrimmed + InFrontier.
-//   - f-monotone (sequential OA* only): popped f = g + h never decreases
-//     — the Theorem 2 optimality argument rests on this. A parallel
+//   - f-monotone (sequential OA* and O-SVP only): popped f = g + h never
+//     decreases — the Theorem 2 optimality argument rests on this, and
+//     O-SVP's uniform-cost search (h = 0) pops g in order. A parallel
 //     solve (solve_start carries parallelism > 1) interleaves its
 //     workers' pops, so only total-based rules apply to it: expansion
 //     order, per-pop monotonicity and goal-pop bounds are meaningless
 //     across racing workers, and the parallel engine never pops its
 //     goal at all.
-//   - expand-count / dismiss-count: with sampling off, the event stream
-//     must carry exactly the expansions and per-reason dismissals the
-//     stats event counted.
+//   - expand-count / dismiss-count: the event stream must carry exactly
+//     the expansions and per-reason dismissals the stats event counted.
 //   - dismiss-reason: every dismissal names a known reason.
 //   - solution-cost: the solution can be no cheaper than the goal pop
 //     that produced it allows (an incumbent may beat the popped goal,
@@ -169,11 +170,9 @@ func (t *Trace) onlySpans() bool {
 
 func checkSearch(tr *Trace, start *telemetry.Event) []Violation {
 	var vs []Violation
-	sampled := start.Sample > 1
-	dismissSampled := start.DismissSample > 1
-	method := start.Method
-	// Order-sensitive rules only hold for a single expansion worker.
-	parallel := start.Parallelism > 1
+	// f-monotone holds for the exact best-first searches, and only with
+	// a single expansion worker.
+	fMonotone := (start.Method == "OA*" || start.Method == "O-SVP") && start.Parallelism <= 1
 
 	var (
 		expandCount   int64
@@ -185,7 +184,7 @@ func checkSearch(tr *Trace, start *telemetry.Event) []Violation {
 		switch ev.Ev {
 		case "expand":
 			expandCount++
-			if method == "OA*" && !parallel {
+			if fMonotone {
 				f := ev.G + ev.H
 				if f < prevF-costEps {
 					vs = append(vs, Violation{"f-monotone",
@@ -221,23 +220,21 @@ func checkSearch(tr *Trace, start *telemetry.Event) []Violation {
 			fmt.Sprintf("generated %d != expanded %d + dismissed_stale %d + beam_trimmed %d + in_frontier %d = %d",
 				st.Generated, st.Expanded, st.DismissedStale, st.BeamTrimmed, st.InFrontier, got)})
 	}
-	if !sampled && expandCount != st.Visited {
+	if expandCount != st.Visited {
 		vs = append(vs, Violation{"expand-count",
 			fmt.Sprintf("trace has %d expand events, stats counted %d visited paths", expandCount, st.Visited)})
 	}
-	if !dismissSampled {
-		for _, want := range []struct {
-			reason string
-			n      int64
-		}{
-			{"stale", st.DismissedStale}, {"worse", st.DismissedWorse},
-			{"pruned", st.Pruned}, {"beam_trim", st.BeamTrimmed},
-		} {
-			if dismissCounts[want.reason] != want.n {
-				vs = append(vs, Violation{"dismiss-count",
-					fmt.Sprintf("trace has %d %q dismissals, stats counted %d",
-						dismissCounts[want.reason], want.reason, want.n)})
-			}
+	for _, want := range []struct {
+		reason string
+		n      int64
+	}{
+		{"stale", st.DismissedStale}, {"worse", st.DismissedWorse},
+		{"pruned", st.Pruned}, {"beam_trim", st.BeamTrimmed},
+	} {
+		if dismissCounts[want.reason] != want.n {
+			vs = append(vs, Violation{"dismiss-count",
+				fmt.Sprintf("trace has %d %q dismissals, stats counted %d",
+					dismissCounts[want.reason], want.reason, want.n)})
 		}
 	}
 
@@ -251,7 +248,7 @@ func checkSearch(tr *Trace, start *telemetry.Event) []Violation {
 	// A degraded solution is the best incumbent (possibly a greedy
 	// fallback), which no popped goal bounds — the rule only applies to
 	// completed solves.
-	if !sampled && !math.IsNaN(goalG) && sol.Reason == "" && sol.Cost > goalG+costEps {
+	if !math.IsNaN(goalG) && sol.Reason == "" && sol.Cost > goalG+costEps {
 		vs = append(vs, Violation{"solution-cost",
 			fmt.Sprintf("solution cost %.9f exceeds the goal pop's g %.9f", sol.Cost, goalG)})
 	}

@@ -26,9 +26,6 @@ func WriteSummary(w io.Writer, tr *Trace) error {
 		if st.Parallelism > 1 {
 			fmt.Fprintf(&sb, ", %d expansion workers", st.Parallelism)
 		}
-		if st.Sample > 1 {
-			fmt.Fprintf(&sb, " (expand events sampled 1/%d)", st.Sample)
-		}
 		sb.WriteByte('\n')
 	}
 	if tr.Truncated {

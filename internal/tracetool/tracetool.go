@@ -121,8 +121,9 @@ func (t *Trace) solution() *telemetry.Event {
 	return nil
 }
 
-// Method returns the solve_start method label ("OA*", "HA*", "beam",
-// "ip:<config>", "online:<policy>"), or "" for headless traces.
+// Method returns the solve_start method label ("OA*", "O-SVP", "HA*",
+// "beam", "PG", "brute-force", "ip:<config>", "online:<policy>"), or ""
+// for headless traces.
 func (t *Trace) Method() string {
 	if st := t.start(); st != nil {
 		return st.Method

@@ -27,7 +27,7 @@ func searchTrace(t *testing.T, n int, opts astar.Options) []byte {
 	}
 	g := graph.New(in.Cost(degradation.ModePC), in.Patterns)
 	var buf bytes.Buffer
-	opts.Tracer = astar.NewJSONLTracer(&buf)
+	opts.Tracer = astar.NewEventTracer(telemetry.NewEmitter(telemetry.NewEventWriter(&buf)))
 	s, err := astar.NewSolver(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +52,10 @@ func loadOne(t *testing.T, raw []byte) *Trace {
 
 func TestCheckCleanSearchTraces(t *testing.T) {
 	for name, opts := range map[string]astar.Options{
-		"OA*":  {H: astar.HPerProc, Condense: true, UseIncumbent: true},
-		"HA*":  {H: astar.HPerProc, KPerLevel: 3, Condense: true, UseIncumbent: true},
-		"beam": {H: astar.HPerProcAvg, KPerLevel: 3, BeamWidth: 8},
+		"OA*":   {H: astar.HPerProc, Condense: true, UseIncumbent: true},
+		"O-SVP": {H: astar.HNone}, // osvp.SolveOpts' uniform-cost search
+		"HA*":   {H: astar.HPerProc, KPerLevel: 3, Condense: true, UseIncumbent: true},
+		"beam":  {H: astar.HPerProcAvg, KPerLevel: 3, BeamWidth: 8},
 	} {
 		tr := loadOne(t, searchTrace(t, 12, opts))
 		if tr.Method() != name {
@@ -78,7 +79,7 @@ func TestCheckCleanIPTrace(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cfg := ip.ConfigA
-	cfg.Events = telemetry.NewEventWriter(&buf)
+	cfg.Trace = telemetry.NewEmitter(telemetry.NewEventWriter(&buf))
 	if _, err := ip.Solve(model, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +100,8 @@ func TestCheckCleanOnlineTrace(t *testing.T) {
 		arrivals[i] = online.Arrival{Job: job.JobID(i), Time: float64(i)}
 	}
 	var buf bytes.Buffer
-	_, err = online.SimulateTraced(in.Cost(degradation.ModePC), in.SoloTime, 2,
-		arrivals, online.FirstFit{}, online.Observer{Events: telemetry.NewEventWriter(&buf)})
+	_, err = online.SimulateWithFaults(in.Cost(degradation.ModePC), in.SoloTime, 2,
+		arrivals, online.FirstFit{}, online.Observer{Trace: telemetry.NewEmitter(telemetry.NewEventWriter(&buf))}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +203,12 @@ func TestCheckParallelTraceRelaxesOrder(t *testing.T) {
 	}
 	if vs := Check(seq); !hasInvariant(vs, "f-monotone") {
 		t.Errorf("sequential out-of-order pops not caught: %v", vs)
+	}
+	// The same stream labelled O-SVP is held to the same rule: a
+	// uniform-cost search pops g in order.
+	seq.start().Method = "O-SVP"
+	if vs := Check(seq); !hasInvariant(vs, "f-monotone") {
+		t.Errorf("O-SVP out-of-order pops not caught: %v", vs)
 	}
 	// The identical stream labelled as a 4-worker solve tolerates the
 	// interleaving — order rules are relaxed, not the totals.

@@ -9,14 +9,6 @@
 #   scripts/benchdiff.sh old.txt new.txt # compare two recorded runs (no bench run)
 #   scripts/benchdiff.sh --check         # re-validate the committed BENCH_astar.json
 #                                        # gate without running anything (CI mode)
-#   scripts/benchdiff.sh --workers       # sweep the parallel search engine
-#                                        # (COSCHED_PARALLELISM=1/2/4/8) over the
-#                                        # search-bound benchmarks and emit
-#                                        # BENCH_parallel.json with the measuring
-#                                        # environment recorded (speedup is bounded
-#                                        # by the recorded cpu count; on a 1-CPU
-#                                        # box the sweep measures coordination
-#                                        # overhead, not speedup)
 #
 # Baselines are plain `go test -bench` output; record one with:
 #   go test -run XXX -bench 'Fig9|Fig13|Table4' -benchmem -benchtime=1x . > bench/baseline_astar.txt
@@ -48,55 +40,6 @@ if [[ "${1:-}" == "--check" ]]; then
         exit 1
     fi
     echo "benchdiff: --check ok — recorded gate holds (>= 2x allocs/op reduction)" >&2
-    exit 0
-fi
-
-if [[ "${1:-}" == "--workers" ]]; then
-    sweep="${2:-1 2 4 8}"
-    outdir="$(mktemp -d)"
-    trap 'rm -rf "$outdir"' EXIT
-    for p in $sweep; do
-        echo "benchdiff: --workers: COSCHED_PARALLELISM=$p ..." >&2
-        COSCHED_PARALLELISM="$p" go test -run XXX -bench 'Fig9|Fig13|Table4' \
-            -benchmem -benchtime=1x . | tee "$outdir/w$p.txt" >&2
-    done
-    {
-        printf '{\n'
-        printf '  "benchmark_cmd": "COSCHED_PARALLELISM=<w> go test -run XXX -bench %s -benchmem -benchtime=1x .",\n' "'Fig9|Fig13|Table4'"
-        printf '  "environment": {\n'
-        printf '    "cpus": %s,\n' "$(nproc)"
-        printf '    "gomaxprocs": %s,\n' "${GOMAXPROCS:-$(nproc)}"
-        printf '    "go": "%s",\n' "$(go env GOVERSION)"
-        printf '    "os_arch": "%s/%s",\n' "$(go env GOOS)" "$(go env GOARCH)"
-        printf '    "note": "speedup is bounded by cpus; at cpus=1 the sweep measures parallel-engine coordination overhead (shard locks, steals, termination scans), so the gate is the overhead staying small, not a speedup"\n'
-        printf '  },\n'
-        printf '  "workers": {\n'
-        first_p=1
-        for p in $sweep; do
-            [[ "$first_p" -eq 1 ]] || printf ',\n'
-            first_p=0
-            printf '    "%s": {\n' "$p"
-            awk '
-                /^Benchmark/ {
-                    n = split($0, parts, /[ \t]+/)
-                    name = parts[1]; sub(/-[0-9]+$/, "", name)
-                    ns = b = a = "0"
-                    for (i = 2; i <= n; i++) {
-                        if (parts[i] == "ns/op")     ns = parts[i-1]
-                        if (parts[i] == "B/op")      b  = parts[i-1]
-                        if (parts[i] == "allocs/op") a  = parts[i-1]
-                    }
-                    rows[++count] = sprintf("      \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", name, ns, b, a)
-                }
-                END {
-                    for (i = 1; i <= count; i++)
-                        printf "%s%s\n", rows[i], (i < count) ? "," : ""
-                }' "$outdir/w$p.txt"
-            printf '    }'
-        done
-        printf '\n  }\n}\n'
-    } > BENCH_parallel.json
-    echo "benchdiff: wrote BENCH_parallel.json" >&2
     exit 0
 fi
 

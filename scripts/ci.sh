@@ -73,24 +73,31 @@ boot_coschedd() {
     exit 1
 }
 
-# Trace-invariant matrix: generate a small trace from every producer
-# (OA*, HA*-trimmed, beam, branch-and-bound, online) and replay each
-# against its invariants; the summaries must render too.
+# Trace-invariant matrix: generate a small trace from every method
+# (OA*, HA*-trimmed, beam, branch-and-bound, O-SVP, PG, brute force,
+# online) and replay each against its invariants; the summaries must
+# render too, and every report header must name its method.
 go run ./cmd/coschedcli -synthetic 12 -trace "$tracedir/oa.jsonl" > /dev/null
 go run ./cmd/coschedcli -synthetic 24 -method hastar -trace "$tracedir/ha.jsonl" > /dev/null
 go run ./cmd/coschedcli -synthetic 44 -method hastar -trace "$tracedir/beam.jsonl" > /dev/null
 go run ./cmd/coschedcli -synthetic 8 -method ip -trace "$tracedir/ip.jsonl" > /dev/null
+for m in osvp pg brute; do
+    go run ./cmd/coschedcli -synthetic 12 -method "$m" -trace "$tracedir/$m.jsonl" > /dev/null
+done
 go run ./examples/onlinesim -trace "$tracedir/online.jsonl" > /dev/null
 go run ./cmd/coschedtrace check "$tracedir"/*.jsonl > /dev/null
 for f in "$tracedir"/*.jsonl; do
-    # grep (not -q) drains the stream: -q's early exit would SIGPIPE the
-    # renderer and trip pipefail.
-    go run ./cmd/coschedtrace summary "$f" | grep '=== solve' > /dev/null || {
+    go run ./cmd/coschedtrace summary "$f" > "$tracedir/summary.out"
+    grep -q '=== solve' "$tracedir/summary.out" || {
         echo "ci: coschedtrace summary produced no report for $f" >&2
         exit 1
     }
+    if grep '=== solve' "$tracedir/summary.out" | grep -q ': unknown'; then
+        echo "ci: coschedtrace summary has a report titled unknown for $f" >&2
+        exit 1
+    fi
 done
-echo "ci: trace invariants hold for OA*, HA*, beam, IP and online traces" >&2
+echo "ci: trace invariants hold for OA*, HA*, beam, IP, O-SVP, PG, brute-force and online traces" >&2
 
 # Parallel-search trace gate: a 4-worker solve must record its worker
 # count in the trace header, pass the (order-relaxed, totals-enforced)
