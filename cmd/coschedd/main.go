@@ -59,8 +59,6 @@ func main() {
 		cacheEntries = flag.Int("cache", 128, "solved-schedule cache capacity in entries (-1 disables)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "solved-schedule cache budget in bytes (-1 = entry bound only)")
 		cacheDir     = flag.String("cache-dir", "", "persist the solution cache to a segment log here and pre-warm from it at boot ('' = memory only)")
-		oracleCache  = flag.Int("oracle-cache", 1<<16, "per-instance degradation-memo capacity in entries")
-		oraclePool   = flag.Int("oracle-pool", 64, "fingerprint-keyed oracle pool capacity in instances (-1 disables)")
 		defaultDL    = flag.Duration("default-deadline", 0, "deadline applied to requests that set none (0 = none)")
 		maxDL        = flag.Duration("max-deadline", 0, "cap on any request's deadline (0 = uncapped)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight solves on shutdown")
@@ -83,28 +81,26 @@ func main() {
 
 	recorder := telemetry.NewFlightRecorder(flightRecorderSize)
 	srv, err := server.New(server.Config{
-		Workers:            *workers,
-		WorkersMin:         *workersMin,
-		WorkersMax:         *workersMax,
-		ScaleInterval:      *scaleEvery,
-		ScaleUpP90:         *scaleUpP90,
-		ScaleIdle:          *scaleIdle,
-		ScaleCooldown:      *scaleCool,
-		QueueDepth:         *queueDepth,
-		CacheEntries:       *cacheEntries,
-		CacheBytes:         *cacheBytes,
-		CacheDir:           *cacheDir,
-		OracleCacheEntries: *oracleCache,
-		OraclePoolEntries:  *oraclePool,
-		DefaultDeadline:    *defaultDL,
-		MaxDeadline:        *maxDL,
-		SolveParallelism:   *solvePar,
-		Metrics:            telemetry.Default,
-		Recorder:           recorder,
-		AccessLog:          logger,
-		SLOLatency:         *sloLatency,
-		SLOObjective:       *sloObjective,
-		ReplicaID:          *replicaID,
+		Workers:          *workers,
+		WorkersMin:       *workersMin,
+		WorkersMax:       *workersMax,
+		ScaleInterval:    *scaleEvery,
+		ScaleUpP90:       *scaleUpP90,
+		ScaleIdle:        *scaleIdle,
+		ScaleCooldown:    *scaleCool,
+		QueueDepth:       *queueDepth,
+		CacheEntries:     *cacheEntries,
+		CacheBytes:       *cacheBytes,
+		CacheDir:         *cacheDir,
+		DefaultDeadline:  *defaultDL,
+		MaxDeadline:      *maxDL,
+		SolveParallelism: *solvePar,
+		Metrics:          telemetry.Default,
+		Recorder:         recorder,
+		AccessLog:        logger,
+		SLOLatency:       *sloLatency,
+		SLOObjective:     *sloObjective,
+		ReplicaID:        *replicaID,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coschedd:", err)

@@ -9,16 +9,13 @@ import (
 
 // TestConcurrentSolvesShareInstance exercises the serving daemon's
 // contract: many simultaneous SolveContext and SolveRobust calls over
-// ONE shared Instance — and therefore one shared memoized oracle — must
-// be race-free and deterministic. Run under -race (scripts/ci.sh does).
+// ONE shared Instance — and therefore one shared oracle — must be
+// race-free and deterministic. Run under -race (scripts/ci.sh does).
 func TestConcurrentSolvesShareInstance(t *testing.T) {
 	inst, err := SyntheticSerial(8, QuadCore, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A tight memo bound makes concurrent solves contend on eviction
-	// paths too, not just map reads.
-	inst.SetOracleCacheCapacity(64)
 
 	methods := []Options{
 		{Method: MethodOAStar},

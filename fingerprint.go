@@ -107,13 +107,8 @@ func (i *Instance) Fingerprint() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// fingerprintOracle digests the oracle's answer-defining parameters. The
-// memoization wrapper is transparent: a cache changes nothing about the
-// answers, so wrapped and unwrapped oracles hash alike.
+// fingerprintOracle digests the oracle's answer-defining parameters.
 func fingerprintOracle(w fpWriter, b *job.Batch, o degradation.Oracle) error {
-	if m, ok := o.(*degradation.Memoized); ok {
-		o = m.Inner()
-	}
 	switch oracle := o.(type) {
 	case *degradation.SDCOracle:
 		w.str("oracle/sdc")
@@ -174,17 +169,4 @@ func (o Options) Fingerprint() string {
 	w.i64(int64(o.BeamWidth))
 	w.str(o.IPConfig)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// SetOracleCacheCapacity bounds the instance's memoized degradation
-// oracle to capacity entries per query cache with least-recently-used
-// eviction (capacity <= 0 restores the unbounded default). A bound
-// matters for long-running processes — the serving daemon sets one on
-// every instance it builds — because an unbounded memo grows with every
-// distinct co-runner set ever queried. It is a no-op for instances whose
-// oracle is not memoized.
-func (i *Instance) SetOracleCacheCapacity(capacity int) {
-	if m, ok := i.in.Oracle.(*degradation.Memoized); ok {
-		m.SetCapacity(capacity)
-	}
 }

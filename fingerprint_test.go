@@ -1,10 +1,6 @@
 package cosched
 
-import (
-	"testing"
-
-	"cosched/internal/degradation"
-)
+import "testing"
 
 func mustFingerprint(t *testing.T, inst *Instance) string {
 	t.Helper()
@@ -34,8 +30,7 @@ func TestInstanceFingerprintStableAcrossRebuilds(t *testing.T) {
 		t.Errorf("identical workloads fingerprint differently:\n  %s\n  %s", fa, fb)
 	}
 
-	// Solving must not change the identity: the memo wrapper's cache state
-	// is transparent.
+	// Solving must not change the identity.
 	if _, err := Solve(a, Options{Method: MethodPG}); err != nil {
 		t.Fatal(err)
 	}
@@ -117,23 +112,28 @@ func TestOptionsFingerprintIgnoresBudgets(t *testing.T) {
 	}
 }
 
-func TestSetOracleCacheCapacityBoundsMemo(t *testing.T) {
-	inst, err := SyntheticSerial(8, QuadCore, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst.SetOracleCacheCapacity(4)
-	if _, err := Solve(inst, Options{Method: MethodHAStar}); err != nil {
-		t.Fatal(err)
-	}
-	m, ok := inst.in.Oracle.(*degradation.Memoized)
-	if !ok {
-		t.Fatal("synthetic instance oracle is not memoized")
-	}
-	if got := m.CacheSize(); got > 8 {
-		t.Errorf("CacheSize = %d after capacity 4; want <= 8 (4 per query cache)", got)
-	}
-	if m.Evictions() == 0 {
-		t.Error("expected evictions from a capacity-4 memo under a full HA* solve")
+// TestInstanceFingerprintGolden pins one SDC and one pairwise instance's
+// fingerprint to values recorded by an earlier release. A -cache-dir
+// spill log survives an upgrade only while fingerprints stay put, so a
+// change here invalidates every persisted cache: bump the fingerprint's
+// version string on purpose rather than update these literals.
+func TestInstanceFingerprintGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*Instance, error)
+		want  string
+	}{
+		{"sdc-mixed-16", func() (*Instance, error) { return SyntheticMixed(16, 6, 2, QuadCore, 1) },
+			"07b112d49cce920447e063421e7d895a05425f2405be86ce9c854591b9daca2c"},
+		{"pairwise-240", func() (*Instance, error) { return SyntheticLarge(240, QuadCore, 1) },
+			"24bc8b8a7836289258de6b5d9abd432f5cc39825a8a0870b2fdf3e09c9e9df80"},
+	} {
+		inst, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustFingerprint(t, inst); got != tc.want {
+			t.Errorf("%s fingerprint = %s; want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -83,7 +83,7 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 
 	// Fallback: enumerate the whole level restricted to avail, sort by
 	// weight, attempt the k cheapest. With an additive oracle the weight
-	// is a direct pair-cost sum, skipping the memoized-oracle overhead.
+	// is a direct pair-cost sum, skipping the node memo.
 	// The nodes live flat (u-stride) in solver scratch and the sort runs
 	// over a permutation, so a whole level costs zero steady-state
 	// allocations — this path fires on every late depth of the beam runs
@@ -285,11 +285,7 @@ func (s *Solver) pairWeights() [][]float64 {
 			return nil
 		}
 	}
-	var inner degradation.Oracle = s.cost.Oracle
-	if m, ok := inner.(*degradation.Memoized); ok {
-		inner = m.Inner()
-	}
-	pw, ok := inner.(*degradation.PairwiseOracle)
+	pw, ok := s.cost.Oracle.(*degradation.PairwiseOracle)
 	if !ok {
 		return nil
 	}

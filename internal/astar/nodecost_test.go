@@ -34,51 +34,4 @@ func TestNodeCostsMatchOracle(t *testing.T) {
 			t.Errorf("nodeCosts[%d] = %v; want %v", i, costs[i], want)
 		}
 	}
-	// second call hits the cache and returns the same slice
-	again := s.nodeCosts(node)
-	if &again[0] != &costs[0] {
-		t.Error("node costs not cached")
-	}
-}
-
-func TestCanonicalNodeKeySymmetry(t *testing.T) {
-	m := cache.QuadCore
-	spec := workload.NewSpec()
-	spec.AddPE(workload.SyntheticProgram("pe", randFor(1)), 5) // procs 1-5
-	spec.AddSerial(workload.SyntheticProgram("s1", randFor(2)))
-	spec.AddSerial(workload.SyntheticProgram("s2", randFor(3)))
-	spec.AddSerial(workload.SyntheticProgram("s3", randFor(4)))
-	in, err := spec.Build(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.New(in.Cost(degradation.ModePE), in.Patterns)
-	s, err := NewSolver(g, Options{H: HPerProc, Condense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Equivalent nodes: different PE ranks, same serial members.
-	a := s.canonicalNodeKey([]job.ProcID{1, 2, 6, 7})
-	b := s.canonicalNodeKey([]job.ProcID{3, 5, 6, 7})
-	if a != b {
-		t.Error("equivalent PE nodes have different canonical keys")
-	}
-	// Different serial members must differ.
-	cKey := s.canonicalNodeKey([]job.ProcID{1, 2, 6, 8})
-	if a == cKey {
-		t.Error("nodes with different serial members share a canonical key")
-	}
-	// Different PE counts must differ.
-	dKey := s.canonicalNodeKey([]job.ProcID{1, 2, 3, 6})
-	if a == dKey {
-		t.Error("nodes with different PE counts share a canonical key")
-	}
-	// Without condensation, keys are raw and rank-sensitive.
-	sRaw, err := NewSolver(g, Options{H: HPerProc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sRaw.canonicalNodeKey([]job.ProcID{1, 2, 6, 7}) == sRaw.canonicalNodeKey([]job.ProcID{3, 5, 6, 7}) {
-		t.Error("raw keys unexpectedly canonical")
-	}
 }

@@ -155,10 +155,10 @@ func (s *Solver) eligibleParallelism() int {
 }
 
 // workerClone returns a Solver sharing every read-only table of s
-// (graph, oracle, heuristic floors, key geometry, the node-cost memo)
-// but owning its own element pool and candidate-generation scratch, so
-// an expansion worker can run makeChild/forEachCandidate/heuristic
-// without touching another worker's buffers.
+// (graph, Cost and its node memo, heuristic floors, key geometry) but
+// owning its own element pool, node-cost and candidate-generation
+// scratch, so an expansion worker can run makeChild/forEachCandidate/
+// heuristic without touching another worker's buffers.
 func (s *Solver) workerClone() *Solver {
 	c := new(Solver)
 	*c = *s
@@ -166,6 +166,7 @@ func (s *Solver) workerClone() *Solver {
 	c.pool = s.newPool() // registered on s for end-of-solve stats
 	c.allPools = nil
 	c.availBuf = nil
+	c.costBuf = nil
 	c.greedyNd = nil
 	c.greedyCd = nil
 	c.candFlat = nil

@@ -16,7 +16,7 @@ import (
 
 // Solver runs OA*/HA* searches over one co-scheduling graph. A Solver is
 // not safe for concurrent use; build one per goroutine (they share the
-// memoized oracle safely).
+// graph's Cost, and with it the node memo, safely).
 type Solver struct {
 	gr   *graph.Graph
 	cost *degradation.Cost
@@ -47,7 +47,7 @@ type Solver struct {
 	// otherwise. Enables lazy k-smallest node enumeration at scale.
 	pairW [][]float64
 	// pairM is the raw interference matrix behind pairW, letting the
-	// hot child-extension path bypass the memoized oracle.
+	// hot child-extension path bypass the node memo.
 	pairM [][]float64
 
 	// PE-symmetry canonicalisation (active with Condense): processes of
@@ -92,10 +92,9 @@ type Solver struct {
 	// (reported and zeroed) by the first Solve call's telemetry.
 	prepDur time.Duration
 
-	// ncs is the mutex-guarded node-cost memo, held behind a pointer so
-	// the per-worker solver clones of the parallel engine (parsolve.go)
-	// share one cache instead of copying the mutex.
-	ncs *nodeCostState
+	// costBuf receives a node's member costs from the Cost's node memo
+	// (nodeCosts); each worker clone owns its own.
+	costBuf []float64
 
 	// parClones are the per-worker shallow solver copies of the parallel
 	// best-first engine, created on first parallel solve and reused (warm
@@ -193,7 +192,6 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 		n:    g.N(),
 		u:    g.U(),
 	}
-	s.ncs = &nodeCostState{nodeCostCache: make(map[string][]float64)}
 	if s.n == 0 || s.n%s.u != 0 {
 		return nil, fmt.Errorf("astar: %d processes not schedulable on %d-core machines", s.n, s.u)
 	}
@@ -597,6 +595,14 @@ func (s *Solver) available(e *element, leader job.ProcID) []job.ProcID {
 	})
 	s.availBuf = avail
 	return avail
+}
+
+// nodeCosts returns the effective degradation of each member of node
+// against the rest, in node order, from the Cost's node memo. The slice
+// is the solver's scratch, valid until the next call.
+func (s *Solver) nodeCosts(node []job.ProcID) []float64 {
+	s.costBuf = s.cost.NodeCosts(s.costBuf[:0], node)
+	return s.costBuf
 }
 
 // makeChild extends a sub-path with one node, maintaining the Eq. 13

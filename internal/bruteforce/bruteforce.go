@@ -222,13 +222,11 @@ func (s *searcher) tryNode(node []job.ProcID) {
 	}
 	var undos []undo
 	savedDist := s.dist
-	var others [16]job.ProcID
+	var buf [16]float64
+	costs := s.cost.NodeCosts(buf[:0], node)
 	for i, p := range node {
 		s.used[p] = true
-		co := others[:0]
-		co = append(co, node[:i]...)
-		co = append(co, node[i+1:]...)
-		d := s.cost.ProcCost(p, co)
+		d := costs[i]
 		pi := s.procPar[int(p)-1]
 		if s.cost.Mode == degradation.ModeSE || pi < 0 {
 			s.dist += d

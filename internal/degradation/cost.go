@@ -41,39 +41,42 @@ func (m Mode) String() string {
 // Cost evaluates node weights and schedule objectives for one batch under
 // one accounting mode. It is the single source of truth for Eq. 6, Eq. 12
 // and Eq. 13 across OA*, HA*, O-SVP, PG, brute force and the IP model.
+//
+// It is also the only cache of degradation values. Every method builds
+// one Cost per solve and reads each node through NodeCosts, whose memo
+// holds at most 1<<17 nodes and dies with the Cost. A Cost is safe for
+// concurrent use: parallel search workers share one. Build it with
+// NewCost.
 type Cost struct {
 	Batch  *job.Batch
 	Oracle Oracle
 	Mode   Mode
+
+	memo nodeMemo
 }
 
-// NewCost wires a cost evaluator; the oracle is memoized if it is not
-// already.
+// NewCost wires a cost evaluator with an empty node memo.
 func NewCost(b *job.Batch, o Oracle, mode Mode) *Cost {
-	return &Cost{Batch: b, Oracle: NewMemoized(o), Mode: mode}
+	return &Cost{Batch: b, Oracle: o, Mode: mode, memo: nodeMemo{limit: nodeMemoEntries}}
 }
 
 // ProcCost returns the effective degradation of process p co-running with
 // coRunners: Eq. 1 under ModeSE/ModePE, Eq. 9 (computation + communication)
-// under ModePC.
+// under ModePC. It reads through the node memo like NodeCosts.
 func (c *Cost) ProcCost(p job.ProcID, coRunners []job.ProcID) float64 {
-	d := c.Oracle.Degradation(p, coRunners)
-	if c.Mode == ModePC {
-		d += c.Oracle.CommDegradation(p, coRunners)
-	}
-	return d
+	var nodeBuf [memoNodeMax]job.ProcID
+	var out [memoNodeMax]float64
+	node := append(append(nodeBuf[:0], p), coRunners...)
+	return c.NodeCosts(out[:0], node)[0]
 }
 
 // NodeWeight returns the weight of one co-scheduling-graph node: the total
 // effective degradation of the u processes placed together (§III-A).
 func (c *Cost) NodeWeight(procs []job.ProcID) float64 {
+	var buf [memoNodeMax]float64
 	var w float64
-	for i, p := range procs {
-		var others [16]job.ProcID
-		co := others[:0]
-		co = append(co, procs[:i]...)
-		co = append(co, procs[i+1:]...)
-		w += c.ProcCost(p, co)
+	for _, d := range c.NodeCosts(buf[:0], procs) {
+		w += d
 	}
 	return w
 }
@@ -111,12 +114,10 @@ func (a *Accumulator) Clone() *Accumulator {
 // and returns the updated distance.
 func (a *Accumulator) Add(procs []job.ProcID) float64 {
 	b := a.cost.Batch
+	var buf [memoNodeMax]float64
+	costs := a.cost.NodeCosts(buf[:0], procs)
 	for i, p := range procs {
-		var others [16]job.ProcID
-		co := others[:0]
-		co = append(co, procs[:i]...)
-		co = append(co, procs[i+1:]...)
-		d := a.cost.ProcCost(p, co)
+		d := costs[i]
 		j := b.JobOf(p)
 		if a.cost.Mode == ModeSE || j == nil || j.Kind == job.Serial {
 			a.dist += d
@@ -157,17 +158,15 @@ func (c *Cost) PartitionCost(groups [][]job.ProcID) float64 {
 // Keyed by JobID. Imaginary processes are skipped.
 func (c *Cost) PerJobDegradation(groups [][]job.ProcID) map[job.JobID]float64 {
 	out := make(map[job.JobID]float64, len(c.Batch.Jobs))
+	var buf [memoNodeMax]float64
 	for _, g := range groups {
+		costs := c.NodeCosts(buf[:0], g)
 		for i, p := range g {
 			j := c.Batch.JobOf(p)
 			if j == nil {
 				continue
 			}
-			var others [16]job.ProcID
-			co := others[:0]
-			co = append(co, g[:i]...)
-			co = append(co, g[i+1:]...)
-			d := c.ProcCost(p, co)
+			d := costs[i]
 			if j.Kind == job.Serial || c.Mode == ModeSE {
 				out[j.ID] += d
 			} else if cur, ok := out[j.ID]; !ok || d > cur {

@@ -163,90 +163,6 @@ func TestSDCOracleRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestMemoizedCaches(t *testing.T) {
-	_, o := testInstance(t, 4)
-	m := NewMemoized(o)
-	d1 := m.Degradation(1, []job.ProcID{2, 3, 4})
-	d2 := m.Degradation(1, []job.ProcID{4, 3, 2}) // different order, same set
-	if d1 != d2 {
-		t.Errorf("memoized results differ across co-runner orderings: %v vs %v", d1, d2)
-	}
-	hits, total := m.CacheStats()
-	if total != 2 || hits != 1 {
-		t.Errorf("cache stats = %d hits / %d total; want 1/2", hits, total)
-	}
-	if NewMemoized(m) != m {
-		t.Error("NewMemoized re-wrapped an already-memoized oracle")
-	}
-	c1 := m.CommDegradation(1, []job.ProcID{2})
-	c2 := m.CommDegradation(1, []job.ProcID{2})
-	if c1 != c2 {
-		t.Errorf("comm memoization inconsistent: %v vs %v", c1, c2)
-	}
-}
-
-func TestMemoizedCapacityEvictsLRU(t *testing.T) {
-	_, o := testInstance(t, 4)
-	bounded := NewMemoizedCapacity(o, 2)
-	unbounded := NewMemoized(o)
-
-	queries := [][]job.ProcID{{2, 3, 4}, {2, 3, 5}, {2, 3, 6}, {2, 3, 7}}
-	for _, co := range queries {
-		if got, want := bounded.Degradation(1, co), unbounded.Degradation(1, co); got != want {
-			t.Errorf("bounded Degradation(1,%v) = %v; want %v", co, got, want)
-		}
-	}
-	if n := bounded.CacheSize(); n != 2 {
-		t.Errorf("cache holds %d entries; want capacity 2", n)
-	}
-	if ev := bounded.Evictions(); ev != 2 {
-		t.Errorf("evictions = %d; want 2", ev)
-	}
-	// The two oldest keys were evicted: re-querying them is a miss (total
-	// grows, hits does not), and the recomputed value is unchanged.
-	hits0, total0 := bounded.CacheStats()
-	if got, want := bounded.Degradation(1, queries[0]), unbounded.Degradation(1, queries[0]); got != want {
-		t.Errorf("re-query after eviction = %v; want %v", got, want)
-	}
-	hits1, total1 := bounded.CacheStats()
-	if hits1 != hits0 || total1 != total0+1 {
-		t.Errorf("stats after evicted re-query = %d/%d; want %d/%d (a miss)", hits1, total1, hits0, total0+1)
-	}
-	// The most recent key survived and still hits.
-	bounded.Degradation(1, queries[3])
-	hits2, _ := bounded.CacheStats()
-	if hits2 != hits1+1 {
-		t.Error("most-recently-used entry did not survive eviction")
-	}
-}
-
-func TestMemoizedSetCapacityTrimsExisting(t *testing.T) {
-	_, o := testInstance(t, 4)
-	m := NewMemoized(o)
-	for q := job.ProcID(2); q <= 6; q++ {
-		m.Degradation(1, []job.ProcID{q})
-		m.CommDegradation(1, []job.ProcID{q})
-	}
-	if n := m.CacheSize(); n != 10 {
-		t.Fatalf("unbounded cache holds %d entries; want 10", n)
-	}
-	m.SetCapacity(3)
-	if n := m.CacheSize(); n != 6 {
-		t.Errorf("after SetCapacity(3) cache holds %d entries; want 3 per cache", n)
-	}
-	if ev := m.Evictions(); ev != 4 {
-		t.Errorf("evictions = %d; want 4", ev)
-	}
-	// NewMemoizedCapacity on an already-memoized oracle applies the bound
-	// in place.
-	if got := NewMemoizedCapacity(m, 1); got != m {
-		t.Error("NewMemoizedCapacity re-wrapped an already-memoized oracle")
-	}
-	if n := m.CacheSize(); n != 2 {
-		t.Errorf("after NewMemoizedCapacity(m, 1) cache holds %d entries; want 1 per cache", n)
-	}
-}
-
 func TestPairwiseOracle(t *testing.T) {
 	bd := job.NewBuilder()
 	bd.AddSerial("a")

@@ -11,4 +11,10 @@
 //   - PairwiseOracle approximates d(i,S) as the sum of pairwise
 //     interferences; it is O(u) per query and backs the large synthetic
 //     sweeps (Figs. 12-13) where the SDC merge would dominate runtime.
+//
+// Oracles answer every query afresh. Cost, which each method builds once
+// per solve, memoises their answers one graph node at a time: NodeCosts
+// returns every member's effective degradation against the rest of the
+// node from a bounded table keyed by the node's sorted process IDs. The
+// memo dies with its solve.
 package degradation

@@ -1,12 +1,6 @@
 package degradation
 
-import (
-	"container/list"
-	"encoding/binary"
-	"sync"
-
-	"cosched/internal/job"
-)
+import "cosched/internal/job"
 
 // Oracle answers degradation queries for one batch on one machine class.
 //
@@ -16,199 +10,9 @@ import (
 // normalised by its solo computation time, given that exactly the processes
 // in coRunners share p's machine. Both must return 0 for imaginary
 // (padding) processes, and imaginary co-runners must have no effect.
+//
+// Oracles are not memoised: Cost caches their answers per solve.
 type Oracle interface {
 	Degradation(p job.ProcID, coRunners []job.ProcID) float64
 	CommDegradation(p job.ProcID, coRunners []job.ProcID) float64
-}
-
-// setKey builds a compact map key for (p, set) queries. The co-runner set
-// is sorted by the caller's contract (callers pass node contents whose
-// order may vary), so we sort a small stack copy here.
-func setKey(p job.ProcID, coRunners []job.ProcID) string {
-	var stack [16]job.ProcID
-	set := stack[:0]
-	set = append(set, coRunners...)
-	// insertion sort: u-1 elements, u ≤ 16 in practice
-	for i := 1; i < len(set); i++ {
-		for j := i; j > 0 && set[j] < set[j-1]; j-- {
-			set[j], set[j-1] = set[j-1], set[j]
-		}
-	}
-	buf := make([]byte, 0, (len(set)+1)*3)
-	buf = binary.AppendUvarint(buf, uint64(p))
-	for _, q := range set {
-		buf = binary.AppendUvarint(buf, uint64(q))
-	}
-	return string(buf)
-}
-
-// memoEntry is one cached (key, value) pair of a memoCache, stored as a
-// list.Element value so recency moves are pointer swaps.
-type memoEntry struct {
-	key string
-	v   float64
-}
-
-// memoCache is one bounded query cache of a Memoized oracle: a map for
-// O(1) lookup plus an LRU list for eviction order. Capacity 0 (or
-// negative) means unbounded — the historical behaviour. All methods must
-// run under the owning Memoized's mutex.
-type memoCache struct {
-	m         map[string]*list.Element
-	ll        *list.List // front = most recently used
-	capacity  int
-	evictions int64
-}
-
-func newMemoCache() *memoCache {
-	return &memoCache{m: make(map[string]*list.Element), ll: list.New()}
-}
-
-// get returns the cached value and refreshes its recency.
-func (c *memoCache) get(k string) (float64, bool) {
-	e, ok := c.m[k]
-	if !ok {
-		return 0, false
-	}
-	c.ll.MoveToFront(e)
-	return e.Value.(*memoEntry).v, true
-}
-
-// put records a value (refreshing recency on re-insert) and evicts the
-// least-recently-used entries beyond capacity.
-func (c *memoCache) put(k string, v float64) {
-	if e, ok := c.m[k]; ok {
-		e.Value.(*memoEntry).v = v
-		c.ll.MoveToFront(e)
-		return
-	}
-	c.m[k] = c.ll.PushFront(&memoEntry{key: k, v: v})
-	c.trim()
-}
-
-// trim evicts from the cold end until the cache fits its capacity.
-func (c *memoCache) trim() {
-	for c.capacity > 0 && c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.m, back.Value.(*memoEntry).key)
-		c.evictions++
-	}
-}
-
-// Memoized wraps an Oracle with a concurrency-safe query cache. Both OA*
-// and the IP model builder ask for the same (p,S) pairs many times; the
-// cache turns repeated SDC merges into map hits.
-//
-// The cache is unbounded by default — right for a single solve, a leak
-// in a long-running daemon serving many solves from one oracle. Give it
-// a capacity (NewMemoizedCapacity or SetCapacity) to bound each of the
-// two query caches with least-recently-used eviction; an evicted entry
-// is simply recomputed (and re-cached) on its next query, so eviction
-// never changes an answer.
-type Memoized struct {
-	inner Oracle
-
-	mu    sync.Mutex
-	deg   *memoCache
-	comm  *memoCache
-	hits  int64
-	total int64
-}
-
-// NewMemoized wraps the oracle with an unbounded cache. Wrapping an
-// already-memoized oracle returns it unchanged.
-func NewMemoized(inner Oracle) *Memoized {
-	if m, ok := inner.(*Memoized); ok {
-		return m
-	}
-	return &Memoized{
-		inner: inner,
-		deg:   newMemoCache(),
-		comm:  newMemoCache(),
-	}
-}
-
-// NewMemoizedCapacity wraps the oracle with a bounded cache: each of the
-// two query caches (computation and communication degradation) holds at
-// most capacity entries, evicting least-recently-used. capacity <= 0
-// means unbounded. Wrapping an already-memoized oracle applies the
-// capacity to it and returns it unchanged.
-func NewMemoizedCapacity(inner Oracle, capacity int) *Memoized {
-	m := NewMemoized(inner)
-	m.SetCapacity(capacity)
-	return m
-}
-
-// SetCapacity bounds each query cache to capacity entries (<= 0 means
-// unbounded), evicting immediately if the caches already exceed it.
-func (m *Memoized) SetCapacity(capacity int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.deg.capacity, m.comm.capacity = capacity, capacity
-	m.deg.trim()
-	m.comm.trim()
-}
-
-// Degradation implements Oracle.
-func (m *Memoized) Degradation(p job.ProcID, coRunners []job.ProcID) float64 {
-	k := setKey(p, coRunners)
-	m.mu.Lock()
-	m.total++
-	if v, ok := m.deg.get(k); ok {
-		m.hits++
-		m.mu.Unlock()
-		return v
-	}
-	m.mu.Unlock()
-	v := m.inner.Degradation(p, coRunners)
-	m.mu.Lock()
-	m.deg.put(k, v)
-	m.mu.Unlock()
-	return v
-}
-
-// CommDegradation implements Oracle.
-func (m *Memoized) CommDegradation(p job.ProcID, coRunners []job.ProcID) float64 {
-	k := setKey(p, coRunners)
-	m.mu.Lock()
-	if v, ok := m.comm.get(k); ok {
-		m.mu.Unlock()
-		return v
-	}
-	m.mu.Unlock()
-	v := m.inner.CommDegradation(p, coRunners)
-	m.mu.Lock()
-	m.comm.put(k, v)
-	m.mu.Unlock()
-	return v
-}
-
-// Inner returns the wrapped oracle, letting solvers detect oracle
-// families (e.g. the additive-pairwise oracle) through the cache.
-func (m *Memoized) Inner() Oracle { return m.inner }
-
-// CacheStats returns (hits, total) degradation queries, for tests and
-// diagnostics. An evicted entry's re-query counts as a miss — total
-// grows, hits does not — so the ratio stays honest under eviction.
-func (m *Memoized) CacheStats() (hits, total int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.total
-}
-
-// CacheSize returns the number of entries currently cached across both
-// query caches.
-func (m *Memoized) CacheSize() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.deg.ll.Len() + m.comm.ll.Len()
-}
-
-// Evictions returns how many entries the capacity bound has evicted
-// across both query caches (0 while unbounded).
-func (m *Memoized) Evictions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.deg.evictions + m.comm.evictions
 }

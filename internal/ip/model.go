@@ -65,17 +65,15 @@ func BuildModel(c *degradation.Cost) (*Model, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	var others [16]job.ProcID
+	costs := make([]float64, 0, u)
 	for {
 		for i, ai := range idx {
 			procs[i] = job.ProcID(ai + 1)
 		}
 		col := Column{Procs: append([]job.ProcID(nil), procs...)}
+		costs = c.NodeCosts(costs[:0], procs)
 		for i, p := range procs {
-			co := others[:0]
-			co = append(co, procs[:i]...)
-			co = append(co, procs[i+1:]...)
-			d := c.ProcCost(p, co)
+			d := costs[i]
 			j := b.JobOf(p)
 			if !useY || j == nil || j.Kind == job.Serial {
 				col.SerialCost += d

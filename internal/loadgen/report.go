@@ -7,9 +7,8 @@ import (
 )
 
 // Report is the BENCH_serving.json document: one serving-benchmark run,
-// self-describing in the style of BENCH_astar.json (the command that
-// produced it, the environment it ran in, and the measured numbers —
-// here per ladder rung).
+// self-describing (the command that produced it, the environment it ran
+// in, and the measured numbers — here per ladder rung).
 type Report struct {
 	// BenchmarkCmd is the command line that produced this report.
 	BenchmarkCmd string `json:"benchmark_cmd"`

@@ -97,34 +97,6 @@ func TestCacheStatsOneOutcomePerRequest(t *testing.T) {
 	}
 }
 
-// TestOraclePoolSharesInstances checks that repeated requests for one
-// instance fingerprint hit the oracle pool instead of rebuilding the
-// memoized oracle, and that distinct fingerprints stay separate.
-func TestOraclePoolSharesInstances(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
-	// NoCache bypasses the solution cache, so every request reaches the
-	// solver — but the pool should still dedupe the instance build.
-	body := `{"synthetic": 6, "method": "hastar", "no_cache": true}`
-	for i := 0; i < 3; i++ {
-		if status, resp := postJSON(t, ts.URL+"/v1/solve", body); status != 200 {
-			t.Fatalf("solve %d: status %d: %v", i, status, resp)
-		}
-	}
-	if got := s.oraclePMisses.Value(); got != 1 {
-		t.Errorf("oracle pool misses = %d for one fingerprint; want 1", got)
-	}
-	if got := s.oraclePHits.Value(); got != 2 {
-		t.Errorf("oracle pool hits = %d; want 2", got)
-	}
-	other := `{"synthetic": 7, "method": "hastar", "no_cache": true}`
-	if status, resp := postJSON(t, ts.URL+"/v1/solve", other); status != 200 {
-		t.Fatalf("other solve: status %d: %v", status, resp)
-	}
-	if got := s.oraclePMisses.Value(); got != 2 {
-		t.Errorf("oracle pool misses = %d after a second fingerprint; want 2", got)
-	}
-}
-
 // TestCacheBytesMetricBounded drives enough distinct solves through a
 // tightly byte-bounded cache to force evictions and checks the
 // acceptance criterion: Stats.Bytes stays at or under the budget.

@@ -4,9 +4,9 @@
 // fixed when WorkersMin == WorkersMax), an admission queue that
 // propagates per-request deadlines into SolveContext, a
 // fingerprint-keyed solved-schedule cache (internal/solvecache;
-// byte-bounded, optionally spilled to disk and restart-warm), a
-// fingerprint-keyed oracle pool that shares built instances' memoized
-// degradation oracles across identical workloads, and graceful drain.
+// byte-bounded, optionally spilled to disk and restart-warm), and
+// graceful drain. Each request builds its own instance; the degradation
+// memo lives in the solve's degradation.Cost and dies with it.
 //
 // Endpoints:
 //
@@ -49,9 +49,8 @@ import (
 )
 
 // Config sizes and wires a Server. The zero value is usable: it means
-// two workers, a 64-deep queue, a 128-entry solution cache, a bounded
-// oracle memo, no default or maximum deadline, and a private metrics
-// registry.
+// two workers, a 64-deep queue, a 128-entry solution cache, no default
+// or maximum deadline, and a private metrics registry.
 type Config struct {
 	// Workers is the number of solver goroutines (<= 0 means 2). Each
 	// runs one solve at a time, so Workers bounds solver concurrency.
@@ -97,15 +96,6 @@ type Config struct {
 	// previously-solved fingerprints as hits (see solvecache's spill
 	// documentation for the format and crash semantics).
 	CacheDir string
-	// OracleCacheEntries bounds each built instance's memoized
-	// degradation oracle (<= 0 means 1<<16 entries per query cache).
-	OracleCacheEntries int
-	// OraclePoolEntries bounds the fingerprint-keyed oracle pool, which
-	// shares one built instance — and so one memoized oracle — across
-	// requests with identical instance fingerprints instead of
-	// rebuilding SDC/pairwise memo tables per request (< 0 disables the
-	// pool, 0 means 64 instances).
-	OraclePoolEntries int
 	// DefaultDeadline applies to requests that set no deadline_ms
 	// (0 means no deadline). MaxDeadline caps every request's deadline
 	// (0 means uncapped).
@@ -156,15 +146,12 @@ type Config struct {
 // answer plus its solve metadata, not the live *cosched.Schedule — so
 // cached entries serialise to the spill log and survive a restart. Each
 // request consults the cache through exactly one Do call (never a Get
-// probe first), so the cache's Stats count one outcome per request; the
-// oracle pool is a separate cache with its own server.oracle_pool.*
-// counters and never touches the solution cache's Stats.
+// probe first), so the cache's Stats count one outcome per request.
 type Server struct {
-	cfg        Config
-	cache      *solvecache.Cache[*solvecache.Solution]
-	oraclePool *solvecache.Cache[*cosched.Instance]
-	queue      chan *task
-	epoch      time.Time
+	cfg   Config
+	cache *solvecache.Cache[*solvecache.Solution]
+	queue chan *task
+	epoch time.Time
 
 	workers sync.WaitGroup
 	pending sync.WaitGroup
@@ -193,8 +180,6 @@ type Server struct {
 	cacheSpilled  *telemetry.Gauge
 	cacheReplayed *telemetry.Counter
 	cacheSkipped  *telemetry.Counter
-	oraclePHits   *telemetry.Counter
-	oraclePMisses *telemetry.Counter
 	queueDelay    *telemetry.Histogram
 	scaleWorkers  *telemetry.Gauge
 	scaleGrows    *telemetry.Counter
@@ -249,12 +234,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
 	}
-	if cfg.OracleCacheEntries <= 0 {
-		cfg.OracleCacheEntries = 1 << 16
-	}
-	if cfg.OraclePoolEntries == 0 {
-		cfg.OraclePoolEntries = 64
-	}
 	if cfg.SLOLatency <= 0 {
 		cfg.SLOLatency = 500 * time.Millisecond
 	}
@@ -291,8 +270,6 @@ func New(cfg Config) (*Server, error) {
 		cacheSpilled:  r.Gauge("server.cache.spilled"),
 		cacheReplayed: r.Counter("server.cache.replayed"),
 		cacheSkipped:  r.Counter("server.cache.replay_skipped"),
-		oraclePHits:   r.Counter("server.oracle_pool.hits"),
-		oraclePMisses: r.Counter("server.oracle_pool.misses"),
 		queueDelay:    r.Histogram("server.queue_delay_ms", queueDelayBoundsMS),
 		scaleWorkers:  r.Gauge("server.autoscale.workers"),
 		scaleGrows:    r.Counter("server.autoscale.grow"),
@@ -354,9 +331,6 @@ func New(cfg Config) (*Server, error) {
 			s.emitCacheEvent("replay", st.Replayed)
 		}
 		s.refreshCacheGauges()
-	}
-	if cfg.OraclePoolEntries > 0 {
-		s.oraclePool = solvecache.New[*cosched.Instance](cfg.OraclePoolEntries, nil)
 	}
 	for i := 0; i < cfg.WorkersMin; i++ {
 		quit := make(chan struct{})
@@ -650,33 +624,11 @@ func (s *Server) admit(ctx context.Context, req *SolveRequest, robust bool, ev *
 		return nil, &admitError{status: http.StatusBadRequest, msg: err.Error()}
 	}
 
-	// One fingerprint serves two tiers: the solution-cache key and the
-	// oracle pool. A fingerprint error (unknown oracle kind) skips both
-	// — the request still solves, uncached and unpooled.
+	// A fingerprint error (unknown oracle kind) skips the cache: the
+	// request still solves, uncached.
 	var ifp string
-	if (s.cache != nil && !req.NoCache) || s.oraclePool != nil {
+	if s.cache != nil && !req.NoCache {
 		ifp, _ = inst.Fingerprint()
-	}
-	if s.oraclePool != nil && ifp != "" {
-		// Identical fingerprints mean identical instances, and a built
-		// instance is safe to share across concurrent solves (its
-		// memoized oracle is concurrency-safe), so all requests for one
-		// fingerprint ride the first request's instance — and its
-		// warmed SDC/pairwise memo tables — instead of rebuilding them.
-		// The pool is its own cache: its outcomes land in the
-		// server.oracle_pool.* counters, never in the solution cache's
-		// Stats, which stay one-outcome-per-request.
-		pooled, out, err := s.oraclePool.Do(ifp, func() (*cosched.Instance, bool, error) {
-			return inst, true, nil
-		})
-		if err == nil && pooled != nil {
-			inst = pooled
-			if out == solvecache.Miss {
-				s.oraclePMisses.Add(1)
-			} else {
-				s.oraclePHits.Add(1)
-			}
-		}
 	}
 
 	t := &task{
@@ -792,7 +744,6 @@ func (s *Server) prepare(req *SolveRequest) (*cosched.Instance, cosched.Options,
 	if err != nil {
 		return nil, opts, err
 	}
-	inst.SetOracleCacheCapacity(s.cfg.OracleCacheEntries)
 	return inst, opts, nil
 }
 

@@ -63,8 +63,9 @@ func Run(c *degradation.Cost, solo SoloTimes, groups [][]job.ProcID) (*Result, e
 		JobFinish:   make(map[job.JobID]float64, len(b.Jobs)),
 		MachineBusy: make([]float64, len(groups)),
 	}
-	var others [16]job.ProcID
+	var costs []float64
 	for mi, g := range groups {
+		costs = c.NodeCosts(costs[:0], g)
 		for i, p := range g {
 			if b.Proc(p).Imaginary {
 				continue
@@ -73,10 +74,7 @@ func Run(c *degradation.Cost, solo SoloTimes, groups [][]job.ProcID) (*Result, e
 			if st < 0 || math.IsNaN(st) || math.IsInf(st, 0) {
 				return nil, fmt.Errorf("sim: process %d has invalid solo time %v", p, st)
 			}
-			co := others[:0]
-			co = append(co, g[:i]...)
-			co = append(co, g[i+1:]...)
-			d := c.ProcCost(p, co)
+			d := costs[i]
 			t := st * (1 + d)
 			res.ProcFinish[int(p)-1] = t
 			res.TotalSlowdownSeconds += t - st

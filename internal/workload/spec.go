@@ -22,7 +22,7 @@ type Instance struct {
 }
 
 // Cost returns an objective evaluator for the instance under the given
-// accounting mode.
+// accounting mode, with its own empty node memo: build one per solve.
 func (in *Instance) Cost(mode degradation.Mode) *degradation.Cost {
 	return degradation.NewCost(in.Batch, in.Oracle, mode)
 }
@@ -40,11 +40,7 @@ func (in *Instance) SoloTime(p job.ProcID) float64 {
 	if in.Batch.Proc(p).Imaginary {
 		return 0
 	}
-	var inner degradation.Oracle = in.Oracle
-	if m, ok := inner.(*degradation.Memoized); ok {
-		inner = m.Inner()
-	}
-	if sdc, ok := inner.(*degradation.SDCOracle); ok {
+	if sdc, ok := in.Oracle.(*degradation.SDCOracle); ok {
 		return cache.SoloCPUTime(sdc.Machine(), sdc.Profile(p))
 	}
 	return nominalSoloSeconds
@@ -136,7 +132,7 @@ func (s *Spec) Build(m *cache.Machine) (*Instance, error) {
 	return &Instance{
 		Batch:    b,
 		Machine:  m,
-		Oracle:   degradation.NewMemoized(oracle),
+		Oracle:   oracle,
 		Patterns: s.patterns,
 	}, nil
 }

@@ -157,8 +157,11 @@ type Schedule struct {
 	Stats Stats
 }
 
+// newSchedule wraps a solve's answer. The schedule keeps a fresh Cost, not
+// the solve's, so holding a schedule does not pin the solve's node memo.
 func newSchedule(inst *Instance, cost *degradation.Cost, groups [][]job.ProcID, total float64, st Stats) *Schedule {
-	return &Schedule{inst: inst, cost: cost, groups: groups, TotalDegradation: total, Stats: st}
+	fresh := degradation.NewCost(cost.Batch, cost.Oracle, cost.Mode)
+	return &Schedule{inst: inst, cost: fresh, groups: groups, TotalDegradation: total, Stats: st}
 }
 
 // Placements lists every process's machine and core assignment.

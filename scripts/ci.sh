@@ -8,7 +8,7 @@
 # rate; a corrupt-tail segment must be skipped, not trusted), the
 # open-loop loadgen + autoscaler gate, the two-replica chaos gate (kill
 # one daemon mid-ladder under the fleet client), and the recorded
-# benchmark gates.
+# serving-benchmark gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,11 +37,14 @@ go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismis
 
 # Race matrix over the concurrent search paths: the work-stealing
 # parallel engine (DESIGN.md §5d), its striped dismissal table and the
-# parallel beam generator.
+# parallel beam generator, and the degradation.Cost node memo those
+# workers share (ten rounds of goroutines querying one tightly bounded
+# memo).
 go test -race ./internal/astar/ -run 'Parallel|Striped'
+go test -race -count=10 ./internal/degradation/
 
 # Serving-layer race pass: many SolveContext/SolveRobust calls sharing
-# one Instance and memoized oracle (the coschedd usage pattern), plus
+# one Instance and oracle (the coschedd usage pattern), plus
 # the daemon engine (including pool resizes during active solves and
 # drain), its caches, the open-loop load generator, the fleet client
 # (retries/hedges/breakers against real servers behind the chaos
@@ -61,6 +64,9 @@ trap 'kill -9 $(jobs -p) 2>/dev/null || true; rm -rf "$tracedir"' EXIT
 boot_coschedd() {
     local log="$1"
     shift
+    # Create the log before the daemon starts: the backgrounded
+    # redirection may not have run by the first sed below.
+    : > "$log"
     "$tracedir/coschedd" "$@" > "$log" 2>&1 &
     coschedd_pid=$!
     addr=""
@@ -307,7 +313,7 @@ echo "ci: request observability — IDs echoed, access log validates, trace join
 # Serving benchmark + autoscaler gate: boot coschedd with a 1..4
 # autoscaling pool and aggressive scale knobs, drive a two-rung
 # open-loop coschedload ladder sized to saturate one worker (cold
-# hastar synthetic-20 solves run ~50-100ms on this class of builder),
+# hastar synthetic-28 solves run ~50-100ms on this class of builder),
 # and require: a valid BENCH_serving.json, at least one autoscale grow
 # in /metrics, the pool shrinking back once the ladder goes idle, a
 # renderable scaling timeline from /debug/trace, and a clean SIGTERM
@@ -315,7 +321,7 @@ echo "ci: request observability — IDs echoed, access log validates, trace join
 go build -o "$tracedir/coschedload" ./cmd/coschedload
 boot_coschedd "$tracedir/coschedd-scale.log" -addr 127.0.0.1:0 -workers-min 1 -workers-max 4 \
     -scale-interval 200ms -scale-up-p90 5ms -scale-idle 1500ms -scale-cooldown 400ms
-"$tracedir/coschedload" -addr "http://$addr" -rungs 15x3s,25x3s -synthetic 20 -warm 0.3 \
+"$tracedir/coschedload" -addr "http://$addr" -rungs 15x3s,25x3s -synthetic 28 -warm 0.3 \
     -out "$tracedir/BENCH_serving.json" > "$tracedir/coschedload.out"
 "$tracedir/coschedload" -check "$tracedir/BENCH_serving.json" > /dev/null
 grep -Eq '^cosched_server_autoscale_grow [1-9]' <<<"$(curl -sf "http://$addr/metrics")" || {
@@ -418,9 +424,8 @@ wait "$chaos_r1_pid" || { echo "ci: chaos replica r-one did not drain cleanly" >
 wait "$chaos_r2_pid" || { echo "ci: chaos replica r-two did not drain cleanly" >&2; exit 1; }
 echo "ci: chaos gate — replica killed and revived mid-ladder, breaker opened ($opens) and recovered ($half_opens), $failovers failovers, no duplicate side effects" >&2
 
-# The recorded benchmark gates (no bench run — validate the committed
-# BENCH_astar.json and BENCH_serving.json).
-scripts/benchdiff.sh --check
+# The recorded serving-benchmark gate (no bench run — validate the
+# committed BENCH_serving.json).
 scripts/servebench.sh --check
 
 echo "ci: all green" >&2
