@@ -1,6 +1,6 @@
 // Command coschedd serves the cosched solver over HTTP/JSON: a bounded
 // worker pool behind an admission queue, per-request deadlines, a
-// fingerprint-keyed cache of solved schedules (entry- and byte-bounded
+// request-keyed cache of solved schedules (entry- and byte-bounded
 // via -cache/-cache-bytes; persisted and restart-warm via -cache-dir),
 // and graceful drain on SIGTERM/SIGINT. The pool is fixed at -workers,
 // or autoscales between -workers-min and -workers-max on queue-delay

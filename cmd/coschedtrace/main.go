@@ -22,7 +22,7 @@
 // the boot replay from -cache-dir, stores, and bound-driven evictions,
 // each with the cache's resident bytes. requests renders every HTTP
 // request the daemon recorded as the table /debug/requests serves live:
-// request ID, phase breakdown, cache outcome, parallelism, fingerprint
+// request ID, phase breakdown, cache outcome, parallelism, request-key
 // prefix and the solve_id to feed back into `timeline -solve`; -slow N
 // marks requests that took at least N ms. fleet renders a coschedclient trace
 // (coschedload -client-trace) as a chronology of per-attempt calls,

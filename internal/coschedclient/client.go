@@ -25,9 +25,10 @@
 //     breaker over a failure-rate window; a 503 "draining" answer
 //     (the /healthz drain signal, passively observed on rejected
 //     requests) opens the circuit immediately.
-//   - Consistent-hash routing. The workload's fingerprint key picks a
-//     home replica on a virtual-node hash ring, keeping each
-//     fingerprint's solution cache hot on one node; when the home is
+//   - Consistent-hash routing. The request's workload key
+//     (server.RequestKey, the key the daemon's solution cache is built
+//     on) picks a home replica on a virtual-node hash ring, keeping each
+//     workload's cached answers hot on one node; when the home is
 //     open-circuited the request spills deterministically to the next
 //     replica on the ring.
 //
@@ -42,8 +43,6 @@ package coschedclient
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,7 +67,7 @@ type Config struct {
 	// Replicas are the daemon base URLs (e.g. "http://127.0.0.1:8080"),
 	// in a fleet-wide agreed order: the consistent-hash ring is built
 	// over the indexes, so every client listing the same replicas in
-	// the same order routes a fingerprint to the same home node.
+	// the same order routes a workload to the same home node.
 	Replicas []string
 	// HTTPClient issues the physical attempts (nil means a default
 	// transport client with no overall timeout — per-attempt budgets
@@ -307,40 +306,14 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-// RoutingKey derives the request's consistent-hash key from the fields
-// that determine its Instance.Fingerprint — the workload source (spec /
-// synthetic / synthetic_large), seed and machine. Wire-identical
-// workloads share a key exactly when they share a fingerprint, so
-// routing on it sends every repeat of a workload to the node whose
-// solution cache already holds its answer. Callers that hold a built
-// *cosched.Instance can route on inst.Fingerprint() via SolveKeyed
-// instead.
-func RoutingKey(req *server.SolveRequest) string {
-	h := sha256.New()
-	json.NewEncoder(h).Encode(struct { //nolint:errcheck // hash write cannot fail
-		Spec           any    `json:"spec,omitempty"`
-		Synthetic      int    `json:"synthetic"`
-		SyntheticLarge int    `json:"synthetic_large"`
-		Seed           int64  `json:"seed"`
-		Machine        string `json:"machine"`
-	}{
-		Spec:           req.Spec,
-		Synthetic:      req.Synthetic,
-		SyntheticLarge: req.SyntheticLarge,
-		Seed:           req.Seed,
-		Machine:        req.Machine,
-	})
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Solve runs one logical request: routing on RoutingKey(req) with a
-// generated request ID.
+// Solve runs one logical request: routing on server.RequestKey(req)
+// with a generated request ID.
 func (c *Client) Solve(ctx context.Context, req *server.SolveRequest) (*Result, error) {
-	return c.SolveKeyed(ctx, RoutingKey(req), "", req)
+	return c.SolveKeyed(ctx, server.RequestKey(req), "", req)
 }
 
 // SolveKeyed runs one logical request routed on an explicit
-// consistent-hash key (an Instance.Fingerprint, typically). reqID is
+// consistent-hash key (server.RequestKey, typically). reqID is
 // the identity sent as X-Request-ID on every attempt ("" generates
 // one); req.DeadlineMS, when set, is the caller's total budget across
 // all attempts, not a per-attempt allowance.
@@ -359,7 +332,7 @@ func (c *Client) DoJSON(ctx context.Context, reqID string, body []byte) (*Result
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, fmt.Errorf("coschedclient: undecodable request body: %w", err)
 	}
-	return c.SolveKeyed(ctx, RoutingKey(&req), reqID, &req)
+	return c.SolveKeyed(ctx, server.RequestKey(&req), reqID, &req)
 }
 
 // attemptOut is one physical attempt's outcome crossing back to the

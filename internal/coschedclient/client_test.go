@@ -830,18 +830,6 @@ func TestAttemptEventsAreNumberedAndJoinable(t *testing.T) {
 	}
 }
 
-func TestRoutingKeyMatchesFingerprintEquivalence(t *testing.T) {
-	a := &server.SolveRequest{Synthetic: 6, Seed: 42, Machine: "quad"}
-	b := &server.SolveRequest{Synthetic: 6, Seed: 42, Machine: "quad", Method: "beam", NoCache: true}
-	cDiff := &server.SolveRequest{Synthetic: 6, Seed: 43, Machine: "quad"}
-	if RoutingKey(a) != RoutingKey(b) {
-		t.Fatal("method/cache knobs changed the routing key; only the workload identity should")
-	}
-	if RoutingKey(a) == RoutingKey(cDiff) {
-		t.Fatal("different seeds share a routing key")
-	}
-}
-
 func TestRetryAfterIsHonored(t *testing.T) {
 	var calls atomic.Int64
 	var firstRetryAt atomic.Int64

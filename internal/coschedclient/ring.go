@@ -64,7 +64,7 @@ func (r *hashRing) order(key string) []int {
 }
 
 // hash64 is FNV-1a over s with a splitmix64 finalizer — stable across
-// processes, which is what keeps a fingerprint's home replica the same
+// processes, which is what keeps a workload's home replica the same
 // for every client in the fleet. The finalizer matters: bare FNV-1a
 // barely avalanches short keys that differ in one trailing byte, so
 // "vnode-1" and "vnode-2" land adjacent on the ring and each replica

@@ -1,10 +1,18 @@
 package server
 
-import "cosched"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+
+	"cosched"
+	"cosched/internal/solvecache"
+)
 
 // SolveRequest is the JSON body of /v1/solve and /v1/solve-robust, and
-// one element of a /v1/batch request. Exactly one workload source —
-// spec, synthetic or synthetic_large — must be set.
+// one element of a /v1/batch request. At least one workload source —
+// spec, synthetic or synthetic_large, used in that order — must be set,
+// and none may exceed maxProcesses processes.
 type SolveRequest struct {
 	// Spec is an inline workload description (the cosched.SpecFile JSON
 	// format, as accepted by coschedcli -specfile).
@@ -81,9 +89,9 @@ type SolveResponse struct {
 	// clients (and the CI gate) can assert on both values.
 	Cached bool `json:"cached"`
 	Shared bool `json:"shared,omitempty"`
-	// QueueMS is the time this request waited for a worker; SolveMS the
-	// solver wall-clock of the answering run (the original run's, for
-	// cached answers).
+	// QueueMS is the time this request's own solve waited for a worker
+	// (0 for a hit or a shared answer); SolveMS the solver wall-clock of
+	// the answering run (the original run's, for cached answers).
 	QueueMS float64 `json:"queue_ms"`
 	SolveMS float64 `json:"solve_ms"`
 	// TraceJSONL carries the solve's event stream when the request set
@@ -97,12 +105,42 @@ type SolveResponse struct {
 	SolveID   uint64 `json:"solve_id,omitempty"`
 }
 
-// FallbackInfo is one SolveRobust ladder attempt on the wire.
-type FallbackInfo struct {
-	// Method is the rung's algorithm; Degraded/Aborted/Err mirror
-	// cosched.Fallback.
-	Method   string `json:"method"`
-	Degraded bool   `json:"degraded,omitempty"`
-	Aborted  string `json:"aborted,omitempty"`
-	Err      string `json:"err,omitempty"`
+// FallbackInfo is one SolveRobust ladder attempt on the wire: the
+// record the solution cache stores, sent as is.
+type FallbackInfo = solvecache.SolutionFallback
+
+// RequestKey is the request's workload identity: a hex SHA-256 over the
+// fields that decide which instance it builds — spec, synthetic,
+// synthetic_large, seed (0 means 1) and machine (its canonical class
+// name, so "" and "quad" agree). Requests with equal keys build the same
+// instance, so the daemon keys its solution cache on RequestKey plus
+// the options fingerprint and the endpoint, and the fleet client routes
+// on it, sending every repeat of a workload to the replica whose cache
+// holds the answer. The key is at least as fine as
+// Instance.Fingerprint: equal instances may get different keys (a lost
+// hit), never the reverse (a wrong answer). It stands for the generators'
+// output, so a generator change that alters an instance must bump the
+// spill log's record version.
+func RequestKey(req *SolveRequest) string {
+	machine := req.Machine
+	if mk, err := cosched.ParseMachineKind(machine); err == nil {
+		machine = mk.String()
+	}
+	h := sha256.New()
+	json.NewEncoder(h).Encode(struct { //nolint:errcheck // hash writes cannot fail
+		Spec           *cosched.SpecFile `json:"spec,omitempty"`
+		Synthetic      int               `json:"synthetic"`
+		SyntheticLarge int               `json:"synthetic_large"`
+		Seed           int64             `json:"seed"`
+		Machine        string            `json:"machine"`
+	}{req.Spec, req.Synthetic, req.SyntheticLarge, req.workloadSeed(), machine})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// workloadSeed is the seed the synthetic generators get: 0 means 1.
+func (req *SolveRequest) workloadSeed() int64 {
+	if req.Seed == 0 {
+		return 1
+	}
+	return req.Seed
 }

@@ -9,11 +9,23 @@ import (
 	"testing"
 	"time"
 
+	"cosched"
 	"cosched/internal/telemetry"
 )
 
 // jsonReader wraps a JSON literal for http.Post.
 func jsonReader(s string) io.Reader { return strings.NewReader(s) }
+
+// mustPrepare returns a request's solver options, failing the test if
+// it does not validate.
+func mustPrepare(t *testing.T, s *Server, req *SolveRequest) cosched.Options {
+	t.Helper()
+	opts, err := s.prepare(req)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	return opts
+}
 
 // decodeJSONBody decodes and closes a response body.
 func decodeJSONBody(t *testing.T, resp *http.Response, v any) {
@@ -44,7 +56,7 @@ func TestDrainWithInFlightHedgeCancel(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	req1 := &SolveRequest{Synthetic: 26, Method: "oastar", NoCache: true}
-	t1, aerr := s.admit(ctx1, req1, false, &telemetry.Event{ReqID: "hedge-loser-1"})
+	t1, aerr := s.admit(ctx1, req1, mustPrepare(t, s, req1), false, &telemetry.Event{ReqID: "hedge-loser-1"})
 	if aerr != nil {
 		t.Fatalf("admit 1: %+v", aerr)
 	}
@@ -60,7 +72,7 @@ func TestDrainWithInFlightHedgeCancel(t *testing.T) {
 	// Request 2: queued behind it, same vanished client.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	req2 := &SolveRequest{Synthetic: 8, Method: "hastar", NoCache: true}
-	t2, aerr := s.admit(ctx2, req2, false, &telemetry.Event{ReqID: "hedge-loser-2"})
+	t2, aerr := s.admit(ctx2, req2, mustPrepare(t, s, req2), false, &telemetry.Event{ReqID: "hedge-loser-2"})
 	if aerr != nil {
 		t.Fatalf("admit 2: %+v", aerr)
 	}
@@ -94,16 +106,16 @@ func TestDrainWithInFlightHedgeCancel(t *testing.T) {
 	if got := s.solves.Value(); got != 1 {
 		t.Fatalf("server.solves = %d; want 1 (queued task for a gone client must not solve)", got)
 	}
-	if t2.status != statusClientGone {
-		t.Fatalf("queued task status = %d (%q); want %d", t2.status, t2.errMsg, statusClientGone)
+	if t2.err == nil || t2.err.status != statusClientGone {
+		t.Fatalf("queued task refusal = %+v; want status %d", t2.err, statusClientGone)
 	}
 	if s.rejectedGone.Value() == 0 {
 		t.Fatal("server.rejected.client_gone never counted")
 	}
 	// The cancelled in-flight solve must have ended degraded (aborted
 	// early) rather than running to a proven optimum.
-	if t1.errMsg == "" && t1.resp != nil && !t1.resp.Degraded {
-		t.Fatalf("in-flight solve finished undegraded; cancellation did not propagate (resp=%+v)", t1.resp)
+	if t1.err == nil && t1.sol != nil && !t1.sol.Degraded {
+		t.Fatalf("in-flight solve finished undegraded; cancellation did not propagate (sol=%+v)", t1.sol)
 	}
 }
 
@@ -124,7 +136,7 @@ func TestQueuedTaskForGoneClientSkipsSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // client is already gone at admission's queue hop
 	req := &SolveRequest{Synthetic: 6, Method: "hastar", NoCache: true}
-	tk, aerr := s.admit(ctx, req, false, &telemetry.Event{ReqID: "gone"})
+	tk, aerr := s.admit(ctx, req, mustPrepare(t, s, req), false, &telemetry.Event{ReqID: "gone"})
 	if aerr != nil {
 		t.Fatalf("admit: %+v", aerr)
 	}
@@ -133,8 +145,8 @@ func TestQueuedTaskForGoneClientSkipsSolve(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("task never resolved")
 	}
-	if tk.status != statusClientGone {
-		t.Fatalf("status = %d; want %d", tk.status, statusClientGone)
+	if tk.err == nil || tk.err.status != statusClientGone {
+		t.Fatalf("refusal = %+v; want status %d", tk.err, statusClientGone)
 	}
 	if got := s.solves.Value(); got != 0 {
 		t.Fatalf("server.solves = %d; want 0", got)

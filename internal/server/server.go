@@ -2,11 +2,18 @@
 // API over the cosched solver with a bounded, autoscaling worker pool
 // (grown on queue-delay pressure, shrunk after sustained idleness,
 // fixed when WorkersMin == WorkersMax), an admission queue that
-// propagates per-request deadlines into SolveContext, a
-// fingerprint-keyed solved-schedule cache (internal/solvecache;
-// byte-bounded, optionally spilled to disk and restart-warm), and
-// graceful drain. Each request builds its own instance; the degradation
-// memo lives in the solve's degradation.Cost and dies with it.
+// propagates per-request deadlines into SolveContext, a solved-schedule
+// cache keyed by the request (internal/solvecache; byte-bounded,
+// optionally spilled to disk and restart-warm), and graceful drain.
+//
+// A request is decoded (at most 1 MiB), checked against the drain flag
+// and the request bounds, keyed by RequestKey plus its options
+// fingerprint and endpoint, and answered through one solution-cache Do
+// call on its handler goroutine. Only that call's leader — or a request
+// that bypasses the cache — builds an instance and takes a queue slot
+// and a worker, so hits and joiners answer even when the queue is full.
+// Each solve builds its own instance; the degradation memo lives in the
+// solve's degradation.Cost and dies with it.
 //
 // Endpoints:
 //
@@ -24,8 +31,9 @@
 // Every request has one record, a "request" telemetry.Event. The
 // observe middleware allocates it with the request's ID — accepted from
 // X-Request-ID or generated, echoed back on the response header and
-// body — admission hands it to the task, and the worker writes queue,
-// solve and cache facts straight into it. At response write that one
+// body — the request path writes its cache outcome into it, and when
+// the request runs a solve of its own, admission hands it to the task
+// and the worker writes the queue and solve facts. At response write that one
 // value becomes the access-log line, the flight-recorder event
 // (joinable to the solver's solve_id timeline) and the /debug/requests
 // row, and is counted into per-route RED metrics and SLO burn rates
@@ -36,6 +44,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -79,8 +88,9 @@ type Config struct {
 	// 2s); together with ScaleIdle it is the hysteresis that stops the
 	// pool flapping under oscillating load.
 	ScaleCooldown time.Duration
-	// QueueDepth bounds the admission queue (<= 0 means 64); a full
-	// queue rejects with 429 rather than buffering unboundedly.
+	// QueueDepth bounds the admission queue of cache misses (<= 0 means
+	// 64); a miss that finds it full is rejected with 429 rather than
+	// buffered unboundedly.
 	QueueDepth int
 	// CacheEntries bounds the solved-schedule cache's entry count (< 0
 	// disables caching entirely, 0 means 128).
@@ -93,7 +103,7 @@ type Config struct {
 	// CacheDir, when non-empty, persists the solution cache to a
 	// write-behind segment log under this directory and pre-warms the
 	// cache from it at construction, so a restarted daemon answers
-	// previously-solved fingerprints as hits (see solvecache's spill
+	// previously-solved requests as hits (see solvecache's spill
 	// documentation for the format and crash semantics).
 	CacheDir string
 	// DefaultDeadline applies to requests that set no deadline_ms
@@ -138,9 +148,10 @@ type Config struct {
 	RetryAfterDraining  time.Duration
 }
 
-// Server is the daemon's engine: handlers feed an admission queue that
-// an autoscaled worker pool drains (fixed-size when WorkersMin ==
-// WorkersMax). Construct with New, mount Handler, stop with Drain.
+// Server is the daemon's engine: handlers answer from the solution
+// cache and feed its misses to an admission queue that an autoscaled
+// worker pool drains (fixed-size when WorkersMin == WorkersMax).
+// Construct with New, mount Handler, stop with Drain.
 //
 // The solution cache stores *solvecache.Solution values — the rendered
 // answer plus its solve metadata, not the live *cosched.Schedule — so
@@ -314,11 +325,7 @@ func New(cfg Config) (*Server, error) {
 			ccfg.MaxBytes = cfg.CacheBytes
 		}
 		if cfg.CacheDir != "" {
-			ccfg.Spill = &solvecache.SpillConfig[*solvecache.Solution]{
-				Dir:    cfg.CacheDir,
-				Encode: (*solvecache.Solution).Encode,
-				Decode: solvecache.DecodeSolution,
-			}
+			ccfg.Spill = &solvecache.SpillConfig{Dir: cfg.CacheDir}
 		}
 		cache, err := solvecache.NewWithConfig(ccfg)
 		if err != nil {
@@ -482,28 +489,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *teleme
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, ev *telemetry.Event, robust bool) {
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if herr := decodeBody(w, r, &req); herr != nil {
+		herr.write(w)
 		return
 	}
-	t, err := s.admit(r.Context(), &req, robust, ev)
-	if err != nil {
-		err.write(w)
-		return
-	}
-	<-t.done
-	if t.errMsg != "" {
-		writeError(w, t.status, t.errMsg)
+	resp, herr := s.answer(r.Context(), &req, robust, ev)
+	if herr != nil {
+		herr.write(w)
 		return
 	}
 	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, t.resp)
+	writeJSON(w, http.StatusOK, resp)
 	ev.EncodeMS = float64(time.Since(encodeStart)) / float64(time.Millisecond)
 }
 
 // BatchRequest is the /v1/batch body: requests answered positionally.
 type BatchRequest struct {
-	// Requests lists the solves; each may independently set robust.
+	// Requests lists the solves (at most maxBatchItems); each may
+	// independently set robust.
 	Requests []SolveRequest `json:"requests"`
 }
 
@@ -526,41 +529,48 @@ type BatchResponse struct {
 }
 
 // handleBatch answers a batch under one umbrella request ID (every
-// item's response carries it). Each item's worker fills a record of its
-// own, and the batch's one request record aggregates them — worst queue
-// wait, summed solve time, "mixed" when cache outcomes differ.
+// item's response carries it). Each item runs the request path on its
+// own goroutine with a record of its own, so its hits never wait for
+// its misses, and the batch's one request record aggregates the items
+// that reached the cache step — worst queue wait, summed solve time,
+// "mixed" when cache outcomes differ.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ev *telemetry.Event) {
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if herr := decodeBody(w, r, &req); herr != nil {
+		herr.write(w)
 		return
 	}
-	if len(req.Requests) == 0 {
+	switch n := len(req.Requests); {
+	case n == 0:
 		writeError(w, http.StatusBadRequest, "batch has no requests")
+		return
+	case n > maxBatchItems:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch has %d requests; the limit is %d", n, maxBatchItems))
 		return
 	}
 	ev.N = len(req.Requests)
 	items := make([]BatchItem, len(req.Requests))
-	tasks := make([]*task, len(req.Requests))
 	itemEvs := make([]telemetry.Event, len(req.Requests))
-	// Admit everything first — the queue outlives the admission loop and
-	// enqueueing never blocks, so a batch wider than the queue fails its
-	// overflow items with 429 instead of deadlocking behind itself.
+	var wg sync.WaitGroup
 	for i := range req.Requests {
 		itemEvs[i].ReqID = ev.ReqID
-		t, aerr := s.admit(r.Context(), &req.Requests[i], req.Requests[i].Robust, &itemEvs[i])
-		if aerr != nil {
-			items[i] = BatchItem{Status: aerr.status, Error: aerr.msg}
-			continue
-		}
-		tasks[i] = t
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, herr := s.answer(r.Context(), &req.Requests[i], req.Requests[i].Robust, &itemEvs[i])
+			if herr != nil {
+				items[i] = BatchItem{Status: herr.status, Error: herr.msg}
+			} else {
+				items[i] = BatchItem{Status: http.StatusOK, Response: resp}
+			}
+		}()
 	}
-	for i, t := range tasks {
-		if t == nil {
-			continue
-		}
-		<-t.done
+	wg.Wait()
+	for i := range itemEvs {
 		item := &itemEvs[i]
+		if item.Cache == "" {
+			continue // refused before the cache step
+		}
 		ev.QueueMS = max(ev.QueueMS, item.QueueMS)
 		ev.SolveMS += item.SolveMS
 		ev.Degraded = ev.Degraded || item.Degraded
@@ -574,28 +584,54 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ev *telemet
 		case ev.Cache != item.Cache:
 			ev.Cache = "mixed"
 		}
-		if t.errMsg != "" {
-			items[i] = BatchItem{Status: t.status, Error: t.errMsg}
-		} else {
-			items[i] = BatchItem{Status: http.StatusOK, Response: t.resp}
-		}
 	}
 	encodeStart := time.Now()
 	writeJSON(w, http.StatusOK, BatchResponse{Items: items})
 	ev.EncodeMS = float64(time.Since(encodeStart)) / float64(time.Millisecond)
 }
 
-// admitError is an admission failure with its HTTP mapping; a non-zero
+// Request bounds. A body above maxBodyBytes is refused with 413; a
+// synthetic or synthetic_large count, or a spec's process count, above
+// maxProcesses, and a batch above maxBatchItems, with 400 — before the
+// request key, the cache or any build, so no number a client sends can
+// make the daemon build more than maxProcesses processes.
+const (
+	maxBodyBytes  = 1 << 20
+	maxProcesses  = 4096
+	maxBatchItems = 256
+)
+
+// decodeBody decodes a POST body of at most maxBodyBytes into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooBig):
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+	default:
+		return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf("bad request body: %v", err)}
+	}
+}
+
+// httpError is a refused request with its HTTP mapping; a non-zero
 // retryAfter becomes the rejection's Retry-After header, telling
-// well-behaved clients when a retry might succeed.
-type admitError struct {
+// well-behaved clients when a retry might succeed. It is also the error
+// a cache leader's compute returns, which the cache hands to that leader
+// alone.
+type httpError struct {
 	status     int
 	msg        string
 	retryAfter time.Duration
 }
 
+// Error returns the message.
+func (e *httpError) Error() string { return e.msg }
+
 // write renders the rejection, header included.
-func (e *admitError) write(w http.ResponseWriter) {
+func (e *httpError) write(w http.ResponseWriter) {
 	setRetryAfter(w, e.retryAfter)
 	writeError(w, e.status, e.msg)
 }
@@ -614,21 +650,199 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 	}
 }
 
-// admit validates the request, builds its instance and options, applies
-// the deadline policy, and enqueues a task — or explains why not. ctx is
-// the caller's (done = caller gone); ev is the request record the
-// task's worker fills in, carrying the request ID across the queue hop.
-func (s *Server) admit(ctx context.Context, req *SolveRequest, robust bool, ev *telemetry.Event) (*task, *admitError) {
-	inst, opts, err := s.prepare(req)
+// answer is the request path of one solve, a /v1/solve body or one
+// /v1/batch item: drain check, validation, request key, then the one
+// solution-cache call. Only a cache leader — or a request that bypasses
+// the cache — builds an instance and takes a queue slot and a worker;
+// a hit or a joiner waits on its handler goroutine alone. ctx is the
+// caller's (done = caller gone); ev is the request's record.
+func (s *Server) answer(ctx context.Context, req *SolveRequest, robust bool, ev *telemetry.Event) (*SolveResponse, *httpError) {
+	// The pending count must rise under the same lock that checks the
+	// drain flag: Drain sets the flag, then waits for pending before it
+	// closes the queue — so every request is either counted before the
+	// flag flips or rejected, and none enqueues onto a closed queue.
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		s.rejectedDrain.Add(1)
+		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server is draining",
+			retryAfter: s.cfg.RetryAfterDraining}
+	}
+	s.pending.Add(1)
+	s.mu.Unlock()
+	defer s.pending.Done()
+
+	opts, err := s.prepare(req)
 	if err != nil {
-		return nil, &admitError{status: http.StatusBadRequest, msg: err.Error()}
+		return nil, &httpError{status: http.StatusBadRequest, msg: err.Error()}
+	}
+	ev.Parallelism = opts.Parallelism
+
+	var t *task // this request's own solve, when it ran one
+	compute := func() (*solvecache.Solution, bool, error) {
+		var herr *httpError
+		if t, herr = s.admit(ctx, req, opts, robust, ev); herr != nil {
+			return nil, false, herr
+		}
+		<-t.done
+		if t.err != nil {
+			return nil, false, t.err
+		}
+		// Only proven answers are cacheable: a degraded schedule is an
+		// artifact of this request's budgets, not the instance's optimum.
+		return t.sol, !t.sol.Degraded, nil
 	}
 
-	// A fingerprint error (unknown oracle kind) skips the cache: the
-	// request still solves, uncached.
-	var ifp string
-	if s.cache != nil && !req.NoCache {
-		ifp, _ = inst.Fingerprint()
+	// Exactly one cache consultation — a single Do, never a Get probe
+	// first — so each request contributes one outcome to the cache's
+	// Stats and the server.cache.* hit rate stays per-request truthful.
+	var (
+		sol     *solvecache.Solution
+		outcome = solvecache.Miss
+	)
+	step := time.Now()
+	if s.cache == nil || req.NoCache {
+		sol, _, err = compute()
+		ev.Cache = "bypass"
+	} else {
+		tag := "solve"
+		if robust {
+			tag = "robust"
+		}
+		key := RequestKey(req) + "|" + opts.Fingerprint() + "|" + tag
+		ev.FP = key[:12]
+		sol, outcome, err = s.cache.Do(key, compute)
+		switch outcome {
+		case solvecache.Hit:
+			s.cacheHits.Add(1)
+		case solvecache.Shared:
+			s.cacheShared.Add(1)
+		default:
+			s.cacheMisses.Add(1)
+		}
+		ev.Cache = outcome.String()
+		s.refreshCacheGauges()
+		if t != nil && err == nil && !sol.Degraded {
+			// This request's own solve stored its answer (degraded and
+			// failed solves are never cached): surface the growth on the
+			// timeline.
+			s.emitCacheEvent("store", 1)
+		}
+	}
+	if t == nil {
+		// No solve of its own: solve_ms is this request's time in the
+		// cache step — about 0 on a hit, the wait for the leader's run
+		// when shared.
+		ev.SolveMS = float64(time.Since(step)) / float64(time.Millisecond)
+	}
+	if err != nil {
+		return nil, err.(*httpError) // compute's only error type
+	}
+	ev.SolveID = sol.SolveID
+	ev.Degraded = sol.Degraded
+	ev.Reason = sol.AbortReason
+	// The solution is shared across requests (cached) and only read here.
+	resp := &SolveResponse{
+		Cost:        sol.Cost,
+		AvgCost:     sol.AvgCost,
+		Groups:      sol.Groups,
+		Machines:    sol.Machines,
+		Method:      opts.Method.String(),
+		Degraded:    sol.Degraded,
+		AbortReason: sol.AbortReason,
+		Fallbacks:   sol.Fallbacks,
+		Cached:      outcome == solvecache.Hit,
+		Shared:      outcome == solvecache.Shared,
+		QueueMS:     ev.QueueMS,
+		SolveMS:     sol.SolveMS,
+		RequestID:   ev.ReqID,
+		SolveID:     sol.SolveID,
+	}
+	if robust {
+		resp.Method = "robust"
+	}
+	if t != nil {
+		resp.TraceJSONL = t.traceJSONL
+	}
+	return resp, nil
+}
+
+// prepare validates the wire request — its size first, so an oversized
+// request is refused before anything is parsed or built — and returns
+// its solver options.
+func (s *Server) prepare(req *SolveRequest) (cosched.Options, error) {
+	var opts cosched.Options
+	if n := max(req.Synthetic, req.SyntheticLarge, specProcesses(req.Spec)); n > maxProcesses {
+		return opts, fmt.Errorf("workload asks for more than %d processes", maxProcesses)
+	}
+	if req.Spec == nil && req.Synthetic <= 0 && req.SyntheticLarge <= 0 {
+		return opts, fmt.Errorf("request needs a spec, synthetic or synthetic_large workload")
+	}
+	if _, err := cosched.ParseMachineKind(req.Machine); err != nil {
+		return opts, err
+	}
+	var err error
+	if req.Method != "" {
+		if opts.Method, err = cosched.ParseMethod(req.Method); err != nil {
+			return opts, err
+		}
+	}
+	if req.Accounting != "" {
+		if opts.Accounting, err = cosched.ParseAccounting(req.Accounting); err != nil {
+			return opts, err
+		}
+	}
+	opts.HStrategy = req.HStrategy
+	opts.KPerLevel = req.KPerLevel
+	opts.HWeight = req.HWeight
+	opts.BeamWidth = req.BeamWidth
+	opts.IPConfig = req.IPConfig
+	opts.MaxExpansions = req.MaxExpansions
+	opts.MemoryBudget = req.MemoryBudgetBytes
+	// cosched.Options treats 0 as "all cores"; the daemon's default is
+	// explicit so an unconfigured server stays sequential per solve.
+	opts.Parallelism = req.Parallelism
+	if opts.Parallelism == 0 {
+		opts.Parallelism = s.cfg.SolveParallelism
+	}
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = 1
+	}
+	opts.Metrics = s.cfg.Metrics
+	return opts, nil
+}
+
+// specProcesses counts the processes a spec asks for, each job as at
+// least one, stopping once past maxProcesses (so the sum cannot
+// overflow).
+func specProcesses(sf *cosched.SpecFile) int {
+	n := 0
+	if sf == nil {
+		return n
+	}
+	for _, j := range sf.Jobs {
+		if n += min(max(j.Procs, 1), maxProcesses+1); n > maxProcesses {
+			break
+		}
+	}
+	return n
+}
+
+// admit builds the request's instance and enqueues its solve, or says
+// why not: 429 when the queue is full — checked before the build, so a
+// saturated daemon refuses cheaply — and 400 when the workload does not
+// build. ctx is the caller's (done = caller gone); ev is the request
+// record the worker fills in.
+func (s *Server) admit(ctx context.Context, req *SolveRequest, opts cosched.Options, robust bool, ev *telemetry.Event) (*task, *httpError) {
+	full := &httpError{status: http.StatusTooManyRequests, msg: "admission queue is full",
+		retryAfter: s.cfg.RetryAfterQueueFull}
+	if len(s.queue) == cap(s.queue) {
+		s.rejectedQueue.Add(1)
+		return nil, full
+	}
+	inst, err := build(req)
+	if err != nil {
+		return nil, &httpError{status: http.StatusBadRequest, msg: err.Error()}
 	}
 
 	t := &task{
@@ -651,100 +865,30 @@ func (s *Server) admit(ctx context.Context, req *SolveRequest, robust bool, ev *
 	if deadline > 0 {
 		t.deadline = t.enqueued.Add(deadline)
 	}
-	if s.cache != nil && !req.NoCache && ifp != "" {
-		tag := "solve"
-		if robust {
-			tag = "robust"
-		}
-		t.key = ifp + "|" + opts.Fingerprint() + "|" + tag
-	}
-
-	// The pending count must rise under the same lock that checks the
-	// drain flag: Drain sets the flag, then waits for pending — so every
-	// admitted task is either counted before the flag flips or rejected.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.rejectedDrain.Add(1)
-		return nil, &admitError{status: http.StatusServiceUnavailable, msg: "server is draining",
-			retryAfter: s.cfg.RetryAfterDraining}
-	}
-	s.pending.Add(1)
-	s.mu.Unlock()
-
 	select {
 	case s.queue <- t:
 		s.admitted.Add(1)
-		go func() { // release the drain gate once the task resolves
-			<-t.done
-			s.pending.Done()
-		}()
 		return t, nil
 	default:
-		s.pending.Done()
 		s.rejectedQueue.Add(1)
-		return nil, &admitError{status: http.StatusTooManyRequests, msg: "admission queue is full",
-			retryAfter: s.cfg.RetryAfterQueueFull}
+		return nil, full
 	}
 }
 
-// prepare turns the wire request into a ready instance and options.
-func (s *Server) prepare(req *SolveRequest) (*cosched.Instance, cosched.Options, error) {
-	var opts cosched.Options
-	var err error
-	if req.Method != "" {
-		if opts.Method, err = cosched.ParseMethod(req.Method); err != nil {
-			return nil, opts, err
-		}
-	}
-	if req.Accounting != "" {
-		if opts.Accounting, err = cosched.ParseAccounting(req.Accounting); err != nil {
-			return nil, opts, err
-		}
-	}
-	opts.HStrategy = req.HStrategy
-	opts.KPerLevel = req.KPerLevel
-	opts.HWeight = req.HWeight
-	opts.BeamWidth = req.BeamWidth
-	opts.IPConfig = req.IPConfig
-	opts.MaxExpansions = req.MaxExpansions
-	opts.MemoryBudget = req.MemoryBudgetBytes
-	// cosched.Options treats 0 as "all cores"; the daemon's default is
-	// explicit so an unconfigured server stays sequential per solve.
-	opts.Parallelism = req.Parallelism
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.SolveParallelism
-	}
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = 1
-	}
-	opts.Metrics = s.cfg.Metrics
-
-	machine := cosched.QuadCore
-	if req.Machine != "" {
-		if machine, err = cosched.ParseMachineKind(req.Machine); err != nil {
-			return nil, opts, err
-		}
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var inst *cosched.Instance
+// build materialises a validated request's workload: its spec, or else
+// its synthetic_large or synthetic count on its machine and seed.
+func build(req *SolveRequest) (*cosched.Instance, error) {
+	machine, err := cosched.ParseMachineKind(req.Machine)
 	switch {
+	case err != nil:
+		return nil, err
 	case req.Spec != nil:
-		inst, err = req.Spec.Build()
+		return req.Spec.Build()
 	case req.SyntheticLarge > 0:
-		inst, err = cosched.SyntheticLarge(req.SyntheticLarge, machine, seed)
-	case req.Synthetic > 0:
-		inst, err = cosched.SyntheticSerial(req.Synthetic, machine, seed)
+		return cosched.SyntheticLarge(req.SyntheticLarge, machine, req.workloadSeed())
 	default:
-		err = fmt.Errorf("request needs a spec, synthetic or synthetic_large workload")
+		return cosched.SyntheticSerial(req.Synthetic, machine, req.workloadSeed())
 	}
-	if err != nil {
-		return nil, opts, err
-	}
-	return inst, opts, nil
 }
 
 // task is one admitted solve travelling from handler to worker.
@@ -753,19 +897,17 @@ type task struct {
 	opts      cosched.Options
 	robust    bool
 	trace     bool
-	key       string          // solution-cache key; "" = don't cache
 	clientCtx context.Context // the HTTP request's context: done = caller gone
 	deadline  time.Time
 	enqueued  time.Time
 
 	// Written by the worker before closing done, read by the handler
-	// after: the request record's queue, solve, cache and answer fields,
-	// and the response or error.
+	// after: the request record's queue and solve fields, and the
+	// answer or the refusal.
 	ev         *telemetry.Event
-	resp       *SolveResponse
+	sol        *solvecache.Solution
+	err        *httpError
 	traceJSONL string
-	status     int
-	errMsg     string
 	done       chan struct{}
 }
 
@@ -795,20 +937,16 @@ func (s *Server) worker(quit chan struct{}) {
 	}
 }
 
-// process runs one admitted task: deadline check, cache lookup, solve.
-// It writes the request record's queue, solve, cache and answer fields.
+// process runs one admitted task: the queued-deadline check, the
+// client-gone check, the solve. It writes the request record's queue and
+// solve fields and the task's answer or refusal.
 func (s *Server) process(t *task) {
 	ev := t.ev
 	ev.QueueMS = float64(time.Since(t.enqueued)) / float64(time.Millisecond)
-	ev.Parallelism = t.opts.Parallelism
-	if t.key != "" {
-		ev.FP = t.key[:12] // keys open with the 64-hex instance fingerprint
-	}
 	s.queueDelay.Observe(ev.QueueMS)
 	if !t.deadline.IsZero() && !time.Now().Before(t.deadline) {
 		s.rejectedDL.Add(1)
-		t.status = http.StatusGatewayTimeout
-		t.errMsg = "deadline expired while queued"
+		t.err = &httpError{status: http.StatusGatewayTimeout, msg: "deadline expired while queued"}
 		return
 	}
 
@@ -818,8 +956,7 @@ func (s *Server) process(t *task) {
 	// the logical request's side effects).
 	if t.clientCtx != nil && t.clientCtx.Err() != nil {
 		s.rejectedGone.Add(1)
-		t.status = statusClientGone
-		t.errMsg = "client went away while queued"
+		t.err = &httpError{status: statusClientGone, msg: "client went away while queued"}
 		return
 	}
 
@@ -843,83 +980,26 @@ func (s *Server) process(t *task) {
 		defer stop()
 	}
 
-	compute := func() (*solvecache.Solution, bool, error) {
-		sched, solveMS, err := s.solve(ctx, t)
-		if err != nil {
-			return nil, false, err
-		}
-		// Only proven answers are cacheable: a degraded schedule is an
-		// artifact of this request's budgets, not the instance's optimum.
-		return solutionFromSchedule(sched, solveMS), !sched.Stats.Degraded, nil
-	}
-
-	// Exactly one cache consultation — a single Do, never a Get probe
-	// first — so each request contributes one outcome to the cache's
-	// Stats and the server.cache.* hit rate stays per-request truthful.
-	// The record's solve_ms is this request's own time in that step:
-	// about 0 on a hit, the wait for the leader's run when shared.
-	var (
-		sol     *solvecache.Solution
-		outcome = solvecache.Miss
-		err     error
-	)
-	step := time.Now()
-	if t.key != "" {
-		sol, outcome, err = s.cache.Do(t.key, compute)
-		ev.SolveMS = float64(time.Since(step)) / float64(time.Millisecond)
-		switch outcome {
-		case solvecache.Hit:
-			s.cacheHits.Add(1)
-			ev.Cache = "hit"
-		case solvecache.Shared:
-			s.cacheShared.Add(1)
-			ev.Cache = "shared"
-		default:
-			s.cacheMisses.Add(1)
-			ev.Cache = "miss"
-		}
-		s.refreshCacheGauges()
-		if outcome == solvecache.Miss && err == nil && sol != nil && !sol.Degraded {
-			// This miss stored its answer (degraded and failed solves
-			// are never cached): surface the growth on the timeline.
-			s.emitCacheEvent("store", 1)
-		}
-	} else {
-		sol, _, err = compute()
-		ev.SolveMS = float64(time.Since(step)) / float64(time.Millisecond)
-		ev.Cache = "bypass"
-	}
+	sched, err := s.solve(ctx, t)
 	if err != nil {
 		if t.clientCtx != nil && t.clientCtx.Err() != nil {
 			// The solve died because the caller went away mid-run (a
 			// hedge loser's cancellation propagated in) — not a server
 			// fault.
 			s.rejectedGone.Add(1)
-			t.status = statusClientGone
-			t.errMsg = "client went away during solve"
+			t.err = &httpError{status: statusClientGone, msg: "client went away during solve"}
 			return
 		}
-		t.status = http.StatusInternalServerError
-		t.errMsg = err.Error()
+		t.err = &httpError{status: http.StatusInternalServerError, msg: err.Error()}
 		return
 	}
-	ev.SolveID = sol.SolveID
-	ev.Degraded = sol.Degraded
-	ev.Reason = sol.AbortReason
-	t.resp = buildResponse(sol, outcome, ev.QueueMS)
-	if t.robust {
-		t.resp.Method = "robust"
-	} else {
-		t.resp.Method = t.opts.Method.String()
-	}
-	t.resp.TraceJSONL = t.traceJSONL
-	t.resp.RequestID = ev.ReqID
-	t.resp.SolveID = sol.SolveID
+	t.sol = solutionFromSchedule(sched, ev.SolveMS)
 }
 
 // solve runs the task's solver call, wiring trace capture and the
-// flight recorder, and reports the wall-clock spent solving.
-func (s *Server) solve(ctx context.Context, t *task) (*cosched.Schedule, float64, error) {
+// flight recorder, and records the wall-clock spent solving as the
+// request's solve_ms.
+func (s *Server) solve(ctx context.Context, t *task) (*cosched.Schedule, error) {
 	opts := t.opts
 	var traceBuf *bytes.Buffer
 	if t.trace {
@@ -938,14 +1018,14 @@ func (s *Server) solve(ctx context.Context, t *task) (*cosched.Schedule, float64
 	} else {
 		sched, err = cosched.SolveContext(ctx, t.inst, opts)
 	}
-	solveMS := float64(time.Since(start)) / float64(time.Millisecond)
+	t.ev.SolveMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
-		return nil, solveMS, err
+		return nil, err
 	}
 	if traceBuf != nil {
 		t.traceJSONL = traceBuf.String()
 	}
-	return sched, solveMS, nil
+	return sched, nil
 }
 
 // solutionFromSchedule flattens a solved schedule into its cacheable
@@ -974,32 +1054,6 @@ func solutionFromSchedule(sched *cosched.Schedule, solveMS float64) *solvecache.
 		})
 	}
 	return sol
-}
-
-// buildResponse renders a solution for one request. The solution is
-// shared across requests (cached) and only read here.
-func buildResponse(sol *solvecache.Solution, outcome solvecache.Outcome, queueMS float64) *SolveResponse {
-	resp := &SolveResponse{
-		Cost:        sol.Cost,
-		AvgCost:     sol.AvgCost,
-		Groups:      sol.Groups,
-		Machines:    sol.Machines,
-		Degraded:    sol.Degraded,
-		AbortReason: sol.AbortReason,
-		Cached:      outcome == solvecache.Hit,
-		Shared:      outcome == solvecache.Shared,
-		QueueMS:     queueMS,
-		SolveMS:     sol.SolveMS,
-	}
-	for _, fb := range sol.Fallbacks {
-		resp.Fallbacks = append(resp.Fallbacks, FallbackInfo{
-			Method:   fb.Method,
-			Degraded: fb.Degraded,
-			Aborted:  fb.Aborted,
-			Err:      fb.Err,
-		})
-	}
-	return resp
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

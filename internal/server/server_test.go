@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,7 @@ func TestBatchAnswersPositionally(t *testing.T) {
 // until the single worker has popped it off the queue.
 func parkWorker(t *testing.T, s *Server, ts *httptest.Server, deadlineMS int) chan int {
 	t.Helper()
+	admitted := s.admitted.Value()
 	done := make(chan int, 1)
 	go func() {
 		status, _ := postJSON(t, ts.URL+"/v1/solve",
@@ -167,7 +169,7 @@ func parkWorker(t *testing.T, s *Server, ts *httptest.Server, deadlineMS int) ch
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if s.admitted.Value() >= 1 && len(s.queue) == 0 {
+		if s.admitted.Value() > admitted && len(s.queue) == 0 {
 			return done
 		}
 		if time.Now().After(deadline) {
@@ -289,7 +291,9 @@ func TestHealthzAndMetricsExposition(t *testing.T) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body) //nolint:errcheck
 	resp.Body.Close()       //nolint:errcheck
-	for _, want := range []string{"cosched_server_admitted 2", "cosched_server_solves 1", "cosched_server_cache_hits 1"} {
+	// The repeat is answered by the cache without taking a queue slot:
+	// only the miss was admitted.
+	for _, want := range []string{"cosched_server_admitted 1", "cosched_server_solves 1", "cosched_server_cache_hits 1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
@@ -308,18 +312,38 @@ func TestTraceReturnsEventStreamOnMiss(t *testing.T) {
 	}
 }
 
+// TestBadRequestsAreRejected covers malformed requests and the request
+// bounds. Each oversized workload would exhaust memory if it were
+// built, so answering it at all shows it was refused first — and the
+// cache never saw any of them.
 func TestBadRequestsAreRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	for name, body := range map[string]string{
-		"no workload":    `{"method": "pg"}`,
-		"bad method":     `{"synthetic": 4, "method": "quantum"}`,
-		"bad machine":    `{"synthetic": 4, "machine": "mainframe"}`,
-		"bad accounting": `{"synthetic": 4, "accounting": "xx"}`,
-		"not json":       `{{{`,
+	s, ts := newTestServer(t, Config{Workers: 1})
+	huge := strconv.Itoa(1 << 30)
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"no workload", "/v1/solve", `{"method": "pg"}`, http.StatusBadRequest},
+		{"bad method", "/v1/solve", `{"synthetic": 4, "method": "quantum"}`, http.StatusBadRequest},
+		{"bad machine", "/v1/solve", `{"synthetic": 4, "machine": "mainframe"}`, http.StatusBadRequest},
+		{"bad accounting", "/v1/solve", `{"synthetic": 4, "accounting": "xx"}`, http.StatusBadRequest},
+		{"not json", "/v1/solve", `{{{`, http.StatusBadRequest},
+		{"huge synthetic", "/v1/solve", `{"synthetic": ` + huge + `}`, http.StatusBadRequest},
+		{"huge synthetic_large", "/v1/solve-robust", `{"synthetic_large": ` + huge + `}`, http.StatusBadRequest},
+		{"huge spec job", "/v1/solve", `{"spec": {"jobs": [{"kind": "pc", "program": "MG-Par", "procs": ` + huge + `}]}}`, http.StatusBadRequest},
+		{"huge spec total", "/v1/solve", `{"spec": {"jobs": [` +
+			strings.Repeat(`{"kind": "pe", "program": "MCM", "procs": 4000},`, 3) + `{"program": "BT"}]}}`, http.StatusBadRequest},
+		{"huge batch", "/v1/batch", `{"requests": [` + strings.Repeat(`{"synthetic": 4},`, maxBatchItems) + `{"synthetic": 4}]}`,
+			http.StatusBadRequest},
+		{"huge body", "/v1/solve", `{"synthetic": 4, "method": "` + strings.Repeat("x", maxBodyBytes) + `"}`,
+			http.StatusRequestEntityTooLarge},
 	} {
-		status, out := postJSON(t, ts.URL+"/v1/solve", body)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s: status %d (%v); want 400", name, status, out)
+		status, out := postJSON(t, ts.URL+tc.path, tc.body)
+		if status != tc.status {
+			t.Errorf("%s: status %d (%v); want %d", tc.name, status, out, tc.status)
 		}
+	}
+	if st := s.CacheStats(); st.Hits+st.Misses+st.Shared != 0 || s.admitted.Value() != 0 {
+		t.Errorf("refused requests reached the cache (%+v) or the queue (%d admitted)", st, s.admitted.Value())
 	}
 }

@@ -1,11 +1,10 @@
-// Binary serialisation for the cache's spill log: a generic
-// length-prefixed, checksummed record frame (AppendRecord/DecodeRecord)
-// and a concrete Solution codec for the daemon's cached solve results.
+// The cache's spill-log record frame (AppendRecord/DecodeRecord), and
+// Solution, the daemon's cached solve result.
 //
 // Framing (all integers big-endian):
 //
 //	magic   u8   0xC5 — rejects files that are not a spill log at all
-//	version u8   record payload version (currently 1)
+//	version u8   record payload version (currently 2: JSON values)
 //	keyLen  u32  length of the key bytes
 //	valLen  u32  length of the value bytes
 //	crc     u32  CRC-32 (IEEE) over key ++ value
@@ -15,11 +14,16 @@
 // The frame — magic, lengths, checksum — is fixed for all versions, so
 // a reader that meets a record with an unknown version can still trust
 // the lengths, verify the checksum, and skip the record whole. Only the
-// value payload is versioned. Decode errors distinguish a torn tail
-// (ErrTruncated: the bytes simply stop mid-record, expected after a
-// crash, fixed by truncating) from corruption (ErrCorrupt: the bytes
-// are there but wrong — bad magic, insane lengths, checksum mismatch —
-// so nothing after them can be trusted either).
+// value payload is versioned; version 2 is the value's encoding/json
+// form, and older binary records are skipped. The version also guards
+// answers: records are keyed by request, so a change to a workload
+// generator or a solver that alters the answer a key stands for must
+// bump it, or a restarted daemon would replay stale answers. Decode
+// errors distinguish a torn tail (ErrTruncated: the bytes simply stop
+// mid-record, expected after a crash, fixed by truncating) from
+// corruption (ErrCorrupt: the bytes are there but wrong — bad magic,
+// insane lengths, checksum mismatch — so nothing after them can be
+// trusted either).
 package solvecache
 
 import (
@@ -27,18 +31,17 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 const (
 	recordMagic   = 0xC5
-	recordVersion = 1
+	recordVersion = 2
 	// recordHeaderLen is the fixed frame prefix: magic + version +
 	// keyLen + valLen + crc.
 	recordHeaderLen = 1 + 1 + 4 + 4 + 4
 
 	// maxKeyLen and maxValueLen bound what a decoder will believe. A
-	// fingerprint key is ~100 bytes and a solution a few KB; anything
+	// request key is ~140 bytes and a solution a few KB; anything
 	// near these limits is garbage lengths from a corrupt frame, and
 	// refusing them keeps a flipped length bit from making the decoder
 	// "skip" gigabytes.
@@ -127,8 +130,8 @@ func DecodeRecord(b []byte) (rec Record, n int, err error) {
 // Solution is a solve result in cacheable form: everything the daemon
 // needs to answer a repeated request — assignment, cost, and the solve
 // metadata the response reports — with no live solver state, so it
-// serialises and survives a restart. The server builds one from each
-// *cosched.Schedule it decides to cache.
+// marshals to the spill log and survives a restart. The server builds
+// one from each *cosched.Schedule it decides to cache.
 type Solution struct {
 	Cost        float64
 	AvgCost     float64
@@ -141,27 +144,19 @@ type Solution struct {
 	SolveID     uint64
 }
 
-// SolutionFallback mirrors one entry of the solve's fallback chain.
+// SolutionFallback is one SolveRobust ladder attempt, stored with the
+// solution and sent as is in the response (server.FallbackInfo).
 type SolutionFallback struct {
-	Method   string
-	Degraded bool
-	Aborted  string
-	Err      string
+	// Method is the rung's algorithm; Degraded/Aborted/Err mirror
+	// cosched.Fallback.
+	Method   string `json:"method"`
+	Degraded bool   `json:"degraded,omitempty"`
+	Aborted  string `json:"aborted,omitempty"`
+	Err      string `json:"err,omitempty"`
 }
 
-// solutionFieldBounds keep a corrupt record from convincing the decoder
-// to allocate absurd slices. Real instances top out at hundreds of
-// jobs and a handful of fallback steps.
-const (
-	maxSolutionGroups    = 1 << 20
-	maxSolutionFallbacks = 1 << 10
-	maxSolutionStringLen = 4 << 10
-)
-
-// SizeBytes reports the solution's approximate resident size, used as
-// the cache's byte-cost function. It intentionally tracks the encoded
-// size (the dominant slices cost the same in either form) so the byte
-// bound means the same thing in memory and on disk.
+// SizeBytes reports the solution's approximate size, used as the
+// cache's byte-cost function.
 func (s *Solution) SizeBytes() int {
 	n := 8 + 8 + 8 + 1 + len(s.AbortReason) + 8 + 8 // fixed fields
 	for _, g := range s.Groups {
@@ -177,201 +172,4 @@ func (s *Solution) SizeBytes() int {
 		n += 1 + len(fb.Method) + len(fb.Aborted) + len(fb.Err) + 3*4
 	}
 	return n
-}
-
-// Encode serialises the solution as the version-1 record payload.
-func (s *Solution) Encode() ([]byte, error) {
-	b := make([]byte, 0, s.SizeBytes()+64)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(s.Cost))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(s.AvgCost))
-	var flags byte
-	if s.Degraded {
-		flags = 1
-	}
-	b = append(b, flags)
-	var err error
-	if b, err = appendString(b, s.AbortReason); err != nil {
-		return nil, err
-	}
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(s.SolveMS))
-	b = binary.BigEndian.AppendUint64(b, s.SolveID)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Groups)))
-	for _, g := range s.Groups {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(g)))
-		for _, p := range g {
-			b = binary.BigEndian.AppendUint64(b, uint64(int64(p)))
-		}
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Machines)))
-	for _, m := range s.Machines {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(m)))
-		for _, name := range m {
-			if b, err = appendString(b, name); err != nil {
-				return nil, err
-			}
-		}
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Fallbacks)))
-	for _, fb := range s.Fallbacks {
-		if b, err = appendString(b, fb.Method); err != nil {
-			return nil, err
-		}
-		var fbFlags byte
-		if fb.Degraded {
-			fbFlags = 1
-		}
-		b = append(b, fbFlags)
-		if b, err = appendString(b, fb.Aborted); err != nil {
-			return nil, err
-		}
-		if b, err = appendString(b, fb.Err); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// DecodeSolution parses a version-1 payload produced by Encode. It is
-// strict: every length is bounded, every read is checked, and trailing
-// bytes are an error — a record that decodes is a record that
-// round-trips.
-func DecodeSolution(b []byte) (*Solution, error) {
-	d := &solutionDecoder{b: b}
-	s := &Solution{}
-	s.Cost = math.Float64frombits(d.u64())
-	s.AvgCost = math.Float64frombits(d.u64())
-	s.Degraded = d.u8() != 0
-	s.AbortReason = d.str()
-	s.SolveMS = math.Float64frombits(d.u64())
-	s.SolveID = d.u64()
-	nGroups := d.u32()
-	if nGroups > maxSolutionGroups {
-		return nil, fmt.Errorf("%w: %d groups", ErrCorrupt, nGroups)
-	}
-	if d.err == nil && nGroups > 0 {
-		s.Groups = make([][]int, 0, min(int(nGroups), 1024))
-		for i := uint32(0); i < nGroups && d.err == nil; i++ {
-			nJobs := d.u32()
-			if nJobs > maxSolutionGroups {
-				return nil, fmt.Errorf("%w: %d jobs in group", ErrCorrupt, nJobs)
-			}
-			g := make([]int, 0, min(int(nJobs), 1024))
-			for j := uint32(0); j < nJobs && d.err == nil; j++ {
-				g = append(g, int(int64(d.u64())))
-			}
-			s.Groups = append(s.Groups, g)
-		}
-	}
-	nMachines := d.u32()
-	if nMachines > maxSolutionGroups {
-		return nil, fmt.Errorf("%w: %d machines", ErrCorrupt, nMachines)
-	}
-	if d.err == nil && nMachines > 0 {
-		s.Machines = make([][]string, 0, min(int(nMachines), 1024))
-		for i := uint32(0); i < nMachines && d.err == nil; i++ {
-			nNames := d.u32()
-			if nNames > maxSolutionGroups {
-				return nil, fmt.Errorf("%w: %d names in machine group", ErrCorrupt, nNames)
-			}
-			m := make([]string, 0, min(int(nNames), 1024))
-			for j := uint32(0); j < nNames && d.err == nil; j++ {
-				m = append(m, d.str())
-			}
-			s.Machines = append(s.Machines, m)
-		}
-	}
-	nFallbacks := d.u32()
-	if nFallbacks > maxSolutionFallbacks {
-		return nil, fmt.Errorf("%w: %d fallbacks", ErrCorrupt, nFallbacks)
-	}
-	if d.err == nil && nFallbacks > 0 {
-		s.Fallbacks = make([]SolutionFallback, 0, min(int(nFallbacks), 64))
-		for i := uint32(0); i < nFallbacks && d.err == nil; i++ {
-			var fb SolutionFallback
-			fb.Method = d.str()
-			fb.Degraded = d.u8() != 0
-			fb.Aborted = d.str()
-			fb.Err = d.str()
-			s.Fallbacks = append(s.Fallbacks, fb)
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != d.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
-	}
-	return s, nil
-}
-
-// solutionDecoder is a cursor with sticky error state: after the first
-// short or invalid read every later read returns zero values, and the
-// caller checks err once at the end.
-type solutionDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *solutionDecoder) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off+n > len(d.b) {
-		d.err = ErrTruncated
-		return false
-	}
-	return true
-}
-
-func (d *solutionDecoder) u8() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *solutionDecoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *solutionDecoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *solutionDecoder) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxSolutionStringLen {
-		d.err = fmt.Errorf("%w: %d-byte string", ErrCorrupt, n)
-		return ""
-	}
-	if !d.need(int(n)) {
-		return ""
-	}
-	v := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return v
-}
-
-func appendString(b []byte, s string) ([]byte, error) {
-	if len(s) > maxSolutionStringLen {
-		return b, fmt.Errorf("solvecache: string of %d bytes exceeds the %d-byte limit", len(s), maxSolutionStringLen)
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...), nil
 }

@@ -2,7 +2,12 @@ package solvecache
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,49 +29,74 @@ func sampleSolution() *Solution {
 	}
 }
 
+// TestSolutionRoundTrip stores solutions through a spilled cache and
+// replays them: the JSON payload must restore every field.
 func TestSolutionRoundTrip(t *testing.T) {
-	for name, s := range map[string]*Solution{
+	sols := map[string]*Solution{
 		"full":  sampleSolution(),
 		"empty": {},
 		"degraded": {
 			Cost: 9, AvgCost: 3, Degraded: true, AbortReason: "memory",
 			Groups: [][]int{{0}}, Machines: [][]string{{"m"}},
 		},
-	} {
-		enc, err := s.Encode()
-		if err != nil {
-			t.Fatalf("%s: Encode: %v", name, err)
-		}
-		got, err := DecodeSolution(enc)
-		if err != nil {
-			t.Fatalf("%s: DecodeSolution: %v", name, err)
-		}
-		reenc, err := got.Encode()
-		if err != nil {
-			t.Fatalf("%s: re-Encode: %v", name, err)
-		}
-		if !bytes.Equal(enc, reenc) {
-			t.Errorf("%s: round trip is not identity", name)
-		}
-		if got.Cost != s.Cost || got.SolveID != s.SolveID || got.Degraded != s.Degraded {
-			t.Errorf("%s: decoded %+v; want %+v", name, got, s)
+	}
+	dir := t.TempDir()
+	c, err := NewWithConfig(Config[*Solution]{Spill: &SpillConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range sols {
+		c.Put(name, s)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewWithConfig(Config[*Solution]{Spill: &SpillConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close() //nolint:errcheck
+	for name, s := range sols {
+		got, ok := c2.Get(name)
+		if !ok || !reflect.DeepEqual(got, s) {
+			t.Errorf("%s: replayed (%+v, %v); want %+v", name, got, ok, s)
 		}
 	}
 }
 
+// TestDecodeSolutionRejectsDamage replays payloads that frame and
+// checksum cleanly but are not a solution's JSON: each is skipped, and
+// the intact record after them still replays.
 func TestDecodeSolutionRejectsDamage(t *testing.T) {
-	enc, err := sampleSolution().Encode()
+	enc, err := json.Marshal(sampleSolution())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeSolution(enc[:len(enc)-3]); !errors.Is(err, ErrTruncated) {
-		t.Errorf("short payload: err = %v; want ErrTruncated", err)
+	var seg []byte
+	for i, payload := range [][]byte{
+		enc[:len(enc)-3], // short payload
+		append(append([]byte(nil), enc...), 0xFF), // trailing byte
+		nil, // empty payload
+		enc,
+	} {
+		if seg, err = AppendRecord(seg, Record{Key: strconv.Itoa(i), Value: payload}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := DecodeSolution(append(append([]byte(nil), enc...), 0xFF)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("trailing byte: err = %v; want ErrCorrupt", err)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "cache-00000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeSolution(nil); !errors.Is(err, ErrTruncated) {
-		t.Errorf("empty payload: err = %v; want ErrTruncated", err)
+	c, err := NewWithConfig(Config[*Solution]{Spill: &SpillConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+	if st := c.Stats(); st.Replayed != 1 || st.ReplaySkipped != 3 {
+		t.Fatalf("Replayed/Skipped = %d/%d; want 1/3", st.Replayed, st.ReplaySkipped)
+	}
+	if got, ok := c.Get("3"); !ok || !reflect.DeepEqual(got, sampleSolution()) {
+		t.Errorf("intact record replayed as (%+v, %v)", got, ok)
 	}
 }
 
@@ -172,22 +202,26 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSolution does the same for the value payload decoder.
+// FuzzDecodeSolution feeds the spill payload decoder (JSON into a
+// *Solution, as replay does) arbitrary bytes: it must never panic, and
+// anything it accepts must re-encode to a payload that decodes to the
+// same solution.
 func FuzzDecodeSolution(f *testing.F) {
-	seed, _ := sampleSolution().Encode()
+	seed, _ := json.Marshal(sampleSolution())
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := DecodeSolution(b)
-		if err != nil {
+		var s *Solution
+		if json.Unmarshal(b, &s) != nil {
 			return
 		}
-		reenc, err := s.Encode()
+		reenc, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("accepted solution does not re-encode: %v", err)
 		}
-		if !bytes.Equal(reenc, b) {
-			t.Fatal("accepted solution does not round-trip to its input bytes")
+		var again *Solution
+		if err := json.Unmarshal(reenc, &again); err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("accepted solution does not round-trip (%v)", err)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package solvecache provides the serving daemon's solved-schedule
-// cache: a byte- and capacity-bounded LRU keyed by canonical
-// instance+options fingerprints, with singleflight deduplication so
-// that concurrent requests for the same schedule run the solver once
+// cache: a byte- and capacity-bounded LRU keyed by request (workload
+// key, options fingerprint, endpoint), with singleflight deduplication
+// so that concurrent requests for the same schedule run the solver once
 // and share the result, and an optional write-behind disk spill so a
 // daemon restarted against the same directory keeps its hit rate.
 //
@@ -11,7 +11,7 @@
 // callback of Do.
 //
 // Internally the key space is split over lock-striped shards (by a hash
-// of the fingerprint string), each an independent LRU+singleflight
+// of the key string), each an independent LRU+singleflight
 // behind its own mutex, so a daemon running many solver workers does not
 // serialise every request on one cache lock. Small capacities stay on a
 // single shard, keeping the LRU eviction order exact where tests and
@@ -24,11 +24,11 @@
 // entry-count bound (Config.Capacity) composes with it — an entry is
 // evicted when either bound is exceeded.
 //
-// Persistence (Config.Spill) appends every stored entry to a
-// length-prefixed, checksummed segment log (see codec.go and spill.go);
-// constructing a cache over the same directory replays the valid
-// records to pre-warm the LRU. Corrupt or version-skewed records are
-// skipped, and a crash-torn tail is truncated, never trusted.
+// Persistence (Config.Spill) appends every stored entry, its value as
+// JSON, to a length-prefixed, checksummed segment log (see codec.go and
+// spill.go); constructing a cache over the same directory replays the
+// valid records to pre-warm the LRU. Corrupt or version-skewed records
+// are skipped, and a crash-torn tail is truncated, never trusted.
 package solvecache
 
 import (
@@ -66,9 +66,9 @@ func (o Outcome) String() string {
 
 // Stats is a point-in-time snapshot of cache effectiveness counters,
 // aggregated across shards. Hits + Misses + Shared equals the number of
-// logical Get/Do calls: a Do that internally retried after a panicked
-// leader still contributes exactly one outcome (the retry rounds are
-// counted separately under Retries).
+// logical Get/Do calls: a Do that internally retried after a failed
+// leader still contributes exactly one outcome, the one it returns (the
+// retry rounds are counted separately under Retries).
 type Stats struct {
 	// Hits counts Do/Get calls answered from the cache.
 	Hits int64
@@ -78,8 +78,8 @@ type Stats struct {
 	// computation instead of running their own.
 	Shared int64
 	// Retries counts the extra singleflight rounds Do callers ran after
-	// a flight leader died without a result (panicked). Retried calls
-	// keep their original outcome classification, so Retries is
+	// a flight leader failed (returned an error or panicked). Retried
+	// calls keep their original outcome classification, so Retries is
 	// additional work, not an additional outcome.
 	Retries int64
 	// Evictions counts entries removed by the capacity or byte bound
@@ -119,9 +119,9 @@ const nShards = 16
 const shardThreshold = 64
 
 // maxDoAttempts bounds the singleflight rounds of one Do call: the
-// initial round plus up to maxDoAttempts-1 retries after panicked
+// initial round plus up to maxDoAttempts-1 retries after failed
 // leaders. A caller that exhausts the budget computes alone, outside
-// the flight table, so repeatedly-panicking computations can never
+// the flight table, so repeatedly-failing computations can never
 // recurse Do unboundedly.
 const maxDoAttempts = 4
 
@@ -138,9 +138,7 @@ type entry[V any] struct {
 type flight[V any] struct {
 	done  chan struct{}
 	v     V
-	ok    bool
-	err   error
-	retry bool // leader died without a result; waiters recompute
+	retry bool // leader failed: waiters recompute
 }
 
 // shard is one lock stripe of the cache: an independent LRU with its
@@ -179,7 +177,6 @@ type Cache[V any] struct {
 	// replay-time counters are fixed at construction.
 	spillMu       sync.Mutex
 	spill         *spillLog
-	encode        func(V) ([]byte, error)
 	spilled       atomic.Int64
 	spillErrors   atomic.Int64
 	replayed      int64
@@ -187,19 +184,16 @@ type Cache[V any] struct {
 }
 
 // SpillConfig enables the write-behind disk spill: stored entries are
-// appended to a segment log under Dir, and constructing a cache over
-// the same directory replays the log to pre-warm the LRU (see spill.go
-// for the on-disk format and crash-tolerance rules).
-type SpillConfig[V any] struct {
+// appended to a segment log under Dir, each value as its encoding/json
+// form, and constructing a cache over the same directory replays the log
+// to pre-warm the LRU (see spill.go for the on-disk format and
+// crash-tolerance rules). A value that does not marshal is kept resident
+// but not persisted (Stats.SpillErrors); a record whose value does not
+// unmarshal is skipped at replay (Stats.ReplaySkipped).
+type SpillConfig struct {
 	// Dir is the spill directory, created if missing. One cache owns a
 	// directory at a time; there is no cross-process locking.
 	Dir string
-	// Encode serialises a value for the log; Decode reverses it. A
-	// Decode error during replay skips that record (counted under
-	// Stats.ReplaySkipped) — replay never trusts a record it cannot
-	// validate end to end.
-	Encode func(V) ([]byte, error)
-	Decode func([]byte) (V, error)
 	// SegmentBytes caps each segment file before the log rotates to a
 	// fresh one (<= 0 means 4 MiB). Sealed segments are recorded in a
 	// synced manifest; only the active tail can be crash-torn.
@@ -228,7 +222,7 @@ type Config[V any] struct {
 	// oversized entries, whose keys were never resident).
 	OnEvict func(key string)
 	// Spill, if non-nil, enables the disk spill (see SpillConfig).
-	Spill *SpillConfig[V]
+	Spill *SpillConfig
 }
 
 // New returns a memory-only cache holding at most capacity entries
@@ -257,13 +251,8 @@ func NewWithConfig[V any](cfg Config[V]) (*Cache[V], error) {
 	if cfg.MaxBytes > 0 && cfg.SizeOf == nil {
 		return nil, fmt.Errorf("solvecache: MaxBytes requires a SizeOf function")
 	}
-	if cfg.Spill != nil {
-		switch {
-		case cfg.Spill.Dir == "":
-			return nil, fmt.Errorf("solvecache: spill requires a directory")
-		case cfg.Spill.Encode == nil || cfg.Spill.Decode == nil:
-			return nil, fmt.Errorf("solvecache: spill requires Encode and Decode functions")
-		}
+	if cfg.Spill != nil && cfg.Spill.Dir == "" {
+		return nil, fmt.Errorf("solvecache: spill requires a directory")
 	}
 	n := nShards
 	if cfg.Capacity > 0 && cfg.Capacity < shardThreshold {
@@ -418,103 +407,97 @@ func (s *shard[V]) notifyEvicted(keys []string) {
 // Do returns the value for key, computing it at most once across
 // concurrent callers. On a cache hit the computation never runs. On a
 // miss, exactly one caller runs compute while the rest block and share
-// its result; compute's ok return decides whether the value is stored
-// (uncacheable or failed computations are handed to their callers but
-// never cached, so a later Do retries). If compute panics, the panic
-// propagates to that caller while waiting callers transparently retry —
-// the flight is cleaned up either way, so a panic never wedges the key.
+// its value; compute's ok return decides whether the value is stored
+// (uncacheable values are handed to their callers but never cached, so
+// a later Do computes again). Waiters share a leader's value, never its
+// failure: when compute returns an error or panics, the error or panic
+// goes to the leader alone and each waiter runs another round of its
+// own — the flight is cleaned up either way, so a failure never wedges
+// the key.
 //
 // Stats contract: every Do counts exactly one outcome (hit, miss or
-// shared), decided on its first round; internal retry rounds after a
-// panicked leader are counted under Stats.Retries instead of inflating
-// the outcome counters. Retries are bounded: after maxDoAttempts rounds
-// a caller runs compute alone, outside the flight table, so a
-// repeatedly-panicking computation terminates instead of recursing.
+// shared), decided on its first round, and returns that outcome; the
+// retry rounds after a failed leader are counted under Stats.Retries
+// instead of inflating the outcome counters. Retries are bounded: after
+// maxDoAttempts rounds a caller runs compute alone, outside the flight
+// table, so a repeatedly-failing computation terminates instead of
+// recursing.
 func (c *Cache[V]) Do(key string, compute func() (V, bool, error)) (V, Outcome, error) {
 	s := c.shardFor(key)
-	counted := false
+	var outcome Outcome // decided, and counted, on the first round
 	for attempt := 1; ; attempt++ {
 		s.mu.Lock()
 		if e, ok := s.m[key]; ok {
-			if !counted {
+			if attempt == 1 {
 				s.hits++
+				outcome = Hit
 			}
 			s.ll.MoveToFront(e)
 			v := e.Value.(*entry[V]).v
 			s.mu.Unlock()
-			return v, Hit, nil
+			return v, outcome, nil
 		}
 		if f, ok := s.flights[key]; ok && attempt < maxDoAttempts {
-			if !counted {
+			if attempt == 1 {
 				s.shared++
-				counted = true
+				outcome = Shared
 			}
 			s.mu.Unlock()
 			<-f.done
 			if f.retry {
-				// The leader's computation vanished without a result
-				// (panic): its zero value is not an answer, so run
+				// The leader failed, and its failure is its own: run
 				// another round — as a fresh waiter or the new leader.
 				c.retries.Add(1)
 				continue
 			}
-			return f.v, Shared, f.err
+			return f.v, outcome, nil
 		}
 		// Leader path. Past the retry budget the flight table is left
 		// untouched (f == nil): the caller computes alone, bounding the
-		// damage a panicking compute can do to its waiters.
+		// damage a failing compute can do to its waiters.
 		var f *flight[V]
 		if attempt < maxDoAttempts {
 			f = &flight[V]{done: make(chan struct{})}
 			s.flights[key] = f
 		}
-		if !counted {
+		if attempt == 1 {
 			s.misses++
-			counted = true
+			outcome = Miss
 		}
 		s.mu.Unlock()
-		return c.lead(s, key, f, compute)
+		v, err := c.lead(s, key, f, compute)
+		return v, outcome, err
 	}
 }
 
 // lead runs compute as the flight leader (or alone, past the retry
 // budget, when f is nil), stores cacheable results, and settles the
-// flight — including the panic path, where waiters are told to retry.
-func (c *Cache[V]) lead(s *shard[V], key string, f *flight[V], compute func() (V, bool, error)) (V, Outcome, error) {
-	if f == nil {
-		v, ok, err := compute()
-		if ok && err == nil {
-			s.mu.Lock()
-			evicted := s.putLocked(key, v)
-			s.mu.Unlock()
-			s.notifyEvicted(evicted)
-			c.spillAppend(key, v)
-		}
-		return v, Miss, err
-	}
-	completed := false
+// flight — telling waiters to retry when compute failed or panicked.
+func (c *Cache[V]) lead(s *shard[V], key string, f *flight[V], compute func() (V, bool, error)) (v V, err error) {
+	var ok, completed bool
 	defer func() {
+		stored := completed && ok && err == nil
 		s.mu.Lock()
-		delete(s.flights, key)
-		stored := completed && f.ok && f.err == nil
 		var evicted []string
 		if stored {
-			evicted = s.putLocked(key, f.v)
+			evicted = s.putLocked(key, v)
 		}
-		if !completed {
-			f.retry = true // leader panicked: waiters must recompute
+		if f != nil {
+			delete(s.flights, key)
+			f.v, f.retry = v, !completed || err != nil
 		}
 		s.mu.Unlock()
 		s.notifyEvicted(evicted)
-		close(f.done)
+		if f != nil {
+			close(f.done)
+		}
 		if stored {
-			c.spillAppend(key, f.v)
+			c.spillAppend(key, v)
 		}
 	}()
-	v, ok, err := compute()
+	v, ok, err = compute()
 	completed = true
-	f.v, f.ok, f.err = v, ok, err
-	return v, Miss, err
+	return v, err
 }
 
 // Len returns the current entry count across all shards (O(1)).

@@ -281,56 +281,74 @@ func TestShardCapacitySums(t *testing.T) {
 }
 
 // TestDoRetryCountsOnce is the singleflight-retry regression test: when
-// a flight leader panics, its 8 waiters retry — and before the fix each
-// retry re-entered Do and counted a second miss/shared for the same
-// logical call. Every logical call must contribute exactly one outcome;
-// the extra rounds surface under Stats.Retries instead.
+// a flight leader fails — panics, or returns an error — its 8 waiters
+// retry instead of sharing the failure, and before the fix each retry
+// re-entered Do and counted a second miss/shared for the same logical
+// call. Every logical call must contribute exactly one outcome, the one
+// Do returns; the extra rounds surface under Stats.Retries instead.
 func TestDoRetryCountsOnce(t *testing.T) {
-	c := New[int](0, nil)
-	release := make(chan struct{})
-	started := make(chan struct{})
+	boom := errors.New("leader fails")
+	for _, fail := range []string{"panic", "error"} {
+		c := New[int](0, nil)
+		release := make(chan struct{})
+		started := make(chan struct{})
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if recover() == nil {
-				t.Error("leader panic did not propagate")
-			}
-		}()
-		c.Do("k", func() (int, bool, error) { //nolint:errcheck
-			close(started)
-			<-release
-			panic("leader dies")
-		})
-	}()
-	<-started
-
-	const waiters = 8
-	for i := 0; i < waiters; i++ {
+		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.Do("k", func() (int, bool, error) { return 42, true, nil })
-			if err != nil || v != 42 {
-				t.Errorf("waiter Do = (%d, %v); want (42, nil)", v, err)
+			defer func() {
+				if r := recover(); (r != nil) != (fail == "panic") {
+					t.Errorf("%s: leader recover() = %v", fail, r)
+				}
+			}()
+			_, out, err := c.Do("k", func() (int, bool, error) {
+				close(started)
+				<-release
+				if fail == "panic" {
+					panic("leader dies")
+				}
+				return 0, false, boom
+			})
+			if out != Miss || err != boom {
+				t.Errorf("%s: leader Do = (%v, %v); want (miss, its own error)", fail, out, err)
 			}
 		}()
-	}
-	for c.Stats().Shared < waiters {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
+		<-started
 
-	st := c.Stats()
-	if got := st.Hits + st.Misses + st.Shared; got != waiters+1 {
-		t.Errorf("outcomes sum to %d for %d logical calls; want %d (retries must not inflate)",
-			got, waiters+1, waiters+1)
-	}
-	if st.Retries == 0 {
-		t.Error("Retries = 0; want > 0 after a panicked leader's waiters recomputed")
+		const waiters = 8
+		var returned [Hit + 1]atomic.Int64
+		for i := 0; i < waiters; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v, out, err := c.Do("k", func() (int, bool, error) { return 42, true, nil })
+				if err != nil || v != 42 {
+					t.Errorf("%s: waiter Do = (%d, %v); want (42, nil)", fail, v, err)
+				}
+				returned[out].Add(1)
+			}()
+		}
+		for c.Stats().Shared < waiters {
+			runtime.Gosched()
+		}
+		close(release)
+		wg.Wait()
+
+		st := c.Stats()
+		if got := st.Hits + st.Misses + st.Shared; got != waiters+1 {
+			t.Errorf("%s: outcomes sum to %d for %d logical calls; want %d (retries must not inflate)",
+				fail, got, waiters+1, waiters+1)
+		}
+		// The leader returned Miss; every waiter must return what Stats
+		// counted for it.
+		if st.Hits != returned[Hit].Load() || st.Misses != returned[Miss].Load()+1 || st.Shared != returned[Shared].Load() {
+			t.Errorf("%s: Stats %d/%d/%d (hit/miss/shared) but Do returned %d/%d/%d plus the leader's miss", fail,
+				st.Hits, st.Misses, st.Shared, returned[Hit].Load(), returned[Miss].Load(), returned[Shared].Load())
+		}
+		if st.Retries == 0 {
+			t.Errorf("%s: Retries = 0; want > 0 after a failed leader's waiters recomputed", fail)
+		}
 	}
 }
 
@@ -456,11 +474,8 @@ func TestNewWithConfigValidation(t *testing.T) {
 	if _, err := NewWithConfig(Config[int]{MaxBytes: 1}); err == nil {
 		t.Error("MaxBytes without SizeOf accepted; want error")
 	}
-	if _, err := NewWithConfig(Config[int]{Spill: &SpillConfig[int]{}}); err == nil {
+	if _, err := NewWithConfig(Config[int]{Spill: &SpillConfig{}}); err == nil {
 		t.Error("spill without directory accepted; want error")
-	}
-	if _, err := NewWithConfig(Config[int]{Spill: &SpillConfig[int]{Dir: t.TempDir()}}); err == nil {
-		t.Error("spill without codec accepted; want error")
 	}
 }
 

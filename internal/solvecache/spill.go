@@ -25,6 +25,7 @@
 package solvecache
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -54,7 +55,7 @@ type spillLog struct {
 // into the cache, compacts the surviving entries, and wires the log in
 // for write-behind appends. Called from NewWithConfig before the cache
 // is shared, so replay may use putLocked without spill re-appends.
-func (c *Cache[V]) attachSpill(cfg *SpillConfig[V]) error {
+func (c *Cache[V]) attachSpill(cfg *SpillConfig) error {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("solvecache: spill dir: %w", err)
 	}
@@ -67,7 +68,7 @@ func (c *Cache[V]) attachSpill(cfg *SpillConfig[V]) error {
 		return err
 	}
 	for i, seg := range segs {
-		replayed, skipped, err := c.replaySegment(seg, cfg.Decode, i == len(segs)-1)
+		replayed, skipped, err := c.replaySegment(seg, i == len(segs)-1)
 		if err != nil {
 			return err
 		}
@@ -75,11 +76,10 @@ func (c *Cache[V]) attachSpill(cfg *SpillConfig[V]) error {
 		c.replaySkipped += skipped
 	}
 	log := &spillLog{dir: cfg.Dir, segmentBytes: segBytes, seq: maxSeq}
-	if err := c.compact(log, cfg.Encode, segs); err != nil {
+	if err := c.compact(log, segs); err != nil {
 		return err
 	}
 	c.spill = log
-	c.encode = cfg.Encode
 	return nil
 }
 
@@ -112,9 +112,10 @@ func listSegments(dir string) (paths []string, maxSeq int, err error) {
 
 // replaySegment replays one segment file into the cache. A torn record
 // in the log's final segment (isTail) is truncated away; any other
-// decode failure skips the rest of the segment. Only I/O errors — not
-// data errors — fail the replay.
-func (c *Cache[V]) replaySegment(path string, decode func([]byte) (V, error), isTail bool) (replayed, skipped int64, err error) {
+// frame failure skips the rest of the segment, and a value that does
+// not unmarshal skips its record. Only I/O errors — not data errors —
+// fail the replay.
+func (c *Cache[V]) replaySegment(path string, isTail bool) (replayed, skipped int64, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("solvecache: replay %s: %w", path, err)
@@ -125,8 +126,8 @@ func (c *Cache[V]) replaySegment(path string, decode func([]byte) (V, error), is
 		switch {
 		case err == nil:
 			off += n
-			v, derr := decode(rec.Value)
-			if derr != nil {
+			var v V
+			if json.Unmarshal(rec.Value, &v) != nil {
 				skipped++
 				continue
 			}
@@ -165,7 +166,7 @@ func (c *Cache[V]) replaySegment(path string, decode func([]byte) (V, error), is
 // files, leaving the log no larger than the live set. Entries are
 // written back-to-front per shard so replaying the compacted log
 // reproduces the LRU order (most recent inserted last = most recent).
-func (c *Cache[V]) compact(log *spillLog, encode func(V) ([]byte, error), oldSegs []string) error {
+func (c *Cache[V]) compact(log *spillLog, oldSegs []string) error {
 	if err := log.openSegment(); err != nil {
 		return err
 	}
@@ -174,9 +175,9 @@ func (c *Cache[V]) compact(log *spillLog, encode func(V) ([]byte, error), oldSeg
 		s.mu.Lock()
 		for e := s.ll.Back(); e != nil; e = e.Prev() {
 			ent := e.Value.(*entry[V])
-			val, err := encode(ent.v)
+			val, err := json.Marshal(ent.v)
 			if err != nil {
-				continue // undecodable-for-reencode: drop from the log only
+				continue // unmarshalable: drop from the log only
 			}
 			buf, err = AppendRecord(buf[:0], Record{Key: ent.key, Value: val})
 			if err != nil {
@@ -317,7 +318,7 @@ func (c *Cache[V]) spillAppend(key string, v V) {
 	if c.spill == nil {
 		return
 	}
-	val, err := c.encode(v)
+	val, err := json.Marshal(v)
 	if err != nil {
 		c.spillErrors.Add(1)
 		return

@@ -9,18 +9,9 @@ import (
 	"testing"
 )
 
-// stringSpill is the test codec: values are their own bytes.
-func stringSpill(dir string) *SpillConfig[string] {
-	return &SpillConfig[string]{
-		Dir:    dir,
-		Encode: func(v string) ([]byte, error) { return []byte(v), nil },
-		Decode: func(b []byte) (string, error) { return string(b), nil },
-	}
-}
-
 func newSpilled(t *testing.T, dir string, cfg Config[string]) *Cache[string] {
 	t.Helper()
-	cfg.Spill = stringSpill(dir)
+	cfg.Spill = &SpillConfig{Dir: dir}
 	c, err := NewWithConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,50 +170,56 @@ func TestSpillCorruptMiddle(t *testing.T) {
 	}
 }
 
+// TestSpillVersionSkewSkipsRecord covers both directions of skew: a
+// record from a newer build, and a version-1 record (the retired binary
+// Solution payload) met on the first boot of this build.
 func TestSpillVersionSkewSkipsRecord(t *testing.T) {
-	dir := t.TempDir()
-	c := newSpilled(t, dir, Config[string]{})
-	c.Put("v1-a", "keep-a")
-	c.Put("future", "from-a-newer-build")
-	c.Put("v1-b", "keep-b")
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, version := range []byte{99, 1} {
+		dir := t.TempDir()
+		c := newSpilled(t, dir, Config[string]{})
+		c.Put("cur-a", "keep-a")
+		c.Put("skewed", "from-another-build")
+		c.Put("cur-b", "keep-b")
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	segs, _, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(segs[len(segs)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, n, err := DecodeRecord(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[n+1] = 99 // version byte of the second record
-	if err := os.WriteFile(segs[len(segs)-1], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		segs, _, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(segs[len(segs)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, n, err := DecodeRecord(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[n+1] = version // version byte of the second record
+		if err := os.WriteFile(segs[len(segs)-1], b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	c2 := newSpilled(t, dir, Config[string]{})
-	defer c2.Close() //nolint:errcheck
-	st := c2.Stats()
-	if st.Replayed != 2 || st.ReplaySkipped != 1 {
-		t.Fatalf("Replayed/Skipped = %d/%d; want 2/1 (skew skips one record, not the segment)",
-			st.Replayed, st.ReplaySkipped)
-	}
-	if _, ok := c2.Get("v1-b"); !ok {
-		t.Error("record after the skewed one was not replayed")
+		c2 := newSpilled(t, dir, Config[string]{})
+		st := c2.Stats()
+		if st.Replayed != 2 || st.ReplaySkipped != 1 {
+			t.Fatalf("version %d: Replayed/Skipped = %d/%d; want 2/1 (skew skips one record, not the segment)",
+				version, st.Replayed, st.ReplaySkipped)
+		}
+		if _, ok := c2.Get("cur-b"); !ok {
+			t.Errorf("version %d: record after the skewed one was not replayed", version)
+		}
+		if _, ok := c2.Get("skewed"); ok {
+			t.Errorf("version %d: skewed record was replayed", version)
+		}
+		c2.Close() //nolint:errcheck
 	}
 }
 
 func TestSpillRotation(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config[string]{}
-	cfg.Spill = stringSpill(dir)
-	cfg.Spill.SegmentBytes = 256
+	cfg := Config[string]{Spill: &SpillConfig{Dir: dir, SegmentBytes: 256}}
 	c, err := NewWithConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,9 +246,7 @@ func TestSpillRotation(t *testing.T) {
 		t.Error("MANIFEST empty after rotation; want sealed segment names")
 	}
 
-	cfg2 := Config[string]{}
-	cfg2.Spill = stringSpill(dir)
-	cfg2.Spill.SegmentBytes = 256
+	cfg2 := Config[string]{Spill: &SpillConfig{Dir: dir, SegmentBytes: 256}}
 	c2, err := NewWithConfig(cfg2)
 	if err != nil {
 		t.Fatal(err)

@@ -78,11 +78,11 @@ import (
 //	             join key between the HTTP timeline and the solver
 //	             timeline; requests that ran no solver (rejections, bad
 //	             requests) carry solve_id 0. cache is
-//	             hit|shared|miss|bypass|mixed ("" when no worker ran);
-//	             reason repeats the abort reason of a degraded answer;
-//	             fp is the instance fingerprint's 12-hex prefix; n counts
-//	             a batch's items. t_ms is the request's start, counted
-//	             from server start
+//	             hit|shared|miss|bypass|mixed ("" when refused before
+//	             the cache); reason repeats the abort reason of a
+//	             degraded answer; fp is the request key's 12-hex
+//	             prefix (server.RequestKey); n counts a batch's items.
+//	             t_ms is the request's start, counted from server start
 //	solution     cost, groups, pop, reason — one per solve, last line;
 //	             reason is non-empty on degraded solves and matches the
 //	             abort event
@@ -175,7 +175,7 @@ type Event struct {
 	// TotalMS the phase breakdown in wall-clock milliseconds; Cache the
 	// solution-cache outcome (hit|shared|miss|bypass|mixed); Degraded
 	// whether the answer was a budget-breached incumbent (Reason then
-	// names the broken budget); FP the instance fingerprint's prefix.
+	// names the broken budget); FP the request key's prefix.
 	// SolveID on a request event is the answering solve, joining the
 	// HTTP lifecycle to the solver timeline; Parallelism the solve's
 	// expansion-worker count; N a batch's item count.
@@ -207,7 +207,7 @@ type Event struct {
 // WriteRequestTable renders request events as the table both coschedd's
 // /debug/requests and `coschedtrace requests` print: a header, then one
 // row per event in start (t_ms) order — evs is sorted in place — with
-// the phase breakdown, cache outcome, parallelism, fingerprint prefix
+// the phase breakdown, cache outcome, parallelism, request-key prefix
 // and the solve_id to drill into. Rows whose total_ms reaches slowMS
 // (when > 0) end in " *".
 func WriteRequestTable(w io.Writer, evs []Event, slowMS float64) error {

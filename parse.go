@@ -45,11 +45,13 @@ func ParseAccounting(s string) (Accounting, error) {
 
 // ParseMachineKind resolves a machine-class name ("dual", "quad",
 // "8core" and common aliases, case-insensitively) to its MachineKind.
+// The empty name means quad-core, the default of spec files and the
+// serving daemon's requests.
 func ParseMachineKind(s string) (MachineKind, error) {
 	switch strings.ToLower(s) {
 	case "dual", "dual-core", "2":
 		return DualCore, nil
-	case "quad", "quad-core", "4":
+	case "quad", "quad-core", "4", "":
 		return QuadCore, nil
 	case "8core", "8-core", "eight", "8":
 		return EightCore, nil

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # ci.sh — the full local gate: formatting, build, vet, doc coverage,
 # tests, the allocation-budget guards (with telemetry off AND on), race
-# passes over the concurrent search paths and the serving layer, the
-# trace-invariant matrix (every producer's trace must pass coschedtrace
+# passes over the concurrent search paths and the serving layer, a fuzz
+# pass over the daemon's request decoding and key, the trace-invariant
+# matrix (every producer's trace must pass coschedtrace
 # check), the coschedd end-to-end serving gate, the restart-warm cache
 # gate (SIGTERM + reboot over the same -cache-dir must keep the hit
 # rate; a corrupt-tail segment must be skipped, not trusted), the
@@ -52,6 +53,11 @@ go test -race -count=10 ./internal/degradation/
 go test -race . -run TestConcurrentSolvesShareInstance -count=1
 go test -race ./internal/server/ ./internal/solvecache/ ./internal/loadgen/ \
     ./internal/coschedclient/ ./internal/chaosproxy/ -count=1
+
+# Request-path fuzz: arbitrary bodies through decode, validation and the
+# request key. Decoding never panics, nothing that validates exceeds the
+# request bounds, and a request's key survives its JSON re-encoding.
+go test ./internal/server/ -run '^$' -fuzz FuzzSolveRequest -fuzztime 5s
 
 tracedir="$(mktemp -d)"
 # On exit, kill every background job still running: the daemons the

@@ -47,16 +47,9 @@ func ParseSpec(data []byte) (*Instance, error) {
 
 // Build materialises the spec.
 func (sf *SpecFile) Build() (*Instance, error) {
-	var mk MachineKind
-	switch strings.ToLower(sf.Machine) {
-	case "dual", "dual-core", "2":
-		mk = DualCore
-	case "quad", "quad-core", "4", "":
-		mk = QuadCore
-	case "8core", "8-core", "eight", "8":
-		mk = EightCore
-	default:
-		return nil, fmt.Errorf("cosched: unknown machine %q", sf.Machine)
+	mk, err := ParseMachineKind(sf.Machine)
+	if err != nil {
+		return nil, err
 	}
 	if len(sf.Jobs) == 0 {
 		return nil, fmt.Errorf("cosched: spec has no jobs")

@@ -35,13 +35,18 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestParseSpecDefaults(t *testing.T) {
-	// empty machine -> quad; empty kind -> serial
-	inst, err := ParseSpec([]byte(`{"jobs": [{"program": "BT"}, {"program": "CG"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.NumProcesses() != 4 { // padded to one quad machine
-		t.Errorf("procs = %d; want 4", inst.NumProcesses())
+	// absent or empty machine -> quad; empty kind -> serial
+	for _, spec := range []string{
+		`{"jobs": [{"program": "BT"}, {"program": "CG"}]}`,
+		`{"machine": "", "jobs": [{"program": "BT"}, {"program": "CG"}]}`,
+	} {
+		inst, err := ParseSpec([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst.NumProcesses() != 4 { // padded to one quad machine
+			t.Errorf("%s: procs = %d; want 4", spec, inst.NumProcesses())
+		}
 	}
 }
 
