@@ -181,3 +181,42 @@ func TestPoolReuseDominatesOnSolve(t *testing.T) {
 		t.Errorf("key table stats out of range: entries=%d load=%.3f", st.KeyTableEntries, st.KeyTableLoad)
 	}
 }
+
+// TestCondensedCandidateAllocationFree is the condensation allocation
+// guard (§III-E). On a warm solver over a six-PC-job mix, keying and
+// deduping one candidate touches no heap, and a whole level-1 expansion
+// (455 candidates, most of them condensed) allocates only ForEachNode's
+// node and index buffers.
+func TestCondensedCandidateAllocationFree(t *testing.T) {
+	g := mixedGraph(t, 16, 6, 2, 4, 1, degradation.ModePC)
+	sv, err := NewSolver(g, Options{H: HPerProc, Condense: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := sv.rootElement()
+	avail := sv.available(root, 1)
+	var stats Stats
+	candidates := 0
+	expand := func() {
+		sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID) { candidates++ })
+	}
+	expand() // warm: sizes the dedup set and its key arena
+	if total := int64(candidates) + stats.Condensed; total != 455 || stats.Condensed <= int64(candidates) {
+		t.Fatalf("level 1: %d attempted + %d condensed; want 455 with most condensed", candidates, stats.Condensed)
+	}
+
+	node := []job.ProcID{1, 2, 3, 4}
+	allocs := testing.AllocsPerRun(200, func() {
+		sv.condSeen.reset()
+		if !sv.condSeen.add(sv.gr.AppendCondenseKey(sv.condKeyBuf[:0], node)) ||
+			sv.condSeen.add(sv.gr.AppendCondenseKey(sv.condKeyBuf[:0], node)) {
+			t.Fatal("dedup set lost a key")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("keying and deduping a candidate costs %.1f allocs; want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, expand); allocs > 2 {
+		t.Errorf("a condensed level-1 expansion costs %.1f allocs; want at most ForEachNode's 2", allocs)
+	}
+}

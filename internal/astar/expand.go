@@ -13,24 +13,25 @@ import (
 // forEachCandidate produces the candidate nodes for expanding element e at
 // the given valid level: all of them for OA*, or the first KPerLevel valid
 // nodes in ascending weight order for HA* (§IV). Candidate nodes sharing a
-// condensation key are attempted once when condensation is on (§III-E).
+// condensation key are attempted once when condensation is on (§III-E):
+// the keys are deduped in the solver's condSeen, reset per expansion.
 func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.ProcID, stats *Stats, fn func(node []job.ProcID)) {
 	k := s.opts.KPerLevel
-	var seen map[string]bool
+	var seen *wordSet
 	if s.opts.Condense && len(s.parJobs) > 0 {
-		seen = make(map[string]bool)
+		if s.condSeen == nil {
+			s.condSeen = newWordSet(s.u)
+			s.condKeyBuf = make([]uint64, 0, s.u)
+		}
+		seen = s.condSeen
+		seen.reset()
 	}
 	condensed := func(node []job.ProcID) bool {
-		if seen == nil {
+		if seen == nil || seen.add(s.gr.AppendCondenseKey(s.condKeyBuf[:0], node)) {
 			return false
 		}
-		ck := s.gr.CondenseKey(node)
-		if seen[ck] {
-			stats.Condensed++
-			return true
-		}
-		seen[ck] = true
-		return false
+		stats.Condensed++
+		return true
 	}
 
 	// PE ranks are interchangeable, so with condensation the candidates

@@ -206,9 +206,10 @@ func (t *gTable) load() float64 {
 }
 
 // wordSet is a membership-only sibling of gTable: a linear-probing set of
-// fixed-stride word keys. The anchored candidate generator uses it to
-// dedup emitted nodes (packed 16 bits per process), replacing the former
-// map[string]bool whose nodeKey strings cost two allocations per node.
+// fixed-stride word keys, reset and reused across expansions. The
+// anchored candidate generator dedups emitted nodes (packed 16 bits per
+// process) in one, and forEachCandidate dedups condensation keys
+// (graph.AppendCondenseKey) in another.
 type wordSet struct {
 	stride int
 	slots  []int32

@@ -177,6 +177,8 @@ func (s *Solver) workerClone() *Solver {
 	c.anchNode = nil
 	c.anchSeen = nil
 	c.anchKeyBuf = nil
+	c.condSeen = nil
+	c.condKeyBuf = nil
 	c.prepDur = 0
 	c.parClones = nil
 	return c

@@ -143,27 +143,63 @@ func TestParallelBeamBitIdentical(t *testing.T) {
 		base := solveWith(t, g, opts)
 		opts.Parallelism = 4
 		res := solveWith(t, g, opts)
-		if res.Cost != base.Cost {
-			t.Errorf("seed %d: beam cost %v != sequential %v", seed, res.Cost, base.Cost)
-		}
-		if len(res.Groups) != len(base.Groups) {
-			t.Fatalf("seed %d: group count %d != %d", seed, len(res.Groups), len(base.Groups))
-		}
-		for i := range res.Groups {
-			for j := range res.Groups[i] {
-				if res.Groups[i][j] != base.Groups[i][j] {
-					t.Fatalf("seed %d: groups diverge at [%d][%d]", seed, i, j)
-				}
+		checkBeamBitIdentical(t, fmt.Sprintf("seed %d", seed), base, res)
+	}
+}
+
+// TestParallelBeamCondensedBitIdentical runs the parallel beam over a PC
+// mix with condensation, where every generation worker dedups
+// condensation keys in its own scratch. Worker 0 of beamGenerate is the
+// solver itself, and its sequential first solve leaves that scratch warm
+// before ensureClones copies the solver for the parallel one.
+func TestParallelBeamCondensedBitIdentical(t *testing.T) {
+	g := mixedGraph(t, 16, 6, 2, 4, 1, degradation.ModePC)
+	s, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 8, KPerLevel: 4, Condense: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.opts.Parallelism = 4
+	res, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Parallelism != 4 {
+		t.Fatalf("beam ran at parallelism %d; want 4", res.Stats.Parallelism)
+	}
+	if res.Stats.Condensed == 0 {
+		t.Fatal("condensation never fired on the PC mix")
+	}
+	checkBeamBitIdentical(t, "condensed PC mix", base, res)
+}
+
+// checkBeamBitIdentical fails unless a parallel beam result matches the
+// sequential one in cost, groups and every search counter.
+func checkBeamBitIdentical(t *testing.T, name string, base, res *Result) {
+	t.Helper()
+	if res.Cost != base.Cost {
+		t.Errorf("%s: beam cost %v != sequential %v", name, res.Cost, base.Cost)
+	}
+	if len(res.Groups) != len(base.Groups) {
+		t.Fatalf("%s: group count %d != %d", name, len(res.Groups), len(base.Groups))
+	}
+	for i := range res.Groups {
+		for j := range res.Groups[i] {
+			if res.Groups[i][j] != base.Groups[i][j] {
+				t.Fatalf("%s: groups diverge at [%d][%d]", name, i, j)
 			}
 		}
-		bs, ps := base.Stats, res.Stats
-		if ps.VisitedPaths != bs.VisitedPaths || ps.Expanded != bs.Expanded ||
-			ps.Generated != bs.Generated || ps.Dismissed != bs.Dismissed ||
-			ps.DismissedWorse != bs.DismissedWorse || ps.Condensed != bs.Condensed ||
-			ps.BeamTrimmed != bs.BeamTrimmed || ps.InFrontier != bs.InFrontier ||
-			ps.MaxQueue != bs.MaxQueue {
-			t.Errorf("seed %d: parallel beam stats diverge from sequential:\n  seq: %+v\n  par: %+v", seed, bs, ps)
-		}
+	}
+	bs, ps := base.Stats, res.Stats
+	if ps.VisitedPaths != bs.VisitedPaths || ps.Expanded != bs.Expanded ||
+		ps.Generated != bs.Generated || ps.Dismissed != bs.Dismissed ||
+		ps.DismissedWorse != bs.DismissedWorse || ps.Condensed != bs.Condensed ||
+		ps.BeamTrimmed != bs.BeamTrimmed || ps.InFrontier != bs.InFrontier ||
+		ps.MaxQueue != bs.MaxQueue {
+		t.Errorf("%s: parallel beam stats diverge from sequential:\n  seq: %+v\n  par: %+v", name, bs, ps)
 	}
 }
 

@@ -87,6 +87,10 @@ type Solver struct {
 	anchNode   []job.ProcID
 	anchSeen   *wordSet
 	anchKeyBuf []uint64
+	// condSeen dedups one expansion's condensation keys (§III-E),
+	// packed into condKeyBuf by graph.AppendCondenseKey.
+	condSeen   *wordSet
+	condKeyBuf []uint64
 
 	// prepDur is the NewSolver heuristic-precomputation time, consumed
 	// (reported and zeroed) by the first Solve call's telemetry.

@@ -11,7 +11,10 @@
 // α_i(2)=α_i(4) in the paper's Fig. 2 example).
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Pattern describes the communication structure of one PC job: a dense
 // process grid with halo exchange between grid-adjacent ranks.
@@ -68,12 +71,16 @@ func (pt *Pattern) NumRanks() int {
 
 // Coords returns the grid coordinates of a rank (row-major, x fastest).
 func (pt *Pattern) Coords(rank int) []int {
-	coords := make([]int, len(pt.Dims))
-	for d, n := range pt.Dims {
-		coords[d] = rank % n
+	return pt.appendCoords(make([]int, 0, len(pt.Dims)), rank)
+}
+
+// appendCoords appends the grid coordinates of rank to dst.
+func (pt *Pattern) appendCoords(dst []int, rank int) []int {
+	for _, n := range pt.Dims {
+		dst = append(dst, rank%n)
 		rank /= n
 	}
-	return coords
+	return dst
 }
 
 // Rank is the inverse of Coords.
@@ -101,8 +108,16 @@ func (pt *Pattern) Neighbors(rank int) []Neighbor {
 	if pt == nil {
 		return nil
 	}
-	coords := pt.Coords(rank)
-	var out []Neighbor
+	return pt.appendNeighbors(nil, rank)
+}
+
+// appendNeighbors appends the neighbours of rank to dst, in the order
+// Neighbors returns them, and returns the extended slice. The coordinates
+// of a valid pattern (at most 3 dimensions) live on the stack, so with a
+// dst of capacity 6 it allocates nothing.
+func (pt *Pattern) appendNeighbors(dst []Neighbor, rank int) []Neighbor {
+	var buf [3]int
+	coords := pt.appendCoords(buf[:0], rank)
 	for d, n := range pt.Dims {
 		for _, dir := range [2]int{-1, +1} {
 			c := coords[d] + dir
@@ -110,53 +125,32 @@ func (pt *Pattern) Neighbors(rank int) []Neighbor {
 				continue
 			}
 			coords[d] = c
-			out = append(out, Neighbor{Rank: pt.Rank(coords), Dim: d, Bytes: pt.HaloBytes[d]})
+			dst = append(dst, Neighbor{Rank: pt.Rank(coords), Dim: d, Bytes: pt.HaloBytes[d]})
 			coords[d] -= dir
 		}
 	}
-	return out
+	return dst
 }
 
 // Time computes c(i,S) of Eq. 10-11: the inter-machine communication time
-// (seconds) of the given rank when the ranks in sameMachine share its
-// machine. Neighbours on the same machine communicate through memory and
-// contribute nothing (β=0); every other neighbour's volume crosses the
-// network at bandwidth bw bytes/second (β=1).
-func (pt *Pattern) Time(rank int, sameMachine map[int]bool, bw float64) float64 {
+// (seconds) of the given rank when the ranks listed in sameMachine (other
+// ranks of its own job) share its machine. Neighbours on the same machine
+// communicate through memory and contribute nothing (β=0); every other
+// neighbour's volume crosses the network at bandwidth bw bytes/second
+// (β=1). sameMachine holds at most u-1 ranks, so membership is a linear
+// scan, and the call allocates nothing.
+func (pt *Pattern) Time(rank int, sameMachine []int, bw float64) float64 {
 	if pt == nil || bw <= 0 {
 		return 0
 	}
+	var buf [6]Neighbor
 	var bytes float64
-	for _, nb := range pt.Neighbors(rank) {
-		if !sameMachine[nb.Rank] {
+	for _, nb := range pt.appendNeighbors(buf[:0], rank) {
+		if !slices.Contains(sameMachine, nb.Rank) {
 			bytes += nb.Bytes
 		}
 	}
 	return bytes / bw
-}
-
-// Property computes the communication property of a job inside one graph
-// node (§III-E): for each decomposition dimension, the number of
-// halo exchanges the job's ranks inside the node must perform with ranks
-// outside the node. Two level nodes with equal serial content, equal
-// parallel membership and equal properties are condensed into one.
-func (pt *Pattern) Property(ranksInNode []int) []int {
-	if pt == nil {
-		return nil
-	}
-	in := make(map[int]bool, len(ranksInNode))
-	for _, r := range ranksInNode {
-		in[r] = true
-	}
-	counts := make([]int, len(pt.Dims))
-	for _, r := range ranksInNode {
-		for _, nb := range pt.Neighbors(r) {
-			if !in[nb.Rank] {
-				counts[nb.Dim]++
-			}
-		}
-	}
-	return counts
 }
 
 // Grid1D builds the pattern of a 1D (slab) domain decomposition.

@@ -108,7 +108,7 @@ func TestTimeMatchesPaperExample(t *testing.T) {
 	hx, hy := 100.0, 200.0
 	pt := Grid2D(3, 3, hx, hy)
 	b := 1000.0
-	got := pt.Time(4, map[int]bool{5: true}, b)
+	got := pt.Time(4, []int{5}, b)
 	want := (hx + 2*hy) / b
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("Time = %v; want %v", got, want)
@@ -117,7 +117,7 @@ func TestTimeMatchesPaperExample(t *testing.T) {
 
 func TestTimeAllNeighboursLocalIsZero(t *testing.T) {
 	pt := Grid1D(3, 50)
-	got := pt.Time(1, map[int]bool{0: true, 2: true}, 10)
+	got := pt.Time(1, []int{0, 2}, 10)
 	if got != 0 {
 		t.Errorf("Time with all neighbours local = %v; want 0", got)
 	}
@@ -131,41 +131,6 @@ func TestTimeNilPatternAndZeroBandwidth(t *testing.T) {
 	g := Grid1D(2, 10)
 	if got := g.Time(0, nil, 0); got != 0 {
 		t.Errorf("zero-bandwidth Time = %v", got)
-	}
-}
-
-func TestPropertyMatchesPaperFig4(t *testing.T) {
-	// Paper Fig. 4: 3x3 2D decomposition (ranks 0..8 = processes 1..9).
-	// Node <1,2> (ranks 0,1) has communication property (1,2): one
-	// x-direction exchange (p2-p3) and two y-direction (p1-p4, p2-p5).
-	pt := Grid2D(3, 3, 1, 1)
-	prop := pt.Property([]int{0, 1})
-	if len(prop) != 2 || prop[0] != 1 || prop[1] != 2 {
-		t.Errorf("Property(<1,2>) = %v; want [1 2]", prop)
-	}
-	// Node <1,3> (ranks 0,2): property (2,2) per Fig. 4.
-	prop = pt.Property([]int{0, 2})
-	if prop[0] != 2 || prop[1] != 2 {
-		t.Errorf("Property(<1,3>) = %v; want [2 2]", prop)
-	}
-	// Node <1,5> (ranks 0,4): property (3,3) per Fig. 4.
-	prop = pt.Property([]int{0, 4})
-	if prop[0] != 3 || prop[1] != 3 {
-		t.Errorf("Property(<1,5>) = %v; want [3 3]", prop)
-	}
-	// Fig. 4 condenses <1,7> and <1,9> with <1,3>: all have property (2,2).
-	for _, r := range []int{6, 8} {
-		prop = pt.Property([]int{0, r})
-		if prop[0] != 2 || prop[1] != 2 {
-			t.Errorf("Property(<1,%d>) = %v; want [2 2]", r+1, prop)
-		}
-	}
-}
-
-func TestPropertyNilPattern(t *testing.T) {
-	var pt *Pattern
-	if got := pt.Property([]int{0}); got != nil {
-		t.Errorf("nil pattern Property = %v", got)
 	}
 }
 

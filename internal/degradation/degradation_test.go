@@ -235,3 +235,33 @@ func TestPairwiseOracleCommTerm(t *testing.T) {
 		t.Errorf("CommDegradation local = %v; want 0", got)
 	}
 }
+
+// TestCommDegradationAllocationFree guards the Eq. 10-11 path of both
+// oracles: the co-located ranks and the neighbour coordinates live on
+// the stack, so a communication query touches no heap.
+func TestCommDegradationAllocationFree(t *testing.T) {
+	_, sdc := testInstance(t, 4)
+	bd := job.NewBuilder()
+	pc := bd.AddPC("mpi", 4)
+	b, err := bd.Build(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mtx := make([][]float64, 4)
+	for i := range mtx {
+		mtx[i] = make([]float64, 4)
+	}
+	pw, err := NewPairwiseOracle(b, mtx, map[job.JobID]*comm.Pattern{pc: comm.Grid2D(2, 2, 100, 200)}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := []job.ProcID{2, 3, 4}
+	for name, o := range map[string]Oracle{"sdc": sdc, "pairwise": pw} {
+		if o.CommDegradation(1, co[:1]) == 0 {
+			t.Fatalf("%s: rank 0 with one remote neighbour has no communication term", name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { o.CommDegradation(1, co) }); allocs != 0 {
+			t.Errorf("%s CommDegradation costs %.1f allocs; want 0", name, allocs)
+		}
+	}
+}

@@ -16,3 +16,14 @@ type Oracle interface {
 	Degradation(p job.ProcID, coRunners []job.ProcID) float64
 	CommDegradation(p job.ProcID, coRunners []job.ProcID) float64
 }
+
+// sameJobRanks appends to dst the ranks of the co-runners that belong to
+// job j: the co-located ranks of Eq. 10-11's β.
+func sameJobRanks(dst []int, b *job.Batch, j job.JobID, coRunners []job.ProcID) []int {
+	for _, q := range coRunners {
+		if qp := b.Proc(q); qp.Job == j {
+			dst = append(dst, qp.Rank)
+		}
+	}
+	return dst
+}

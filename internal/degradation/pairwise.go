@@ -72,8 +72,9 @@ func (o *PairwiseOracle) Degradation(p job.ProcID, coRunners []job.ProcID) float
 	return d
 }
 
-// CommDegradation implements Oracle using the same β logic as the SDC
-// oracle but with a constant bytes-to-degradation factor.
+// CommDegradation implements Oracle with the SDC oracle's Eq. 10-11
+// term, scaled by a constant bytes-to-degradation factor instead of the
+// bandwidth and solo CPU time: at bandwidth 1, Time is the remote bytes.
 func (o *PairwiseOracle) CommDegradation(p job.ProcID, coRunners []job.ProcID) float64 {
 	j := o.batch.JobOf(p)
 	if j == nil || j.Kind != job.PC || o.commFactor == 0 {
@@ -83,21 +84,9 @@ func (o *PairwiseOracle) CommDegradation(p job.ProcID, coRunners []job.ProcID) f
 	if pt == nil {
 		return 0
 	}
-	proc := o.batch.Proc(p)
-	same := make(map[int]bool, len(coRunners))
-	for _, q := range coRunners {
-		qp := o.batch.Proc(q)
-		if qp.Job == j.ID {
-			same[qp.Rank] = true
-		}
-	}
-	var bytes float64
-	for _, nb := range pt.Neighbors(proc.Rank) {
-		if !same[nb.Rank] {
-			bytes += nb.Bytes
-		}
-	}
-	return bytes * o.commFactor
+	var buf [8]int
+	same := sameJobRanks(buf[:0], o.batch, j.ID, coRunners)
+	return pt.Time(o.batch.Proc(p).Rank, same, 1) * o.commFactor
 }
 
 // Matrix exposes the interference matrix (read-only by convention).

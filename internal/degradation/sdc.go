@@ -88,19 +88,13 @@ func (o *SDCOracle) CommDegradation(p job.ProcID, coRunners []job.ProcID) float6
 	if pt == nil {
 		return 0
 	}
-	proc := o.batch.Proc(p)
-	same := make(map[int]bool, len(coRunners))
-	for _, q := range coRunners {
-		qp := o.batch.Proc(q)
-		if qp.Job == j.ID {
-			same[qp.Rank] = true
-		}
-	}
 	ct := cache.SoloCPUTime(o.machine, o.profiles[int(p)-1])
 	if ct <= 0 {
 		return 0
 	}
-	return pt.Time(proc.Rank, same, o.machine.NetworkBandwidth) / ct
+	var buf [8]int
+	same := sameJobRanks(buf[:0], o.batch, j.ID, coRunners)
+	return pt.Time(o.batch.Proc(p).Rank, same, o.machine.NetworkBandwidth) / ct
 }
 
 // Pattern returns the decomposition of the given job, or nil.

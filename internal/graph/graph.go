@@ -10,7 +10,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cosched/internal/comm"
 	"cosched/internal/degradation"
@@ -21,10 +21,6 @@ import (
 type Graph struct {
 	Batch *job.Batch
 	Cost  *degradation.Cost
-	// Patterns supplies the communication structure used by the
-	// communication-aware condensation keys (§III-E); nil entries (or a
-	// nil map) mean no communication.
-	Patterns map[job.JobID]*comm.Pattern
 
 	// EnumLimit caps how many nodes a single level enumeration may
 	// visit; levels beyond it are not exactly enumerable and callers
@@ -32,19 +28,25 @@ type Graph struct {
 	EnumLimit int
 
 	levelStats map[job.ProcID]*LevelStats
+	// cond[p-1] is process p's condensation identity (AppendCondenseKey).
+	cond []condProc
 }
 
 // DefaultEnumLimit is the default per-level node enumeration budget.
 const DefaultEnumLimit = 4_000_000
 
-// New constructs the graph view for a batch/cost pair.
+// New constructs the graph view for a batch/cost pair. patterns supplies
+// the communication structure the condensation keys (§III-E) count; nil
+// entries (or a nil map) mean no communication. The patterns must be
+// valid for their jobs (comm.Pattern.Validate), as the oracles check.
 func New(c *degradation.Cost, patterns map[job.JobID]*comm.Pattern) *Graph {
-	return &Graph{
+	g := &Graph{
 		Batch:      c.Batch,
 		Cost:       c,
-		Patterns:   patterns,
 		levelStats: make(map[job.ProcID]*LevelStats),
 	}
+	g.buildCondense(patterns)
+	return g
 }
 
 // U returns the node cardinality (cores per machine).
@@ -120,59 +122,103 @@ func (g *Graph) ForEachNode(leader job.ProcID, avail []job.ProcID, fn func(node 
 	}
 }
 
-// CondenseKey returns the communication-aware condensation key of a node
-// (§III-E): two nodes in the same level condense when they contain the
-// same serial jobs, the same number of processes per parallel job, and
-// identical per-dimension external-communication counts for each PC job.
-// The returned key is identical exactly for condensable nodes.
-func (g *Graph) CondenseKey(node []job.ProcID) string {
+// Condensation key words (§III-E). A serial or padding member's word is
+// its process ID. A parallel job's word packs
+//
+//	bit 63       condTag, never set in a process ID
+//	bits 32..62  the job ID
+//	bits 24..31  the job's rank count in the node
+//	bits 16..23  external halo exchanges along dimension 0
+//	bits  8..15  ... along dimension 1
+//	bits  0..7   ... along dimension 2
+//
+// A job has at most u ranks in a node and each rank exchanges with at
+// most two neighbours per dimension, so every field holds its count for
+// u <= 127; comm.Pattern.Validate caps a pattern at 3 dimensions.
+const (
+	condTag      = 1 << 63
+	condJobShift = 32
+	condRankUnit = 1 << 24
+)
+
+// condProc is one process's condensation identity, built once by New.
+type condProc struct {
+	job int32          // parallel job ID; -1 for serial and padding processes
+	nbs []condNeighbor // mesh neighbours, from the job's comm.Pattern
+}
+
+// condNeighbor is one halo-exchange partner of a parallel rank.
+type condNeighbor struct {
+	proc job.ProcID // the neighbouring rank's process
+	unit uint64     // 1 in the exchange dimension's field of a job word
+}
+
+// buildCondense records every process's condensation identity: its
+// parallel job, and its mesh neighbours as process IDs with their
+// dimension, so keying a node needs no pattern arithmetic.
+func (g *Graph) buildCondense(patterns map[job.JobID]*comm.Pattern) {
 	b := g.Batch
-	// Serial and imaginary members identify themselves; parallel members
-	// contribute (job, count, property...).
-	type parEntry struct {
-		j     job.JobID
-		ranks []int
-	}
-	var pars []parEntry
-	key := make([]byte, 0, 4*len(node))
-	appendInt := func(v int) {
-		key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	for _, p := range node {
-		j := b.JobOf(p)
+	g.cond = make([]condProc, len(b.Procs))
+	for i := range b.Procs {
+		c := &g.cond[i]
+		c.job = -1
+		j := b.JobOf(b.Procs[i].ID)
 		if j == nil || j.Kind == job.Serial {
-			appendInt(int(p))
 			continue
 		}
-		rank := b.Proc(p).Rank
-		found := false
-		for i := range pars {
-			if pars[i].j == j.ID {
-				pars[i].ranks = append(pars[i].ranks, rank)
-				found = true
-				break
-			}
-		}
-		if !found {
-			pars = append(pars, parEntry{j: j.ID, ranks: []int{rank}})
+		c.job = int32(j.ID)
+		for _, nb := range patterns[j.ID].Neighbors(b.Procs[i].Rank) {
+			c.nbs = append(c.nbs, condNeighbor{proc: j.Procs[nb.Rank], unit: 1 << (16 - 8*nb.Dim)})
 		}
 	}
-	sort.Slice(pars, func(i, k int) bool { return pars[i].j < pars[k].j })
-	for _, pe := range pars {
-		appendInt(-1) // marker separating serial IDs from job entries
-		appendInt(int(pe.j))
-		appendInt(len(pe.ranks))
-		var pt *comm.Pattern
-		if g.Patterns != nil {
-			pt = g.Patterns[pe.j]
-		}
-		if pt != nil {
-			for _, c := range pt.Property(pe.ranks) {
-				appendInt(c)
-			}
+}
+
+// AppendCondenseKey appends the communication-aware condensation key of a
+// node (§III-E) to dst and returns it. Two nodes of a level condense when
+// they contain the same serial jobs, the same number of processes per
+// parallel job, and identical per-dimension counts of the halo exchanges
+// each PC job's ranks in the node make with ranks outside it; their keys
+// are equal exactly then.
+//
+// The key is len(node) words: one per serial or padding member, its
+// process ID in node order; then one per distinct parallel job in job-ID
+// order (see condTag); then zero padding. With a dst of capacity
+// len(node) it allocates nothing.
+func (g *Graph) AppendCondenseKey(dst []uint64, node []job.ProcID) []uint64 {
+	end := len(dst) + len(node)
+	for _, p := range node {
+		if g.cond[p-1].job < 0 {
+			dst = append(dst, uint64(p))
 		}
 	}
-	return string(key)
+	jobs := len(dst)
+	for _, p := range node {
+		c := &g.cond[p-1]
+		if c.job < 0 {
+			continue
+		}
+		w := condTag | uint64(c.job)<<condJobShift | condRankUnit
+		for _, nb := range c.nbs {
+			if !slices.Contains(node, nb.proc) {
+				w += nb.unit
+			}
+		}
+		// Merge into the job's word, keeping job words in job-ID order:
+		// the fields below condJobShift add without carrying.
+		k := jobs
+		for k < len(dst) && dst[k]>>condJobShift < w>>condJobShift {
+			k++
+		}
+		if k < len(dst) && dst[k]>>condJobShift == w>>condJobShift {
+			dst[k] += w & (1<<condJobShift - 1)
+		} else {
+			dst = slices.Insert(dst, k, w)
+		}
+	}
+	for len(dst) < end {
+		dst = append(dst, 0)
+	}
+	return dst
 }
 
 // NodeID formats a node the way the paper writes them: <1,2,...>.
