@@ -20,7 +20,10 @@ import (
 )
 
 // computeAvgEstimates fills dminAll/dminSerial with expected per-process
-// co-run costs instead of lower bounds.
+// co-run costs instead of lower bounds. On an all-serial batch under the
+// additive pairwise oracle (pairM set), ProcCost(p, {q}) is exactly the
+// matrix entry m[p][q], so it is read from the matrix instead of going
+// through the node memo.
 func (s *Solver) computeAvgEstimates() {
 	s.dminAll = make([]float64, s.n)
 	s.dminSerial = make([]float64, s.n)
@@ -35,7 +38,11 @@ func (s *Solver) computeAvgEstimates() {
 			if q == p {
 				continue
 			}
-			sum += s.cost.ProcCost(job.ProcID(p), []job.ProcID{job.ProcID(q)})
+			if s.pairM != nil {
+				sum += s.pairM[p-1][q-1]
+			} else {
+				sum += s.cost.ProcCost(job.ProcID(p), []job.ProcID{job.ProcID(q)})
+			}
 			cnt++
 		}
 		var est float64

@@ -220,3 +220,44 @@ func TestCondensedCandidateAllocationFree(t *testing.T) {
 		t.Errorf("a condensed level-1 expansion costs %.1f allocs; want at most ForEachNode's 2", allocs)
 	}
 }
+
+// TestHAStarCandidatesAllocationFree is the HA* candidate-generation
+// allocation guard, on a warm solver in solve-large's configuration
+// (pairwise oracle, n = 240, quad-core, HA*'s large-batch options with
+// k = n/u = 60). An anchored expansion (239 available) allocates
+// nothing; a small-level expansion (39 available: 9,139 nodes, heap-
+// selected) allocates only ForEachNode's node and index buffers.
+func TestHAStarCandidatesAllocationFree(t *testing.T) {
+	g := pairwiseGraphTB(t, 240, 4, 1)
+	sv, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := sv.rootElement()
+	for _, c := range []struct {
+		name   string
+		avail  int
+		budget float64
+	}{
+		{"anchored", 239, 0},
+		{"small-level", 39, 2},
+	} {
+		avail := make([]job.ProcID, 0, c.avail)
+		for p := 2; p <= c.avail+1; p++ {
+			avail = append(avail, job.ProcID(p))
+		}
+		var stats Stats
+		emitted := 0
+		expand := func() {
+			emitted = 0
+			sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID) { emitted++ })
+		}
+		expand() // warm: sizes the generator's scratch
+		if emitted != 60 {
+			t.Fatalf("%s: expansion emitted %d candidates; want k = 60", c.name, emitted)
+		}
+		if allocs := testing.AllocsPerRun(20, expand); allocs > c.budget {
+			t.Errorf("%s: an expansion costs %.1f allocs; budget is %.0f", c.name, allocs, c.budget)
+		}
+	}
+}

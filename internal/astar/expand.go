@@ -3,6 +3,7 @@ package astar
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"sort"
 
 	"cosched/internal/degradation"
@@ -82,14 +83,14 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 		return
 	}
 
-	// Fallback: enumerate the whole level restricted to avail, sort by
-	// weight, attempt the k cheapest. With an additive oracle the weight
-	// is a direct pair-cost sum, skipping the node memo.
-	// The nodes live flat (u-stride) in solver scratch and the sort runs
-	// over a permutation, so a whole level costs zero steady-state
-	// allocations — this path fires on every late depth of the beam runs
-	// (once C(|avail|, u-1) drops under smallLevel) and used to dominate
-	// the Fig. 13 allocation profile with one node copy per candidate.
+	// Fallback: enumerate the whole level restricted to avail and attempt
+	// its k cheapest nodes. With an additive oracle the weight is a direct
+	// pair-cost sum, skipping the node memo. The nodes live flat
+	// (u-stride) in solver scratch; a binary min-heap over a permutation
+	// of them pops the cheapest until k are emitted, in O(N + k log N)
+	// where a whole-level sort costs O(N log N). A level's nodes are
+	// distinct, so (weight, lessNodes) is a total order and the pops are
+	// exactly the sorted prefix, condensed skips included.
 	weight := s.cost.NodeWeight
 	if s.pairW != nil {
 		weight = func(node []job.ProcID) float64 {
@@ -116,23 +117,11 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	if cap(s.candIdx) < nc {
 		s.candIdx = make([]int32, nc)
 	}
-	idx := s.candIdx[:nc]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if ws[ia] != ws[ib] {
-			return ws[ia] < ws[ib]
-		}
-		return lessNodes(flat[int(ia)*u:int(ia)*u+u], flat[int(ib)*u:int(ib)*u+u])
-	})
-	emitted := 0
-	for _, id := range idx {
-		if emitted >= k {
-			break
-		}
-		node := flat[int(id)*u : int(id)*u+u]
+	h := candHeap{idx: s.candIdx[:nc], w: ws, flat: flat, u: u}
+	h.init()
+	for emitted := 0; emitted < k && len(h.idx) > 0; {
+		id := int(h.pop())
+		node := flat[id*u : id*u+u]
 		if condensed(node) {
 			continue
 		}
@@ -141,9 +130,65 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	}
 }
 
+// candHeap is a binary min-heap over indices into the fallback's flat
+// node store, ordered by (weight, lessNodes).
+type candHeap struct {
+	idx  []int32
+	w    []float64
+	flat []job.ProcID
+	u    int
+}
+
+func (h *candHeap) less(a, b int32) bool {
+	if h.w[a] != h.w[b] {
+		return h.w[a] < h.w[b]
+	}
+	u := h.u
+	return lessNodes(h.flat[int(a)*u:int(a)*u+u], h.flat[int(b)*u:int(b)*u+u])
+}
+
+// init fills idx with the identity permutation and heapifies it.
+func (h *candHeap) init() {
+	for i := range h.idx {
+		h.idx[i] = int32(i)
+	}
+	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *candHeap) down(i int) {
+	idx := h.idx
+	n := len(idx)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.less(idx[r], idx[c]) {
+			c = r
+		}
+		if !h.less(idx[c], idx[i]) {
+			return
+		}
+		idx[i], idx[c] = idx[c], idx[i]
+		i = c
+	}
+}
+
+// pop removes and returns the cheapest remaining node's index.
+func (h *candHeap) pop() int32 {
+	top := h.idx[0]
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	h.down(0)
+	return top
+}
+
 const (
-	// smallLevel is the node count below which full enumeration + sort
-	// beats lazy generation.
+	// smallLevel is the node count below which full enumeration and a
+	// heap-select of the k cheapest beat lazy generation.
 	smallLevel = 20000
 	// exactLazyMaxK is the largest per-level budget for which the exact
 	// lazy k-smallest enumerator is used; beyond it the best-first
@@ -157,10 +202,14 @@ const (
 // partner (by pair cost) and completes the node greedily, which yields k
 // diverse low-weight nodes in O(k·u·|avail|) — the HA* trimming spirit of
 // §IV without the paper's full level sort, which is infeasible at
-// C(n-1, u-1) nodes per level (documented in DESIGN.md §3). All working
-// storage (the leader-sorted availability, the membership mask, the node
-// under construction and the word-packed dedup set) is solver scratch,
-// reused across expansions.
+// C(n-1, u-1) nodes per level (documented in DESIGN.md §3).
+//
+// Each greedy pick is one pass over the leader-sorted availability:
+// acc[p], the pair cost of sorted[p] against the node built so far,
+// starts from the leader's row and adds each new member's row in node
+// order (the sums a member-by-member total gives, bit for bit), and the
+// argmin is taken in the same pass, the first position winning ties. All
+// working storage is solver scratch, reused across expansions.
 func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int, emit func(node []job.ProcID) bool) {
 	r := s.u - 1
 	m := len(avail)
@@ -171,20 +220,25 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 	if m < r {
 		return
 	}
-	li := int(leader) - 1
+	lrow := s.pairW[int(leader)-1]
 	sorted := append(s.anchSorted[:0], avail...)
 	s.anchSorted = sorted
-	sort.Slice(sorted, func(a, b int) bool {
-		sa, sb := s.pairW[li][int(sorted[a])-1], s.pairW[li][int(sorted[b])-1]
+	// slices.SortFunc, unlike sort.Slice, allocates nothing.
+	slices.SortFunc(sorted, func(a, b job.ProcID) int {
+		sa, sb := lrow[int(a)-1], lrow[int(b)-1]
 		if sa != sb {
-			return sa < sb
+			if sa < sb {
+				return -1
+			}
+			return 1
 		}
-		return sorted[a] < sorted[b]
+		return int(a) - int(b)
 	})
-	if len(s.anchInNode) < s.n+1 {
-		s.anchInNode = make([]bool, s.n+1)
+	if cap(s.anchAcc) < m {
+		s.anchAcc = make([]float64, m)
+		s.anchUsed = make([]bool, m)
 	}
-	inNode := s.anchInNode
+	acc, used := s.anchAcc[:m], s.anchUsed[:m]
 	if cap(s.anchNode) < s.u {
 		s.anchNode = make([]job.ProcID, 0, s.u)
 	}
@@ -196,37 +250,33 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 	seen := s.anchSeen
 	seen.reset()
 	for j := 0; j < m; j++ {
-		node = node[:0]
-		node = append(node, leader, sorted[j])
-		inNode[leader], inNode[sorted[j]] = true, true
+		node = append(node[:0], leader, sorted[j])
+		for p, x := range sorted {
+			acc[p] = lrow[int(x)-1]
+			used[p] = false
+		}
+		used[j] = true
 		for len(node) < s.u {
-			best := job.ProcID(0)
+			row := s.pairW[int(node[len(node)-1])-1]
+			best := -1
 			bestInc := math.Inf(1)
-			for _, x := range sorted {
-				if inNode[x] {
+			for p, x := range sorted {
+				if used[p] {
 					continue
 				}
-				var inc float64
-				xi := int(x) - 1
-				for _, y := range node {
-					inc += s.pairW[int(y)-1][xi]
-				}
+				inc := acc[p] + row[int(x)-1]
+				acc[p] = inc
 				if inc < bestInc {
-					bestInc, best = inc, x
+					bestInc, best = inc, p
 				}
 			}
-			if best == 0 {
+			if best < 0 {
 				break
 			}
-			node = append(node, best)
-			inNode[best] = true
+			node = append(node, sorted[best])
+			used[best] = true
 		}
-		done := len(node) < s.u
-		for _, p := range node {
-			inNode[p] = false
-		}
-		inNode[leader] = false
-		if done {
+		if len(node) < s.u {
 			continue
 		}
 		sortNode(node)

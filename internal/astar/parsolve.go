@@ -173,7 +173,8 @@ func (s *Solver) workerClone() *Solver {
 	c.candW = nil
 	c.candIdx = nil
 	c.anchSorted = nil
-	c.anchInNode = nil
+	c.anchAcc = nil
+	c.anchUsed = nil
 	c.anchNode = nil
 	c.anchSeen = nil
 	c.anchKeyBuf = nil

@@ -136,6 +136,14 @@ func TestParallelCostMatchesSequentialMixed(t *testing.T) {
 // TestParallelBeamBitIdentical pins the stronger beam guarantee: the
 // parallel beam replays the sequential admission order exactly, so not
 // just the cost but the groups and every search counter must match.
+//
+// The last case is a pairwise n = 64 quad-core batch: k = 16 is above
+// exactLazyMaxK and C(63,3) = 39,711 above smallLevel, so the first
+// depths run anchoredCandidates inside beamGenerate's workers and the
+// later ones the heap-select. It solves sequentially first, on the same
+// Solver, so the main solver's candidate scratch is warm before
+// ensureClones copies it; under -race a clone sharing that scratch is a
+// reported race.
 func TestParallelBeamBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := syntheticGraph(t, 16, 4, seed, degradation.ModePC)
@@ -145,6 +153,24 @@ func TestParallelBeamBitIdentical(t *testing.T) {
 		res := solveWith(t, g, opts)
 		checkBeamBitIdentical(t, fmt.Sprintf("seed %d", seed), base, res)
 	}
+
+	s, err := NewSolver(pairwiseGraphTB(t, 64, 4, 1), Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.opts.Parallelism = 4
+	res, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Parallelism != 4 {
+		t.Fatalf("beam ran at parallelism %d; want 4", res.Stats.Parallelism)
+	}
+	checkBeamBitIdentical(t, "pairwise n=64", base, res)
 }
 
 // TestParallelBeamCondensedBitIdentical runs the parallel beam over a PC

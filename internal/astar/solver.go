@@ -76,14 +76,16 @@ type Solver struct {
 	greedyCd []job.ProcID // greedySchedule's candidate scratch (never aliases greedyNd)
 
 	// Candidate-enumeration scratch (expand.go): the full-enumeration
-	// fallback's flat node store + weights + sort permutation, and the
-	// anchored generator's sorted availability, membership mask, node
-	// under construction and word-packed dedup set.
+	// fallback's flat node store + weights + heap permutation, and the
+	// anchored generator's sorted availability, per-position pair-cost
+	// accumulator and membership, node under construction and
+	// word-packed dedup set.
 	candFlat   []job.ProcID
 	candW      []float64
 	candIdx    []int32
 	anchSorted []job.ProcID
-	anchInNode []bool
+	anchAcc    []float64
+	anchUsed   []bool
 	anchNode   []job.ProcID
 	anchSeen   *wordSet
 	anchKeyBuf []uint64

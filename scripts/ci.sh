@@ -32,10 +32,11 @@ go test ./...
 # The DESIGN.md §5c/§6 allocation budget: a dismissed child must stay
 # allocation-free without telemetry, with a live registry being flushed,
 # and with the full tracing stack (event tracer + flight recorder +
-# spans) attached, and keying and deduping a condensation candidate must
-# allocate nothing (run explicitly so a -run filter in the main suite can
-# never silently drop the gate).
-go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree' -count=1
+# spans) attached, keying and deduping a condensation candidate must
+# allocate nothing, and HA*'s anchored and small-level candidate
+# generation must stay within their budgets (run explicitly so a -run
+# filter in the main suite can never silently drop the gate).
+go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree' -count=1
 
 # Race matrix over the concurrent search paths: the work-stealing
 # parallel engine (DESIGN.md §5d), its striped dismissal table and the
