@@ -40,19 +40,25 @@ func CoRunDegradations(m *Machine, profiles []*Profile) []float64 {
 			live = append(live, p)
 		}
 	}
-	missRates := CoRunMissRates(m, live)
+	eff := EffectiveWays(live, m.Ways)
 	out := make([]float64, len(profiles))
 	ri := 0
 	for i, p := range profiles {
 		if p == nil {
 			continue
 		}
-		solo := SoloCPUTime(m, p)
-		co := CoRunCPUTime(m, p, missRates[ri])
+		out[i] = CoRunDegradation(m, p, eff[ri])
 		ri++
-		if solo > 0 {
-			out[i] = (co - solo) / solo
-		}
 	}
 	return out
+}
+
+// CoRunDegradation computes Eq. 1 for one program whose SDC share of the
+// shared cache is the given number of ways (see Compete).
+func CoRunDegradation(m *Machine, p *Profile, ways int) float64 {
+	solo := SoloCPUTime(m, p)
+	if solo <= 0 {
+		return 0
+	}
+	return (CoRunCPUTime(m, p, p.MissRateWithWays(ways)) - solo) / solo
 }

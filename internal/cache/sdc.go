@@ -9,22 +9,25 @@ package cache
 // effective cache space is the number of positions it won; accesses whose
 // stack distance exceeds that share become misses.
 
-// EffectiveWays runs the SDC competition among the given co-running
-// profiles for a cache with the given associativity and returns, for each
-// profile, the number of ways it effectively occupies. The returned slice
-// is index-aligned with profiles.
+// Compete runs the SDC competition among the given co-running profiles
+// for a cache with the given associativity. It writes into eff[i] the
+// number of ways profile i effectively occupies and reports whether a tie
+// decided any position. eff must be as long as profiles; the caller owns
+// it, so the competition allocates nothing.
 //
 // Each profile competes with its own hit counters in stack-distance order
 // (a process cannot win position d+1 before winning position d, mirroring
-// the inclusion property of LRU stacks). Ties are broken toward the
-// earlier profile for determinism.
-func EffectiveWays(profiles []*Profile, ways int) []int {
-	eff := make([]int, len(profiles))
-	if ways <= 0 || len(profiles) == 0 {
-		return eff
+// the inclusion property of LRU stacks), so eff[i] is also the position
+// profile i competes for next. A position two profiles tie for, with
+// equal hit rates, goes to the earlier profile. Without a tie every step
+// has a unique winner, so every ordering of the same profiles yields the
+// same shares; with one, they may depend on the order. The node-level
+// SDC oracle relies on both halves (degradation.SDCOracle, DESIGN.md §5c).
+func Compete(profiles []*Profile, ways int, eff []int) (tied bool) {
+	clear(eff)
+	if ways <= 0 {
+		return false
 	}
-	// next[i] is the stack position profile i competes with next.
-	next := make([]int, len(profiles))
 	remaining := ways
 	// MRU guarantee: a running process always retains at least its
 	// most-recently-used way under LRU, so when the cache has enough
@@ -35,38 +38,43 @@ func EffectiveWays(profiles []*Profile, ways int) []int {
 	if len(profiles) <= ways {
 		for i, p := range profiles {
 			if len(p.Hits) > 0 {
-				eff[i], next[i] = 1, 1
+				eff[i] = 1
 				remaining--
 			}
 		}
 	}
 	for pos := 0; pos < remaining; pos++ {
-		best := -1
+		best, tie := -1, false
 		bestRate := -1.0
 		for i, p := range profiles {
-			if next[i] >= len(p.Hits) {
+			if eff[i] >= len(p.Hits) {
 				continue
 			}
-			if r := p.Hits[next[i]]; r > bestRate {
-				best, bestRate = i, r
+			switch r := p.Hits[eff[i]]; {
+			case r > bestRate:
+				best, bestRate, tie = i, r, false
+			case r == bestRate:
+				tie = true
 			}
 		}
 		if best < 0 {
 			break // every profile exhausted its measured positions
 		}
+		tied = tied || tie
 		eff[best]++
-		next[best]++
 	}
-	return eff
+	return tied
 }
 
-// CoRunMissRates predicts the per-process miss rate (misses per kilocycle)
-// for the given co-running profiles sharing the machine's cache.
-func CoRunMissRates(m *Machine, profiles []*Profile) []float64 {
-	eff := EffectiveWays(profiles, m.Ways)
-	rates := make([]float64, len(profiles))
-	for i, p := range profiles {
-		rates[i] = p.MissRateWithWays(eff[i])
-	}
-	return rates
+// EffectiveWays runs Compete and returns the effective ways of each
+// profile, index-aligned with profiles. The earlier-profile tie-break is
+// part of the contract and matters for correctness: the same co-runners
+// listed in another order may get other shares, though only when a tie
+// decided a position, and the SDC oracle's node-level answers are exact
+// only because it detects those ties and then gives each member its own
+// competition.
+func EffectiveWays(profiles []*Profile, ways int) []int {
+	eff := make([]int, len(profiles))
+	Compete(profiles, ways, eff)
+	return eff
 }

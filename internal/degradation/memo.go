@@ -116,8 +116,13 @@ func (c *Cost) NodeCosts(dst []float64, node []job.ProcID) []float64 {
 // computeSorted fills out[j] with the effective degradation of sorted[j]
 // against the rest of the node. Co-runners reach the oracle in ascending
 // ID order, so an answer never depends on the order a caller listed the
-// node in.
+// node in. The SDC oracle answers the whole node from one competition
+// (SDCOracle.nodeCosts); any other oracle is asked member by member.
 func (c *Cost) computeSorted(out []float64, sorted []job.ProcID) {
+	if o, ok := c.Oracle.(*SDCOracle); ok {
+		o.nodeCosts(out, sorted, c.Mode == ModePC)
+		return
+	}
 	co := make([]job.ProcID, 0, len(sorted))
 	for j, p := range sorted {
 		co = append(co[:0], sorted[:j]...)

@@ -11,7 +11,9 @@ import "cosched/internal/job"
 // in coRunners share p's machine. Both must return 0 for imaginary
 // (padding) processes, and imaginary co-runners must have no effect.
 //
-// Oracles are not memoised: Cost caches their answers per solve.
+// Oracles only read coRunners during the call, so a caller may reuse one
+// slice across queries. Oracles are not memoised: Cost caches their
+// answers per solve.
 type Oracle interface {
 	Degradation(p job.ProcID, coRunners []job.ProcID) float64
 	CommDegradation(p job.ProcID, coRunners []job.ProcID) float64

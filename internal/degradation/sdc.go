@@ -9,7 +9,7 @@ import (
 )
 
 // SDCOracle derives degradations from the full cache/communication
-// pipeline: SDC co-run miss prediction (cache.EffectiveWays) feeding the
+// pipeline: SDC co-run miss prediction (cache.Compete) feeding the
 // Eq. 14-15 CPU-time model, and comm.Pattern halo traffic over the cluster
 // network for the Eq. 9 communication term.
 type SDCOracle struct {
@@ -60,21 +60,79 @@ func NewSDCOracle(b *job.Batch, m *cache.Machine, profiles []*cache.Profile, pat
 }
 
 // Degradation implements Oracle via the SDC merge of the co-running
-// profiles.
+// profiles. For up to memoNodeMax processes the profile list and the
+// competition's shares live on the stack, so a query allocates nothing.
 func (o *SDCOracle) Degradation(p job.ProcID, coRunners []job.ProcID) float64 {
 	prof := o.profiles[int(p)-1]
 	if prof == nil {
 		return 0
 	}
-	group := make([]*cache.Profile, 0, len(coRunners)+1)
-	group = append(group, prof)
-	for _, q := range coRunners {
+	var groupBuf [memoNodeMax]*cache.Profile
+	group := o.appendProfiles(append(groupBuf[:0], prof), coRunners)
+	var effBuf [memoNodeMax]int
+	eff, _ := o.compete(&effBuf, group)
+	return cache.CoRunDegradation(o.machine, prof, eff[0])
+}
+
+// nodeCosts fills out[j] with the effective degradation of sorted[j]
+// against the rest of the node, in ascending process-ID order, plus the
+// Eq. 9 communication term when comm is set: bit for bit what Degradation
+// and CommDegradation return with the co-runners listed in ascending
+// order. One SDC competition over the node's live profiles, in ascending
+// order, answers every member. Without a tie every ordering of those
+// profiles yields the same shares, so that one competition is each
+// member's own. With a tie only the first live member's ordering is the
+// one competed, and every other member gets its own Degradation call.
+//
+// All scratch is on the stack: the oracle is shared by parallel search
+// workers and concurrent solves, so it holds nothing mutable.
+func (o *SDCOracle) nodeCosts(out []float64, sorted []job.ProcID, comm bool) {
+	var groupBuf [memoNodeMax]*cache.Profile
+	group := o.appendProfiles(groupBuf[:0], sorted)
+	var effBuf [memoNodeMax]int
+	eff, tied := o.compete(&effBuf, group)
+	var coBuf [memoNodeMax]job.ProcID
+	live := 0
+	for j, p := range sorted {
+		co := append(append(coBuf[:0], sorted[:j]...), sorted[j+1:]...)
+		var d float64
+		if prof := o.profiles[int(p)-1]; prof != nil {
+			if tied && live > 0 {
+				d = o.Degradation(p, co)
+			} else {
+				d = cache.CoRunDegradation(o.machine, prof, eff[live])
+			}
+			live++
+		}
+		if comm {
+			d += o.CommDegradation(p, co)
+		}
+		out[j] = d
+	}
+}
+
+// appendProfiles appends to dst the profiles of the real processes among
+// procs, in order; imaginary processes neither suffer nor cause
+// degradation.
+func (o *SDCOracle) appendProfiles(dst []*cache.Profile, procs []job.ProcID) []*cache.Profile {
+	for _, q := range procs {
 		if qp := o.profiles[int(q)-1]; qp != nil {
-			group = append(group, qp)
+			dst = append(dst, qp)
 		}
 	}
-	degs := cache.CoRunDegradations(o.machine, group)
-	return degs[0]
+	return dst
+}
+
+// compete runs the SDC competition among group on the oracle's machine,
+// with the shares in buf when the group fits, and reports the shares and
+// whether a tie decided any position.
+func (o *SDCOracle) compete(buf *[memoNodeMax]int, group []*cache.Profile) ([]int, bool) {
+	eff := buf[:]
+	if len(group) > len(eff) {
+		eff = make([]int, len(group))
+	}
+	eff = eff[:len(group)]
+	return eff, cache.Compete(group, o.machine.Ways, eff)
 }
 
 // CommDegradation implements Oracle: c(i,S)/ct(i) for PC processes, 0 for

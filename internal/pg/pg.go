@@ -27,17 +27,22 @@ func Politeness(c *degradation.Cost) []float64 {
 	b := c.Batch
 	n := b.NumProcs()
 	caused := make([]float64, n+1)
+	// One co-runner slice serves every pair: it escapes through the
+	// Oracle interface, so a fresh one per query would be n(n-1) heap
+	// allocations.
+	co := make([]job.ProcID, 1)
 	for i := 1; i <= n; i++ {
 		if b.Procs[i-1].Imaginary {
 			continue
 		}
+		co[0] = job.ProcID(i)
 		var sum float64
 		var cnt int
 		for j := 1; j <= n; j++ {
 			if j == i || b.Procs[j-1].Imaginary {
 				continue
 			}
-			sum += c.Oracle.Degradation(job.ProcID(j), []job.ProcID{job.ProcID(i)})
+			sum += c.Oracle.Degradation(job.ProcID(j), co)
 			cnt++
 		}
 		if cnt > 0 {

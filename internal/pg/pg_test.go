@@ -120,3 +120,16 @@ func TestSolveHandlesParallelBatch(t *testing.T) {
 		t.Errorf("mixed-batch PG cost = %v; want > 0", res.Cost)
 	}
 }
+
+// TestPolitenessAllocationsFlatInN guards the scoring pass: one
+// co-runner slice serves all n(n-1) pair queries and the SDC oracle
+// answers each on the stack, so scoring a larger batch allocates no
+// more.
+func TestPolitenessAllocationsFlatInN(t *testing.T) {
+	small, large := testCost(t, 16, 4, 1), testCost(t, 64, 4, 1)
+	a := testing.AllocsPerRun(5, func() { Politeness(small) })
+	b := testing.AllocsPerRun(5, func() { Politeness(large) })
+	if b > a {
+		t.Errorf("scoring 64 processes costs %.0f allocs, 16 cost %.0f; want no growth", b, a)
+	}
+}

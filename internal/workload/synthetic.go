@@ -183,6 +183,10 @@ func PairwiseFromOracle(in *Instance) (*Instance, error) {
 	for i := range mtx {
 		mtx[i] = make([]float64, n)
 	}
+	// One co-runner slice serves every pair: it escapes through the
+	// Oracle interface, so a fresh one per query would be n(n-1) heap
+	// allocations.
+	co := make([]job.ProcID, 1)
 	for i := 1; i <= n; i++ {
 		if b.Procs[i-1].Imaginary {
 			continue
@@ -191,7 +195,8 @@ func PairwiseFromOracle(in *Instance) (*Instance, error) {
 			if i == j || b.Procs[j-1].Imaginary {
 				continue
 			}
-			mtx[i-1][j-1] = in.Oracle.Degradation(job.ProcID(i), []job.ProcID{job.ProcID(j)})
+			co[0] = job.ProcID(j)
+			mtx[i-1][j-1] = in.Oracle.Degradation(job.ProcID(i), co)
 		}
 	}
 	oracle, err := degradation.NewPairwiseOracle(b, mtx, in.Patterns, pairwiseCommFactor(in))

@@ -347,6 +347,27 @@ func TestPairwiseFromOracle(t *testing.T) {
 	}
 }
 
+// TestPairwiseFromOracleAllocationsLinear guards the conversion: one
+// co-runner slice serves all n(n-1) pair queries, so each added process
+// costs its matrix row and nothing per pair.
+func TestPairwiseFromOracleAllocationsLinear(t *testing.T) {
+	allocs := func(n int) float64 {
+		in, err := SyntheticSerialInstance(n, &cache.QuadCore, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := PairwiseFromOracle(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(64)
+	if large-small > 64-16 {
+		t.Errorf("converting 64 processes costs %.0f allocs, 16 cost %.0f; want at most one more per process", large, small)
+	}
+}
+
 func TestDefaultHalo(t *testing.T) {
 	for _, name := range append(PCProgramNames(), "unknown") {
 		hx, hy := DefaultHalo(name)

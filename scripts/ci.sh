@@ -33,10 +33,13 @@ go test ./...
 # allocation-free without telemetry, with a live registry being flushed,
 # and with the full tracing stack (event tracer + flight recorder +
 # spans) attached, keying and deduping a condensation candidate must
-# allocate nothing, and HA*'s anchored and small-level candidate
-# generation must stay within their budgets (run explicitly so a -run
-# filter in the main suite can never silently drop the gate).
+# allocate nothing, HA*'s anchored and small-level candidate generation
+# must stay within their budgets, and an SDC oracle query and an SDC
+# node-memo miss (one competition for the whole node) must allocate
+# nothing (run explicitly so a -run filter in the main suite can never
+# silently drop the gate).
 go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree' -count=1
+go test ./internal/degradation/ -run 'TestSDCOracleDegradationAllocationFree|TestSDCMemoMissAllocationFree' -count=1
 
 # Race matrix over the concurrent search paths: the work-stealing
 # parallel engine (DESIGN.md §5d), its striped dismissal table and the
@@ -321,7 +324,8 @@ echo "ci: request observability — IDs echoed, access log validates, trace join
 # Serving benchmark + autoscaler gate: boot coschedd with a 1..4
 # autoscaling pool and aggressive scale knobs, drive a two-rung
 # open-loop coschedload ladder sized to saturate one worker (cold
-# hastar synthetic-28 solves run ~50-100ms on this class of builder),
+# hastar synthetic-29 solves, padded to 32 processes, run ~50-65ms on a
+# 2-vCPU builder; synthetic-28 solves run ~25ms, too short to queue),
 # and require: a valid BENCH_serving.json, at least one autoscale grow
 # in /metrics, the pool shrinking back once the ladder goes idle, a
 # renderable scaling timeline from /debug/trace, and a clean SIGTERM
@@ -329,7 +333,7 @@ echo "ci: request observability — IDs echoed, access log validates, trace join
 go build -o "$tracedir/coschedload" ./cmd/coschedload
 boot_coschedd "$tracedir/coschedd-scale.log" -addr 127.0.0.1:0 -workers-min 1 -workers-max 4 \
     -scale-interval 200ms -scale-up-p90 5ms -scale-idle 1500ms -scale-cooldown 400ms
-"$tracedir/coschedload" -addr "http://$addr" -rungs 15x3s,25x3s -synthetic 28 -warm 0.3 \
+"$tracedir/coschedload" -addr "http://$addr" -rungs 15x3s,25x3s -synthetic 29 -warm 0.3 \
     -out "$tracedir/BENCH_serving.json" > "$tracedir/coschedload.out"
 "$tracedir/coschedload" -check "$tracedir/BENCH_serving.json" > /dev/null
 grep -Eq '^cosched_server_autoscale_grow [1-9]' <<<"$(curl -sf "http://$addr/metrics")" || {
