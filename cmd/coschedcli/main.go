@@ -44,7 +44,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for synthetic jobs")
 		accounting  = flag.String("accounting", "pc", "objective accounting: se, pe, pc")
 		ipConfig    = flag.String("ipconfig", "", "IP branch-and-bound preset name")
-		timeLimit   = flag.Duration("timelimit", 0, "solver time limit (e.g. 30s); on breach the best incumbent is returned as a degraded schedule")
 		deadline    = flag.Duration("deadline", 0, "hard wall-clock deadline enforced through context cancellation; a breached solve returns its best incumbent flagged DEGRADED")
 		robust      = flag.Bool("robust", false, "walk the OA* → HA* → beam → PG fallback ladder (splitting -deadline across rungs) instead of a single -method")
 		memBudget   = flag.Int64("membudget", 0, "graph-search memory budget in bytes (0 = unbounded); on breach the best incumbent is returned")
@@ -105,7 +104,6 @@ func main() {
 		Method:       method,
 		Accounting:   acct,
 		IPConfig:     *ipConfig,
-		TimeLimit:    *timeLimit,
 		MemoryBudget: *memBudget,
 		Parallelism:  *parallel,
 	}

@@ -40,7 +40,6 @@ import (
 	"cosched/internal/graph"
 	"cosched/internal/ip"
 	"cosched/internal/job"
-	"cosched/internal/osvp"
 	"cosched/internal/pg"
 	"cosched/internal/telemetry"
 )
@@ -197,12 +196,6 @@ type Options struct {
 	// ("bnb-best+round", "bnb-best", "bnb-depth", "bnb-basic"); empty
 	// means the strongest.
 	IPConfig string
-	// TimeLimit aborts the solve after this much wall clock (0 = none).
-	// Graph searches and IP then return their best incumbent as a
-	// degraded schedule (Stats.Degraded, Stats.AbortReason) instead of
-	// an error. Prefer SolveContext with a deadline when callers need
-	// cancellation too.
-	TimeLimit time.Duration
 	// MaxExpansions stops graph searches after this many expansions —
 	// and IP solves after this many branch-and-bound nodes — returning
 	// the best incumbent as a degraded schedule (0 = none).
@@ -258,9 +251,6 @@ func (o *Options) validate() error {
 	}
 	if o.BeamWidth < 0 {
 		return &OptionError{Field: "BeamWidth", Value: o.BeamWidth, Reason: "must be non-negative"}
-	}
-	if o.TimeLimit < 0 {
-		return &OptionError{Field: "TimeLimit", Value: o.TimeLimit, Reason: "must be non-negative"}
 	}
 	if o.MaxExpansions < 0 {
 		return &OptionError{Field: "MaxExpansions", Value: o.MaxExpansions, Reason: "must be non-negative"}
@@ -324,13 +314,14 @@ func Solve(inst *Instance, opts Options) (*Schedule, error) {
 	return SolveContext(context.Background(), inst, opts)
 }
 
-// SolveContext is Solve with cancellation: the context's deadline and
-// cancellation are polled inside the solver hot loops (once per graph
-// pop / branch-and-bound node), so a cancel stops the solve promptly —
-// mid-frontier, not only at the next TimeLimit check. A solve stopped
-// early does not fail: it returns the best incumbent found so far as a
-// feasible *Schedule flagged Stats.Degraded, with Stats.AbortReason
-// saying why (AbortDeadline, AbortCancel, AbortExpansions, AbortMemory).
+// SolveContext is Solve with a wall clock: the context's deadline and
+// cancellation are the only time budget, polled inside the solver hot
+// loops (once per graph pop / branch-and-bound node), so an expired
+// deadline or a cancel stops the solve promptly, mid-frontier. A solve
+// stopped early does not fail: it returns the best incumbent found so
+// far as a feasible *Schedule flagged Stats.Degraded, with
+// Stats.AbortReason saying why (AbortDeadline, AbortCancel,
+// AbortExpansions, AbortMemory).
 //
 // Invalid options are rejected up front with an *OptionError, and a
 // panic thrown by a user-supplied callback (tracer, event sink) is
@@ -433,7 +424,6 @@ func solveGraph(ctx context.Context, inst *Instance, cost *degradation.Cost, opt
 		Condense:      !opts.DisableCondensation,
 		ExactParallel: opts.ExactParallel,
 		MaxExpansions: opts.MaxExpansions,
-		TimeLimit:     opts.TimeLimit,
 		MemoryBudget:  opts.MemoryBudget,
 		Parallelism:   par,
 		Ctx:           ctx,
@@ -463,16 +453,27 @@ func solveGraph(ctx context.Context, inst *Instance, cost *degradation.Cost, opt
 	}
 	switch opts.Method {
 	case MethodOSVP:
+		// O-SVP [33] is this search with h = 0, no condensation, no
+		// incumbent and one worker: uniform-cost search. Its phases have
+		// no prepare span of their own (h = 0 precomputes nothing) and
+		// its trace header names no h strategy.
+		if opts.Metrics != nil {
+			opts.Metrics.Counter("osvp.solves").Add(1)
+		}
 		sp = obs.spans.Start("search")
-		res, err := osvp.SolveOpts(g, osvp.Options{
+		s, err := astar.NewSolver(g, astar.Options{
+			H:             astar.HNone,
 			MaxExpansions: opts.MaxExpansions,
-			TimeLimit:     opts.TimeLimit,
-			Ctx:           ctx,
 			MemoryBudget:  opts.MemoryBudget,
+			Ctx:           ctx,
 			Metrics:       opts.Metrics,
 			Tracer:        tr,
 			Progress:      aopts.Progress,
 		})
+		var res *astar.Result
+		if err == nil {
+			res, err = s.Solve()
+		}
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -542,7 +543,6 @@ func solveIP(ctx context.Context, inst *Instance, cost *degradation.Cost, opts O
 		}
 	}
 	cfg.Ctx = ctx
-	cfg.TimeLimit = opts.TimeLimit
 	if opts.MaxExpansions > 0 {
 		cfg.MaxNodes = opts.MaxExpansions
 	}
@@ -559,7 +559,6 @@ func solveIP(ctx context.Context, inst *Instance, cost *degradation.Cost, opts O
 		LPIters:           res.Stats.LPIters,
 		BoundImprovements: res.Stats.BoundImprovements,
 		Duration:          res.Stats.Duration,
-		TimedOut:          res.Stats.TimedOut,
 		Degraded:          res.Stats.Degraded,
 		AbortReason:       res.Stats.Aborted,
 	}

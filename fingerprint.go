@@ -142,8 +142,8 @@ func fingerprintOracle(w fpWriter, b *job.Batch, o degradation.Oracle) error {
 // two requests with equal instance and option fingerprints ask for the
 // same schedule.
 //
-// Budget and observation fields (TimeLimit, MaxExpansions, MemoryBudget,
-// tracing, metrics, progress) are deliberately excluded: they decide
+// Budget and observation fields (MaxExpansions, MemoryBudget, tracing,
+// metrics, progress) are deliberately excluded: they decide
 // whether an answer gets proven within budget, not which answer is
 // correct — and the cache only ever stores proven, non-degraded results.
 // Parallelism is excluded for the same reason: the parallel engine only

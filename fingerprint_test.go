@@ -90,7 +90,6 @@ func TestOptionsFingerprintIgnoresBudgets(t *testing.T) {
 	fp := base.Fingerprint()
 
 	budgeted := base
-	budgeted.TimeLimit = 123
 	budgeted.MaxExpansions = 456
 	budgeted.MemoryBudget = 789
 	if got := budgeted.Fingerprint(); got != fp {

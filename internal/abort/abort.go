@@ -23,7 +23,8 @@ type Reason uint8
 const (
 	// None: the solve completed normally.
 	None Reason = iota
-	// Deadline: a TimeLimit or context deadline expired.
+	// Deadline: the context's deadline expired (the context is every
+	// solver's only wall-clock budget).
 	Deadline
 	// Cancel: the context was cancelled.
 	Cancel

@@ -192,28 +192,27 @@ func TestAbortEmitsTrace(t *testing.T) {
 }
 
 // TestPollAbortAllocationFree pins the cost of the per-pop abort poll:
-// with a live cancellable context, an expansion cap, a time limit and a
-// memory budget all armed but untriggered, polling on top of the
-// dismissed-child work must keep the hot path at 0 allocations — the
+// with a live context deadline, an expansion cap and a memory budget all
+// armed but untriggered, polling — memory sample included — on top of
+// the dismissed-child work must keep the hot path at 0 allocations: the
 // anytime machinery may not undo the pooled-search guarantee.
 func TestPollAbortAllocationFree(t *testing.T) {
 	sv, root, node := hotPathSolver(t, 120, 4, true)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	sv.opts.Ctx = ctx
 	sv.opts.MaxExpansions = 1 << 40
-	sv.opts.TimeLimit = time.Hour
 	sv.opts.MemoryBudget = 1 << 40
 	done := sv.abortDone()
 	if done == nil {
 		t.Fatal("live context produced no done channel")
 	}
-	start := time.Now()
 	var stats Stats
 	warm := sv.makeChild(root, node)
 	sv.recycle(warm)
 	allocs := testing.AllocsPerRun(200, func() {
-		if reason := sv.pollAbort(done, &stats, start, 64); reason != abort.None {
+		// VisitedPaths stays 0, so every poll takes a memory sample.
+		if reason := sv.pollAbort(done, stats.VisitedPaths, sv.memSample(stats.VisitedPaths, 64)); reason != abort.None {
 			t.Fatalf("armed-but-untriggered poll aborted: %v", reason)
 		}
 		c := sv.makeChild(root, node)

@@ -8,24 +8,29 @@ import (
 	"cosched/internal/job"
 )
 
-// This file is the anytime-search half of the solver: the per-pop abort
-// poll (context, wall clock, expansion cap, memory budget) and the
-// degraded-result paths that end an aborted search with the best
-// incumbent schedule instead of an error. The poll runs at the TOP of
-// the pop loop, before the pop is counted or its expand event emitted,
-// so an aborted trace still satisfies the tracetool invariants: every
-// counted pop has its expand event, and the admission identity
-// Generated == Expanded + Dismissed + BeamTrimmed + InFrontier holds
-// with InFrontier measured at the abort point.
+// This file is the anytime-search half of the solver: the one abort poll
+// the three search engines share (the pop loop, the parallel workers and
+// the beam generators), the one memory-footprint estimate it reads, and
+// the degraded-result path that ends an aborted search with the best
+// incumbent schedule instead of an error. The pop loop and the beam
+// merge poll at the TOP of each pop, before the pop is counted or its
+// expand event emitted, so an aborted trace still satisfies the tracetool
+// invariants: every counted pop has its expand event, and the admission
+// identity Generated == Expanded + Dismissed + BeamTrimmed + InFrontier
+// holds with InFrontier measured at the abort point.
 
-// memCheckEvery is the pop interval between memory-footprint estimates:
-// the estimate walks the pool list, so it is kept off the per-pop path.
-// Must be a power of two (the poll masks with it).
+// memCheckEvery is the pop interval between the sequential engines'
+// memory samples: the sample walks the pool list, so it is kept off the
+// per-pop path. Must be a power of two (memSample masks with it).
 const memCheckEvery = 64
 
+// queuedBytes is the footprint charged per frontier entry: a 32-byte
+// heapEntry plus the slack of the append-grown heap slice holding it.
+const queuedBytes = 40
+
 // abortDone returns the context's done channel, or nil when no context
-// was configured. Resolved once per solve so the per-pop poll is a
-// single non-blocking channel receive.
+// was configured. Resolved once per solve so the poll is a single
+// non-blocking channel receive.
 func (s *Solver) abortDone() <-chan struct{} {
 	if s.opts.Ctx != nil {
 		return s.opts.Ctx.Done()
@@ -33,11 +38,13 @@ func (s *Solver) abortDone() <-chan struct{} {
 	return nil
 }
 
-// pollAbort checks every abort condition and returns the triggered
-// reason, or abort.None. It runs once per pop before the pop is
-// processed and must stay allocation-free (the 0-alloc dismissed-child
-// guarantee covers it: see TestDismissedChildAllocFreeWithTracing).
-func (s *Solver) pollAbort(done <-chan struct{}, stats *Stats, start time.Time, frontierLen int) abort.Reason {
+// pollAbort is the abort check of every search engine. It returns the
+// first condition that holds, or abort.None: the context is done (its
+// deadline expired or it was cancelled), visited pops have reached
+// MaxExpansions, or footprint — the caller's memory sample in bytes, 0
+// when it took none — exceeds MemoryBudget. It runs once per pop and
+// must stay allocation-free (TestPollAbortAllocationFree).
+func (s *Solver) pollAbort(done <-chan struct{}, visited, footprint int64) abort.Reason {
 	if done != nil {
 		select {
 		case <-done:
@@ -45,69 +52,60 @@ func (s *Solver) pollAbort(done <-chan struct{}, stats *Stats, start time.Time, 
 		default:
 		}
 	}
-	if s.opts.MaxExpansions > 0 && stats.VisitedPaths >= s.opts.MaxExpansions {
+	if s.opts.MaxExpansions > 0 && visited >= s.opts.MaxExpansions {
 		return abort.Expansions
 	}
-	if s.opts.TimeLimit > 0 && time.Since(start) > s.opts.TimeLimit {
-		return abort.Deadline
-	}
-	if s.opts.MemoryBudget > 0 && stats.VisitedPaths&(memCheckEvery-1) == 0 &&
-		s.memoryFootprint(frontierLen) > s.opts.MemoryBudget {
+	if s.opts.MemoryBudget > 0 && footprint > s.opts.MemoryBudget {
 		return abort.Memory
 	}
 	return abort.None
 }
 
-// memoryFootprint estimates the search's live byte usage: every element
-// the pools ever freshly allocated (free-listed elements still occupy
-// their storage) at the solver's preallocated capacities, the key
-// table's slot and arena storage, and the priority-list entries. An
-// estimate, not an accounting — it tracks the dominant growth terms so
-// MemoryBudget bounds the frontier before the process dies, which is
-// all the budget promises.
-func (s *Solver) memoryFootprint(frontierLen int) int64 {
-	var alive int64
-	for _, p := range s.allPools {
-		alive += p.gets - p.reuse
-	}
+// footprint is the one estimate of a search's live bytes behind
+// MemoryBudget: elems elements the pools freshly allocated (free-listed
+// ones still hold their storage) at the solver's preallocated
+// capacities, the dismissal table's storage, and queued frontier
+// entries. An estimate, not an accounting — it tracks the dominant
+// growth terms so the budget bounds the frontier before the process
+// dies, which is all the budget promises.
+func (s *Solver) footprint(elems, tableBytes, queued int64) int64 {
 	// Per element: the struct itself plus its backing slices (set words,
 	// key words, node, per-job maxima), all sized at solver capacities.
 	perElem := int64(112) + 8*int64(s.keySetWords+s.keyStride+s.u+len(s.parJobs))
-	bytes := alive * perElem
-	if t := s.table; t != nil {
-		bytes += int64(len(t.slots))*4 + int64(len(t.keys))*8 + int64(t.count)*16
-	}
-	return bytes + int64(frontierLen)*40
+	return elems*perElem + tableBytes + queued*queuedBytes
 }
 
-// degradedGroups picks the best schedule an aborted search can still
-// return: the incumbent complete sub-path if one was admitted, else the
-// precomputed greedy incumbent, else a fresh greedy schedule (the one
-// fallback needing no search state at all). Returns the groups and
-// their Eq. 13 cost, or nil for a malformed batch.
-func (s *Solver) degradedGroups(bestComplete *element, greedyGroups [][]job.ProcID) ([][]job.ProcID, float64) {
-	switch {
-	case bestComplete != nil:
-		return reconstruct(bestComplete), bestComplete.g
-	case greedyGroups != nil:
-		return greedyGroups, s.cost.PartitionCost(greedyGroups)
-	default:
-		g := s.greedySchedule()
-		if g == nil {
-			return nil, 0
-		}
-		return g, s.cost.PartitionCost(g)
+// memSample is the memory sample of the single-goroutine engines (the
+// pop loop and the beam merge) at pop count visited with queued frontier
+// entries: the footprint every memCheckEvery pops while a budget is set,
+// 0 otherwise.
+func (s *Solver) memSample(visited int64, queued int) int64 {
+	if s.opts.MemoryBudget <= 0 || visited&(memCheckEvery-1) != 0 {
+		return 0
 	}
+	var elems int64
+	for _, p := range s.allPools {
+		elems += p.gets - p.reuse
+	}
+	return s.footprint(elems, s.table.bytes(), int64(queued))
 }
 
-// finishAbort stamps the abort on the stats, publishes the abort
-// telemetry (counter and trace event), emits the final stats and
-// solution events, and builds the degraded Result. inFrontier is the
-// admission-identity frontier at the abort point (priority-list length,
-// or the beam's mid-depth survivors plus unprocessed frontier).
+// finishAbort ends an aborted search with a degraded Result. groups and
+// cost are the engine's incumbent, or nil when it holds none; a fresh
+// greedy schedule, the one fallback needing no search state, answers
+// then. It stamps the abort on the stats, publishes the abort telemetry
+// (counter and trace event), and emits the final stats and solution
+// events. inFrontier is the admission-identity frontier at the abort
+// point (priority-list length, or the beam's mid-depth survivors plus
+// unprocessed frontier).
 func (s *Solver) finishAbort(reason abort.Reason, stats *Stats, inFrontier int64,
 	groups [][]job.ProcID, cost float64, start time.Time, met *solverMetrics) (*Result, error) {
 
+	if groups == nil {
+		if groups = s.greedySchedule(); groups != nil {
+			cost = s.cost.PartitionCost(groups)
+		}
+	}
 	stats.Degraded = true
 	stats.Aborted = reason
 	stats.InFrontier = inFrontier

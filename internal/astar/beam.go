@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cosched/internal/abort"
@@ -72,7 +71,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 		t.reset()
 		if bp > 1 {
 			gens = make([][]*element, len(frontier))
-			s.beamGenerate(genWorkers, frontier, gens, &stats, done, start)
+			s.beamGenerate(genWorkers, frontier, gens, &stats, done)
 		}
 		for idx, e := range frontier {
 			// Polled before the element is counted, so an aborted
@@ -80,7 +79,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 			// survivors (t.count) plus the frontier elements not yet
 			// expanded (q > 0 excludes the depth-0 root, which was
 			// never Generated) are exactly the in-frontier population.
-			if reason := s.pollAbort(done, &stats, start, len(frontier)); reason != abort.None {
+			if reason := s.pollAbort(done, stats.VisitedPaths, s.memSample(stats.VisitedPaths, len(frontier))); reason != abort.None {
 				// Pre-generated children of unmerged elements were
 				// never admitted; return them to their pools.
 				if bp > 1 {
@@ -96,8 +95,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 						inFrontier++
 					}
 				}
-				groups, cost := s.degradedGroups(nil, nil)
-				return s.finishAbort(reason, &stats, inFrontier, groups, cost, start, met)
+				return s.finishAbort(reason, &stats, inFrontier, nil, 0, start, met)
 			}
 			stats.VisitedPaths++
 			if e.q > 0 {
@@ -230,12 +228,14 @@ func (s *Solver) beamParallelism() int {
 // own pool and scratch. No admission state is shared — counting,
 // dedup and trace events all happen in the caller's serial merge, which
 // is what keeps the parallel beam bit-identical to the sequential one.
-// Workers only poll the cheap abort signals (context, wall clock); the
-// merge loop re-polls per element and settles the abort accounting.
-func (s *Solver) beamGenerate(workers []*Solver, frontier []*element, gens [][]*element, stats *Stats, done <-chan struct{}, start time.Time) {
+// Each generator runs the shared abort poll before every element and
+// stops on an abort; it takes no memory sample (the pools are busy), and
+// the merge loop re-polls per element, samples memory and settles the
+// abort accounting.
+func (s *Solver) beamGenerate(workers []*Solver, frontier []*element, gens [][]*element, stats *Stats, done <-chan struct{}) {
 	var wg sync.WaitGroup
-	var stop atomic.Bool
 	condensed := make([]int64, len(workers))
+	visited := stats.VisitedPaths // unchanged until the merge runs
 	wg.Add(len(workers))
 	for wi := range workers {
 		go func(wi int) {
@@ -243,20 +243,7 @@ func (s *Solver) beamGenerate(workers []*Solver, frontier []*element, gens [][]*
 			w := workers[wi]
 			var local Stats
 			for i := wi; i < len(frontier); i += len(workers) {
-				if stop.Load() {
-					break
-				}
-				if done != nil {
-					select {
-					case <-done:
-						stop.Store(true)
-					default:
-					}
-				}
-				if w.opts.TimeLimit > 0 && time.Since(start) > w.opts.TimeLimit {
-					stop.Store(true)
-				}
-				if stop.Load() {
+				if w.pollAbort(done, visited, 0) != abort.None {
 					break
 				}
 				e := frontier[i]

@@ -14,7 +14,13 @@
 //     running maximum over its scheduled processes.
 //
 // HA* is OA* with each level's candidate nodes capped to the first
-// MER = n/u valid nodes in ascending weight order (§IV).
+// MER = n/u valid nodes in ascending weight order (§IV). The O-SVP
+// baseline of the authors' earlier work [33] is OA* with h = 0 (HNone):
+// uniform-cost search over the same graph.
+//
+// Every engine takes its wall clock from Options.Ctx alone: a deadline
+// or cancellation, like the expansion cap and the memory budget, ends
+// the search with its best incumbent flagged Stats.Degraded.
 //
 // # File map
 //
@@ -24,8 +30,9 @@
 // condensation; heuristics.go the h(v) strategies of §III-D; keytable.go
 // the word-packed dismissal table; pool.go the element free lists behind
 // the allocation-free hot path; parsolve.go and stripetable.go the
-// parallel best-first engine (DESIGN.md §5d); abortpath.go the
-// anytime abort poll and degraded results; telemetry.go the event
-// tracer, metrics and progress layer (DESIGN.md §6); options.go the
-// Options/Stats/Result surface.
+// parallel best-first engine (DESIGN.md §5d); abortpath.go the one
+// abort poll the pop loop, the parallel workers and the beam generators
+// share, its memory-footprint estimate and the degraded result;
+// telemetry.go the event tracer, metrics and progress layer (DESIGN.md
+// §6); options.go the Options/Stats/Result surface.
 package astar

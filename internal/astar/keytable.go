@@ -128,6 +128,12 @@ func (t *gTable) reset() {
 	t.count = 0
 }
 
+// bytes estimates the table's storage for the memory footprint: its
+// slots, its key arena, and each entry's best g and element pointer.
+func (t *gTable) bytes() int64 {
+	return int64(len(t.slots))*4 + int64(len(t.keys))*8 + int64(t.count)*16
+}
+
 // key returns the stored key words of entry ei.
 func (t *gTable) key(ei int32) []uint64 {
 	off := int(ei) * t.stride

@@ -97,17 +97,12 @@ type Options struct {
 	// limit); the search then returns its best incumbent as a degraded
 	// result (Stats.Aborted = abort.Expansions).
 	MaxExpansions int64
-	// TimeLimit aborts the search after this much wall-clock time
-	// (0 = none); the search then returns its best incumbent as a
-	// degraded result (Stats.Aborted = abort.Deadline). Unlike
-	// MaxExpansions it also bounds searches whose per-expansion work is
-	// huge (wide levels).
-	TimeLimit time.Duration
-	// Ctx, when non-nil, is polled once per pop: a cancelled or expired
-	// context aborts the search promptly — mid-frontier, not only at the
-	// next TimeLimit poll — and returns the best incumbent as a degraded
-	// result (Stats.Aborted = abort.Cancel or abort.Deadline). nil means
-	// no cancellation.
+	// Ctx, when non-nil, is the search's only wall clock: it is polled
+	// once per pop (and once per element by the beam's generators), so a
+	// cancelled or expired context aborts the search promptly —
+	// mid-frontier — and returns the best incumbent as a degraded result
+	// (Stats.Aborted = abort.Cancel or abort.Deadline). nil means no
+	// deadline and no cancellation.
 	Ctx context.Context
 	// MemoryBudget, when positive, caps the search's estimated live byte
 	// footprint: pooled elements at their preallocated capacities, the
@@ -245,9 +240,9 @@ type Result struct {
 	// cost model, in degradation units (a dimensionless slowdown sum).
 	Cost float64
 	// Stats describes the search effort. Searches aborted by
-	// MaxExpansions, TimeLimit, MemoryBudget or a done Ctx still return a
-	// Result — the best incumbent schedule, flagged Stats.Degraded with
-	// the abort.Reason in Stats.Aborted — so a breached budget costs
+	// MaxExpansions, MemoryBudget or a done Ctx still return a Result —
+	// the best incumbent schedule, flagged Stats.Degraded with the
+	// abort.Reason in Stats.Aborted — so a breached budget costs
 	// certainty, not the answer.
 	Stats Stats
 }

@@ -121,7 +121,6 @@ type parEngine struct {
 	// when no tracer is attached.
 	trMu   sync.Mutex
 	tr     *EventTracer
-	start  time.Time
 	doneCh <-chan struct{}
 }
 
@@ -231,7 +230,6 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 		shards:  make([]*frontierShard, nShards),
 		table:   newStripedTable(s.keyStride, nShards),
 		tr:      tr,
-		start:   start,
 		doneCh:  s.abortDone(),
 	}
 	for i := range en.shards {
@@ -304,7 +302,7 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 		if stats.VisitedPaths == 0 {
 			inFrontier-- // the never-Generated root is still queued
 		}
-		groups, cost := en.degradedGroups()
+		groups, cost, _ := en.result()
 		return s.finishAbort(r, &stats, inFrontier, groups, cost, start, met)
 	}
 
@@ -319,7 +317,8 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 	return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
 }
 
-// result picks the proven answer after a clean termination: the best
+// result picks the engine's best schedule — the proven answer after a
+// clean termination, the incumbent an abort answers with: the best
 // admitted complete schedule, or the greedy incumbent when it is at
 // least as cheap (preferring greedy on ties keeps the returned
 // partition deterministic across runs — which equal-cost optimum the
@@ -333,19 +332,6 @@ func (en *parEngine) result() ([][]job.ProcID, float64, bool) {
 	default:
 		return nil, 0, false
 	}
-}
-
-// degradedGroups is the abort-path answer: best complete, else greedy,
-// else a fresh greedy schedule (mirrors Solver.degradedGroups).
-func (en *parEngine) degradedGroups() ([][]job.ProcID, float64) {
-	if g, c, ok := en.result(); ok {
-		return g, c
-	}
-	g := en.s.greedySchedule()
-	if g == nil {
-		return nil, 0
-	}
-	return g, en.s.cost.PartitionCost(g)
 }
 
 // loadUB returns the current incumbent bound.
@@ -365,7 +351,7 @@ func (en *parEngine) run(id int) {
 		if id == 0 {
 			en.rebalance()
 		}
-		if r := en.poll(); r != abort.None {
+		if r := en.s.pollAbort(en.doneCh, en.visited.Load(), en.memSample()); r != abort.None {
 			en.aborted.CompareAndSwap(0, uint32(r))
 			return
 		}
@@ -409,55 +395,31 @@ func (en *parEngine) run(id int) {
 	}
 }
 
-// poll mirrors Solver.pollAbort for the parallel engine: context, wall
-// clock, expansion cap (checked against the shared pop counter, so the
-// overshoot is at most one expansion per worker) and the hard memory
-// budget.
-func (en *parEngine) poll() abort.Reason {
-	s := en.s
-	if en.doneCh != nil {
-		select {
-		case <-en.doneCh:
-			return abort.FromContext(s.opts.Ctx)
-		default:
-		}
+// memSample is the parallel engine's memory sample, read from shared
+// atomics only — the worker pools' shared fresh-allocation count, the
+// striped table's entry count and the frontier size — so every worker
+// takes it on every poll (the expansion cap is checked against the
+// shared pop counter, so its overshoot is at most one expansion per
+// worker); 0 while no budget is set.
+func (en *parEngine) memSample() int64 {
+	if en.s.opts.MemoryBudget <= 0 {
+		return 0
 	}
-	if s.opts.MaxExpansions > 0 && en.visited.Load() >= s.opts.MaxExpansions {
-		return abort.Expansions
-	}
-	if s.opts.TimeLimit > 0 && time.Since(en.start) > s.opts.TimeLimit {
-		return abort.Deadline
-	}
-	if s.opts.MemoryBudget > 0 && en.footprint() > s.opts.MemoryBudget {
-		return abort.Memory
-	}
-	return abort.None
-}
-
-// footprint estimates live bytes from shared atomics only (the parallel
-// counterpart of Solver.memoryFootprint): pooled elements at solver
-// capacities, striped-table entries, and frontier heap entries.
-func (en *parEngine) footprint() int64 {
-	s := en.s
-	perElem := int64(112) + 8*int64(s.keySetWords+s.keyStride+s.u+len(s.parJobs))
-	perEntry := int64(s.keyStride)*8 + 24
-	return en.allocElems.Load()*perElem +
-		en.table.entries.Load()*perEntry +
-		en.frontierSize.Load()*48
+	return en.s.footprint(en.allocElems.Load(), en.table.bytes(), en.frontierSize.Load())
 }
 
 // rebalance is the memory-aware load balancer, run by worker 0: below
 // the soft threshold every worker expands; between soft threshold and
 // budget the allowed-worker target ramps down linearly (never below
 // worker 0), parking the rest instead of aborting; an actual budget
-// breach is left to poll, which aborts with abort.Memory.
+// breach is left to the abort poll, which aborts with abort.Memory.
 func (en *parEngine) rebalance() {
 	budget := en.s.opts.MemoryBudget
 	if budget <= 0 {
 		return
 	}
 	soft := budget * parkSoftNum / parkSoftDen
-	fp := en.footprint()
+	fp := en.memSample()
 	p := int32(len(en.workers))
 	switch {
 	case fp <= soft:

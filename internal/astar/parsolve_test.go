@@ -401,11 +401,11 @@ func TestParallelRebalance(t *testing.T) {
 		t.Errorf("after recovery: activeTarget %d, want 8", got)
 	}
 
-	if en.poll() != abort.None {
+	if s.pollAbort(nil, 0, en.memSample()) != abort.None {
 		t.Error("poll aborted below the budget")
 	}
 	en.allocElems.Store(1001)
-	if en.poll() != abort.Memory {
+	if s.pollAbort(nil, 0, en.memSample()) != abort.Memory {
 		t.Error("poll did not abort on a budget breach")
 	}
 }

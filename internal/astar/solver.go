@@ -443,12 +443,12 @@ func (s *Solver) Solve() (*Result, error) {
 		// event, and len(pq) is the exact admission-identity frontier —
 		// except before the very first pop, when the never-Generated
 		// root is still queued and must not count as in-frontier.
-		if reason := s.pollAbort(done, &stats, start, len(pq)); reason != abort.None {
+		if reason := s.pollAbort(done, stats.VisitedPaths, s.memSample(stats.VisitedPaths, len(pq))); reason != abort.None {
 			inFrontier := int64(len(pq))
 			if stats.VisitedPaths == 0 {
 				inFrontier--
 			}
-			groups, cost := s.degradedGroups(bestComplete, greedyGroups)
+			groups, cost := s.incumbent(bestComplete, greedyGroups)
 			return s.finishAbort(reason, &stats, inFrontier, groups, cost, start, met)
 		}
 		if len(pq) > stats.MaxQueue {
@@ -555,19 +555,25 @@ func (s *Solver) Solve() (*Result, error) {
 	// (coschedtrace check) can account for fully-drained searches too.
 	stats.Duration = time.Since(start)
 	s.fillAllocStats(&stats)
-	var groups [][]job.ProcID
-	var cost float64
-	switch {
-	case bestComplete != nil:
-		groups, cost = reconstruct(bestComplete), bestComplete.g
-	case greedyGroups != nil:
-		groups, cost = greedyGroups, s.cost.PartitionCost(greedyGroups)
-	}
+	groups, cost := s.incumbent(bestComplete, greedyGroups)
 	tr.Finish(&stats, cost, groups)
 	if groups == nil {
 		return nil, errors.New("astar: priority list exhausted without a complete schedule")
 	}
 	return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
+}
+
+// incumbent is the pop loop's best unproven schedule: the best admitted
+// complete sub-path, else the greedy upper bound, else nil.
+func (s *Solver) incumbent(bestComplete *element, greedyGroups [][]job.ProcID) ([][]job.ProcID, float64) {
+	switch {
+	case bestComplete != nil:
+		return reconstruct(bestComplete), bestComplete.g
+	case greedyGroups != nil:
+		return greedyGroups, s.cost.PartitionCost(greedyGroups)
+	default:
+		return nil, 0
+	}
 }
 
 // rootElement builds the empty sub-path from the solver's pool.

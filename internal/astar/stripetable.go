@@ -45,6 +45,14 @@ func newStripedTable(stride, nStripes int) *stripedTable {
 	return st
 }
 
+// bytes estimates the table's storage for the memory footprint from
+// the lock-free entry count: per entry its key words, best g, element
+// pointer and slot. The stride is fixed at construction, so reading it
+// needs no stripe lock.
+func (st *stripedTable) bytes() int64 {
+	return st.entries.Load() * (8*int64(st.stripes[0].t.stride) + 24)
+}
+
 // stripeOf maps a key hash to its stripe. The stripe index takes high
 // hash bits so it stays independent of the low bits the in-stripe slot
 // probe consumes (and of the frontier-shard bits, see parsolve.go).

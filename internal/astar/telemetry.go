@@ -294,7 +294,7 @@ func (m *solverMetrics) abort(r abort.Reason) {
 
 // searchMethod names the active search mode for the solve_start event.
 // An untrimmed best-first search with h = 0 is uniform-cost search: the
-// O-SVP baseline (internal/osvp).
+// O-SVP baseline [33].
 func (s *Solver) searchMethod() string {
 	switch {
 	case s.opts.BeamWidth > 0:

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -96,10 +97,12 @@ func ablationSymmetry(opts RunOptions) (*Report, error) {
 			return nil, err
 		}
 		run := func(condense bool, cap int64) (*astar.Result, float64, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+			defer cancel()
 			g := graph.New(in.Cost(degradation.ModePE), in.Patterns)
 			s, err := astar.NewSolver(g, astar.Options{
 				H: astar.HPerProc, Condense: condense, UseIncumbent: true,
-				MaxExpansions: cap, TimeLimit: 90 * time.Second})
+				MaxExpansions: cap, Ctx: ctx})
 			if err != nil {
 				return nil, 0, err
 			}

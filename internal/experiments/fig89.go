@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -46,9 +47,9 @@ func fig8(opts RunOptions) (*Report, error) {
 		}
 		run := func(condense bool) (float64, int64, error) {
 			start := time.Now()
-			res, err := capErr(solveOAOpt(in, degradation.ModePC, astar.Options{
+			res, err := capErr(solveOAOpt(in, degradation.ModePC, 90*time.Second, astar.Options{
 				H: astar.HPerProc, Condense: condense, UseIncumbent: true,
-				MaxExpansions: 1_000_000, TimeLimit: 90 * time.Second}))
+				MaxExpansions: 1_000_000}))
 			if err != nil {
 				return 0, 0, err
 			}
@@ -114,15 +115,18 @@ func fig9(opts RunOptions) (*Report, error) {
 			}
 			c := in.Cost(degradation.ModePC)
 			g := graph.New(c, in.Patterns)
+			ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 			s, err := astar.NewSolver(g, astar.Options{
 				H: astar.HPerProc, UseIncumbent: true, Parallelism: activeParallelism,
-				MaxExpansions: maxExp, TimeLimit: 90 * time.Second})
+				MaxExpansions: maxExp, Ctx: ctx})
 			if err != nil {
+				cancel()
 				return nil, err
 			}
 			start := time.Now()
 			res, err := capErr(s.Solve())
 			el := time.Since(start)
+			cancel()
 			if err != nil {
 				rep.Notes = append(rep.Notes,
 					fmt.Sprintf("%d-core sweep stopped at %d processes (expansion cap %d)", sw.u, n, maxExp))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -21,10 +22,17 @@ import (
 // (Theorem 1) can miss the optimum on mixed batches (DESIGN.md §3, and
 // Table II in EXPERIMENTS.md shows the case that exposed it).
 func solveOA(in *workload.Instance, mode degradation.Mode) (*astar.Result, error) {
-	return solveOAOpt(in, mode, astar.Options{Condense: true, UseIncumbent: true, ExactParallel: true})
+	return solveOAOpt(in, mode, 0, astar.Options{Condense: true, UseIncumbent: true, ExactParallel: true})
 }
 
-func solveOAOpt(in *workload.Instance, mode degradation.Mode, opts astar.Options) (*astar.Result, error) {
+// solveOAOpt runs one OA* search; a positive limit bounds its wall clock
+// through the search context.
+func solveOAOpt(in *workload.Instance, mode degradation.Mode, limit time.Duration, opts astar.Options) (*astar.Result, error) {
+	if limit > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), limit)
+		defer cancel()
+		opts.Ctx = ctx
+	}
 	c := in.Cost(mode)
 	g := graph.New(c, in.Patterns)
 	if opts.Metrics == nil {
@@ -67,9 +75,9 @@ func capErr(res *astar.Result, err error) (*astar.Result, error) {
 // that may exceed laptop budgets; the caller degrades gracefully on
 // error.
 func solveOACapped(in *workload.Instance, mode degradation.Mode) (*astar.Result, error) {
-	return capErr(solveOAOpt(in, mode, astar.Options{
+	return capErr(solveOAOpt(in, mode, 2*time.Minute, astar.Options{
 		Condense: true, UseIncumbent: true, ExactParallel: true,
-		MaxExpansions: 2_000_000, TimeLimit: 2 * time.Minute}))
+		MaxExpansions: 2_000_000}))
 }
 
 // solveOAPlain runs OA* exactly as the paper specifies it — set-keyed
@@ -78,9 +86,9 @@ func solveOACapped(in *workload.Instance, mode degradation.Mode) (*astar.Result,
 // continuous running maxima that defeat the symmetry canonicalisation
 // (DESIGN.md §5a). Capped as a safety net.
 func solveOAPlain(in *workload.Instance, mode degradation.Mode) (*astar.Result, error) {
-	return capErr(solveOAOpt(in, mode, astar.Options{
+	return capErr(solveOAOpt(in, mode, 2*time.Minute, astar.Options{
 		Condense: true, UseIncumbent: true,
-		MaxExpansions: 1_500_000, TimeLimit: 2 * time.Minute}))
+		MaxExpansions: 1_500_000}))
 }
 
 // solveHA runs the heuristic A* with the paper's MER budget k = n/u.
@@ -127,8 +135,10 @@ func solveIPBest(in *workload.Instance, mode degradation.Mode, limit time.Durati
 	if err != nil {
 		return nil, err
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), limit)
+	defer cancel()
 	cfg := ip.ConfigA
-	cfg.TimeLimit = limit
+	cfg.Ctx = ctx
 	cfg.Metrics = activeMetrics
 	cfg.Trace = solveTrace()
 	return ip.Solve(model, cfg)

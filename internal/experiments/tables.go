@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"cosched/internal/degradation"
 	"cosched/internal/graph"
 	"cosched/internal/ip"
-	"cosched/internal/osvp"
 	"cosched/internal/workload"
 )
 
@@ -144,16 +144,18 @@ func table3(opts RunOptions) (*Report, error) {
 				return nil, err
 			}
 			for _, cfg := range ip.Configs() {
-				cfg.TimeLimit = ipLimit
 				start := time.Now()
 				model, err := ip.BuildModel(in.Cost(degradation.ModePC))
 				if err != nil {
 					return nil, err
 				}
+				ctx, cancel := context.WithTimeout(context.Background(), ipLimit)
+				cfg.Ctx = ctx
 				res, err := ip.Solve(model, cfg)
+				cancel()
 				el := time.Since(start).Seconds()
 				cell := fmtSec(el)
-				if err != nil || (res != nil && res.Stats.TimedOut) {
+				if err != nil || (res != nil && res.Stats.Degraded) {
 					cell = ">" + fmtSec(ipLimit.Seconds())
 				}
 				row = append(row, cell)
@@ -165,7 +167,11 @@ func table3(opts RunOptions) (*Report, error) {
 			row = append(row, fmtSec(time.Since(start).Seconds()))
 			start = time.Now()
 			g := graph.New(in.Cost(degradation.ModePC), in.Patterns)
-			if _, err := osvp.Solve(g); err != nil {
+			osvp, err := astar.NewSolver(g, astar.Options{H: astar.HNone}) // O-SVP [33]: h = 0
+			if err != nil {
+				return nil, err
+			}
+			if _, err := osvp.Solve(); err != nil {
 				return nil, err
 			}
 			row = append(row, fmtSec(time.Since(start).Seconds()))

@@ -12,7 +12,6 @@ import (
 	"cosched/internal/graph"
 	"cosched/internal/ip"
 	"cosched/internal/job"
-	"cosched/internal/osvp"
 	"cosched/internal/pg"
 	"cosched/internal/workload"
 )
@@ -145,14 +144,45 @@ func TestOSVPAgreesOnSerialBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := graph.New(c, nil)
-		res, err := osvp.Solve(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solveOSVP(t, graph.New(c, nil))
 		if math.Abs(res.Cost-bf.Cost) > eps {
 			t.Errorf("seed %d: O-SVP %v != optimum %v", seed, res.Cost, bf.Cost)
 		}
+	}
+}
+
+// solveOSVP runs the O-SVP baseline [33]: the graph search with h = 0.
+func solveOSVP(t *testing.T, g *graph.Graph) *astar.Result {
+	t.Helper()
+	s, err := astar.NewSolver(g, astar.Options{H: astar.HNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestOSVPMatchesOAStarOnMixedBatch(t *testing.T) {
+	m := cache.QuadCore
+	in, err := workload.SyntheticMixedInstance(12, 2, 3, &m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New(in.Cost(degradation.ModePC), in.Patterns)
+	res := solveOSVP(t, g)
+	s, err := astar.NewSolver(g, astar.Options{H: astar.HStrategy2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oa, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Cost-oa.Cost) > 1e-9 {
+		t.Errorf("O-SVP %v != OA* %v", res.Cost, oa.Cost)
 	}
 }
 

@@ -2,7 +2,6 @@ package ip
 
 import (
 	"context"
-	"time"
 
 	"cosched/internal/telemetry"
 )
@@ -24,15 +23,14 @@ type Config struct {
 	// Rounding derives incumbents from fractional LPs, tightening
 	// pruning early.
 	Rounding bool
-	// TimeLimit aborts the search (0 = none); the paper's SCIP runs
-	// gave up at 1000 seconds the same way.
-	TimeLimit time.Duration
 	// MaxNodes aborts after this many branch-and-bound nodes (0 =
 	// none).
 	MaxNodes int64
-	// Ctx, when non-nil, is polled once per branch-and-bound node: a
-	// cancelled or expired context aborts the solve promptly and returns
-	// the incumbent as a degraded result (Stats.Aborted).
+	// Ctx, when non-nil, is the solve's only wall clock, polled once per
+	// branch-and-bound node: a cancelled or expired context aborts the
+	// solve promptly and returns the incumbent as a degraded result
+	// (Stats.Aborted). The paper's SCIP runs gave up at 1000 seconds the
+	// same way.
 	Ctx context.Context
 	// LPIterLimit caps simplex pivots per relaxation (0 = default).
 	LPIterLimit int

@@ -83,8 +83,8 @@ func TestSolveMatchesBruteForceSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d cfg %s: %v", seed, cfg.Name, err)
 			}
-			if !res.Optimal {
-				t.Fatalf("seed %d cfg %s: not optimal", seed, cfg.Name)
+			if res.Stats.Degraded {
+				t.Fatalf("seed %d cfg %s: not optimal (%v)", seed, cfg.Name, res.Stats.Aborted)
 			}
 			if err := c.ValidatePartition(res.Groups); err != nil {
 				t.Fatalf("seed %d cfg %s: %v", seed, cfg.Name, err)
@@ -162,19 +162,43 @@ func TestSolveMixedQuadCore(t *testing.T) {
 	}
 }
 
+// TestTimeLimit checks the solve's wall-clock budget, the context
+// deadline: one that expires mid-search degrades with reason deadline
+// and a valid partition, never an error. The trace sink holds the solve
+// at its first incumbent until the deadline has passed, so the expiry is
+// mid-search on any host.
 func TestTimeLimit(t *testing.T) {
-	c := buildCost(t, 16, 4, 1, degradation.ModePC)
+	// Seed 1 takes 7 branch-and-bound nodes under ConfigD and finds its
+	// first incumbent before the last of them.
+	c := buildCost(t, 12, 4, 1, degradation.ModePC)
 	m, err := BuildModel(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	held := false
 	cfg := ConfigD
-	cfg.TimeLimit = 1 * time.Nanosecond
+	cfg.Ctx = ctx
+	cfg.Trace = telemetry.NewEmitter(telemetry.EventSinkFunc(func(ev telemetry.Event) error {
+		if ev.Ev == "incumbent" && !held {
+			<-ctx.Done()
+			held = true
+		}
+		return nil
+	}))
 	res, err := Solve(m, cfg)
-	// Either it found nothing in time (error) or returned a non-optimal
-	// incumbent; both must flag the timeout.
-	if err == nil && res.Optimal {
-		t.Error("nanosecond time limit produced a claimed-optimal result")
+	if err != nil {
+		t.Fatalf("deadline-cut solve errored instead of degrading: %v", err)
+	}
+	if !held {
+		t.Fatal("the solve found no incumbent before it ended")
+	}
+	if !res.Stats.Degraded || res.Stats.Aborted != abort.Deadline {
+		t.Errorf("stats not flagged degraded/deadline: %+v", res.Stats)
+	}
+	if err := c.ValidatePartition(res.Groups); err != nil {
+		t.Errorf("degraded partition invalid: %v", err)
 	}
 }
 
@@ -301,12 +325,6 @@ func TestAbortContext(t *testing.T) {
 			}
 			if !res.Stats.Degraded || res.Stats.Aborted != tc.want {
 				t.Errorf("stats not flagged degraded/%v: %+v", tc.want, res.Stats)
-			}
-			if !res.Stats.TimedOut {
-				t.Error("TimedOut compat flag not set on aborted solve")
-			}
-			if res.Optimal {
-				t.Error("aborted solve claims optimality")
 			}
 			if err := c.ValidatePartition(res.Groups); err != nil {
 				t.Errorf("degraded partition invalid: %v", err)

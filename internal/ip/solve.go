@@ -26,14 +26,10 @@ type Stats struct {
 	BoundImprovements int64
 	// Duration is the wall-clock solving time.
 	Duration time.Duration
-	// TimedOut reports whether any budget (TimeLimit, MaxNodes, or a
-	// done Ctx) cut the search short (the Result then carries the best
-	// incumbent, not a proven optimum). Kept alongside the richer
-	// Degraded/Aborted pair for the pre-anytime API surface.
-	TimedOut bool
-	// Degraded mirrors TimedOut in the anytime vocabulary every solver
-	// shares; Aborted carries the reason (deadline, cancel, expansions
-	// for the node cap).
+	// Degraded reports that a budget (MaxNodes or a done Ctx) cut the
+	// search short: the Result then carries the best incumbent, not a
+	// proven optimum. Aborted carries the reason (deadline, cancel,
+	// expansions for the node cap).
 	Degraded bool
 	Aborted  abort.Reason
 }
@@ -113,12 +109,12 @@ func traceFinish(tr telemetry.Emitter, st *Stats, cost float64, groups [][]job.P
 	tr.Flush() //nolint:errcheck // the trace is best-effort
 }
 
-// Result is an exact (or best-found, if timed out) IP solution.
+// Result is an exact IP solution, or the best found when a budget cut
+// the search short (Stats.Degraded).
 type Result struct {
-	Groups  [][]job.ProcID
-	Cost    float64
-	Optimal bool
-	Stats   Stats
+	Groups [][]job.ProcID
+	Cost   float64
+	Stats  Stats
 }
 
 // bbNode is one branch-and-bound node: a set of branching decisions.
@@ -155,10 +151,6 @@ const intTol = 1e-6
 func Solve(m *Model, cfg Config) (*Result, error) {
 	start := time.Now()
 	var stats Stats
-	deadline := time.Time{}
-	if cfg.TimeLimit > 0 {
-		deadline = start.Add(cfg.TimeLimit)
-	}
 
 	incumbent := math.Inf(1)
 	var incumbentSel []int
@@ -218,10 +210,6 @@ func Solve(m *Model, cfg Config) (*Result, error) {
 			if aborted != abort.None {
 				break
 			}
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			aborted = abort.Deadline
-			break
 		}
 		if cfg.MaxNodes > 0 && stats.Nodes >= cfg.MaxNodes {
 			aborted = abort.Expansions
@@ -286,7 +274,6 @@ func Solve(m *Model, cfg Config) (*Result, error) {
 
 	stats.Duration = time.Since(start)
 	if aborted != abort.None {
-		stats.TimedOut = true
 		stats.Degraded = true
 		stats.Aborted = aborted
 		met.abortCounter(aborted)
@@ -311,12 +298,7 @@ func Solve(m *Model, cfg Config) (*Result, error) {
 	if groups == nil {
 		return nil, fmt.Errorf("ip: no feasible solution found")
 	}
-	return &Result{
-		Groups:  groups,
-		Cost:    cost,
-		Optimal: !stats.TimedOut,
-		Stats:   stats,
-	}, nil
+	return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
 }
 
 // sequentialGroups builds the trivial u-chunk partition of processes

@@ -159,9 +159,7 @@ func TestQueuedTaskForGoneClientSkipsSolve(t *testing.T) {
 func TestRejectionsCarryRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1, CacheEntries: -1,
-		ReplicaID:           "r-test",
-		RetryAfterQueueFull: time.Second,
-		RetryAfterDraining:  3 * time.Second,
+		ReplicaID: "r-test",
 	})
 
 	// Healthy healthz names the replica.
@@ -226,8 +224,8 @@ func TestRejectionsCarryRetryAfter(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("draining healthz Retry-After = %q; want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Fatalf("draining healthz Retry-After = %q; want \"2\"", ra)
 	}
 	var drainingHealth map[string]any
 	decodeJSONBody(t, resp, &drainingHealth)
@@ -245,8 +243,8 @@ func TestRejectionsCarryRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drain-time solve status = %d; want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("drain-time 503 Retry-After = %q; want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Fatalf("drain-time 503 Retry-After = %q; want \"2\"", ra)
 	}
 	<-queued
 }

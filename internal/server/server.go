@@ -130,23 +130,22 @@ type Config struct {
 	// 200 response is good when served within it (<= 0 means 500ms).
 	SLOLatency time.Duration
 	// SLOObjective is the target good fraction for both SLOs (0 means
-	// 0.99); SLOFastWindow and SLOSlowWindow override the burn-rate
-	// horizons (0 means 5m and 1h).
-	SLOObjective  float64
-	SLOFastWindow time.Duration
-	SLOSlowWindow time.Duration
+	// 0.99).
+	SLOObjective float64
 	// ReplicaID names this daemon within a fleet: it appears in
 	// /healthz, in every access-log line and request trace event, so a
 	// fleet client's telemetry can be joined to the replica that
 	// answered. Empty means a boot-generated "r-<4 hex>" ID.
 	ReplicaID string
-	// RetryAfterQueueFull and RetryAfterDraining are the Retry-After
-	// hints sent with 429 (admission queue full) and 503 (draining)
-	// rejections (<= 0 mean 1s and 2s) — the server's own estimate of
-	// when retrying is worth a client's time.
-	RetryAfterQueueFull time.Duration
-	RetryAfterDraining  time.Duration
 }
+
+// The Retry-After hints sent with 429 (admission queue full) and 503
+// (draining) rejections: the server's own estimate of when retrying is
+// worth a client's time.
+const (
+	retryAfterQueueFull = time.Second
+	retryAfterDraining  = 2 * time.Second
+)
 
 // Server is the daemon's engine: handlers answer from the solution
 // cache and feed its misses to an admission queue that an autoscaled
@@ -251,12 +250,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReplicaID == "" {
 		cfg.ReplicaID = newReplicaID()
 	}
-	if cfg.RetryAfterQueueFull <= 0 {
-		cfg.RetryAfterQueueFull = time.Second
-	}
-	if cfg.RetryAfterDraining <= 0 {
-		cfg.RetryAfterDraining = 2 * time.Second
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.New()
 	}
@@ -294,16 +287,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.sloLatencyMS = float64(cfg.SLOLatency) / float64(time.Millisecond)
 	s.sloAvail = telemetry.NewSLO(r, telemetry.SLOConfig{
-		Name:       "server.slo.availability",
-		Objective:  cfg.SLOObjective,
-		FastWindow: cfg.SLOFastWindow,
-		SlowWindow: cfg.SLOSlowWindow,
+		Name:      "server.slo.availability",
+		Objective: cfg.SLOObjective,
 	})
 	s.sloLatency = telemetry.NewSLO(r, telemetry.SLOConfig{
-		Name:       "server.slo.latency",
-		Objective:  cfg.SLOObjective,
-		FastWindow: cfg.SLOFastWindow,
-		SlowWindow: cfg.SLOSlowWindow,
+		Name:      "server.slo.latency",
+		Objective: cfg.SLOObjective,
 	})
 	s.requests = telemetry.NewFlightRecorder(requestRingSize)
 	if cfg.CacheEntries > 0 {
@@ -471,7 +460,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *teleme
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		setRetryAfter(w, s.cfg.RetryAfterDraining)
+		setRetryAfter(w, retryAfterDraining)
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":     "draining",
 			"replica_id": s.cfg.ReplicaID,
@@ -653,9 +642,9 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 // answer is the request path of one solve, a /v1/solve body or one
 // /v1/batch item: drain check, validation, request key, then the one
 // solution-cache call. Only a cache leader — or a request that bypasses
-// the cache — builds an instance and takes a queue slot and a worker;
-// a hit or a joiner waits on its handler goroutine alone. ctx is the
-// caller's (done = caller gone); ev is the request's record.
+// the cache — takes a queue slot and a worker, which builds its
+// instance; a hit or a joiner waits on its handler goroutine alone. ctx
+// is the caller's (done = caller gone); ev is the request's record.
 func (s *Server) answer(ctx context.Context, req *SolveRequest, robust bool, ev *telemetry.Event) (*SolveResponse, *httpError) {
 	// The pending count must rise under the same lock that checks the
 	// drain flag: Drain sets the flag, then waits for pending before it
@@ -666,7 +655,7 @@ func (s *Server) answer(ctx context.Context, req *SolveRequest, robust bool, ev 
 		s.mu.Unlock()
 		s.rejectedDrain.Add(1)
 		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server is draining",
-			retryAfter: s.cfg.RetryAfterDraining}
+			retryAfter: retryAfterDraining}
 	}
 	s.pending.Add(1)
 	s.mu.Unlock()
@@ -828,28 +817,16 @@ func specProcesses(sf *cosched.SpecFile) int {
 	return n
 }
 
-// admit builds the request's instance and enqueues its solve, or says
-// why not: 429 when the queue is full — checked before the build, so a
-// saturated daemon refuses cheaply — and 400 when the workload does not
-// build. ctx is the caller's (done = caller gone); ev is the request
-// record the worker fills in.
+// admit enqueues the request's solve, or refuses it with 429 when the
+// queue is full. The instance is built later, by the worker that pops
+// the task, so the worker pool bounds how many builds run at once. ctx
+// is the caller's (done = caller gone); ev is the request record the
+// worker fills in.
 func (s *Server) admit(ctx context.Context, req *SolveRequest, opts cosched.Options, robust bool, ev *telemetry.Event) (*task, *httpError) {
-	full := &httpError{status: http.StatusTooManyRequests, msg: "admission queue is full",
-		retryAfter: s.cfg.RetryAfterQueueFull}
-	if len(s.queue) == cap(s.queue) {
-		s.rejectedQueue.Add(1)
-		return nil, full
-	}
-	inst, err := build(req)
-	if err != nil {
-		return nil, &httpError{status: http.StatusBadRequest, msg: err.Error()}
-	}
-
 	t := &task{
-		inst:      inst,
+		req:       req,
 		opts:      opts,
 		robust:    robust,
-		trace:     req.Trace,
 		clientCtx: ctx,
 		ev:        ev,
 		enqueued:  time.Now(),
@@ -871,7 +848,8 @@ func (s *Server) admit(ctx context.Context, req *SolveRequest, opts cosched.Opti
 		return t, nil
 	default:
 		s.rejectedQueue.Add(1)
-		return nil, full
+		return nil, &httpError{status: http.StatusTooManyRequests, msg: "admission queue is full",
+			retryAfter: retryAfterQueueFull}
 	}
 }
 
@@ -891,12 +869,13 @@ func build(req *SolveRequest) (*cosched.Instance, error) {
 	}
 }
 
-// task is one admitted solve travelling from handler to worker.
+// task is one admitted solve travelling from handler to worker. req is
+// the handler's validated request, read-only to the worker; the handler
+// waits on done before it touches req again.
 type task struct {
-	inst      *cosched.Instance
+	req       *SolveRequest
 	opts      cosched.Options
 	robust    bool
-	trace     bool
 	clientCtx context.Context // the HTTP request's context: done = caller gone
 	deadline  time.Time
 	enqueued  time.Time
@@ -938,7 +917,8 @@ func (s *Server) worker(quit chan struct{}) {
 }
 
 // process runs one admitted task: the queued-deadline check, the
-// client-gone check, the solve. It writes the request record's queue and
+// client-gone check, the build (a workload that does not build is the
+// request's 400), the solve. It writes the request record's queue and
 // solve fields and the task's answer or refusal.
 func (s *Server) process(t *task) {
 	ev := t.ev
@@ -957,6 +937,12 @@ func (s *Server) process(t *task) {
 	if t.clientCtx != nil && t.clientCtx.Err() != nil {
 		s.rejectedGone.Add(1)
 		t.err = &httpError{status: statusClientGone, msg: "client went away while queued"}
+		return
+	}
+
+	inst, err := build(t.req)
+	if err != nil {
+		t.err = &httpError{status: http.StatusBadRequest, msg: err.Error()}
 		return
 	}
 
@@ -980,7 +966,7 @@ func (s *Server) process(t *task) {
 		defer stop()
 	}
 
-	sched, err := s.solve(ctx, t)
+	sched, err := s.solve(ctx, t, inst)
 	if err != nil {
 		if t.clientCtx != nil && t.clientCtx.Err() != nil {
 			// The solve died because the caller went away mid-run (a
@@ -996,13 +982,13 @@ func (s *Server) process(t *task) {
 	t.sol = solutionFromSchedule(sched, ev.SolveMS)
 }
 
-// solve runs the task's solver call, wiring trace capture and the
-// flight recorder, and records the wall-clock spent solving as the
-// request's solve_ms.
-func (s *Server) solve(ctx context.Context, t *task) (*cosched.Schedule, error) {
+// solve runs the task's solver call on its built instance, wiring trace
+// capture and the flight recorder, and records the wall-clock spent
+// solving as the request's solve_ms.
+func (s *Server) solve(ctx context.Context, t *task, inst *cosched.Instance) (*cosched.Schedule, error) {
 	opts := t.opts
 	var traceBuf *bytes.Buffer
-	if t.trace {
+	if t.req.Trace {
 		traceBuf = &bytes.Buffer{}
 		opts.EventTraceWriter = traceBuf
 	}
@@ -1014,9 +1000,9 @@ func (s *Server) solve(ctx context.Context, t *task) (*cosched.Schedule, error) 
 	var sched *cosched.Schedule
 	var err error
 	if t.robust {
-		sched, err = cosched.SolveRobust(ctx, t.inst, opts)
+		sched, err = cosched.SolveRobust(ctx, inst, opts)
 	} else {
-		sched, err = cosched.SolveContext(ctx, t.inst, opts)
+		sched, err = cosched.SolveContext(ctx, inst, opts)
 	}
 	t.ev.SolveMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {

@@ -312,6 +312,42 @@ func TestTraceReturnsEventStreamOnMiss(t *testing.T) {
 	}
 }
 
+// TestUnbuildableWorkloadIs400 pins where a workload is built: on the
+// worker, after admission. A spec naming an unknown program passes
+// validation, so each refusal below was admitted and its worker's failed
+// build became the request's 400 — alone and inside a batch — and a
+// failed build is never cached, so a repeat is refused again, never
+// answered as a hit.
+func TestUnbuildableWorkloadIs400(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	item := `{"spec": {"jobs": [{"program": "no-such-program"}, {"program": "BT"}]}}`
+	for i := 0; i < 2; i++ {
+		if status, out := postJSON(t, ts.URL+"/v1/solve", item); status != http.StatusBadRequest {
+			t.Fatalf("solve #%d: status %d (%v); want 400", i, status, out)
+		}
+	}
+	status, out := postJSON(t, ts.URL+"/v1/batch", `{"requests": [`+item+`, {"synthetic": 4, "method": "pg"}]}`)
+	if status != http.StatusOK {
+		t.Fatalf("batch: status %d: %v", status, out)
+	}
+	items, ok := out["items"].([]any)
+	if !ok || len(items) != 2 {
+		t.Fatalf("batch items = %v; want 2", out["items"])
+	}
+	if bad := items[0].(map[string]any); bad["status"] != float64(http.StatusBadRequest) || bad["error"] == nil {
+		t.Errorf("unbuildable batch item = %v; want 400 with error", bad)
+	}
+	if good := items[1].(map[string]any); good["status"] != float64(http.StatusOK) {
+		t.Errorf("buildable batch item = %v; want 200", good)
+	}
+	if st := s.CacheStats(); st.Hits != 0 || st.Shared != 0 {
+		t.Errorf("a failed build was served from the cache: %+v", st)
+	}
+	if got := s.admitted.Value(); got != 4 {
+		t.Errorf("admitted = %d; want 4 (every request reaches a worker, which builds it)", got)
+	}
+}
+
 // TestBadRequestsAreRejected covers malformed requests and the request
 // bounds. Each oversized workload would exhaust memory if it were
 // built, so answering it at all shows it was refused first — and the

@@ -195,8 +195,8 @@ type SpillConfig struct {
 	// directory at a time; there is no cross-process locking.
 	Dir string
 	// SegmentBytes caps each segment file before the log rotates to a
-	// fresh one (<= 0 means 4 MiB). Sealed segments are recorded in a
-	// synced manifest; only the active tail can be crash-torn.
+	// fresh one (<= 0 means 4 MiB). A sealed segment is fsync'd; only
+	// the active tail can be crash-torn.
 	SegmentBytes int64
 }
 

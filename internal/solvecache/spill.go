@@ -8,20 +8,19 @@
 //
 //	cache-00000001.seg   framed records (see codec.go), append-only
 //	cache-00000002.seg   ...
-//	MANIFEST             names of sealed segments, one per line, fsync'd
 //
-// A segment rotates once it crosses SegmentBytes: the old file is
-// fsync'd, its name appended to the fsync'd MANIFEST, and a fresh
-// segment opened — so everything outside the active tail is durable,
-// and only the tail can be crash-torn. Replay reads the segments in
-// name order: a truncated record in the final segment is treated as a
-// torn tail and physically truncated away; corruption anywhere else
-// abandons the rest of that segment (its framing can no longer be
-// trusted) but keeps replaying the following ones. Version-skewed
-// records are skipped individually. After replay, the live entries are
-// compacted into a fresh segment generation and the old files deleted,
-// so the log's size tracks the cache's population instead of its
-// entire store history.
+// The directory scan is the log's only index: a MANIFEST file left by an
+// older version is ignored. A segment rotates once it crosses
+// SegmentBytes: the old file is fsync'd and a fresh segment opened — so
+// everything outside the active tail is durable, and only the tail can
+// be crash-torn. Replay reads the segments in name order: a truncated
+// record in the final segment is treated as a torn tail and physically
+// truncated away; corruption anywhere else abandons the rest of that
+// segment (its framing can no longer be trusted) but keeps replaying
+// the following ones. Version-skewed records are skipped individually.
+// After replay, the live entries are compacted into a fresh segment
+// generation and the old files deleted, so the log's size tracks the
+// cache's population instead of its entire store history.
 package solvecache
 
 import (
@@ -37,7 +36,6 @@ import (
 const (
 	segmentPrefix       = "cache-"
 	segmentSuffix       = ".seg"
-	manifestName        = "MANIFEST"
 	defaultSegmentBytes = 4 << 20
 )
 
@@ -84,9 +82,7 @@ func (c *Cache[V]) attachSpill(cfg *SpillConfig) error {
 }
 
 // listSegments returns the directory's segment files in name (== age)
-// order, plus the highest sequence number seen. The MANIFEST is
-// advisory — the directory scan is the source of truth, so a crash
-// between segment creation and manifest append loses nothing.
+// order, plus the highest sequence number seen.
 func listSegments(dir string) (paths []string, maxSeq int, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -162,10 +158,10 @@ func (c *Cache[V]) replaySegment(path string, isTail bool) (replayed, skipped in
 }
 
 // compact writes the cache's current population into a fresh segment
-// generation, points the manifest at it, and deletes the replayed
-// files, leaving the log no larger than the live set. Entries are
-// written back-to-front per shard so replaying the compacted log
-// reproduces the LRU order (most recent inserted last = most recent).
+// generation and deletes the replayed files, leaving the log no larger
+// than the live set. Entries are written back-to-front per shard so
+// replaying the compacted log reproduces the LRU order (most recent
+// inserted last = most recent).
 func (c *Cache[V]) compact(log *spillLog, oldSegs []string) error {
 	if err := log.openSegment(); err != nil {
 		return err
@@ -200,7 +196,7 @@ func (c *Cache[V]) compact(log *spillLog, oldSegs []string) error {
 			return fmt.Errorf("solvecache: compact: %w", err)
 		}
 	}
-	return log.writeManifest(nil)
+	return nil
 }
 
 // openSegment starts the next segment file in sequence.
@@ -213,49 +209,6 @@ func (l *spillLog) openSegment() error {
 	}
 	l.f, l.fSize = f, 0
 	return nil
-}
-
-// writeManifest atomically replaces the MANIFEST with the sealed
-// segment names (the active tail is never listed — the directory scan
-// finds it).
-func (l *spillLog) writeManifest(sealed []string) error {
-	tmp := filepath.Join(l.dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("solvecache: manifest: %w", err)
-	}
-	for _, name := range sealed {
-		if _, err := fmt.Fprintln(f, name); err != nil {
-			f.Close() //nolint:errcheck
-			return fmt.Errorf("solvecache: manifest: %w", err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() //nolint:errcheck
-		return fmt.Errorf("solvecache: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("solvecache: manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, manifestName)); err != nil {
-		return fmt.Errorf("solvecache: manifest: %w", err)
-	}
-	return nil
-}
-
-// sealedSegments reads the MANIFEST (advisory, may trail reality).
-func (l *spillLog) sealedSegments() []string {
-	b, err := os.ReadFile(filepath.Join(l.dir, manifestName))
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, line := range strings.Split(string(b), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			names = append(names, line)
-		}
-	}
-	return names
 }
 
 // append frames and writes one record to the active segment, rotating
@@ -279,18 +232,14 @@ func (l *spillLog) append(rec Record) error {
 	return nil
 }
 
-// rotate seals the active segment (fsync + manifest) and opens the
-// next one.
+// rotate seals the active segment (fsync + close) and opens the next
+// one.
 func (l *spillLog) rotate() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("solvecache: seal segment: %w", err)
 	}
-	sealedName := filepath.Base(l.f.Name())
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("solvecache: seal segment: %w", err)
-	}
-	if err := l.writeManifest(append(l.sealedSegments(), sealedName)); err != nil {
-		return err
 	}
 	return l.openSegment()
 }

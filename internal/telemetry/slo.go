@@ -5,16 +5,19 @@ import (
 	"time"
 )
 
-// Default burn-rate alert thresholds, the multiwindow pairing of the SRE
-// workbook: a fast window burning at 14.4x exhausts a 30-day error
-// budget in ~2 days (page now), a slow window at 6x in ~5 days (ticket).
+// The two burn-rate horizons and their alert thresholds, the
+// multiwindow pairing of the SRE workbook. The fast window catches sharp
+// regressions: burning at 14.4x exhausts a 30-day error budget in ~2
+// days (page now). The slow window catches sustained slow burns: 6x
+// exhausts it in ~5 days (ticket).
 const (
-	DefaultFastBurnThreshold = 14.4
-	DefaultSlowBurnThreshold = 6.0
+	fastBurnWindow    = 5 * time.Minute
+	slowBurnWindow    = time.Hour
+	fastBurnThreshold = 14.4
+	slowBurnThreshold = 6.0
 )
 
-// SLOConfig sizes an SLO tracker. Only Name and Objective are required;
-// zero values of the rest take the documented defaults.
+// SLOConfig sizes an SLO tracker. Only Name and Objective are required.
 type SLOConfig struct {
 	// Name prefixes the registered metrics, e.g. "server.slo.latency"
 	// registers "server.slo.latency.good", ".bad", ".burn_fast",
@@ -25,15 +28,6 @@ type SLOConfig struct {
 	// 1 - Objective; burn rate is the windowed bad fraction divided by
 	// that budget (1.0 = exactly on budget).
 	Objective float64
-	// FastWindow and SlowWindow are the two burn-rate horizons
-	// (0 means 5m and 1h). The fast window catches sharp regressions,
-	// the slow window sustained slow burns.
-	FastWindow time.Duration
-	SlowWindow time.Duration
-	// FastBurnThreshold and SlowBurnThreshold are the alert lines the
-	// breach counters watch (0 means the Default*BurnThreshold values).
-	FastBurnThreshold float64
-	SlowBurnThreshold float64
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
 }
@@ -59,8 +53,6 @@ type SLO struct {
 	overFast   bool // above threshold at last Record (breach = upward crossing)
 	overSlow   bool
 	budget     float64
-	fastLine   float64
-	slowLine   float64
 	now        func() time.Time
 }
 
@@ -76,18 +68,6 @@ func NewSLO(r *Registry, cfg SLOConfig) *SLO {
 	if cfg.Objective <= 0 || cfg.Objective >= 1 {
 		cfg.Objective = 0.99
 	}
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = 5 * time.Minute
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = time.Hour
-	}
-	if cfg.FastBurnThreshold <= 0 {
-		cfg.FastBurnThreshold = DefaultFastBurnThreshold
-	}
-	if cfg.SlowBurnThreshold <= 0 {
-		cfg.SlowBurnThreshold = DefaultSlowBurnThreshold
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -96,8 +76,8 @@ func NewSLO(r *Registry, cfg SLOConfig) *SLO {
 	}
 	s := &SLO{
 		cfg:        cfg,
-		fast:       newBurnWindow(cfg.FastWindow, cfg.Now()),
-		slow:       newBurnWindow(cfg.SlowWindow, cfg.Now()),
+		fast:       newBurnWindow(fastBurnWindow, cfg.Now()),
+		slow:       newBurnWindow(slowBurnWindow, cfg.Now()),
 		good:       r.Counter(cfg.Name + ".good"),
 		bad:        r.Counter(cfg.Name + ".bad"),
 		burnFast:   r.FloatGauge(cfg.Name + ".burn_fast"),
@@ -105,8 +85,6 @@ func NewSLO(r *Registry, cfg SLOConfig) *SLO {
 		breachFast: r.Counter(cfg.Name + ".breach_fast"),
 		breachSlow: r.Counter(cfg.Name + ".breach_slow"),
 		budget:     1 - cfg.Objective,
-		fastLine:   cfg.FastBurnThreshold,
-		slowLine:   cfg.SlowBurnThreshold,
 		now:        cfg.Now,
 	}
 	return s
@@ -130,13 +108,13 @@ func (s *SLO) Record(good bool) {
 	sb := s.slow.badRatio() / s.budget
 	s.burnFast.Set(fb)
 	s.burnSlow.Set(sb)
-	if over := fb > s.fastLine; over != s.overFast {
+	if over := fb > fastBurnThreshold; over != s.overFast {
 		if over {
 			s.breachFast.Add(1)
 		}
 		s.overFast = over
 	}
-	if over := sb > s.slowLine; over != s.overSlow {
+	if over := sb > slowBurnThreshold; over != s.overSlow {
 		if over {
 			s.breachSlow.Add(1)
 		}

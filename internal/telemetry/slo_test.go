@@ -108,7 +108,7 @@ func TestSLOBurnRates(t *testing.T) {
 		t.Errorf("bad = %v, want 50", got)
 	}
 
-	// Advance past the fast window (5m default): the bad observations
+	// Advance past the 5m fast window: the bad observations
 	// age out and the fast burn recovers while the slow window (1h)
 	// still remembers them.
 	now = now.Add(6 * time.Minute)

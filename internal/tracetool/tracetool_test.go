@@ -53,7 +53,7 @@ func loadOne(t *testing.T, raw []byte) *Trace {
 func TestCheckCleanSearchTraces(t *testing.T) {
 	for name, opts := range map[string]astar.Options{
 		"OA*":   {H: astar.HPerProc, Condense: true, UseIncumbent: true},
-		"O-SVP": {H: astar.HNone}, // osvp.SolveOpts' uniform-cost search
+		"O-SVP": {H: astar.HNone}, // uniform-cost search, as cosched runs O-SVP
 		"HA*":   {H: astar.HPerProc, KPerLevel: 3, Condense: true, UseIncumbent: true},
 		"beam":  {H: astar.HPerProcAvg, KPerLevel: 3, BeamWidth: 8},
 	} {

@@ -50,15 +50,14 @@ var robustRungs = []robustRung{
 //
 // Stats.Fallbacks on the returned schedule records every attempt in
 // order; Stats.Degraded/AbortReason describe the answering attempt. The
-// Method, TimeLimit, BeamWidth and HWeight fields of opts are managed by
-// the ladder (Method is ignored; BeamWidth/HWeight seed the beam rung);
-// everything else — accounting, tracing, metrics, MemoryBudget,
-// MaxExpansions — applies to every rung.
+// Method, BeamWidth and HWeight fields of opts are managed by the ladder
+// (Method is ignored; BeamWidth/HWeight seed the beam rung); everything
+// else — accounting, tracing, metrics, MemoryBudget, MaxExpansions —
+// applies to every rung.
 func SolveRobust(ctx context.Context, inst *Instance, opts Options) (*Schedule, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts.TimeLimit = 0 // rung budgets come from the split deadline
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}

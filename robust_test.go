@@ -260,7 +260,6 @@ func TestOptionValidation(t *testing.T) {
 		{"NaN HWeight", Options{Method: MethodHAStar, HWeight: math.NaN()}, "HWeight"},
 		{"negative HWeight", Options{Method: MethodHAStar, HWeight: -1}, "HWeight"},
 		{"negative BeamWidth", Options{Method: MethodHAStar, BeamWidth: -2}, "BeamWidth"},
-		{"negative TimeLimit", Options{TimeLimit: -time.Second}, "TimeLimit"},
 		{"negative MemoryBudget", Options{MemoryBudget: -1}, "MemoryBudget"},
 		{"unknown IPConfig", Options{Method: MethodIP, IPConfig: "bnb-imaginary"}, "IPConfig"},
 		{"unknown Method", Options{Method: Method(42)}, "Method"},

@@ -60,12 +60,10 @@ type Stats struct {
 	// (graph searches; zero elsewhere).
 	Duration        time.Duration
 	PrepareDuration time.Duration
-	// TimedOut reports whether an IP solve hit its time limit. Degraded
-	// subsumes it: it is set whenever any solve stopped before proving
-	// its answer — deadline, cancellation, expansion/node cap or memory
+	// Degraded is set whenever a solve stopped before proving its
+	// answer — deadline, cancellation, expansion/node cap or memory
 	// budget — and returned its best incumbent instead. AbortReason then
 	// says which budget broke (AbortNone on a completed solve).
-	TimedOut    bool
 	Degraded    bool
 	AbortReason AbortReason
 	// Fallbacks records, for SolveRobust only, every rung the fallback

@@ -49,6 +49,12 @@ go test ./internal/degradation/ -run 'TestSDCOracleDegradationAllocationFree|Tes
 go test -race ./internal/astar/ -run 'Parallel|Striped'
 go test -race -count=10 ./internal/degradation/
 
+# The one wall clock under the race detector: a context deadline that
+# expires mid-search must degrade every searching engine cleanly —
+# sequential OA*, HA*, beam, 4 beam generators, the 4-worker engine, IP
+# and O-SVP.
+go test -race . -run TestDeadlineAbortsEveryEngine -count=1
+
 # Serving-layer race pass: many SolveContext/SolveRobust calls sharing
 # one Instance and oracle (the coschedd usage pattern), plus
 # the daemon engine (including pool resizes during active solves and
