@@ -2,7 +2,7 @@ package astar
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -159,14 +159,19 @@ func (s *Solver) solveBeam() (*Result, error) {
 		if t.count == 0 {
 			return nil, errors.New("astar: beam search produced no children (malformed batch)")
 		}
-		next := make([]*element, 0, t.count)
-		next = append(next, t.elems...)
-		sort.Slice(next, func(i, j int) bool {
-			fi, fj := next[i].g+hw*next[i].h, next[j].g+hw*next[j].h
-			if fi != fj {
-				return fi < fj
+		// The frontier is spent, so its buffer takes the survivors. Keys
+		// are unique in the depth table, so (f, key) is a total order.
+		next := append(s.scr.beamNext[:0], t.elems...)
+		s.scr.beamNext = next
+		slices.SortFunc(next, func(a, b *element) int {
+			fa, fb := a.g+hw*a.h, b.g+hw*b.h
+			if fa != fb {
+				if fa < fb {
+					return -1
+				}
+				return 1
 			}
-			return compareKeyWords(next[i].keyWords, next[j].keyWords) < 0
+			return compareKeyWords(a.keyWords, b.keyWords)
 		})
 		if len(next) > s.opts.BeamWidth {
 			for _, e := range next[s.opts.BeamWidth:] {

@@ -207,9 +207,9 @@ func TestCondensedCandidateAllocationFree(t *testing.T) {
 
 	node := []job.ProcID{1, 2, 3, 4}
 	allocs := testing.AllocsPerRun(200, func() {
-		sv.condSeen.reset()
-		if !sv.condSeen.add(sv.gr.AppendCondenseKey(sv.condKeyBuf[:0], node)) ||
-			sv.condSeen.add(sv.gr.AppendCondenseKey(sv.condKeyBuf[:0], node)) {
+		sv.scr.condSeen.reset()
+		if !sv.scr.condSeen.add(sv.gr.AppendCondenseKey(sv.scr.condKeyBuf[:0], node)) ||
+			sv.scr.condSeen.add(sv.gr.AppendCondenseKey(sv.scr.condKeyBuf[:0], node)) {
 			t.Fatal("dedup set lost a key")
 		}
 	})
@@ -224,9 +224,9 @@ func TestCondensedCandidateAllocationFree(t *testing.T) {
 // TestHAStarCandidatesAllocationFree is the HA* candidate-generation
 // allocation guard, on a warm solver in solve-large's configuration
 // (pairwise oracle, n = 240, quad-core, HA*'s large-batch options with
-// k = n/u = 60). An anchored expansion (239 available) allocates
-// nothing; a small-level expansion (39 available: 9,139 nodes, heap-
-// selected) allocates only ForEachNode's node and index buffers.
+// k = n/u = 60). Neither an anchored expansion (239 available) nor a
+// small-level expansion (39 available: 9,139 nodes walked into a k-slot
+// heap) allocates.
 func TestHAStarCandidatesAllocationFree(t *testing.T) {
 	g := pairwiseGraphTB(t, 240, 4, 1)
 	sv, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: 60})
@@ -240,7 +240,7 @@ func TestHAStarCandidatesAllocationFree(t *testing.T) {
 		budget float64
 	}{
 		{"anchored", 239, 0},
-		{"small-level", 39, 2},
+		{"small-level", 39, 0},
 	} {
 		avail := make([]job.ProcID, 0, c.avail)
 		for p := 2; p <= c.avail+1; p++ {

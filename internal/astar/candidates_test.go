@@ -231,12 +231,14 @@ func sameNodeSequence(t *testing.T, name string, got, want [][]job.ProcID) {
 }
 
 // TestCandidateGeneratorsMatchReference pins HA*'s candidate generation
-// to its reference semantics: the heap-select fallback and the dispatch
-// around it to referenceCandidates, and the accumulator-based anchored
-// completion to referenceAnchored. Over random levels of both pairwise
-// populations (the smooth one is quantised, so equal weights exercise
-// the lessNodes tie-break and equal increments the first-position pick),
-// at u = 2, 4 and 8, n from 16 to 240, availability on both sides of
+// to its reference semantics: the pruned small-level walk, the heap-select
+// fallback and the dispatch around them to referenceCandidates, and the
+// bound-pruned anchored completion to referenceAnchored. Over random
+// levels of both pairwise populations (the smooth one is quantised, so
+// equal weights exercise the lessNodes tie-break and equal increments the
+// first-position pick), at u = 2, 4 and 8, n from 16 to 240 (238 pads
+// with imaginary processes at u = 4 and 8, whose zero pair costs tie
+// prefixes and zero the row minima), availability on both sides of
 // smallLevel and budgets from 1 to more than the level holds, the emitted
 // node sequences must be identical. A PC mix under the SDC oracle with
 // condensation covers the heap path's condensed skips, whose count must
@@ -259,7 +261,7 @@ func TestCandidateGeneratorsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, n := range []int{16, 48, 96, 240} {
+			for _, n := range []int{16, 48, 96, 238, 240} {
 				seed := int64(100*u + n)
 				in, err := pop.build(n, &mach, seed)
 				if err != nil {

@@ -16,19 +16,20 @@ import (
 // nodes in ascending weight order for HA* (§IV). Candidate nodes sharing a
 // condensation key are attempted once when condensation is on (§III-E):
 // the keys are deduped in the solver's condSeen, reset per expansion.
+// avail must ascend above the leader, as available builds it.
 func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.ProcID, stats *Stats, fn func(node []job.ProcID)) {
 	k := s.opts.KPerLevel
 	var seen *wordSet
 	if s.opts.Condense && len(s.parJobs) > 0 {
-		if s.condSeen == nil {
-			s.condSeen = newWordSet(s.u)
-			s.condKeyBuf = make([]uint64, 0, s.u)
+		if s.scr.condSeen == nil {
+			s.scr.condSeen = newWordSet(s.u)
+			s.scr.condKeyBuf = make([]uint64, 0, s.u)
 		}
-		seen = s.condSeen
+		seen = s.scr.condSeen
 		seen.reset()
 	}
 	condensed := func(node []job.ProcID) bool {
-		if seen == nil || seen.add(s.gr.AppendCondenseKey(s.condKeyBuf[:0], node)) {
+		if seen == nil || seen.add(s.gr.AppendCondenseKey(s.scr.condKeyBuf[:0], node)) {
 			return false
 		}
 		stats.Condensed++
@@ -61,12 +62,15 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 		return
 	}
 
-	if s.pairW != nil && graph.Binomial(len(avail), s.u-1) > smallLevel {
+	// The pairwise fast path implies an all-serial batch: nothing
+	// condenses on it.
+	if s.pairW != nil {
+		if graph.Binomial(len(avail), s.u-1) <= smallLevel {
+			s.smallPairLevel(leader, avail, k, fn)
+			return
+		}
 		emitted := 0
 		emitFn := func(node []job.ProcID) bool {
-			if condensed(node) {
-				return true
-			}
 			fn(node)
 			emitted++
 			return emitted < k
@@ -83,41 +87,28 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 		return
 	}
 
-	// Fallback: enumerate the whole level restricted to avail and attempt
-	// its k cheapest nodes. With an additive oracle the weight is a direct
-	// pair-cost sum, skipping the node memo. The nodes live flat
-	// (u-stride) in solver scratch; a binary min-heap over a permutation
-	// of them pops the cheapest until k are emitted, in O(N + k log N)
-	// where a whole-level sort costs O(N log N). A level's nodes are
-	// distinct, so (weight, lessNodes) is a total order and the pops are
-	// exactly the sorted prefix, condensed skips included.
-	weight := s.cost.NodeWeight
-	if s.pairW != nil {
-		weight = func(node []job.ProcID) float64 {
-			var w float64
-			for i := 1; i < len(node); i++ {
-				ri := s.pairW[int(node[i])-1]
-				for j := 0; j < i; j++ {
-					w += ri[int(node[j])-1]
-				}
-			}
-			return w
-		}
-	}
+	// Without the pairwise fast path: enumerate the whole level
+	// restricted to avail, weigh each node through the node memo, and
+	// attempt its k cheapest. The nodes live flat (u-stride) in solver
+	// scratch; a binary min-heap over a permutation of them pops the
+	// cheapest until k are emitted, in O(N + k log N) where a whole-level
+	// sort costs O(N log N). A level's nodes are distinct, so (weight,
+	// lessNodes) is a total order and the pops are exactly the sorted
+	// prefix, condensed skips included.
 	u := s.u
-	flat := s.candFlat[:0]
-	ws := s.candW[:0]
+	sc := &s.scr
+	flat, ws := sc.flat[:0], sc.w[:0]
 	s.gr.ForEachNode(leader, avail, func(node []job.ProcID) bool {
 		flat = append(flat, node...)
-		ws = append(ws, weight(node))
+		ws = append(ws, s.cost.NodeWeight(node))
 		return true
 	})
-	s.candFlat, s.candW = flat, ws
+	sc.flat, sc.w = flat, ws
 	nc := len(ws)
-	if cap(s.candIdx) < nc {
-		s.candIdx = make([]int32, nc)
+	if cap(sc.idx) < nc {
+		sc.idx = make([]int32, nc)
 	}
-	h := candHeap{idx: s.candIdx[:nc], w: ws, flat: flat, u: u}
+	h := candHeap{idx: sc.idx[:nc], w: ws, flat: flat, u: u}
 	h.init()
 	for emitted := 0; emitted < k && len(h.idx) > 0; {
 		id := int(h.pop())
@@ -130,16 +121,132 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	}
 }
 
-// candHeap is a binary min-heap over indices into the fallback's flat
-// node store, ordered by (weight, lessNodes).
+// smallPairLevel emits, cheapest first, the k cheapest nodes of a level
+// of at most smallLevel nodes under the pairwise fast path: {leader} plus
+// u-1 of avail, ranked by (weight, lessNodes), a node's weight being its
+// pair costs summed row by row (row node[i] against node[0..i-1], i
+// ascending).
+//
+// It walks the combinations depth-first in ForEachNode's order, which is
+// lexicographic because avail ascends above the leader, carrying each
+// prefix's weight in that summation order, and keeps the k cheapest
+// nodes met so far in a k-slot max-heap. Once the heap is full, a prefix
+// weighing at least its top is skipped with all its completions: pair
+// costs are finite and non-negative (NewPairwiseOracle's premise), so a
+// completion weighs at least its prefix, rounding included, and a node
+// met later in lexicographic order loses a weight tie to the top. The
+// survivors are the sorted prefix a whole-level sort would give, with
+// the same sums bit for bit; nothing beyond k nodes is stored.
+func (s *Solver) smallPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn func(node []job.ProcID)) {
+	u, r, m := s.u, s.u-1, len(avail)
+	sc := &s.scr
+	if cap(sc.node) < u {
+		sc.node = make([]job.ProcID, u)
+	}
+	node := sc.node[:u]
+	node[0] = leader
+	if r == 0 {
+		fn(node)
+		return
+	}
+	if m < r {
+		return
+	}
+	if level := graph.Binomial(m, r); int64(k) > level {
+		k = int(level)
+	}
+	if cap(sc.w) < k {
+		sc.w = make([]float64, k)
+		sc.idx = make([]int32, k)
+	}
+	if cap(sc.flat) < k*u {
+		sc.flat = make([]job.ProcID, k*u)
+	}
+	if cap(sc.pos) < r {
+		sc.pos = make([]int, r)
+		sc.pre = make([]float64, r)
+	}
+	flat, ws, pos, pre := sc.flat[:k*u], sc.w[:k], sc.pos[:r], sc.pre[:r]
+	h := candHeap{w: ws, flat: flat, u: u, max: true}
+	stored := 0
+	pos[0], pre[0] = 0, 0
+	// Depth d places node[d+1] = avail[pos[d]] on a prefix of weight
+	// pre[d]; r-1-d more processes must fit after it.
+	for d := 0; ; {
+		if pos[d] > m-r+d {
+			if d == 0 {
+				break
+			}
+			d--
+			pos[d]++
+			continue
+		}
+		x := avail[pos[d]]
+		node[d+1] = x
+		row := s.pairW[int(x)-1]
+		w := pre[d]
+		for _, y := range node[:d+1] {
+			w += row[int(y)-1]
+		}
+		if stored == k && w >= ws[h.idx[0]] {
+			pos[d]++
+			continue
+		}
+		if d < r-1 {
+			pre[d+1] = w
+			pos[d+1] = pos[d] + 1
+			d++
+			continue
+		}
+		pos[d]++
+		if stored < k {
+			copy(flat[stored*u:], node)
+			ws[stored] = w
+			stored++
+			if stored == k {
+				h.idx = sc.idx[:k]
+				h.init()
+			}
+			continue
+		}
+		top := int(h.idx[0])
+		copy(flat[top*u:], node)
+		ws[top] = w
+		h.down(0)
+	}
+	if stored < k {
+		h.idx = sc.idx[:stored]
+		h.init()
+	}
+	// Heap-sort in place: each popped greatest lands in the slot the
+	// shrinking heap just gave up, leaving order ascending.
+	order := h.idx
+	for len(h.idx) > 0 {
+		last := len(h.idx) - 1
+		order[last] = h.pop()
+	}
+	for _, id := range order {
+		fn(flat[int(id)*u : int(id)*u+u])
+	}
+}
+
+// candHeap is a binary heap over slot indices into a flat node store,
+// ordered by (weight, lessNodes): a min-heap for the non-pairwise
+// fallback's whole level, a max-heap (max set) for smallPairLevel's k
+// cheapest.
 type candHeap struct {
 	idx  []int32
 	w    []float64
 	flat []job.ProcID
 	u    int
+	max  bool
 }
 
-func (h *candHeap) less(a, b int32) bool {
+// above reports whether slot a belongs above slot b.
+func (h *candHeap) above(a, b int32) bool {
+	if h.max {
+		a, b = b, a
+	}
 	if h.w[a] != h.w[b] {
 		return h.w[a] < h.w[b]
 	}
@@ -165,10 +272,10 @@ func (h *candHeap) down(i int) {
 		if c >= n {
 			return
 		}
-		if r := c + 1; r < n && h.less(idx[r], idx[c]) {
+		if r := c + 1; r < n && h.above(idx[r], idx[c]) {
 			c = r
 		}
-		if !h.less(idx[c], idx[i]) {
+		if !h.above(idx[c], idx[i]) {
 			return
 		}
 		idx[i], idx[c] = idx[c], idx[i]
@@ -176,7 +283,7 @@ func (h *candHeap) down(i int) {
 	}
 }
 
-// pop removes and returns the cheapest remaining node's index.
+// pop removes and returns the top slot.
 func (h *candHeap) pop() int32 {
 	top := h.idx[0]
 	last := len(h.idx) - 1
@@ -187,8 +294,8 @@ func (h *candHeap) pop() int32 {
 }
 
 const (
-	// smallLevel is the node count below which full enumeration and a
-	// heap-select of the k cheapest beat lazy generation.
+	// smallLevel is the node count up to which a level is walked whole
+	// (pruned under the pairwise fast path) rather than generated lazily.
 	smallLevel = 20000
 	// exactLazyMaxK is the largest per-level budget for which the exact
 	// lazy k-smallest enumerator is used; beyond it the best-first
@@ -200,29 +307,45 @@ const (
 // anchoredCandidates approximates the k cheapest nodes of a level at
 // scale: the j-th candidate anchors the leader to its j-th cheapest
 // partner (by pair cost) and completes the node greedily, which yields k
-// diverse low-weight nodes in O(k·u·|avail|) — the HA* trimming spirit of
-// §IV without the paper's full level sort, which is infeasible at
-// C(n-1, u-1) nodes per level (documented in DESIGN.md §3).
+// diverse low-weight nodes — the HA* trimming spirit of §IV without the
+// paper's full level sort, which is infeasible at C(n-1, u-1) nodes per
+// level (documented in DESIGN.md §3).
 //
-// Each greedy pick is one pass over the leader-sorted availability:
-// acc[p], the pair cost of sorted[p] against the node built so far,
-// starts from the leader's row and adds each new member's row in node
-// order (the sums a member-by-member total gives, bit for bit), and the
-// argmin is taken in the same pass, the first position winning ties. All
-// working storage is solver scratch, reused across expansions.
+// A greedy pick takes the non-member position p of the leader-sorted
+// availability with the least acc[p], the pair cost of sorted[p] against
+// the node built so far: the leader's row l_p plus each member's row in
+// node order, the sums a member-by-member total gives, bit for bit. The
+// first position wins ties. Positions are reached in order and stay
+// reached for the anchor: a pick adds the newest member's row to the
+// positions [0, hi) an earlier pick reached, then reaches further only
+// while the chain fl(…fl(l_hi + rowMin(node[1])) … + rowMin(node[t]))
+// stays below the best increment, a newly reached position summing its
+// rows from l_p. Rounded addition is monotone, l_p ascends with p and no
+// row entry is below its row's minimum (pairMin), so the chain bounds
+// every unreached acc from below and nothing past the stop can win. The
+// chain is only summed where l_p reaches the best increment less the
+// minima's sum; that pre-check can delay a stop but never make one, so
+// its own rounding cannot cost a position.
+//
+// All working storage is solver scratch, reused across expansions;
+// membership is a per-anchor stamp, so a new anchor resets nothing.
 func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int, emit func(node []job.ProcID) bool) {
 	r := s.u - 1
 	m := len(avail)
+	sc := &s.scr
+	if cap(sc.node) < s.u {
+		sc.node = make([]job.ProcID, s.u)
+	}
 	if r == 0 {
-		emit([]job.ProcID{leader})
+		emit(append(sc.node[:0], leader))
 		return
 	}
 	if m < r {
 		return
 	}
 	lrow := s.pairW[int(leader)-1]
-	sorted := append(s.anchSorted[:0], avail...)
-	s.anchSorted = sorted
+	sorted := append(sc.sorted[:0], avail...)
+	sc.sorted = sorted
 	// slices.SortFunc, unlike sort.Slice, allocates nothing.
 	slices.SortFunc(sorted, func(a, b job.ProcID) int {
 		sa, sb := lrow[int(a)-1], lrow[int(b)-1]
@@ -234,34 +357,30 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 		}
 		return int(a) - int(b)
 	})
-	if cap(s.anchAcc) < m {
-		s.anchAcc = make([]float64, m)
-		s.anchUsed = make([]bool, m)
+	if cap(sc.acc) < m {
+		sc.acc = make([]float64, m)
+		sc.stamp = make([]int32, m)
 	}
-	acc, used := s.anchAcc[:m], s.anchUsed[:m]
-	if cap(s.anchNode) < s.u {
-		s.anchNode = make([]job.ProcID, 0, s.u)
+	acc, stamp := sc.acc[:m], sc.stamp[:m]
+	clear(stamp)
+	if sc.seen == nil {
+		sc.seen = newWordSet(nodeKeyStride(s.u))
+		sc.keyBuf = make([]uint64, 0, sc.seen.stride)
 	}
-	node := s.anchNode[:0]
-	if s.anchSeen == nil {
-		s.anchSeen = newWordSet(nodeKeyStride(s.u))
-		s.anchKeyBuf = make([]uint64, 0, s.anchSeen.stride)
-	}
-	seen := s.anchSeen
+	seen := sc.seen
 	seen.reset()
+	node := sc.node[:0]
 	for j := 0; j < m; j++ {
+		anchor := int32(j + 1) // stamps this anchor's members
 		node = append(node[:0], leader, sorted[j])
-		for p, x := range sorted {
-			acc[p] = lrow[int(x)-1]
-			used[p] = false
-		}
-		used[j] = true
+		stamp[j] = anchor
+		hi := 0
 		for len(node) < s.u {
 			row := s.pairW[int(node[len(node)-1])-1]
 			best := -1
 			bestInc := math.Inf(1)
-			for p, x := range sorted {
-				if used[p] {
+			for p, x := range sorted[:hi] {
+				if stamp[p] == anchor {
 					continue
 				}
 				inc := acc[p] + row[int(x)-1]
@@ -270,17 +389,47 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 					bestInc, best = inc, p
 				}
 			}
+			var minSum float64
+			for _, y := range node[1:] {
+				minSum += s.pairMin[int(y)-1]
+			}
+			lo := bestInc - minSum
+			for ; hi < m; hi++ {
+				x := sorted[hi]
+				l := lrow[int(x)-1]
+				if l >= lo {
+					bound := l
+					for _, y := range node[1:] {
+						bound += s.pairMin[int(y)-1]
+					}
+					if bound >= bestInc {
+						break
+					}
+				}
+				if stamp[hi] == anchor {
+					continue
+				}
+				inc := l
+				for _, y := range node[1:] {
+					inc += s.pairW[int(y)-1][int(x)-1]
+				}
+				acc[hi] = inc
+				if inc < bestInc {
+					bestInc, best = inc, hi
+					lo = bestInc - minSum
+				}
+			}
 			if best < 0 {
 				break
 			}
 			node = append(node, sorted[best])
-			used[best] = true
+			stamp[best] = anchor
 		}
 		if len(node) < s.u {
 			continue
 		}
 		sortNode(node)
-		if !seen.add(packNodeWords(s.anchKeyBuf[:0], node)) {
+		if !seen.add(packNodeWords(sc.keyBuf[:0], node)) {
 			continue
 		}
 		if !emit(node) {
@@ -330,6 +479,7 @@ func lessNodes(a, b []job.ProcID) bool {
 // all-serial and the oracle is additive-pairwise; nil otherwise. With it,
 // node weight == sum of pair costs over the node's unordered pairs, which
 // enables lazy k-smallest enumeration without touching the whole level.
+// It also fills pairMin, each row's smallest off-diagonal entry.
 func (s *Solver) pairWeights() [][]float64 {
 	for i := range s.procPar {
 		if s.procPar[i] >= 0 {
@@ -343,11 +493,20 @@ func (s *Solver) pairWeights() [][]float64 {
 	m := pw.Matrix()
 	s.pairM = m
 	w := make([][]float64, s.n)
+	s.pairMin = make([]float64, s.n)
 	for i := 0; i < s.n; i++ {
 		w[i] = make([]float64, s.n)
+		lo := math.Inf(1)
 		for j := 0; j < s.n; j++ {
 			w[i][j] = m[i][j] + m[j][i]
+			if j != i && w[i][j] < lo {
+				lo = w[i][j]
+			}
 		}
+		if math.IsInf(lo, 1) {
+			lo = 0
+		}
+		s.pairMin[i] = lo
 	}
 	return w
 }

@@ -81,11 +81,11 @@ func TestGreedyScheduleScratchIsolation(t *testing.T) {
 		for i := range got {
 			snapshot[i] = append([]job.ProcID(nil), got[i]...)
 		}
-		for i := range sv.greedyNd[:cap(sv.greedyNd)] {
-			sv.greedyNd[:cap(sv.greedyNd)][i] = 9999
+		for i := range sv.scr.greedyNd[:cap(sv.scr.greedyNd)] {
+			sv.scr.greedyNd[:cap(sv.scr.greedyNd)][i] = 9999
 		}
-		for i := range sv.greedyCd[:cap(sv.greedyCd)] {
-			sv.greedyCd[:cap(sv.greedyCd)][i] = 9999
+		for i := range sv.scr.greedyCd[:cap(sv.scr.greedyCd)] {
+			sv.scr.greedyCd[:cap(sv.scr.greedyCd)][i] = 9999
 		}
 		for i := range got {
 			for j := range got[i] {

@@ -155,30 +155,16 @@ func (s *Solver) eligibleParallelism() int {
 
 // workerClone returns a Solver sharing every read-only table of s
 // (graph, Cost and its node memo, heuristic floors, key geometry) but
-// owning its own element pool, node-cost and candidate-generation
-// scratch, so an expansion worker can run makeChild/forEachCandidate/
-// heuristic without touching another worker's buffers.
+// owning its own element pool and scratch, so an expansion worker can
+// run makeChild/forEachCandidate/heuristic without touching another
+// worker's buffers.
 func (s *Solver) workerClone() *Solver {
 	c := new(Solver)
 	*c = *s
 	c.table = nil
 	c.pool = s.newPool() // registered on s for end-of-solve stats
 	c.allPools = nil
-	c.availBuf = nil
-	c.costBuf = nil
-	c.greedyNd = nil
-	c.greedyCd = nil
-	c.candFlat = nil
-	c.candW = nil
-	c.candIdx = nil
-	c.anchSorted = nil
-	c.anchAcc = nil
-	c.anchUsed = nil
-	c.anchNode = nil
-	c.anchSeen = nil
-	c.anchKeyBuf = nil
-	c.condSeen = nil
-	c.condKeyBuf = nil
+	c.scr = scratch{}
 	c.prepDur = 0
 	c.parClones = nil
 	return c
@@ -289,7 +275,7 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 	tick.Stop()
 
 	en.snapshot(&stats)
-	stats.KeyTableEntries = int(en.table.entries.Load())
+	stats.KeyTableEntries = en.table.count()
 	stats.KeyTableLoad = en.table.loadAvg()
 	defer func() {
 		met.flush(&stats, int(en.frontierSize.Load()), int(en.qMax.Load())/s.u, nil, time.Since(start))

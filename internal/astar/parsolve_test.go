@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -376,7 +377,10 @@ func TestParallelRebalance(t *testing.T) {
 		t.Errorf("no budget: activeTarget %d, want 8", got)
 	}
 
-	s.opts.MemoryBudget = 1000 * perElem // soft threshold at 750 elements
+	// The budget holds 1000 elements on top of the empty striped table,
+	// whose slot arrays the footprint counts too; the soft threshold
+	// falls at about 740 elements.
+	s.opts.MemoryBudget = en.table.bytes() + 1000*perElem
 	en.allocElems.Store(100)
 	en.rebalance()
 	if got := en.activeTarget.Load(); got != 8 {
@@ -494,7 +498,65 @@ func TestStripedTableAgreesWithSequential(t *testing.T) {
 			}
 		}
 	}
-	if int(par.entries.Load()) != seq.count {
-		t.Errorf("striped entries %d != sequential count %d", par.entries.Load(), seq.count)
+	if par.count() != seq.count {
+		t.Errorf("striped entries %d != sequential count %d", par.count(), seq.count)
+	}
+}
+
+// TestStripedTableBytesMatchSequential pins the parallel engine's table
+// term of the memory footprint to the sequential table's accounting:
+// after random admits, sequential and then from racing goroutines, with
+// every stripe grown past its initial slots, bytes() equals the sum of
+// the stripes' gTable.bytes().
+func TestStripedTableBytesMatchSequential(t *testing.T) {
+	sv, err := NewSolver(syntheticGraph(t, 16, 4, 3, degradation.ModePC), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newStripedTable(sv.keyStride, 8)
+	sum := func() int64 {
+		var b int64
+		for i := range st.stripes {
+			b += st.stripes[i].t.bytes()
+		}
+		return b
+	}
+	if st.bytes() != sum() {
+		t.Fatalf("empty table: bytes() = %d; stripes hold %d", st.bytes(), sum())
+	}
+	rng := randFor(5)
+	key := make([]uint64, sv.keyStride)
+	for i := 0; i < 3000; i++ {
+		for w := range key {
+			key[w] = uint64(rng.Intn(1<<12)) << 1
+		}
+		st.admit(key, float64(rng.Intn(100)))
+		if st.bytes() != sum() {
+			t.Fatalf("admit %d: bytes() = %d; stripes hold %d", i, st.bytes(), sum())
+		}
+	}
+	var wg sync.WaitGroup
+	for wi := 0; wi < 4; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			rng := randFor(int64(100 + wi))
+			key := make([]uint64, sv.keyStride)
+			for i := 0; i < 2000; i++ {
+				for w := range key {
+					key[w] = uint64(rng.Intn(1<<12)) << 1
+				}
+				st.admit(key, float64(rng.Intn(100)))
+			}
+		}(wi)
+	}
+	wg.Wait()
+	for i := range st.stripes {
+		if len(st.stripes[i].t.slots) <= 256 {
+			t.Fatalf("stripe %d never grew (%d slots); the test misses the slot term", i, len(st.stripes[i].t.slots))
+		}
+	}
+	if st.bytes() != sum() {
+		t.Fatalf("after concurrent admits: bytes() = %d; stripes hold %d", st.bytes(), sum())
 	}
 }

@@ -46,6 +46,10 @@ type Solver struct {
 	// oracle is additive-pairwise and the batch is all-serial; nil
 	// otherwise. Enables lazy k-smallest node enumeration at scale.
 	pairW [][]float64
+	// pairMin[p-1] is the smallest entry of pairW's row p off the
+	// diagonal (0 when the row has none): the anchored generator's lower
+	// bound on the pair cost any other process adds against p.
+	pairMin []float64
 	// pairM is the raw interference matrix behind pairW, letting the
 	// hot child-extension path bypass the node memo.
 	pairM [][]float64
@@ -67,45 +71,58 @@ type Solver struct {
 
 	// Hot-path storage, reused across expansions within one solve: the
 	// best-g table, the element free lists (one per producing goroutine),
-	// and the scratch buffers of available / candidate gathering.
+	// and the working buffers in scr.
 	table    *gTable
 	pool     *elemPool
 	allPools []*elemPool
-	availBuf []job.ProcID
-	greedyNd []job.ProcID // greedySchedule's node under construction
-	greedyCd []job.ProcID // greedySchedule's candidate scratch (never aliases greedyNd)
-
-	// Candidate-enumeration scratch (expand.go): the full-enumeration
-	// fallback's flat node store + weights + heap permutation, and the
-	// anchored generator's sorted availability, per-position pair-cost
-	// accumulator and membership, node under construction and
-	// word-packed dedup set.
-	candFlat   []job.ProcID
-	candW      []float64
-	candIdx    []int32
-	anchSorted []job.ProcID
-	anchAcc    []float64
-	anchUsed   []bool
-	anchNode   []job.ProcID
-	anchSeen   *wordSet
-	anchKeyBuf []uint64
-	// condSeen dedups one expansion's condensation keys (§III-E),
-	// packed into condKeyBuf by graph.AppendCondenseKey.
-	condSeen   *wordSet
-	condKeyBuf []uint64
+	scr      scratch
 
 	// prepDur is the NewSolver heuristic-precomputation time, consumed
 	// (reported and zeroed) by the first Solve call's telemetry.
 	prepDur time.Duration
 
-	// costBuf receives a node's member costs from the Cost's node memo
-	// (nodeCosts); each worker clone owns its own.
-	costBuf []float64
-
 	// parClones are the per-worker shallow solver copies of the parallel
 	// best-first engine, created on first parallel solve and reused (warm
 	// pools and scratch) by every later one.
 	parClones []*Solver
+}
+
+// scratch is one solver's working storage, grown on demand and reused
+// from one call to the next: nothing a caller is handed from it survives
+// the next call. A worker clone starts from the zero value, so no two
+// goroutines ever share a buffer.
+type scratch struct {
+	avail    []job.ProcID // available's result
+	costs    []float64    // nodeCosts' member costs
+	greedyNd []job.ProcID // greedySchedule's node under construction
+	greedyCd []job.ProcID // greedySchedule's candidate scratch (never aliases greedyNd)
+
+	// Candidate generation (expand.go). flat, w and idx are a node store
+	// (u-stride), its weights and a heap over its slots: the small
+	// pairwise level's k-slot heap, or the non-pairwise fallback's whole
+	// level (a solver only ever takes one of the two). pos and pre are
+	// the pairwise level walk's combination indices and prefix weights.
+	flat []job.ProcID
+	w    []float64
+	idx  []int32
+	pos  []int
+	pre  []float64
+	// The anchored generator's leader-sorted availability, per-position
+	// pair-cost accumulator and anchor stamp, and word-packed node dedup.
+	sorted []job.ProcID
+	acc    []float64
+	stamp  []int32
+	seen   *wordSet
+	keyBuf []uint64
+	// node is the node under construction (anchored and pairwise walk).
+	node []job.ProcID
+	// condSeen dedups one expansion's condensation keys (§III-E),
+	// packed into condKeyBuf by graph.AppendCondenseKey.
+	condSeen   *wordSet
+	condKeyBuf []uint64
+
+	// beamNext holds one beam depth's survivors (beam.go).
+	beamNext []*element
 }
 
 // element is one priority-list entry: a sub-path recorded as the set of
@@ -598,14 +615,14 @@ func (s *Solver) rootElement() *element {
 // returned slice is the solver's scratch buffer, valid until the next
 // call (each expansion consumes it before the next begins).
 func (s *Solver) available(e *element, leader job.ProcID) []job.ProcID {
-	avail := s.availBuf[:0]
+	avail := s.scr.avail[:0]
 	e.set.ForEachAbsent(s.n, func(v int) bool {
 		if job.ProcID(v) != leader {
 			avail = append(avail, job.ProcID(v))
 		}
 		return true
 	})
-	s.availBuf = avail
+	s.scr.avail = avail
 	return avail
 }
 
@@ -613,8 +630,8 @@ func (s *Solver) available(e *element, leader job.ProcID) []job.ProcID {
 // against the rest, in node order, from the Cost's node memo. The slice
 // is the solver's scratch, valid until the next call.
 func (s *Solver) nodeCosts(node []job.ProcID) []float64 {
-	s.costBuf = s.cost.NodeCosts(s.costBuf[:0], node)
-	return s.costBuf
+	s.scr.costs = s.cost.NodeCosts(s.scr.costs[:0], node)
+	return s.scr.costs
 }
 
 // makeChild extends a sub-path with one node, maintaining the Eq. 13
@@ -709,9 +726,9 @@ func reconstruct(e *element) [][]job.ProcID {
 // TestGreedyScheduleScratchIsolation).
 func (s *Solver) greedySchedule() [][]job.ProcID {
 	set := bitset.New(s.n)
-	if cap(s.greedyNd) < s.u {
-		s.greedyNd = make([]job.ProcID, 0, s.u)
-		s.greedyCd = make([]job.ProcID, 0, s.u)
+	if cap(s.scr.greedyNd) < s.u {
+		s.scr.greedyNd = make([]job.ProcID, 0, s.u)
+		s.scr.greedyCd = make([]job.ProcID, 0, s.u)
 	}
 	var groups [][]job.ProcID
 	for {
@@ -719,13 +736,13 @@ func (s *Solver) greedySchedule() [][]job.ProcID {
 		if leader == 0 {
 			return groups
 		}
-		node := append(s.greedyNd[:0], job.ProcID(leader))
+		node := append(s.scr.greedyNd[:0], job.ProcID(leader))
 		set.Add(leader)
 		for len(node) < s.u {
 			bestP := 0
 			bestW := math.Inf(1)
 			set.ForEachAbsent(s.n, func(v int) bool {
-				cand := append(s.greedyCd[:0], node...)
+				cand := append(s.scr.greedyCd[:0], node...)
 				cand = append(cand, job.ProcID(v))
 				if w := s.cost.NodeWeight(cand); w < bestW {
 					bestW, bestP = w, v

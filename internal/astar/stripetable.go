@@ -18,9 +18,10 @@ import (
 type stripedTable struct {
 	mask    uint64
 	stripes []tableStripe
-	// entries counts admitted keys across all stripes; read lock-free by
-	// the memory-footprint estimator and the end-of-solve stats.
-	entries atomic.Int64
+	// size is the sum of the stripes' gTable.bytes(), adjusted by each
+	// insert under its stripe's lock; read lock-free by the memory-
+	// footprint estimator.
+	size atomic.Int64
 }
 
 // tableStripe pairs one gTable shard with its lock, padded out so
@@ -41,16 +42,16 @@ func newStripedTable(stride, nStripes int) *stripedTable {
 	}
 	for i := range st.stripes {
 		st.stripes[i].t = newGTableSized(stride, 256)
+		st.size.Add(st.stripes[i].t.bytes())
 	}
 	return st
 }
 
-// bytes estimates the table's storage for the memory footprint from
-// the lock-free entry count: per entry its key words, best g, element
-// pointer and slot. The stride is fixed at construction, so reading it
-// needs no stripe lock.
+// bytes estimates the table's storage for the memory footprint the way
+// gTable.bytes does for the sequential table: every stripe's slots, key
+// arena and per-entry best g and element pointer.
 func (st *stripedTable) bytes() int64 {
-	return st.entries.Load() * (8*int64(st.stripes[0].t.stride) + 24)
+	return st.size.Load()
 }
 
 // stripeOf maps a key hash to its stripe. The stripe index takes high
@@ -94,9 +95,10 @@ func (st *stripedTable) admit(key []uint64, g float64) (stripe, ref int32, impro
 		sp.mu.Unlock()
 		return stripe, ref, true
 	}
+	before := sp.t.bytes()
 	ref = sp.t.insert(key, g, nil)
+	st.size.Add(sp.t.bytes() - before)
 	sp.mu.Unlock()
-	st.entries.Add(1)
 	return stripe, ref, true
 }
 
@@ -111,19 +113,28 @@ func (st *stripedTable) refG(stripe, ref int32) float64 {
 	return g
 }
 
+// count returns the admitted keys across all stripes, for
+// Stats.KeyTableEntries. Only called after the workers have joined.
+func (st *stripedTable) count() int {
+	n := 0
+	for i := range st.stripes {
+		n += st.stripes[i].t.count
+	}
+	return n
+}
+
 // loadAvg returns the entry-weighted mean slot occupancy across stripes,
 // the parallel counterpart of gTable.load for Stats.KeyTableLoad. Only
 // called after the workers have joined.
 func (st *stripedTable) loadAvg() float64 {
-	var count, slots int
+	var slots int
 	for i := range st.stripes {
-		count += st.stripes[i].t.count
 		slots += len(st.stripes[i].t.slots)
 	}
 	if slots == 0 {
 		return 0
 	}
-	return float64(count) / float64(slots)
+	return float64(st.count()) / float64(slots)
 }
 
 // newGTableSized is newGTable with a chosen initial slot count (a power

@@ -203,10 +203,13 @@ func TestPairwiseOracleRejectsBadMatrices(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := [][][]float64{
-		{{0, 1}},          // wrong rows
-		{{0}, {0}},        // wrong cols
-		{{1, 1}, {1, 0}},  // non-zero diagonal
-		{{0, -1}, {1, 0}}, // negative
+		{{0, 1}},                    // wrong rows
+		{{0}, {0}},                  // wrong cols
+		{{1, 1}, {1, 0}},            // non-zero diagonal
+		{{0, -1}, {1, 0}},           // negative
+		{{0, math.NaN()}, {1, 0}},   // NaN
+		{{0, 1}, {math.Inf(1), 0}},  // +Inf
+		{{0, math.Inf(-1)}, {1, 0}}, // -Inf
 	}
 	for i, mtx := range cases {
 		if _, err := NewPairwiseOracle(b, mtx, nil, 0); err == nil {

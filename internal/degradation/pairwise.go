@@ -2,6 +2,7 @@ package degradation
 
 import (
 	"fmt"
+	"math"
 
 	"cosched/internal/comm"
 	"cosched/internal/job"
@@ -22,9 +23,12 @@ type PairwiseOracle struct {
 }
 
 // NewPairwiseOracle builds the oracle from an interference matrix. m must
-// be n×n with zero diagonal; m[i][j] ≥ 0 is the degradation process i+1
-// suffers from co-running with j+1. patterns and commFactor configure the
-// Eq. 9 communication term (pass nil/0 for computation-only batches).
+// be n×n with zero diagonal; m[i][j], finite and ≥ 0, is the degradation
+// process i+1 suffers from co-running with j+1. HA*'s candidate
+// generators prune on that premise (a node weighs at least any of its
+// sub-nodes), so NaN, ±Inf and negative entries are rejected. patterns
+// and commFactor configure the Eq. 9 communication term (pass nil/0 for
+// computation-only batches).
 func NewPairwiseOracle(b *job.Batch, m [][]float64, patterns map[job.JobID]*comm.Pattern, commFactor float64) (*PairwiseOracle, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -41,8 +45,8 @@ func NewPairwiseOracle(b *job.Batch, m [][]float64, patterns map[job.JobID]*comm
 			return nil, fmt.Errorf("degradation: interference matrix diagonal %d is %v; want 0", i, m[i][i])
 		}
 		for j := range m[i] {
-			if m[i][j] < 0 {
-				return nil, fmt.Errorf("degradation: negative interference m[%d][%d]", i, j)
+			if !(m[i][j] >= 0) || math.IsInf(m[i][j], 1) {
+				return nil, fmt.Errorf("degradation: interference m[%d][%d] is %v; want finite and ≥ 0", i, j, m[i][j])
 			}
 			if b.Procs[i].Imaginary || b.Procs[j].Imaginary {
 				if m[i][j] != 0 {
