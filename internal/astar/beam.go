@@ -2,7 +2,6 @@ package astar
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"time"
 
@@ -24,7 +23,9 @@ import (
 // beam-trimmed children — which have no descendants yet — recycled into
 // the element pool. The depth's survivors are ordered by (f, key) with
 // the key compared byte-lexicographically (compareKeyWords), preserving
-// the legacy string-key tie-break bit for bit.
+// the legacy string-key tie-break bit for bit. Only the BeamWidth kept
+// elements are sorted: a BeamWidth-slot heap picks them from the depth
+// table (beamSelect), and the rest are trimmed as the heap passes them.
 //
 // With Options.Parallelism > 1 each depth's child generation (candidate
 // enumeration, oracle queries, heuristics — all the expensive work) fans
@@ -159,30 +160,13 @@ func (s *Solver) solveBeam() (*Result, error) {
 		if t.count == 0 {
 			return nil, errors.New("astar: beam search produced no children (malformed batch)")
 		}
-		// The frontier is spent, so its buffer takes the survivors. Keys
-		// are unique in the depth table, so (f, key) is a total order.
-		next := append(s.scr.beamNext[:0], t.elems...)
-		s.scr.beamNext = next
-		slices.SortFunc(next, func(a, b *element) int {
-			fa, fb := a.g+hw*a.h, b.g+hw*b.h
-			if fa != fb {
-				if fa < fb {
-					return -1
-				}
-				return 1
+		next := s.beamSelect(t.elems, hw, func(e *element) {
+			stats.BeamTrimmed++
+			if tr != nil {
+				tr.Dismiss(stats.VisitedPaths, e.q, e.g, DismissBeamTrim)
 			}
-			return compareKeyWords(a.keyWords, b.keyWords)
+			s.recycle(e) // trimmed before expansion: no descendants
 		})
-		if len(next) > s.opts.BeamWidth {
-			for _, e := range next[s.opts.BeamWidth:] {
-				stats.BeamTrimmed++
-				if tr != nil {
-					tr.Dismiss(stats.VisitedPaths, e.q, e.g, DismissBeamTrim)
-				}
-				s.recycle(e) // trimmed before expansion: no descendants
-			}
-			next = next[:s.opts.BeamWidth]
-		}
 		if len(next) > stats.MaxQueue {
 			stats.MaxQueue = len(next)
 		}
@@ -271,5 +255,82 @@ func (s *Solver) beamGenerate(workers []*Solver, frontier []*element, gens [][]*
 	wg.Wait()
 	for _, c := range condensed {
 		stats.Condensed += c
+	}
+}
+
+// beamSelect returns the BeamWidth cheapest of one depth's elements in
+// ascending (f, key) order, f = g + hw·h, and hands every other element
+// to trim. Keys are unique in a depth table, so that order is total: the
+// survivors, and the order they are expanded in, are exactly the first
+// BeamWidth of a whole-table sort; only the order trim sees the rest in
+// differs. A BeamWidth-slot max-heap in the spent frontier's buffer keeps
+// the cheapest elements met so far, and only those are sorted, by
+// popping the heap in place. The result is solver scratch, valid until
+// the next call.
+func (s *Solver) beamSelect(elems []*element, hw float64, trim func(*element)) []*element {
+	width := min(s.opts.BeamWidth, len(elems))
+	sc := &s.scr
+	h := beamHeap{e: append(sc.beamNext[:0], elems[:width]...), f: sc.beamF[:0]}
+	for _, e := range h.e {
+		h.f = append(h.f, e.g+hw*e.h)
+	}
+	sc.beamNext, sc.beamF = h.e, h.f
+	for i := width/2 - 1; i >= 0; i-- {
+		h.down(i, width)
+	}
+	for _, e := range elems[width:] {
+		f := e.g + hw*e.h
+		if f > h.f[0] || f == h.f[0] && compareKeyWords(e.keyWords, h.e[0].keyWords) > 0 {
+			trim(e)
+			continue
+		}
+		trim(h.e[0])
+		h.e[0], h.f[0] = e, f
+		h.down(0, width)
+	}
+	// Each popped greatest lands in the slot the shrinking heap just
+	// gave up, leaving the survivors ascending.
+	for n := width - 1; n > 0; n-- {
+		h.swap(0, n)
+		h.down(0, n)
+	}
+	return h.e
+}
+
+// beamHeap is beamSelect's max-heap: elements and their f values in
+// parallel slots, the greatest (f, key) on top.
+type beamHeap struct {
+	e []*element
+	f []float64
+}
+
+// after reports whether slot i sorts after slot j in (f, key) order.
+func (h beamHeap) after(i, j int) bool {
+	if h.f[i] != h.f[j] {
+		return h.f[i] > h.f[j]
+	}
+	return compareKeyWords(h.e[i].keyWords, h.e[j].keyWords) > 0
+}
+
+func (h beamHeap) swap(i, j int) {
+	h.e[i], h.e[j] = h.e[j], h.e[i]
+	h.f[i], h.f[j] = h.f[j], h.f[i]
+}
+
+// down sifts slot i down within the heap's first n slots.
+func (h beamHeap) down(i, n int) {
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.after(r, c) {
+			c = r
+		}
+		if !h.after(c, i) {
+			return
+		}
+		h.swap(i, c)
+		i = c
 	}
 }

@@ -1,6 +1,7 @@
 package astar
 
 import (
+	"fmt"
 	"testing"
 
 	"cosched/internal/cache"
@@ -224,9 +225,10 @@ func TestCondensedCandidateAllocationFree(t *testing.T) {
 // TestHAStarCandidatesAllocationFree is the HA* candidate-generation
 // allocation guard, on a warm solver in solve-large's configuration
 // (pairwise oracle, n = 240, quad-core, HA*'s large-batch options with
-// k = n/u = 60). Neither an anchored expansion (239 available) nor a
-// small-level expansion (39 available: 9,139 nodes walked into a k-slot
-// heap) allocates.
+// k = n/u = 60). Once the leader's order exists, neither an anchored
+// expansion (239 available) nor a small-level expansion (39 available:
+// 9,139 nodes walked into a k-slot heap) allocates, and neither does the
+// lazy enumerator an explicit budget of 12 selects at 239 available.
 func TestHAStarCandidatesAllocationFree(t *testing.T) {
 	g := pairwiseGraphTB(t, 240, 4, 1)
 	sv, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: 60})
@@ -235,29 +237,104 @@ func TestHAStarCandidatesAllocationFree(t *testing.T) {
 	}
 	root := sv.rootElement()
 	for _, c := range []struct {
-		name   string
-		avail  int
-		budget float64
+		name  string
+		avail int
+		k     int
 	}{
-		{"anchored", 239, 0},
-		{"small-level", 39, 0},
+		{"anchored", 239, 60},
+		{"small-level", 39, 60},
+		{"lazy", 239, 12},
 	} {
 		avail := make([]job.ProcID, 0, c.avail)
 		for p := 2; p <= c.avail+1; p++ {
 			avail = append(avail, job.ProcID(p))
 		}
+		sv.opts.KPerLevel = c.k
 		var stats Stats
 		emitted := 0
 		expand := func() {
 			emitted = 0
 			sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID) { emitted++ })
 		}
-		expand() // warm: sizes the generator's scratch
-		if emitted != 60 {
-			t.Fatalf("%s: expansion emitted %d candidates; want k = 60", c.name, emitted)
+		expand() // warm: builds leader 1's order and sizes the generator's scratch
+		if emitted != c.k {
+			t.Fatalf("%s: expansion emitted %d candidates; want k = %d", c.name, emitted, c.k)
 		}
-		if allocs := testing.AllocsPerRun(20, expand); allocs > c.budget {
-			t.Errorf("%s: an expansion costs %.1f allocs; budget is %.0f", c.name, allocs, c.budget)
+		if allocs := testing.AllocsPerRun(20, expand); allocs != 0 {
+			t.Errorf("%s: an expansion costs %.1f allocs; want 0", c.name, allocs)
 		}
+	}
+}
+
+// TestBeamSelectionAllocationFree guards the beam's survivor selection:
+// on a warm solver in solve-large's configuration, picking one depth's
+// 16 survivors from its table (the root's 60 children) allocates
+// nothing.
+func TestBeamSelectionAllocationFree(t *testing.T) {
+	g := pairwiseGraphTB(t, 240, 4, 1)
+	sv, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.table = newGTable(sv.keyStride)
+	root := sv.rootElement()
+	var stats Stats
+	sv.forEachCandidate(root, 1, sv.available(root, 1), &stats, func(node []job.ProcID) {
+		child := sv.makeChild(root, node)
+		child.h = sv.heuristic(child)
+		sv.table.insert(child.keyWords, child.g, child)
+	})
+	if sv.table.count != 60 {
+		t.Fatalf("depth table holds %d children; want 60", sv.table.count)
+	}
+	trimmed := 0
+	sel := func() {
+		trimmed = 0
+		sv.beamSelect(sv.table.elems, 1.2, func(*element) { trimmed++ })
+	}
+	sel() // warm: sizes the survivor buffers
+	if trimmed != 44 {
+		t.Fatalf("selection trimmed %d of 60; want 44", trimmed)
+	}
+	if allocs := testing.AllocsPerRun(50, sel); allocs != 0 {
+		t.Errorf("selecting a depth's survivors costs %.1f allocs; want 0", allocs)
+	}
+}
+
+// TestClassCandidatesAllocationFree guards the class enumeration of
+// condensed PE mixes (Fig. 6): on a warm solver over three PE jobs of
+// four ranks and four serial jobs, a whole level-1 expansion — class
+// table, enumeration and every emitted node — allocates nothing.
+func TestClassCandidatesAllocationFree(t *testing.T) {
+	m := cache.QuadCore
+	spec := workload.NewSpec()
+	for i := 0; i < 3; i++ {
+		spec.AddPE(workload.SyntheticProgram(fmt.Sprintf("pe%d", i), randFor(int64(20+i))), 4)
+	}
+	for i := 0; i < 4; i++ {
+		spec.AddSerial(workload.SyntheticProgram(fmt.Sprintf("s%d", i), randFor(int64(30+i))))
+	}
+	in, err := spec.Build(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := NewSolver(graph.New(in.Cost(degradation.ModePE), in.Patterns), Options{H: HPerProc, Condense: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := sv.rootElement()
+	avail := sv.available(root, 1)
+	var stats Stats
+	candidates := 0
+	expand := func() {
+		candidates = 0
+		sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID) { candidates++ })
+	}
+	expand() // warm: sizes the class table and the dedup set
+	if candidates == 0 {
+		t.Fatal("level 1 produced no class candidates")
+	}
+	if allocs := testing.AllocsPerRun(20, expand); allocs != 0 {
+		t.Errorf("a class-enumerated level-1 expansion costs %.1f allocs; want 0", allocs)
 	}
 }

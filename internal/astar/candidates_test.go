@@ -1,6 +1,7 @@
 package astar
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,11 +19,12 @@ import (
 // written the direct way: a level under smallLevel (or any level without
 // the pairwise fast path) is enumerated whole, sorted by (weight,
 // lessNodes) and walked until k non-condensed nodes have been emitted;
-// a larger pairwise level goes to referenceAnchored. Condensation keys
-// are deduped in a map and every emitted node is a fresh copy, so nothing
-// is shared with the solver's scratch. It survives only as the reference
-// semantics the heap-select is property-tested against. Levels that
-// forEachCandidate hands to lazyKSmallest (see usesLazy) are outside it.
+// a larger pairwise level goes to referenceLazy where forEachCandidate
+// takes the lazy enumerator (see usesLazy), to referenceAnchored
+// otherwise. Condensation keys are deduped in a map and every emitted
+// node is a fresh copy, so nothing is shared with the solver's scratch.
+// It survives only as the reference semantics the generators are
+// property-tested against.
 func referenceCandidates(s *Solver, leader job.ProcID, avail []job.ProcID, stats *Stats, fn func(node []job.ProcID)) {
 	k := s.opts.KPerLevel
 	var seen map[string]bool
@@ -41,16 +43,21 @@ func referenceCandidates(s *Solver, leader job.ProcID, avail []job.ProcID, stats
 		stats.Condensed++
 		return true
 	}
-	if s.pairW != nil && graph.Binomial(len(avail), s.u-1) > smallLevel {
+	if level := graph.Binomial(len(avail), s.u-1); s.pairW != nil && level > smallLevel {
 		emitted := 0
-		referenceAnchored(s, leader, avail, k, func(node []job.ProcID) bool {
+		emit := func(node []job.ProcID) bool {
 			if condensed(node) {
 				return true
 			}
 			fn(node)
 			emitted++
 			return emitted < k
-		})
+		}
+		if usesLazy(s, level) {
+			referenceLazy(s, leader, avail, emit)
+		} else {
+			referenceAnchored(s, leader, avail, k, emit)
+		}
 		return
 	}
 	var nodes [][]job.ProcID
@@ -164,6 +171,117 @@ func referenceAnchored(s *Solver, leader job.ProcID, avail []job.ProcID, k int, 
 	}
 }
 
+// referenceLazy is lazyKSmallest as it was first written: the
+// availability sorted by (leader cost, ID) with sort.Slice, prefix sums
+// over the sorted costs, and container/heap over states that each own a
+// fresh member slice. lazyKSmallest must emit the same nodes in the same
+// order.
+func referenceLazy(s *Solver, leader job.ProcID, avail []job.ProcID, emit func(node []job.ProcID) bool) {
+	r := s.u - 1
+	m := len(avail)
+	if r == 0 {
+		emit([]job.ProcID{leader})
+		return
+	}
+	if m < r {
+		return
+	}
+	li := int(leader) - 1
+	idx := make([]int, m)
+	for i := range idx {
+		idx[i] = i
+	}
+	scores := make([]float64, m)
+	for i, p := range avail {
+		scores[i] = s.pairW[li][int(p)-1]
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if scores[idx[a]] != scores[idx[b]] {
+			return scores[idx[a]] < scores[idx[b]]
+		}
+		return avail[idx[a]] < avail[idx[b]]
+	})
+	sortedAvail := make([]job.ProcID, m)
+	sortedS := make([]float64, m)
+	for i, id := range idx {
+		sortedAvail[i] = avail[id]
+		sortedS[i] = scores[id]
+	}
+	prefix := make([]float64, m+1)
+	for i, v := range sortedS {
+		prefix[i+1] = prefix[i] + v
+	}
+	tail := func(pos, need int) float64 {
+		if pos+need > m {
+			return math.Inf(1)
+		}
+		return prefix[pos+need] - prefix[pos]
+	}
+
+	var lq refLazyQueue
+	heap.Init(&lq)
+	push := func(members []int32, pos int, exact float64) {
+		need := r - len(members)
+		b := exact + tail(pos, need)
+		if math.IsInf(b, 1) {
+			return
+		}
+		heap.Push(&lq, refLazyState{bound: b, exact: exact, members: members, pos: pos})
+	}
+	push(nil, 0, 0)
+
+	node := make([]job.ProcID, s.u)
+	for lq.Len() > 0 {
+		st := heap.Pop(&lq).(refLazyState)
+		if len(st.members) == r {
+			node[0] = leader
+			for i, mi := range st.members {
+				node[i+1] = sortedAvail[mi]
+			}
+			sortNode(node)
+			if !emit(node) {
+				return
+			}
+			continue
+		}
+		inc := st.exact + sortedS[st.pos]
+		for _, mi := range st.members {
+			inc += s.pairW[int(sortedAvail[mi])-1][int(sortedAvail[st.pos])-1]
+		}
+		withNew := make([]int32, len(st.members)+1)
+		copy(withNew, st.members)
+		withNew[len(st.members)] = int32(st.pos)
+		push(withNew, st.pos+1, inc)
+		push(st.members, st.pos+1, st.exact)
+	}
+}
+
+type refLazyState struct {
+	bound   float64
+	exact   float64
+	members []int32
+	pos     int
+}
+
+type refLazyQueue []refLazyState
+
+func (q refLazyQueue) Len() int { return len(q) }
+func (q refLazyQueue) Less(i, j int) bool {
+	if q[i].bound != q[j].bound {
+		return q[i].bound < q[j].bound
+	}
+	return len(q[i].members) > len(q[j].members)
+}
+func (q refLazyQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *refLazyQueue) Push(x interface{}) { *q = append(*q, x.(refLazyState)) }
+func (q *refLazyQueue) Pop() interface{} {
+	old := *q
+	n := len(old)
+	x := old[n-1]
+	*q = old[:n-1]
+	return x
+}
+
 // usesLazy reports whether forEachCandidate hands a level of size
 // candidates to the exact lazy k-smallest enumerator.
 func usesLazy(s *Solver, size int64) bool {
@@ -230,77 +348,156 @@ func sameNodeSequence(t *testing.T, name string, got, want [][]job.ProcID) {
 	}
 }
 
-// TestCandidateGeneratorsMatchReference pins HA*'s candidate generation
-// to its reference semantics: the pruned small-level walk, the heap-select
-// fallback and the dispatch around them to referenceCandidates, and the
-// bound-pruned anchored completion to referenceAnchored. Over random
-// levels of both pairwise populations (the smooth one is quantised, so
-// equal weights exercise the lessNodes tie-break and equal increments the
-// first-position pick), at u = 2, 4 and 8, n from 16 to 240 (238 pads
-// with imaginary processes at u = 4 and 8, whose zero pair costs tie
-// prefixes and zero the row minima), availability on both sides of
-// smallLevel and budgets from 1 to more than the level holds, the emitted
-// node sequences must be identical. A PC mix under the SDC oracle with
-// condensation covers the heap path's condensed skips, whose count must
-// match too.
-func TestCandidateGeneratorsMatchReference(t *testing.T) {
-	pops := []struct {
-		name  string
-		build func(n int, m *cache.Machine, seed int64) (*workload.Instance, error)
-	}{
-		{"pairwise", workload.SyntheticPairwiseInstance},
-		{"smooth", workload.SyntheticPairwiseSmoothInstance},
+// tenthsPairwiseInstance is a pairwise population built for rounding:
+// every interference entry is 0.1, 0.2 or 0.3, none of them exact in
+// binary, so nodes of equal weight in exact arithmetic abound and their
+// sums, taken in different orders, often differ in the last bit.
+func tenthsPairwiseInstance(n int, m *cache.Machine, seed int64) (*workload.Instance, error) {
+	rng := rand.New(rand.NewSource(seed))
+	bd := job.NewBuilder()
+	for i := 0; i < n; i++ {
+		bd.AddSerial(fmt.Sprintf("t%04d", i+1))
 	}
+	b, err := bd.Build(m.Cores)
+	if err != nil {
+		return nil, err
+	}
+	nn := b.NumProcs()
+	mtx := make([][]float64, nn)
+	for i := range mtx {
+		mtx[i] = make([]float64, nn)
+		for j := range mtx[i] {
+			if i != j && !b.Procs[i].Imaginary && !b.Procs[j].Imaginary {
+				mtx[i][j] = 0.1 * float64(1+rng.Intn(3))
+			}
+		}
+	}
+	o, err := degradation.NewPairwiseOracle(b, mtx, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &workload.Instance{Batch: b, Machine: m, Oracle: o}, nil
+}
+
+// generatorPops are the pairwise populations the generator tests draw
+// levels from. lazyMax caps the availability at which the lazy
+// enumerator is compared: on populations with many tied leader costs its
+// frontier degenerates (a single expansion of 239 smooth processes takes
+// about a second at any budget), so those are compared up to 60.
+var generatorPops = []struct {
+	name    string
+	build   func(n int, m *cache.Machine, seed int64) (*workload.Instance, error)
+	lazyMax int
+}{
+	{"pairwise", workload.SyntheticPairwiseInstance, math.MaxInt},
+	{"smooth", workload.SyntheticPairwiseSmoothInstance, 60},
+	{"tenths", tenthsPairwiseInstance, 60},
+}
+
+// generatorSolver builds an HA* solver over one generator population,
+// failing unless the pairwise fast path is on.
+func generatorSolver(t *testing.T, build func(n int, m *cache.Machine, seed int64) (*workload.Instance, error), n, u int, seed int64) *Solver {
+	t.Helper()
+	mach, err := cache.MachineByCores(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := build(n, &mach, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New(in.Cost(degradation.ModePC), in.Patterns)
+	s, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: n / u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.pairW == nil {
+		t.Fatalf("n=%d u=%d: pairwise fast path not detected", n, u)
+	}
+	return s
+}
+
+// generatorCase checks one level at one budget: forEachCandidate against
+// referenceCandidates, and the anchored and (where its budget and u
+// allow) lazy generators on their own against their references. Lazy
+// comparisons, the dispatch's included, run only up to lazyMax available
+// processes. It returns the number of cases run, nodes emitted and
+// consecutive weight ties among forEachCandidate's nodes.
+func generatorCase(t *testing.T, name string, s *Solver, leader job.ProcID, avail []job.ProcID, k, lazyMax int) (cases, nodes, ties int) {
+	t.Helper()
 	emitAll := func(fn func([]job.ProcID)) func([]job.ProcID) bool {
 		return func(node []job.ProcID) bool { fn(node); return true }
 	}
-	cases, nodes, ties := 0, 0, 0
-	for _, pop := range pops {
-		for _, u := range []int{2, 4, 8} {
-			mach, err := cache.MachineByCores(u)
-			if err != nil {
-				t.Fatal(err)
+	s.opts.KPerLevel = k
+	lazyOK := len(avail) <= lazyMax
+	if lazyOK || !usesLazy(s, graph.Binomial(len(avail), s.u-1)) {
+		var st Stats
+		got := emittedNodes(func(fn func([]job.ProcID)) { s.forEachCandidate(nil, leader, avail, &st, fn) })
+		want := emittedNodes(func(fn func([]job.ProcID)) { referenceCandidates(s, leader, avail, &st, fn) })
+		sameNodeSequence(t, name, got, want)
+		for i := 1; i < len(got); i++ {
+			if referenceWeight(s, got[i]) == referenceWeight(s, got[i-1]) {
+				ties++
 			}
+		}
+		cases, nodes = 1, len(got)
+	}
+
+	gotA := emittedNodes(func(fn func([]job.ProcID)) { s.anchoredCandidates(leader, avail, k, emitAll(fn)) })
+	wantA := emittedNodes(func(fn func([]job.ProcID)) { referenceAnchored(s, leader, avail, k, emitAll(fn)) })
+	sameNodeSequence(t, name+" anchored", gotA, wantA)
+	cases++
+	nodes += len(gotA)
+
+	if lazyOK && k <= exactLazyMaxK && s.u <= 5 {
+		capped := func(fn func([]job.ProcID)) func([]job.ProcID) bool {
+			emitted := 0
+			return func(node []job.ProcID) bool { fn(node); emitted++; return emitted < k }
+		}
+		gotL := emittedNodes(func(fn func([]job.ProcID)) { s.lazyKSmallest(leader, avail, capped(fn)) })
+		wantL := emittedNodes(func(fn func([]job.ProcID)) { referenceLazy(s, leader, avail, capped(fn)) })
+		sameNodeSequence(t, name+" lazy", gotL, wantL)
+		cases++
+		nodes += len(gotL)
+	}
+	return cases, nodes, ties
+}
+
+// TestCandidateGeneratorsMatchReference pins HA*'s candidate generation
+// to its reference semantics: the pruned small-level walk, the heap-select
+// fallback and the dispatch around them to referenceCandidates, the
+// bound-pruned anchored completion to referenceAnchored, and the lazy
+// k-smallest enumerator to referenceLazy. Over random levels of three
+// pairwise populations (the smooth one is quantised, so equal weights
+// exercise the lessNodes tie-break and equal increments the
+// first-position pick; the tenths one makes equal weights that round
+// differently in different summation orders), at u = 2, 4 and 8, n from
+// 16 to 240 (238 pads with imaginary processes at u = 4 and 8, whose
+// zero pair costs tie prefixes and zero the row minima), availability on
+// both sides of smallLevel and budgets from 1 to more than the level
+// holds, the emitted node sequences must be identical. A PC mix under the
+// SDC oracle with condensation covers the heap path's condensed skips,
+// whose count must match too. Last, one solver per population is driven
+// through many expansions that share two leaders while availability
+// shrinks, so each leader's order is reused from the anchored levels
+// down through the small ones, at u = 4 and u = 8.
+func TestCandidateGeneratorsMatchReference(t *testing.T) {
+	cases, nodes, ties := 0, 0, 0
+	for _, pop := range generatorPops {
+		for _, u := range []int{2, 4, 8} {
 			for _, n := range []int{16, 48, 96, 238, 240} {
 				seed := int64(100*u + n)
-				in, err := pop.build(n, &mach, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g := graph.New(in.Cost(degradation.ModePC), in.Patterns)
-				s, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: n / u})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.pairW == nil {
-					t.Fatalf("%s n=%d u=%d: pairwise fast path not detected", pop.name, n, u)
-				}
+				s := generatorSolver(t, pop.build, n, u, seed)
 				rng := rand.New(rand.NewSource(seed))
 				for _, m := range candidateSizes(rng, n, u) {
 					leader, avail := candidateLevel(rng, n, m)
 					level := graph.Binomial(m, u-1)
 					for _, k := range []int{1, 3, n / u, int(min(level, 1<<20)) + 1} {
 						name := fmt.Sprintf("%s n=%d u=%d |avail|=%d k=%d", pop.name, n, u, m, k)
-						s.opts.KPerLevel = k
-						if !usesLazy(s, level) {
-							var st Stats
-							got := emittedNodes(func(fn func([]job.ProcID)) { s.forEachCandidate(nil, leader, avail, &st, fn) })
-							want := emittedNodes(func(fn func([]job.ProcID)) { referenceCandidates(s, leader, avail, &st, fn) })
-							sameNodeSequence(t, name, got, want)
-							for i := 1; i < len(got); i++ {
-								if referenceWeight(s, got[i]) == referenceWeight(s, got[i-1]) {
-									ties++
-								}
-							}
-							cases++
-							nodes += len(got)
-						}
-
-						gotA := emittedNodes(func(fn func([]job.ProcID)) { s.anchoredCandidates(leader, avail, k, emitAll(fn)) })
-						wantA := emittedNodes(func(fn func([]job.ProcID)) { referenceAnchored(s, leader, avail, k, emitAll(fn)) })
-						sameNodeSequence(t, name+" anchored", gotA, wantA)
-						cases++
-						nodes += len(gotA)
+						c, nd, tie := generatorCase(t, name, s, leader, avail, k, pop.lazyMax)
+						cases += c
+						nodes += nd
+						ties += tie
 					}
 				}
 			}
@@ -339,5 +536,54 @@ func TestCandidateGeneratorsMatchReference(t *testing.T) {
 	if condensed == 0 {
 		t.Fatal("condensation never skipped a node on the PC mixes")
 	}
-	t.Logf("%d cases, %d emitted nodes, %d weight ties, %d condensed skips", cases, nodes, ties, condensed)
+
+	// Order reuse: one solver per population and size is driven through
+	// expansions under the same two leaders while their availability
+	// shrinks, as a search does. Each leader's order is built on its
+	// first expansion and only filtered after that, down through the
+	// small levels (at u = 8 every level from 17 available processes
+	// down is walked whole).
+	reuse := 0
+	for _, pop := range generatorPops {
+		for _, c := range []struct{ n, u int }{{240, 4}, {96, 8}, {238, 8}} {
+			seed := int64(7*c.n + c.u)
+			s := generatorSolver(t, pop.build, c.n, c.u, seed)
+			rng := rand.New(rand.NewSource(seed))
+			// Leaders 1 and 2 share the rest of the batch; each step
+			// schedules u-1 random processes, as an expansion would.
+			rest := make([]job.ProcID, 0, c.n-2)
+			for p := 3; p <= c.n; p++ {
+				rest = append(rest, job.ProcID(p))
+			}
+			for step := 0; ; step++ {
+				for _, leader := range []job.ProcID{1, 2} {
+					avail := make([]job.ProcID, 0, len(rest)+1)
+					if leader == 1 {
+						avail = append(avail, 2)
+					}
+					avail = append(avail, rest...)
+					for _, k := range []int{c.n / c.u, exactLazyMaxK + 1} {
+						name := fmt.Sprintf("%s n=%d u=%d step=%d leader=%d |avail|=%d k=%d", pop.name, c.n, c.u, step, leader, len(avail), k)
+						cs, nd, _ := generatorCase(t, name, s, leader, avail, k, pop.lazyMax)
+						cases += cs
+						nodes += nd
+						reuse++
+					}
+				}
+				if len(rest) == 0 {
+					break
+				}
+				for i := 0; i < c.u-1 && len(rest) > 0; i++ {
+					j := rng.Intn(len(rest))
+					rest = append(rest[:j], rest[j+1:]...)
+				}
+			}
+			for _, leader := range []job.ProcID{1, 2} {
+				if s.scr.orders[leader-1] == nil {
+					t.Fatalf("%s n=%d u=%d: leader %d never built its order", pop.name, c.n, c.u, leader)
+				}
+			}
+		}
+	}
+	t.Logf("%d cases (%d order-reuse expansions), %d emitted nodes, %d weight ties, %d condensed skips", cases, reuse, nodes, ties, condensed)
 }

@@ -14,80 +14,107 @@ import (
 // The enumeration is exact under PE symmetry: every raw candidate node of
 // the level is equivalent (identical weight, identical completion costs)
 // to exactly one representative produced here.
+//
+// The class table lives in solver scratch: classes are numbered in order
+// of first appearance in avail (groupClass maps a symmetry group to its
+// class), and their members are laid out class by class in classMem, in
+// avail order, classEnd[c] ending class c's run. The emitted node is
+// scratch too (leaf), valid until fn returns.
 func (s *Solver) forEachClassCandidate(leader job.ProcID, avail []job.ProcID, fn func(node []job.ProcID) bool) {
 	r := s.u - 1
+	sc := &s.scr
+	if cap(sc.node) < s.u {
+		sc.node = make([]job.ProcID, s.u)
+	}
+	if cap(sc.leaf) < s.u {
+		sc.leaf = make([]job.ProcID, s.u)
+	}
 	if r == 0 {
-		fn([]job.ProcID{leader})
+		fn(append(sc.leaf[:0], leader))
 		return
 	}
 	if len(avail) < r {
 		return
 	}
-	b := s.gr.Batch
-	// Build the class table: classes[i] lists available members (PE
-	// classes carry all their available ranks; singleton classes one).
-	var classes [][]job.ProcID
-	peClass := make(map[job.JobID]int)
-	imClass := -1
-	for _, p := range avail {
-		j := b.JobOf(p)
-		if j == nil {
-			// padding processes are mutually interchangeable
-			if imClass < 0 {
-				imClass = len(classes)
-				classes = append(classes, nil)
-			}
-			classes[imClass] = append(classes[imClass], p)
-			continue
-		}
-		if s.symmetricJob(j.Kind) {
-			ci, ok := peClass[j.ID]
-			if !ok {
-				ci = len(classes)
-				peClass[j.ID] = ci
-				classes = append(classes, nil)
-			}
-			classes[ci] = append(classes[ci], p)
-			continue
-		}
-		classes = append(classes, []job.ProcID{p})
+	groups := len(s.peJobMask)
+	if cap(sc.groupClass) < groups {
+		sc.groupClass = make([]int32, groups)
 	}
+	gc := sc.groupClass[:groups]
+	for i := range gc {
+		gc[i] = -1
+	}
+	// First pass: number the classes and count their members.
+	ends := sc.classEnd[:0]
+	for _, p := range avail {
+		g := s.peGroup[int(p)-1]
+		if g < 0 {
+			ends = append(ends, 1)
+			continue
+		}
+		if gc[g] < 0 {
+			gc[g] = int32(len(ends))
+			ends = append(ends, 0)
+		}
+		ends[gc[g]]++
+	}
+	sc.classEnd = ends
+	// Turn the counts into run starts, then place each member at its
+	// class's cursor; the cursors finish on the run ends. A class seen
+	// for the first time is always the next number.
+	var start int32
+	for c, cnt := range ends {
+		ends[c] = start
+		start += cnt
+	}
+	if cap(sc.classMem) < len(avail) {
+		sc.classMem = make([]job.ProcID, len(avail))
+	}
+	mem := sc.classMem[:len(avail)]
+	sc.classMem = mem
+	next := int32(0)
+	for _, p := range avail {
+		c := next
+		if g := s.peGroup[int(p)-1]; g >= 0 {
+			c = gc[g]
+		}
+		if c == next {
+			next++
+		}
+		mem[ends[c]] = p
+		ends[c]++
+	}
+	s.classRec(0, r, append(sc.node[:0], leader), fn)
+}
 
-	node := make([]job.ProcID, 0, s.u)
-	node = append(node, leader)
-	// Recursive multiset enumeration: choose how many members to take
-	// from each class in order.
-	var rec func(ci, need int) bool
-	rec = func(ci, need int) bool {
-		if need == 0 {
-			sorted := append([]job.ProcID(nil), node...)
-			sortNode(sorted)
-			return fn(sorted)
-		}
-		if ci >= len(classes) {
-			return true
-		}
-		// Feasibility: enough members remain in later classes.
-		remaining := 0
-		for i := ci; i < len(classes) && remaining < need; i++ {
-			remaining += len(classes[i])
-		}
-		if remaining < need {
-			return true
-		}
-		maxTake := len(classes[ci])
-		if maxTake > need {
-			maxTake = need
-		}
-		for take := 0; take <= maxTake; take++ {
-			node = append(node, classes[ci][:take]...)
-			ok := rec(ci+1, need-take)
-			node = node[:len(node)-take]
-			if !ok {
-				return false
-			}
-		}
+// classRec extends node, which holds the leader and the members taken
+// from classes before ci, by every choice of how many of class ci's
+// lowest-ID members to take, until need more are placed. It reports
+// false once fn has asked to stop.
+func (s *Solver) classRec(ci, need int, node []job.ProcID, fn func(node []job.ProcID) bool) bool {
+	sc := &s.scr
+	if need == 0 {
+		out := append(sc.leaf[:0], node...)
+		sortNode(out)
+		return fn(out)
+	}
+	ends := sc.classEnd
+	if ci >= len(ends) {
 		return true
 	}
-	rec(0, r)
+	lo := int32(0)
+	if ci > 0 {
+		lo = ends[ci-1]
+	}
+	// Feasibility: enough members remain from class ci on.
+	if len(sc.classMem)-int(lo) < need {
+		return true
+	}
+	members := sc.classMem[lo:ends[ci]]
+	for take := 0; take <= min(len(members), need); take++ {
+		if !s.classRec(ci+1, need-take, append(node, members[:take]...), fn) {
+			return false
+		}
+	}
+	return true
 }

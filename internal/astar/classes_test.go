@@ -1,6 +1,8 @@
 package astar
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"cosched/internal/cache"
@@ -122,4 +124,154 @@ func TestSymmetricJobByMode(t *testing.T) {
 	if sPE.peAll == nil {
 		t.Error("PC ranks not canonicalised under ModePE")
 	}
+}
+
+// referenceClassCandidates is forEachClassCandidate as it was first
+// written: a fresh class table and map per expansion, a recursive
+// closure, and a fresh copy of every emitted node. The scratch-based
+// enumeration must emit the same nodes in the same order.
+func referenceClassCandidates(s *Solver, leader job.ProcID, avail []job.ProcID, fn func(node []job.ProcID) bool) {
+	r := s.u - 1
+	if r == 0 {
+		fn([]job.ProcID{leader})
+		return
+	}
+	if len(avail) < r {
+		return
+	}
+	b := s.gr.Batch
+	var classes [][]job.ProcID
+	peClass := make(map[job.JobID]int)
+	imClass := -1
+	for _, p := range avail {
+		j := b.JobOf(p)
+		if j == nil {
+			if imClass < 0 {
+				imClass = len(classes)
+				classes = append(classes, nil)
+			}
+			classes[imClass] = append(classes[imClass], p)
+			continue
+		}
+		if s.symmetricJob(j.Kind) {
+			ci, ok := peClass[j.ID]
+			if !ok {
+				ci = len(classes)
+				peClass[j.ID] = ci
+				classes = append(classes, nil)
+			}
+			classes[ci] = append(classes[ci], p)
+			continue
+		}
+		classes = append(classes, []job.ProcID{p})
+	}
+	node := make([]job.ProcID, 0, s.u)
+	node = append(node, leader)
+	var rec func(ci, need int) bool
+	rec = func(ci, need int) bool {
+		if need == 0 {
+			sorted := append([]job.ProcID(nil), node...)
+			sortNode(sorted)
+			return fn(sorted)
+		}
+		if ci >= len(classes) {
+			return true
+		}
+		remaining := 0
+		for i := ci; i < len(classes) && remaining < need; i++ {
+			remaining += len(classes[i])
+		}
+		if remaining < need {
+			return true
+		}
+		maxTake := len(classes[ci])
+		if maxTake > need {
+			maxTake = need
+		}
+		for take := 0; take <= maxTake; take++ {
+			node = append(node, classes[ci][:take]...)
+			ok := rec(ci+1, need-take)
+			node = node[:len(node)-take]
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	rec(0, r)
+}
+
+// TestClassCandidatesMatchReference pins the class enumeration to
+// referenceClassCandidates over random levels of PE mixes on quad- and
+// 8-core machines (PE jobs of 2 to 5 ranks, serial jobs, a PC job that
+// is symmetric only outside ModePC, and padding processes), with and
+// without an early stop.
+func TestClassCandidatesMatchReference(t *testing.T) {
+	cases, padded := 0, 0
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := randFor(seed)
+		for _, u := range []int{4, 8} {
+			m, err := cache.MachineByCores(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := workload.NewSpec()
+			for i := 0; i < 2+rng.Intn(3); i++ {
+				spec.AddPE(workload.SyntheticProgram(fmt.Sprintf("pe%d", i), randFor(100*seed+int64(i))), 2+rng.Intn(4))
+			}
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				spec.AddSerial(workload.SyntheticProgram(fmt.Sprintf("s%d", i), randFor(200*seed+int64(i))))
+			}
+			prog, err := workload.PCProgram("CG-Par")
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.AddPC(prog, 2, nil)
+			in, err := spec.Build(&m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in.Batch.Procs[in.Batch.NumProcs()-1].Imaginary {
+				padded++
+			}
+			for _, mode := range []degradation.Mode{degradation.ModePE, degradation.ModePC} {
+				s, err := NewSolver(graph.New(in.Cost(mode), in.Patterns), Options{H: HPerProc, Condense: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.peAll == nil {
+					t.Fatalf("seed %d u=%d: no symmetry classes", seed, u)
+				}
+				n := s.n
+				for rep := 0; rep < 10; rep++ {
+					picked := rng.Perm(n)[:u+rng.Intn(n-u+1)]
+					sort.Ints(picked)
+					leader := job.ProcID(picked[0] + 1)
+					avail := make([]job.ProcID, 0, len(picked)-1)
+					for _, p := range picked[1:] {
+						avail = append(avail, job.ProcID(p+1))
+					}
+					for _, stop := range []int{1 << 30, 1 + rng.Intn(5)} {
+						name := fmt.Sprintf("seed %d u=%d mode=%v |avail|=%d stop=%d", seed, u, mode, len(avail), stop)
+						collect := func(gen func(func([]job.ProcID) bool)) [][]job.ProcID {
+							var out [][]job.ProcID
+							gen(func(node []job.ProcID) bool {
+								out = append(out, append([]job.ProcID(nil), node...))
+								return len(out) < stop
+							})
+							return out
+						}
+						got := collect(func(fn func([]job.ProcID) bool) { s.forEachClassCandidate(leader, avail, fn) })
+						want := collect(func(fn func([]job.ProcID) bool) { referenceClassCandidates(s, leader, avail, fn) })
+						sameNodeSequence(t, name, got, want)
+						cases++
+					}
+				}
+			}
+		}
+	}
+	if padded == 0 {
+		t.Fatal("no batch was padded; the padding class went unexercised")
+	}
+	t.Logf("%d cases, %d padded batches", cases, padded)
 }

@@ -1,10 +1,8 @@
 package astar
 
 import (
-	"container/heap"
 	"math"
 	"slices"
-	"sort"
 
 	"cosched/internal/degradation"
 	"cosched/internal/graph"
@@ -121,27 +119,46 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	}
 }
 
+// boundSlack is the relative margin by which smallPairLevel's bound must
+// clear the heap's top before it prunes. The bound and a node's weight
+// are the same kind of sum, of finite non-negative terms, rounded in
+// different orders; each is within about u² ulps of its exact value, so
+// a margin of 1e-9 is far more than rounding can explain for any
+// machine size, and only a near-tie is ever walked for nothing.
+const boundSlack = 1e-9
+
 // smallPairLevel emits, cheapest first, the k cheapest nodes of a level
 // of at most smallLevel nodes under the pairwise fast path: {leader} plus
 // u-1 of avail, ranked by (weight, lessNodes), a node's weight being its
-// pair costs summed row by row (row node[i] against node[0..i-1], i
-// ascending).
+// pair costs summed row by row over the sorted node (row node[i] against
+// node[0..i-1], i ascending).
 //
-// It walks the combinations depth-first in ForEachNode's order, which is
-// lexicographic because avail ascends above the leader, carrying each
-// prefix's weight in that summation order, and keeps the k cheapest
-// nodes met so far in a k-slot max-heap. Once the heap is full, a prefix
-// weighing at least its top is skipped with all its completions: pair
-// costs are finite and non-negative (NewPairwiseOracle's premise), so a
-// completion weighs at least its prefix, rounding included, and a node
-// met later in lexicographic order loses a weight tie to the top. The
-// survivors are the sorted prefix a whole-level sort would give, with
-// the same sums bit for bit; nothing beyond k nodes is stored.
+// It walks the combinations depth-first over the leader's view of avail
+// (leaderView: ascending pair cost with the leader), carrying each
+// prefix's weight, and keeps the k cheapest nodes met so far in a k-slot
+// max-heap. Depth d places the (d+1)-th member at view position p or
+// later; every completion of the prefix then weighs at least
+//
+//	pre[d] + lc[p] + … + lc[p+r-d-1] + (r-d)·(rowMin(node[1]) + … + rowMin(node[d]))
+//
+// because pair costs are finite and non-negative (NewPairwiseOracle's
+// premise), the leader costs lc ascend along the view, and no pair cost
+// is below its row's minimum (pairMin). The bound grows with p, so once
+// the heap is full and the bound clears its top by more than boundSlack,
+// no later position at that depth can place a node in the heap and the
+// depth stops. A node met later in the walk may still win a weight tie
+// on lessNodes, so a tie never prunes. Each leaf's weight is recomputed
+// over the sorted node in the summation order above, so the survivors are
+// the sorted prefix a whole-level sort would give, with the same sums bit
+// for bit; nothing beyond k nodes is stored.
 func (s *Solver) smallPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn func(node []job.ProcID)) {
 	u, r, m := s.u, s.u-1, len(avail)
 	sc := &s.scr
 	if cap(sc.node) < u {
 		sc.node = make([]job.ProcID, u)
+	}
+	if cap(sc.leaf) < u {
+		sc.leaf = make([]job.ProcID, u)
 	}
 	node := sc.node[:u]
 	node[0] = leader
@@ -165,15 +182,29 @@ func (s *Solver) smallPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn
 	if cap(sc.pos) < r {
 		sc.pos = make([]int, r)
 		sc.pre = make([]float64, r)
+		sc.mins = make([]float64, r)
 	}
-	flat, ws, pos, pre := sc.flat[:k*u], sc.w[:k], sc.pos[:r], sc.pre[:r]
+	flat, ws, pos, pre, mins := sc.flat[:k*u], sc.w[:k], sc.pos[:r], sc.pre[:r], sc.mins[:r]
+	leaf := sc.leaf[:u]
+	view, lc := s.leaderView(leader, avail)
 	h := candHeap{w: ws, flat: flat, u: u, max: true}
 	stored := 0
-	pos[0], pre[0] = 0, 0
-	// Depth d places node[d+1] = avail[pos[d]] on a prefix of weight
-	// pre[d]; r-1-d more processes must fit after it.
+	cut := math.Inf(1) // the heap top's weight plus the slack, once full
+	pos[0], pre[0], mins[0] = 0, 0, 0
+	// Depth d places node[d+1] = view[pos[d]] on a prefix of weight
+	// pre[d] whose members' row minima sum to mins[d]; r-1-d more
+	// processes must fit after it.
 	for d := 0; ; {
-		if pos[d] > m-r+d {
+		p := pos[d]
+		stop := p > m-r+d
+		if !stop && stored == k {
+			b := pre[d]
+			for _, l := range lc[p : p+r-d] {
+				b += l
+			}
+			stop = b+float64(r-d)*mins[d] > cut
+		}
+		if stop {
 			if d == 0 {
 				break
 			}
@@ -181,38 +212,54 @@ func (s *Solver) smallPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn
 			pos[d]++
 			continue
 		}
-		x := avail[pos[d]]
+		x := view[p]
 		node[d+1] = x
 		row := s.pairW[int(x)-1]
-		w := pre[d]
-		for _, y := range node[:d+1] {
+		w := pre[d] + lc[p]
+		for _, y := range node[1 : d+1] {
 			w += row[int(y)-1]
-		}
-		if stored == k && w >= ws[h.idx[0]] {
-			pos[d]++
-			continue
 		}
 		if d < r-1 {
 			pre[d+1] = w
-			pos[d+1] = pos[d] + 1
+			mins[d+1] = mins[d] + s.pairMin[int(x)-1]
+			pos[d+1] = p + 1
 			d++
 			continue
 		}
 		pos[d]++
-		if stored < k {
-			copy(flat[stored*u:], node)
-			ws[stored] = w
-			stored++
-			if stored == k {
-				h.idx = sc.idx[:k]
-				h.init()
-			}
-			continue
+		if w > cut {
+			continue // the same sum, rounded in walk order
 		}
-		top := int(h.idx[0])
-		copy(flat[top*u:], node)
-		ws[top] = w
-		h.down(0)
+		copy(leaf, node)
+		sortNode(leaf)
+		w = 0
+		for i := 1; i < u; i++ {
+			row := s.pairW[int(leaf[i])-1]
+			for _, y := range leaf[:i] {
+				w += row[int(y)-1]
+			}
+		}
+		slot := stored
+		if stored < k {
+			stored++
+		} else {
+			slot = int(h.idx[0])
+			if w > ws[slot] || w == ws[slot] && !lessNodes(leaf, flat[slot*u:slot*u+u]) {
+				continue
+			}
+		}
+		copy(flat[slot*u:], leaf)
+		ws[slot] = w
+		switch {
+		case stored < k:
+			continue
+		case h.idx == nil:
+			h.idx = sc.idx[:k]
+			h.init()
+		default:
+			h.down(0)
+		}
+		cut = ws[h.idx[0]] * (1 + boundSlack)
 	}
 	if stored < k {
 		h.idx = sc.idx[:stored]
@@ -311,10 +358,11 @@ const (
 // paper's full level sort, which is infeasible at C(n-1, u-1) nodes per
 // level (documented in DESIGN.md §3).
 //
-// A greedy pick takes the non-member position p of the leader-sorted
-// availability with the least acc[p], the pair cost of sorted[p] against
-// the node built so far: the leader's row l_p plus each member's row in
-// node order, the sums a member-by-member total gives, bit for bit. The
+// A greedy pick takes the non-member position p of the leader's view of
+// the availability (leaderView) with the least acc[p], the pair cost of
+// sorted[p] against the node built so far: the leader's cost l_p plus
+// each member's row in node order, the sums a member-by-member total
+// gives, bit for bit. The
 // first position wins ties. Positions are reached in order and stay
 // reached for the anchor: a pick adds the newest member's row to the
 // positions [0, hi) an earlier pick reached, then reaches further only
@@ -343,20 +391,7 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 	if m < r {
 		return
 	}
-	lrow := s.pairW[int(leader)-1]
-	sorted := append(sc.sorted[:0], avail...)
-	sc.sorted = sorted
-	// slices.SortFunc, unlike sort.Slice, allocates nothing.
-	slices.SortFunc(sorted, func(a, b job.ProcID) int {
-		sa, sb := lrow[int(a)-1], lrow[int(b)-1]
-		if sa != sb {
-			if sa < sb {
-				return -1
-			}
-			return 1
-		}
-		return int(a) - int(b)
-	})
+	sorted, lc := s.leaderView(leader, avail)
 	if cap(sc.acc) < m {
 		sc.acc = make([]float64, m)
 		sc.stamp = make([]int32, m)
@@ -395,8 +430,7 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 			}
 			lo := bestInc - minSum
 			for ; hi < m; hi++ {
-				x := sorted[hi]
-				l := lrow[int(x)-1]
+				l := lc[hi]
 				if l >= lo {
 					bound := l
 					for _, y := range node[1:] {
@@ -409,6 +443,7 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 				if stamp[hi] == anchor {
 					continue
 				}
+				x := sorted[hi]
 				inc := l
 				for _, y := range node[1:] {
 					inc += s.pairW[int(y)-1][int(x)-1]
@@ -480,7 +515,13 @@ func lessNodes(a, b []job.ProcID) bool {
 // node weight == sum of pair costs over the node's unordered pairs, which
 // enables lazy k-smallest enumeration without touching the whole level.
 // It also fills pairMin, each row's smallest off-diagonal entry.
+// Leader orders and anchored node keys hold process IDs in 16 bits, so
+// a batch of more than 65,535 processes (two n² float64 matrices of
+// over 32 GiB each) takes no fast path.
 func (s *Solver) pairWeights() [][]float64 {
+	if s.n > math.MaxUint16 {
+		return nil
+	}
 	for i := range s.procPar {
 		if s.procPar[i] >= 0 {
 			return nil
@@ -513,91 +554,202 @@ func (s *Solver) pairWeights() [][]float64 {
 
 // lazyKSmallest enumerates the nodes {leader} ∪ S, S ⊆ avail, |S| = u-1,
 // in ascending order of node weight without materialising the level. It
-// is a best-first search over include/exclude decisions on avail sorted
-// by leader-pair cost; the admissible completion bound is the sum of the
-// cheapest remaining leader-pair costs. emit returning false stops the
-// enumeration.
+// is a best-first search over include/exclude decisions on the leader's
+// view of avail (leaderView); the admissible completion bound is the sum
+// of the cheapest remaining leader-pair costs. emit returning false stops
+// the enumeration.
+//
+// Its frontier, the states' member lists and the prefix sums live in
+// solver scratch: an include state appends its members to one arena, an
+// exclude state shares its parent's, and the queue is a binary heap that
+// sifts exactly as container/heap does, so ties pop in the same order.
 func (s *Solver) lazyKSmallest(leader job.ProcID, avail []job.ProcID, emit func(node []job.ProcID) bool) {
 	r := s.u - 1
 	m := len(avail)
+	sc := &s.scr
+	if cap(sc.node) < s.u {
+		sc.node = make([]job.ProcID, s.u)
+	}
+	node := sc.node[:s.u]
+	node[0] = leader
 	if r == 0 {
-		emit([]job.ProcID{leader})
+		emit(node)
 		return
 	}
 	if m < r {
 		return
 	}
-	li := int(leader) - 1
-	// Sort available processes by their pair cost with the leader.
-	idx := make([]int, m)
-	for i := range idx {
-		idx[i] = i
+	sorted, lc := s.leaderView(leader, avail)
+	prefix := append(sc.prefix[:0], 0)
+	for i, v := range lc {
+		prefix = append(prefix, prefix[i]+v)
 	}
-	scores := make([]float64, m)
-	for i, p := range avail {
-		scores[i] = s.pairW[li][int(p)-1]
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] < scores[idx[b]]
-		}
-		return avail[idx[a]] < avail[idx[b]]
-	})
-	sortedAvail := make([]job.ProcID, m)
-	sortedS := make([]float64, m)
-	for i, id := range idx {
-		sortedAvail[i] = avail[id]
-		sortedS[i] = scores[id]
-	}
-	prefix := make([]float64, m+1)
-	for i, v := range sortedS {
-		prefix[i+1] = prefix[i] + v
-	}
-	tail := func(pos, need int) float64 {
+	sc.prefix = prefix
+	q := lazyQueue(sc.lazyQ[:0])
+	mem := sc.lazyMem[:0]
+	push := func(off, cnt int32, pos int, exact float64) {
+		need := r - int(cnt)
 		if pos+need > m {
-			return math.Inf(1)
+			return
 		}
-		return prefix[pos+need] - prefix[pos]
-	}
-
-	var lq lazyQueue
-	heap.Init(&lq)
-	push := func(members []int32, pos int, exact float64) {
-		need := r - len(members)
-		b := exact + tail(pos, need)
+		b := exact + (prefix[pos+need] - prefix[pos])
 		if math.IsInf(b, 1) {
 			return
 		}
-		heap.Push(&lq, lazyState{bound: b, exact: exact, members: members, pos: pos})
+		q.push(lazyState{bound: b, exact: exact, off: off, cnt: cnt, pos: int32(pos)})
 	}
-	push(nil, 0, 0)
-
-	node := make([]job.ProcID, s.u)
-	for lq.Len() > 0 {
-		st := heap.Pop(&lq).(lazyState)
-		if len(st.members) == r {
+	push(0, 0, 0, 0)
+	for len(q) > 0 {
+		st := q.pop()
+		members := mem[st.off : st.off+st.cnt]
+		if int(st.cnt) == r {
 			node[0] = leader
-			for i, mi := range st.members {
-				node[i+1] = sortedAvail[mi]
+			for i, mi := range members {
+				node[i+1] = sorted[mi]
 			}
 			sortNode(node)
 			if !emit(node) {
-				return
+				break
 			}
 			continue
 		}
-		// Include sortedAvail[st.pos].
-		inc := st.exact + sortedS[st.pos]
-		for _, mi := range st.members {
-			inc += s.pairW[int(sortedAvail[mi])-1][int(sortedAvail[st.pos])-1]
+		// Include sorted[st.pos].
+		x := sorted[st.pos]
+		inc := st.exact + lc[st.pos]
+		for _, mi := range members {
+			inc += s.pairW[int(sorted[mi])-1][int(x)-1]
 		}
-		withNew := make([]int32, len(st.members)+1)
-		copy(withNew, st.members)
-		withNew[len(st.members)] = int32(st.pos)
-		push(withNew, st.pos+1, inc)
+		off := int32(len(mem))
+		mem = append(mem, members...)
+		mem = append(mem, st.pos)
+		push(off, st.cnt+1, int(st.pos)+1, inc)
 		// Exclude it.
-		push(st.members, st.pos+1, st.exact)
+		push(st.off, st.cnt, int(st.pos)+1, st.exact)
 	}
+	sc.lazyQ, sc.lazyMem = q[:0], mem[:0]
+}
+
+// lazyState is one include/exclude decision state of lazyKSmallest: its
+// members are view positions mem[off:off+cnt], and pos is the next
+// position to decide.
+type lazyState struct {
+	bound, exact float64
+	off, cnt     int32
+	pos          int32
+}
+
+// lazyQueue is lazyKSmallest's frontier: a binary min-heap by bound, the
+// state with more members first among equal bounds.
+type lazyQueue []lazyState
+
+func (q lazyQueue) less(i, j int) bool {
+	if q[i].bound != q[j].bound {
+		return q[i].bound < q[j].bound
+	}
+	return q[i].cnt > q[j].cnt
+}
+
+func (q *lazyQueue) push(st lazyState) {
+	*q = append(*q, st)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *lazyQueue) pop() lazyState {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	st := h[n]
+	*q = h[:n]
+	return st
+}
+
+// leaderView returns avail in its leader's order, ascending (pair cost
+// with the leader, ID) as a sort of avail by that key would leave it,
+// and the leader's pair costs alongside. The order over every other
+// process is built once per leader, the first time that leader expands
+// (leaderOrder); a call then only stamps avail and filters the order by
+// the stamp, with no comparisons. Both slices are solver scratch, valid
+// until the next call.
+func (s *Solver) leaderView(leader job.ProcID, avail []job.ProcID) ([]job.ProcID, []float64) {
+	sc := &s.scr
+	li := int(leader) - 1
+	if sc.orders == nil {
+		sc.orders = make([][]uint16, s.n)
+		sc.mark = make([]uint32, s.n)
+	}
+	ord := sc.orders[li]
+	if ord == nil {
+		ord = s.leaderOrder(li)
+		sc.orders[li] = ord
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	ep, mark := sc.epoch, sc.mark
+	for _, p := range avail {
+		mark[int(p)-1] = ep
+	}
+	lrow := s.pairW[li]
+	view, cost := sc.view[:0], sc.viewCost[:0]
+	for _, q := range ord {
+		if mark[q] != ep {
+			continue
+		}
+		view = append(view, job.ProcID(q)+1)
+		cost = append(cost, lrow[q])
+		if len(view) == len(avail) {
+			break
+		}
+	}
+	sc.view, sc.viewCost = view, cost
+	return view, cost
+}
+
+// leaderOrder ranks every process but the leader (0-based index li) by
+// (pair cost with the leader, ID), as 0-based indices; pairWeights
+// guarantees they fit 16 bits.
+func (s *Solver) leaderOrder(li int) []uint16 {
+	ord := make([]uint16, 0, s.n-1)
+	for q := 0; q < s.n; q++ {
+		if q != li {
+			ord = append(ord, uint16(q))
+		}
+	}
+	row := s.pairW[li]
+	slices.SortFunc(ord, func(a, b uint16) int {
+		if row[a] != row[b] {
+			if row[a] < row[b] {
+				return -1
+			}
+			return 1
+		}
+		return int(a) - int(b)
+	})
+	return ord
 }
 
 // sortNode sorts a node's processes ascending in place (u is tiny, so
@@ -608,30 +760,4 @@ func sortNode(node []job.ProcID) {
 			node[j], node[j-1] = node[j-1], node[j]
 		}
 	}
-}
-
-type lazyState struct {
-	bound   float64
-	exact   float64
-	members []int32
-	pos     int
-}
-
-type lazyQueue []lazyState
-
-func (q lazyQueue) Len() int { return len(q) }
-func (q lazyQueue) Less(i, j int) bool {
-	if q[i].bound != q[j].bound {
-		return q[i].bound < q[j].bound
-	}
-	return len(q[i].members) > len(q[j].members)
-}
-func (q lazyQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *lazyQueue) Push(x interface{}) { *q = append(*q, x.(lazyState)) }
-func (q *lazyQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
 }

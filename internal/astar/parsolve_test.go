@@ -138,13 +138,17 @@ func TestParallelCostMatchesSequentialMixed(t *testing.T) {
 // parallel beam replays the sequential admission order exactly, so not
 // just the cost but the groups and every search counter must match.
 //
-// The last case is a pairwise n = 64 quad-core batch: k = 16 is above
-// exactLazyMaxK and C(63,3) = 39,711 above smallLevel, so the first
-// depths run anchoredCandidates inside beamGenerate's workers and the
-// later ones the heap-select. It solves sequentially first, on the same
-// Solver, so the main solver's candidate scratch is warm before
-// ensureClones copies it; under -race a clone sharing that scratch is a
-// reported race.
+// The last cases are pairwise batches. At n = 64 on quad-core, k = 16
+// is above exactLazyMaxK and C(63,3) = 39,711 above smallLevel, so the
+// first depths run anchoredCandidates inside beamGenerate's workers and
+// the later ones the pruned small-level walk; k = 8 hands the first
+// depths to lazyKSmallest instead. At n = 96 on 8-core, the anchored
+// depths give way to small levels from 17 available processes down.
+// Every worker builds its own leader orders. Each case solves
+// sequentially first, on the same Solver, so the main solver's candidate
+// scratch (its leader orders included) is warm before ensureClones
+// copies it; under -race a clone sharing that scratch is a reported
+// race.
 func TestParallelBeamBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := syntheticGraph(t, 16, 4, seed, degradation.ModePC)
@@ -155,23 +159,28 @@ func TestParallelBeamBitIdentical(t *testing.T) {
 		checkBeamBitIdentical(t, fmt.Sprintf("seed %d", seed), base, res)
 	}
 
-	s, err := NewSolver(pairwiseGraphTB(t, 64, 4, 1), Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: 16})
-	if err != nil {
-		t.Fatal(err)
+	// Pairwise batches run every HA* generator inside the workers, each
+	// clone building its own leader orders: anchored and small levels at
+	// u = 4 and u = 8, and the lazy enumerator under a budget of 8.
+	for _, c := range []struct{ n, u, k int }{{64, 4, 16}, {96, 8, 12}, {64, 4, 8}} {
+		s, err := NewSolver(pairwiseGraphTB(t, c.n, c.u, 1), Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: c.k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.opts.Parallelism = 4
+		res, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Parallelism != 4 {
+			t.Fatalf("beam ran at parallelism %d; want 4", res.Stats.Parallelism)
+		}
+		checkBeamBitIdentical(t, fmt.Sprintf("pairwise n=%d u=%d k=%d", c.n, c.u, c.k), base, res)
 	}
-	base, err := s.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.opts.Parallelism = 4
-	res, err := s.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Parallelism != 4 {
-		t.Fatalf("beam ran at parallelism %d; want 4", res.Stats.Parallelism)
-	}
-	checkBeamBitIdentical(t, "pairwise n=64", base, res)
 }
 
 // TestParallelBeamCondensedBitIdentical runs the parallel beam over a PC

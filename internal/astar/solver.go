@@ -57,9 +57,11 @@ type Solver struct {
 	// PE-symmetry canonicalisation (active with Condense): processes of
 	// an embarrassingly-parallel job are interchangeable, so dismissal
 	// keys replace their identities with per-job counts. peAll masks all
-	// PE processes; peJobMask holds one mask per PE job.
+	// PE processes; peJobMask holds one mask per PE job. peGroup[p-1] is
+	// the index in peJobMask of process p's mask, -1 outside them.
 	peAll     *bitset.Set
 	peJobMask []*bitset.Set
+	peGroup   []int32
 
 	// Word-packed dismissal-key geometry (see keytable.go): the key is
 	// keyStride uint64 words — the (masked) set words, the packed PE
@@ -100,29 +102,56 @@ type scratch struct {
 	// Candidate generation (expand.go). flat, w and idx are a node store
 	// (u-stride), its weights and a heap over its slots: the small
 	// pairwise level's k-slot heap, or the non-pairwise fallback's whole
-	// level (a solver only ever takes one of the two). pos and pre are
-	// the pairwise level walk's combination indices and prefix weights.
+	// level (a solver only ever takes one of the two). pos, pre and mins
+	// are the pairwise level walk's view positions, prefix weights and
+	// prefix row-minimum sums.
 	flat []job.ProcID
 	w    []float64
 	idx  []int32
 	pos  []int
 	pre  []float64
-	// The anchored generator's leader-sorted availability, per-position
-	// pair-cost accumulator and anchor stamp, and word-packed node dedup.
-	sorted []job.ProcID
+	mins []float64
+	// Leader orders (leaderView): orders[l-1] ranks every process but l
+	// by (pair cost with l, ID), built the first time l leads a pairwise
+	// expansion and kept for the solver's life. mark stamps one
+	// expansion's availability with epoch; view and viewCost are that
+	// availability in its leader's order and the leader's pair costs.
+	orders   [][]uint16
+	mark     []uint32
+	epoch    uint32
+	view     []job.ProcID
+	viewCost []float64
+	// The anchored generator's per-position pair-cost accumulator and
+	// anchor stamp, and word-packed node dedup.
 	acc    []float64
 	stamp  []int32
 	seen   *wordSet
 	keyBuf []uint64
-	// node is the node under construction (anchored and pairwise walk).
+	// lazyKSmallest's leader-cost prefix sums, state heap and member
+	// arena.
+	prefix  []float64
+	lazyQ   []lazyState
+	lazyMem []int32
+	// node is the node under construction (every generator); leaf is a
+	// sorted copy of a complete one (the pairwise walk's leaves, the
+	// class enumeration's emitted nodes).
 	node []job.ProcID
+	leaf []job.ProcID
 	// condSeen dedups one expansion's condensation keys (§III-E),
 	// packed into condKeyBuf by graph.AppendCondenseKey.
 	condSeen   *wordSet
 	condKeyBuf []uint64
+	// Class enumeration (classes.go): groupClass maps a symmetry group
+	// to its class in this expansion, and classEnd ends each class's run
+	// of members in classMem.
+	groupClass []int32
+	classEnd   []int32
+	classMem   []job.ProcID
 
-	// beamNext holds one beam depth's survivors (beam.go).
+	// beamNext and beamF hold one beam depth's survivors and their f
+	// values (beam.go).
 	beamNext []*element
+	beamF    []float64
 }
 
 // element is one priority-list entry: a sub-path recorded as the set of
@@ -308,6 +337,17 @@ func (s *Solver) prepare() error {
 				}
 			}
 			s.peJobMask = append(s.peJobMask, im)
+		}
+		if s.peAll != nil {
+			s.peGroup = make([]int32, s.n)
+			for p := 1; p <= s.n; p++ {
+				s.peGroup[p-1] = -1
+				for g, jm := range s.peJobMask {
+					if jm.Has(p) {
+						s.peGroup[p-1] = int32(g)
+					}
+				}
+			}
 		}
 	}
 	s.keySetWords = (s.n + 64) / 64

@@ -33,12 +33,13 @@ go test ./...
 # allocation-free without telemetry, with a live registry being flushed,
 # and with the full tracing stack (event tracer + flight recorder +
 # spans) attached, keying and deduping a condensation candidate must
-# allocate nothing, HA*'s anchored and small-level candidate generation
-# must stay within their budgets, and an SDC oracle query and an SDC
-# node-memo miss (one competition for the whole node) must allocate
+# allocate nothing, HA*'s anchored, small-level and lazy candidate
+# generation, a beam depth's survivor selection and a class-enumerated
+# PE-mix expansion must allocate nothing, and an SDC oracle query and an
+# SDC node-memo miss (one competition for the whole node) must allocate
 # nothing (run explicitly so a -run filter in the main suite can never
 # silently drop the gate).
-go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree' -count=1
+go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree|TestBeamSelectionAllocationFree|TestClassCandidatesAllocationFree' -count=1
 go test ./internal/degradation/ -run 'TestSDCOracleDegradationAllocationFree|TestSDCMemoMissAllocationFree' -count=1
 
 # Race matrix over the concurrent search paths: the work-stealing
