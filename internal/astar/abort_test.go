@@ -56,6 +56,9 @@ func TestAbortExpiredContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if s.levels != nil {
+				t.Error("level table built past an expired deadline")
+			}
 			startAt := time.Now()
 			res, err := s.Solve()
 			requireDegraded(t, g, res, err, abort.Deadline)
@@ -208,14 +211,14 @@ func TestPollAbortAllocationFree(t *testing.T) {
 		t.Fatal("live context produced no done channel")
 	}
 	var stats Stats
-	warm := sv.makeChild(root, node)
+	warm := sv.makeChild(root, node, nil)
 	sv.recycle(warm)
 	allocs := testing.AllocsPerRun(200, func() {
 		// VisitedPaths stays 0, so every poll takes a memory sample.
 		if reason := sv.pollAbort(done, stats.VisitedPaths, sv.memSample(stats.VisitedPaths, 64)); reason != abort.None {
 			t.Fatalf("armed-but-untriggered poll aborted: %v", reason)
 		}
-		c := sv.makeChild(root, node)
+		c := sv.makeChild(root, node, nil)
 		if ref := sv.table.find(c.keyWords); ref < 0 {
 			stats.DismissedWorse++
 		}

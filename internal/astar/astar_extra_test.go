@@ -2,6 +2,7 @@ package astar
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cosched/internal/bruteforce"
@@ -242,14 +243,38 @@ func TestStrategy2PairBoundFallback(t *testing.T) {
 	// With a tiny enumeration budget the per-level minima fall back to
 	// pair-based lower bounds; optimality must survive.
 	g := syntheticGraph(t, 12, 4, 4, degradation.ModePC)
-	g.EnumLimit = 2 // nothing is enumerable
+	g.EnumLimit = 2 // only the one-node last level is enumerable
 	s, err := NewSolver(g, Options{H: HStrategy2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.levels != nil {
+		t.Fatal("level table built beyond the enumeration budget")
+	}
 	res, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every level minimum the search took beyond the budget is the pair
+	// bound: the leader's floor plus the u-1 cheapest floors above it.
+	taken := 0
+	for l := 1; l <= g.N()-g.U()+1; l++ {
+		if !s.levelMinDone[l] || g.LevelEnumerable(job.ProcID(l)) {
+			continue
+		}
+		rest := slices.Clone(s.dminAll[l:])
+		slices.Sort(rest)
+		want := s.dminAll[l-1]
+		for _, d := range rest[:g.U()-1] {
+			want += d
+		}
+		if s.levelMin[l] != want {
+			t.Errorf("level %d minimum %v; the pair bound is %v", l, s.levelMin[l], want)
+		}
+		taken++
+	}
+	if taken == 0 {
+		t.Error("the search took no level minimum beyond the budget")
 	}
 	bf, err := bruteforce.Solve(g.Cost)
 	if err != nil {

@@ -152,8 +152,8 @@ func (s *Solver) solveBeam() (*Result, error) {
 				gens[idx] = nil
 			} else {
 				avail := s.available(e, job.ProcID(leader))
-				s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID) {
-					admitBeam(s.makeChild(e, node))
+				s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID, costs []float64) {
+					admitBeam(s.makeChild(e, node, costs))
 				})
 			}
 		}
@@ -242,8 +242,8 @@ func (s *Solver) beamGenerate(workers []*Solver, frontier []*element, gens [][]*
 				}
 				avail := w.available(e, job.ProcID(leader))
 				var kids []*element
-				w.forEachCandidate(e, job.ProcID(leader), avail, &local, func(node []job.ProcID) {
-					child := w.makeChild(e, node)
+				w.forEachCandidate(e, job.ProcID(leader), avail, &local, func(node []job.ProcID, costs []float64) {
+					child := w.makeChild(e, node, costs)
 					child.h = w.heuristic(child)
 					kids = append(kids, child)
 				})

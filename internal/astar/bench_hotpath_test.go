@@ -78,7 +78,7 @@ func BenchmarkHotPathMakeChild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := sv.makeChild(root, node)
+		c := sv.makeChild(root, node, nil)
 		_ = sv.table.find(c.keyWords)
 		sv.recycle(c)
 	}
@@ -99,7 +99,7 @@ func BenchmarkHotPathPackKey(b *testing.B) {
 // growth included, against fresh tables.
 func BenchmarkHotPathTableInsert(b *testing.B) {
 	sv, root, node := hotPathSolver(b, 120, 4, true)
-	c := sv.makeChild(root, node)
+	c := sv.makeChild(root, node, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -150,10 +150,10 @@ func TestDismissedChildStaysAllocationFree(t *testing.T) {
 			sv, root, node := hotPathSolver(t, cfg.n, cfg.u, cfg.pairwise)
 			// Warm the pool (and the node memo): the first child
 			// allocates its backing storage, every later one reuses it.
-			warm := sv.makeChild(root, node)
+			warm := sv.makeChild(root, node, nil)
 			sv.recycle(warm)
 			allocs := testing.AllocsPerRun(200, func() {
-				c := sv.makeChild(root, node)
+				c := sv.makeChild(root, node, nil)
 				_ = sv.table.find(c.keyWords)
 				sv.recycle(c)
 			})
@@ -184,41 +184,55 @@ func TestPoolReuseDominatesOnSolve(t *testing.T) {
 }
 
 // TestCondensedCandidateAllocationFree is the condensation allocation
-// guard (§III-E). On a warm solver over a six-PC-job mix, keying and
-// deduping one candidate touches no heap, and a whole level-1 expansion
-// (455 candidates, most of them condensed) allocates only ForEachNode's
-// node and index buffers.
+// guard (§III-E). On a warm solver over a six-PC-job mix of 16
+// processes, a whole level-1 expansion (455 candidates, most of them
+// condensed) reads every class and cost from the level table and
+// allocates nothing. Above the table's budget (48 processes, C(48, 4)
+// nodes) candidates are keyed instead, and keying and deduping one
+// touches no heap.
 func TestCondensedCandidateAllocationFree(t *testing.T) {
 	g := mixedGraph(t, 16, 6, 2, 4, 1, degradation.ModePC)
 	sv, err := NewSolver(g, Options{H: HPerProc, Condense: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sv.levels == nil {
+		t.Fatal("no level table for a 16-process OA* solver")
+	}
 	root := sv.rootElement()
 	avail := sv.available(root, 1)
 	var stats Stats
 	candidates := 0
 	expand := func() {
-		sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID) { candidates++ })
+		sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID, []float64) { candidates++ })
 	}
-	expand() // warm: sizes the dedup set and its key arena
+	expand() // warm: sizes the walk's positions and the class stamps
 	if total := int64(candidates) + stats.Condensed; total != 455 || stats.Condensed <= int64(candidates) {
 		t.Fatalf("level 1: %d attempted + %d condensed; want 455 with most condensed", candidates, stats.Condensed)
 	}
+	if allocs := testing.AllocsPerRun(20, expand); allocs != 0 {
+		t.Errorf("a condensed level-1 expansion costs %.1f allocs; want 0", allocs)
+	}
 
+	big, err := NewSolver(mixedGraph(t, 48, 6, 2, 4, 1, degradation.ModePC), Options{H: HPerProc, Condense: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.levels != nil {
+		t.Fatal("a 48-process graph got a level table; its keying path went untested")
+	}
+	bigRoot := big.rootElement()
+	big.forEachCandidate(bigRoot, 1, big.available(bigRoot, 1), &stats, func([]job.ProcID, []float64) {})
 	node := []job.ProcID{1, 2, 3, 4}
 	allocs := testing.AllocsPerRun(200, func() {
-		sv.scr.condSeen.reset()
-		if !sv.scr.condSeen.add(sv.gr.AppendCondenseKey(sv.scr.condKeyBuf[:0], node)) ||
-			sv.scr.condSeen.add(sv.gr.AppendCondenseKey(sv.scr.condKeyBuf[:0], node)) {
+		big.scr.condSeen.reset()
+		if !big.scr.condSeen.add(big.gr.AppendCondenseKey(big.scr.condKeyBuf[:0], node)) ||
+			big.scr.condSeen.add(big.gr.AppendCondenseKey(big.scr.condKeyBuf[:0], node)) {
 			t.Fatal("dedup set lost a key")
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("keying and deduping a candidate costs %.1f allocs; want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, expand); allocs > 2 {
-		t.Errorf("a condensed level-1 expansion costs %.1f allocs; want at most ForEachNode's 2", allocs)
 	}
 }
 
@@ -254,7 +268,7 @@ func TestHAStarCandidatesAllocationFree(t *testing.T) {
 		emitted := 0
 		expand := func() {
 			emitted = 0
-			sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID) { emitted++ })
+			sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID, []float64) { emitted++ })
 		}
 		expand() // warm: builds leader 1's order and sizes the generator's scratch
 		if emitted != c.k {
@@ -279,8 +293,8 @@ func TestBeamSelectionAllocationFree(t *testing.T) {
 	sv.table = newGTable(sv.keyStride)
 	root := sv.rootElement()
 	var stats Stats
-	sv.forEachCandidate(root, 1, sv.available(root, 1), &stats, func(node []job.ProcID) {
-		child := sv.makeChild(root, node)
+	sv.forEachCandidate(root, 1, sv.available(root, 1), &stats, func(node []job.ProcID, costs []float64) {
+		child := sv.makeChild(root, node, costs)
 		child.h = sv.heuristic(child)
 		sv.table.insert(child.keyWords, child.g, child)
 	})
@@ -328,7 +342,7 @@ func TestClassCandidatesAllocationFree(t *testing.T) {
 	candidates := 0
 	expand := func() {
 		candidates = 0
-		sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID) { candidates++ })
+		sv.forEachCandidate(root, 1, avail, &stats, func([]job.ProcID, []float64) { candidates++ })
 	}
 	expand() // warm: sizes the class table and the dedup set
 	if candidates == 0 {

@@ -15,16 +15,17 @@ import (
 	"cosched/internal/workload"
 )
 
-// referenceCandidates is forEachCandidate's HA* branch (KPerLevel > 0)
-// written the direct way: a level under smallLevel (or any level without
-// the pairwise fast path) is enumerated whole, sorted by (weight,
-// lessNodes) and walked until k non-condensed nodes have been emitted;
-// a larger pairwise level goes to referenceLazy where forEachCandidate
-// takes the lazy enumerator (see usesLazy), to referenceAnchored
-// otherwise. Condensation keys are deduped in a map and every emitted
-// node is a fresh copy, so nothing is shared with the solver's scratch.
-// It survives only as the reference semantics the generators are
-// property-tested against.
+// referenceCandidates is forEachCandidate written the direct way. OA*'s
+// whole level (KPerLevel <= 0, no PE classes) is every node in
+// graph.ForEachNode's order. In HA*'s branch (KPerLevel > 0), a level
+// under smallLevel (or any level without the pairwise fast path) is
+// enumerated whole, sorted by (weight, lessNodes) and walked until k
+// non-condensed nodes have been emitted; a larger pairwise level goes to
+// referenceLazy where forEachCandidate takes the lazy enumerator (see
+// usesLazy), to referenceAnchored otherwise. Condensation keys are
+// deduped in a map and every emitted node is a fresh copy, so nothing is
+// shared with the solver's scratch. It survives only as the reference
+// semantics the generators are property-tested against.
 func referenceCandidates(s *Solver, leader job.ProcID, avail []job.ProcID, stats *Stats, fn func(node []job.ProcID)) {
 	k := s.opts.KPerLevel
 	var seen map[string]bool
@@ -42,6 +43,15 @@ func referenceCandidates(s *Solver, leader job.ProcID, avail []job.ProcID, stats
 		}
 		stats.Condensed++
 		return true
+	}
+	if k <= 0 {
+		s.gr.ForEachNode(leader, avail, func(node []job.ProcID) bool {
+			if !condensed(node) {
+				fn(append([]job.ProcID(nil), node...))
+			}
+			return true
+		})
+		return
 	}
 	if level := graph.Binomial(len(avail), s.u-1); s.pairW != nil && level > smallLevel {
 		emitted := 0
@@ -323,6 +333,12 @@ func candidateSizes(rng *rand.Rand, n, u int) []int {
 	return out
 }
 
+// nodesOnly adapts a node callback to forEachCandidate's, dropping the
+// costs.
+func nodesOnly(fn func(node []job.ProcID)) func(node []job.ProcID, costs []float64) {
+	return func(node []job.ProcID, _ []float64) { fn(node) }
+}
+
 // emittedNodes collects the nodes one generator run emits, copied.
 func emittedNodes(run func(fn func(node []job.ProcID))) [][]job.ProcID {
 	var out [][]job.ProcID
@@ -432,7 +448,7 @@ func generatorCase(t *testing.T, name string, s *Solver, leader job.ProcID, avai
 	lazyOK := len(avail) <= lazyMax
 	if lazyOK || !usesLazy(s, graph.Binomial(len(avail), s.u-1)) {
 		var st Stats
-		got := emittedNodes(func(fn func([]job.ProcID)) { s.forEachCandidate(nil, leader, avail, &st, fn) })
+		got := emittedNodes(func(fn func([]job.ProcID)) { s.forEachCandidate(nil, leader, avail, &st, nodesOnly(fn)) })
 		want := emittedNodes(func(fn func([]job.ProcID)) { referenceCandidates(s, leader, avail, &st, fn) })
 		sameNodeSequence(t, name, got, want)
 		for i := 1; i < len(got); i++ {
@@ -477,10 +493,12 @@ func generatorCase(t *testing.T, name string, s *Solver, leader job.ProcID, avai
 // both sides of smallLevel and budgets from 1 to more than the level
 // holds, the emitted node sequences must be identical. A PC mix under the
 // SDC oracle with condensation covers the heap path's condensed skips,
-// whose count must match too. Last, one solver per population is driven
-// through many expansions that share two leaders while availability
-// shrinks, so each leader's order is reused from the anchored levels
-// down through the small ones, at u = 4 and u = 8.
+// whose count must match too, and OA*'s whole level both walked from the
+// level table and keyed: the same nodes, the same condensed count, and
+// table costs equal to Cost.NodeCosts bit for bit. Last, one solver per
+// population is driven through many expansions that share two leaders
+// while availability shrinks, so each leader's order is reused from the
+// anchored levels down through the small ones, at u = 4 and u = 8.
 func TestCandidateGeneratorsMatchReference(t *testing.T) {
 	cases, nodes, ties := 0, 0, 0
 	for _, pop := range generatorPops {
@@ -504,37 +522,73 @@ func TestCandidateGeneratorsMatchReference(t *testing.T) {
 		}
 	}
 
-	condensed := int64(0)
+	condensed, tableNodes := int64(0), 0
 	for seed := int64(1); seed <= 3; seed++ {
 		g := mixedGraph(t, 16, 6, 2, 4, seed, degradation.ModePC)
-		s, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 8, KPerLevel: 4, Condense: true})
+		ha, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 8, KPerLevel: 4, Condense: true})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// OA*'s configuration walks whole levels from the level table.
+		oa, err := NewSolver(g, Options{H: HPerProc, Condense: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ha.levels != nil || oa.levels == nil {
+			t.Fatalf("seed %d: level table built for HA* (%v) or missing for OA* (%v)", seed, ha.levels != nil, oa.levels == nil)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for _, m := range candidateSizes(rng, 16, 4) {
 			leader, avail := candidateLevel(rng, 16, m)
-			for _, k := range []int{1, 3, 4, int(graph.Binomial(m, 3)) + 1} {
-				name := fmt.Sprintf("PC mix seed=%d |avail|=%d k=%d", seed, m, k)
-				s.opts.KPerLevel = k
-				var st, rst Stats
-				got := emittedNodes(func(fn func([]job.ProcID)) { s.forEachCandidate(nil, leader, avail, &st, fn) })
-				want := emittedNodes(func(fn func([]job.ProcID)) { referenceCandidates(s, leader, avail, &rst, fn) })
-				sameNodeSequence(t, name, got, want)
-				if st.Condensed != rst.Condensed {
-					t.Fatalf("%s: %d condensed; reference condenses %d", name, st.Condensed, rst.Condensed)
+			for _, k := range []int{0, 1, 3, 4, int(graph.Binomial(m, 3)) + 1} {
+				// k = 0 runs on both solvers: oa reads the level table;
+				// ha, built for k > 0 and so without one, keys every
+				// candidate as a graph above the table's budget does.
+				for _, s := range []*Solver{oa, ha} {
+					if s == oa && k > 0 {
+						continue
+					}
+					name := fmt.Sprintf("PC mix seed=%d |avail|=%d k=%d table=%v", seed, m, k, s == oa)
+					s.opts.KPerLevel = k
+					var st, rst Stats
+					var costs [][]float64
+					got := emittedNodes(func(fn func([]job.ProcID)) {
+						s.forEachCandidate(nil, leader, avail, &st, func(node []job.ProcID, c []float64) {
+							if (c != nil) != (s == oa) {
+								t.Fatalf("%s: node %v came with costs %v", name, node, c)
+							}
+							costs = append(costs, append([]float64(nil), c...))
+							fn(node)
+						})
+					})
+					want := emittedNodes(func(fn func([]job.ProcID)) { referenceCandidates(s, leader, avail, &rst, fn) })
+					sameNodeSequence(t, name, got, want)
+					if st.Condensed != rst.Condensed {
+						t.Fatalf("%s: %d condensed; reference condenses %d", name, st.Condensed, rst.Condensed)
+					}
+					if s == oa {
+						for i, node := range got {
+							want := s.cost.NodeCosts(nil, node)
+							for j := range want {
+								if math.Float64bits(costs[i][j]) != math.Float64bits(want[j]) {
+									t.Fatalf("%s: node %v costs %v from the table; NodeCosts gives %v", name, node, costs[i], want)
+								}
+							}
+						}
+						tableNodes += len(got)
+					}
+					condensed += st.Condensed
+					cases++
+					nodes += len(got)
 				}
-				condensed += st.Condensed
-				cases++
-				nodes += len(got)
 			}
 		}
 	}
 	if ties == 0 {
 		t.Fatal("no two consecutive emitted nodes tied on weight; the tie-break went unexercised")
 	}
-	if condensed == 0 {
-		t.Fatal("condensation never skipped a node on the PC mixes")
+	if condensed == 0 || tableNodes == 0 {
+		t.Fatalf("on the PC mixes condensation skipped %d nodes and the level table emitted %d; want both", condensed, tableNodes)
 	}
 
 	// Order reuse: one solver per population and size is driven through

@@ -13,10 +13,17 @@ import (
 // the given valid level: all of them for OA*, or the first KPerLevel valid
 // nodes in ascending weight order for HA* (§IV). Candidate nodes sharing a
 // condensation key are attempted once when condensation is on (§III-E):
-// the keys are deduped in the solver's condSeen, reset per expansion.
-// avail must ascend above the leader, as available builds it.
-func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.ProcID, stats *Stats, fn func(node []job.ProcID)) {
+// by level-table class where the solver has a table (levelCandidates),
+// otherwise by key, deduped in the solver's condSeen, reset per
+// expansion. fn receives the node's members' costs from the level table,
+// or nil where there is none. avail must ascend above the leader, as
+// available builds it.
+func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.ProcID, stats *Stats, fn func(node []job.ProcID, costs []float64)) {
 	k := s.opts.KPerLevel
+	if k <= 0 && s.levels != nil {
+		s.levelCandidates(leader, avail, stats, fn)
+		return
+	}
 	var seen *wordSet
 	if s.opts.Condense && len(s.parJobs) > 0 {
 		if s.scr.condSeen == nil {
@@ -43,7 +50,7 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	if k <= 0 && s.peAll != nil {
 		s.forEachClassCandidate(leader, avail, func(node []job.ProcID) bool {
 			if !condensed(node) {
-				fn(node)
+				fn(node, nil)
 			}
 			return true
 		})
@@ -53,7 +60,7 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	if k <= 0 {
 		s.gr.ForEachNode(leader, avail, func(node []job.ProcID) bool {
 			if !condensed(node) {
-				fn(node)
+				fn(node, nil)
 			}
 			return true
 		})
@@ -64,12 +71,12 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	// condenses on it.
 	if s.pairW != nil {
 		if graph.Binomial(len(avail), s.u-1) <= smallLevel {
-			s.smallPairLevel(leader, avail, k, fn)
+			s.smallPairLevel(leader, avail, k, func(node []job.ProcID) { fn(node, nil) })
 			return
 		}
 		emitted := 0
 		emitFn := func(node []job.ProcID) bool {
-			fn(node)
+			fn(node, nil)
 			emitted++
 			return emitted < k
 		}
@@ -114,8 +121,81 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 		if condensed(node) {
 			continue
 		}
-		fn(node)
+		fn(node, nil)
 		emitted++
+	}
+}
+
+// levelCandidates is forEachCandidate's whole level on a solver with a
+// level table: every node {leader} ∪ S, S ⊆ avail, |S| = u-1, in
+// graph.ForEachNode's order, each passed with its costs from the table.
+// The walk carries each node's table index as it places members, a prefix
+// sum of graph.LevelTable.Term, so only the members that change are
+// re-ranked. Nodes of one condensation class are attempted once: the
+// first marks its class with the expansion's epoch, and a later node of a
+// marked class counts as condensed. Nothing is keyed, hashed or looked up,
+// and all storage is solver scratch.
+func (s *Solver) levelCandidates(leader job.ProcID, avail []job.ProcID, stats *Stats, fn func(node []job.ProcID, costs []float64)) {
+	t := s.levels
+	u, r, m := s.u, s.u-1, len(avail)
+	if m < r {
+		return
+	}
+	sc := &s.scr
+	if cap(sc.node) < u {
+		sc.node = make([]job.ProcID, u)
+	}
+	if cap(sc.rank) < u {
+		sc.walkPos = make([]int, r)
+		sc.rank = make([]int, u)
+	}
+	node, pos, rank := sc.node[:u], sc.walkPos[:r], sc.rank[:u]
+	var mark []uint32
+	if t.Condensed() {
+		if len(sc.classMark) < t.Classes() {
+			sc.classMark = make([]uint32, t.Classes())
+		}
+		mark = sc.classMark
+		sc.classEpoch++
+		if sc.classEpoch == 0 {
+			clear(mark)
+			sc.classEpoch = 1
+		}
+	}
+	ep := sc.classEpoch
+	node[0] = leader
+	rank[0] = t.Start(leader)
+	for i := range pos {
+		pos[i] = i
+	}
+	// Positions i.. changed since the last node; place their members.
+	for i := 0; ; {
+		for ; i < r; i++ {
+			p := avail[pos[i]]
+			node[i+1] = p
+			rank[i+1] = rank[i] + t.Term(leader, p, i+1)
+		}
+		id := rank[r]
+		if mark == nil {
+			fn(node, t.Costs(id))
+		} else if c := t.Class(id); mark[c] != ep {
+			mark[c] = ep
+			fn(node, t.Costs(id))
+		} else {
+			stats.Condensed++
+		}
+		// Advance the combination as ForEachNode does.
+		i = r - 1
+		for i >= 0 && pos[i] == m-r+i {
+			i--
+		}
+		if i < 0 {
+			return
+		}
+		pos[i]++
+		for j := i + 1; j < r; j++ {
+			pos[j] = pos[j-1] + 1
+		}
 	}
 }
 

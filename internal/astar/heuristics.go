@@ -71,8 +71,7 @@ func (s *Solver) hStrategy2(e *element) float64 {
 	}
 	if len(s.parJobs) > 0 {
 		// Mixed batch: fall back to the per-process bound, which
-		// handles parallel maxima correctly.
-		s.computeDmin()
+		// handles parallel maxima correctly (prepare built its floors).
 		return s.hPerProc(e)
 	}
 	// Collect per-level minima for levels led by unscheduled processes
@@ -96,13 +95,17 @@ func (s *Solver) hStrategy2(e *element) float64 {
 
 // levelMinWeight returns (and caches) a lower bound on the minimum node
 // weight of the level led by the given process: exact when the level is
-// enumerable, the sum of the u cheapest per-process pair floors otherwise.
+// enumerable (read from the level table where the solver has one, which
+// it has only when every level is), the sum of the u cheapest
+// per-process pair floors otherwise.
 func (s *Solver) levelMinWeight(leader job.ProcID) float64 {
 	if s.levelMinDone[leader] {
 		return s.levelMin[leader]
 	}
 	var w float64
-	if ls, ok := s.gr.LevelStats(leader); ok {
+	if s.levels != nil {
+		w = s.levels.LevelMin(leader)
+	} else if ls, ok := s.gr.LevelStats(leader); ok {
 		w = ls.Min()
 	} else {
 		s.computeDmin()
@@ -131,7 +134,6 @@ func (s *Solver) hStrategy1(e *element) float64 {
 		return 0
 	}
 	if len(s.parJobs) > 0 {
-		s.computeDmin()
 		return s.hPerProc(e)
 	}
 	l := int(e.node[0])

@@ -154,7 +154,8 @@ func (s *Solver) eligibleParallelism() int {
 }
 
 // workerClone returns a Solver sharing every read-only table of s
-// (graph, Cost and its node memo, heuristic floors, key geometry) but
+// (graph, Cost and its node memo, level table, heuristic floors, key
+// geometry) but
 // owning its own element pool and scratch, so an expansion worker can
 // run makeChild/forEachCandidate/heuristic without touching another
 // worker's buffers.
@@ -567,8 +568,8 @@ func (en *parEngine) expandElement(w *Solver, e *element) {
 	}
 	avail := w.available(e, job.ProcID(leader))
 	var local Stats
-	w.forEachCandidate(e, job.ProcID(leader), avail, &local, func(node []job.ProcID) {
-		en.admitChild(w, popIdx, w.makeChild(e, node))
+	w.forEachCandidate(e, job.ProcID(leader), avail, &local, func(node []job.ProcID, costs []float64) {
+		en.admitChild(w, popIdx, w.makeChild(e, node, costs))
 	})
 	if local.Condensed != 0 {
 		en.condensed.Add(local.Condensed)

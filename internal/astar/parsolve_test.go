@@ -134,6 +134,55 @@ func TestParallelCostMatchesSequentialMixed(t *testing.T) {
 	}
 }
 
+// TestParallelClonesShareLevelTable runs the parallel engine on solvers
+// with a level table: a condensed PC mix under ExactParallel, where every
+// worker reads classes and costs from the table and stamps classes in its
+// own scratch, and a serial SDC batch. Every clone must read the solver's
+// one table, and the cost must match the sequential solve's. Under -race
+// (scripts/ci.sh) a worker writing the shared table is a reported race.
+func TestParallelClonesShareLevelTable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"pc-mix-condense-exact", mixedGraph(t, 12, 2, 3, 4, 1, degradation.ModePC), Options{H: HPerProc, Condense: true, ExactParallel: true}},
+		{"serial", syntheticGraph(t, 12, 4, 2, degradation.ModePC), Options{H: HPerProc}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := solveWith(t, c.g, c.opts)
+			opts := c.opts
+			opts.Parallelism = 4
+			s, err := NewSolver(c.g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.levels == nil {
+				t.Fatal("no level table")
+			}
+			res, err := s.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkInvariant(t, &res.Stats)
+			if res.Stats.Parallelism != 4 || len(s.parClones) != 3 {
+				t.Fatalf("solve ran at parallelism %d with %d clones; want 4 and 3", res.Stats.Parallelism, len(s.parClones))
+			}
+			for i, w := range s.parClones {
+				if w.levels != s.levels {
+					t.Fatalf("clone %d reads its own level table", i)
+				}
+			}
+			if math.Abs(res.Cost-base.Cost) > eps {
+				t.Errorf("parallel cost %v != sequential %v", res.Cost, base.Cost)
+			}
+			if c.opts.Condense && res.Stats.Condensed == 0 {
+				t.Error("no candidate condensed; the class stamps went unexercised")
+			}
+		})
+	}
+}
+
 // TestParallelBeamBitIdentical pins the stronger beam guarantee: the
 // parallel beam replays the sequential admission order exactly, so not
 // just the cost but the groups and every search counter must match.
@@ -433,11 +482,11 @@ func TestParallelWorkerDismissedChildAllocationFree(t *testing.T) {
 	w := workers[1]
 	st := newStripedTable(sv.keyStride, 8)
 	root := w.rootElement()
-	warm := w.makeChild(root, node)
+	warm := w.makeChild(root, node, nil)
 	st.admit(warm.keyWords, warm.g)
 	w.pool.put(warm)
 	allocs := testing.AllocsPerRun(200, func() {
-		c := w.makeChild(root, node)
+		c := w.makeChild(root, node, nil)
 		if g, ok := st.bestG(c.keyWords); !ok || g > c.g {
 			t.Fatal("warm key missing from striped table")
 		}

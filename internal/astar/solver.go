@@ -28,9 +28,17 @@ type Solver struct {
 	parJobs []job.JobID
 	procPar []int
 
-	// dminAll[p-1] is the cheapest pair degradation of process p: an
-	// admissible per-process cost floor (co-runners never help, so
-	// d(p,S) >= min_q d(p,{q}) for any non-empty S).
+	// levels is the graph's level table (graph.LevelTable) when the
+	// search walks whole levels of a graph of at most
+	// graph.LevelTableMax nodes, every level within its enumeration
+	// budget; nil otherwise. Built in prepare and read-only after, so
+	// worker clones share it.
+	levels *graph.LevelTable
+
+	// dminAll[p-1] is an admissible per-process cost floor: p's exact
+	// least cost over every node of the level table where there is one;
+	// otherwise the sum of its u-1 cheapest pair costs for additive
+	// oracles, its cheapest single pair for the rest.
 	dminAll []float64
 	// dminSerial is dminAll for serial processes and 0 for parallel
 	// ones (their cost enters through per-job maxima instead).
@@ -141,6 +149,14 @@ type scratch struct {
 	// packed into condKeyBuf by graph.AppendCondenseKey.
 	condSeen   *wordSet
 	condKeyBuf []uint64
+	// The level-table walk (levelCandidates): walkPos holds the members'
+	// positions in the availability, rank[i] the table index of the
+	// node's first i+1 members, and classMark stamps a level-table class
+	// with classEpoch once one expansion has attempted it.
+	walkPos    []int
+	rank       []int
+	classMark  []uint32
+	classEpoch uint32
 	// Class enumeration (classes.go): groupClass maps a symmetry group
 	// to its class in this expansion, and classEnd ends each class's run
 	// of members in classMem.
@@ -276,11 +292,6 @@ func (s *Solver) prepare() error {
 	if s.opts.H == HPerProcAvg {
 		s.computeAvgEstimates()
 	}
-	needDmin := s.opts.H == HPerProc || s.opts.H == HStrategy2 || s.opts.UseIncumbent ||
-		(s.opts.H == HStrategy1 && len(s.parJobs) > 0)
-	if needDmin && s.opts.H != HPerProcAvg {
-		s.computeDmin()
-	}
 	switch s.opts.H {
 	case HStrategy1:
 		// Strategy 1 merges sorted node weights across whole levels,
@@ -350,6 +361,20 @@ func (s *Solver) prepare() error {
 			}
 		}
 	}
+	// A search that attempts every node of a level (OA*, O-SVP) reads a
+	// small graph's nodes from its level table, unless PE classes are
+	// enumerated instead or the pairwise fast path weighs nodes from the
+	// matrix (its floors are already exact, and nothing condenses). The
+	// build polls the context: cut short, it leaves the keyed path to a
+	// search whose first poll then aborts.
+	if s.opts.KPerLevel <= 0 && s.peAll == nil && s.pairM == nil {
+		s.levels = graph.NewLevelTable(s.gr, s.opts.Condense && len(s.parJobs) > 0, s.abortDone())
+	}
+	// The floors are read by the per-process bound, which strategies 1
+	// and 2 fall back to on batches with parallel jobs.
+	if s.opts.H == HPerProc || (s.opts.H == HStrategy1 || s.opts.H == HStrategy2) && len(s.parJobs) > 0 {
+		s.computeDmin()
+	}
 	s.keySetWords = (s.n + 64) / 64
 	s.keyCountWords = (len(s.peJobMask) + 7) / 8
 	if s.opts.ExactParallel && len(s.parJobs) > 0 {
@@ -393,11 +418,13 @@ func (s *Solver) elementKey(set *bitset.Set) string {
 	return key + string(counts)
 }
 
-// computeDmin fills the per-process admissible cost floors from pair
+// computeDmin fills the per-process admissible cost floors. With a level
+// table a process's floor is its least cost over every node of the table:
+// the exact minimum over its placements. Otherwise they come from pair
 // degradations: for additive-pairwise oracles the sum of the u-1 cheapest
 // pair degradations (exact additivity), for general monotone oracles the
 // single cheapest pair (d(p,S) >= min_q d(p,{q}) because co-runners never
-// help).
+// help; Eq. 9's communication term breaks that premise, DESIGN.md §5a).
 func (s *Solver) computeDmin() {
 	if s.dminAll != nil {
 		return
@@ -405,27 +432,30 @@ func (s *Solver) computeDmin() {
 	s.dminAll = make([]float64, s.n)
 	s.dminSerial = make([]float64, s.n)
 	b := s.gr.Batch
-	row := make([]float64, 0, s.n)
+	var row []float64
 	for p := 1; p <= s.n; p++ {
 		if b.Procs[p-1].Imaginary {
 			continue
 		}
-		row = row[:0]
-		for q := 1; q <= s.n; q++ {
-			if q == p {
-				continue
-			}
-			row = append(row, s.cost.ProcCost(job.ProcID(p), []job.ProcID{job.ProcID(q)}))
-		}
 		var bound float64
-		if len(row) > 0 {
-			sort.Float64s(row)
-			if s.pairW != nil {
-				for i := 0; i < s.u-1 && i < len(row); i++ {
-					bound += row[i]
+		if s.levels != nil {
+			bound = s.levels.Floor(job.ProcID(p))
+		} else {
+			row = row[:0]
+			for q := 1; q <= s.n; q++ {
+				if q != p {
+					row = append(row, s.cost.ProcCost(job.ProcID(p), []job.ProcID{job.ProcID(q)}))
 				}
-			} else {
-				bound = row[0]
+			}
+			if len(row) > 0 {
+				sort.Float64s(row)
+				if s.pairW != nil {
+					for i := 0; i < s.u-1 && i < len(row); i++ {
+						bound += row[i]
+					}
+				} else {
+					bound = row[0]
+				}
 			}
 		}
 		s.dminAll[p-1] = bound
@@ -555,8 +585,8 @@ func (s *Solver) Solve() (*Result, error) {
 			return &Result{Groups: groups, Cost: e.g, Stats: stats}, nil
 		}
 		avail := s.available(e, job.ProcID(leader))
-		s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID) {
-			child := s.makeChild(e, node)
+		s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID, costs []float64) {
+			child := s.makeChild(e, node, costs)
 			// One probe serves both the dismissal and the admission below:
 			// nothing between them touches the best-g table.
 			ref := s.table.find(child.keyWords)
@@ -675,10 +705,12 @@ func (s *Solver) nodeCosts(node []job.ProcID) []float64 {
 }
 
 // makeChild extends a sub-path with one node, maintaining the Eq. 13
-// distance and the per-parallel-job maxima incrementally. The child comes
-// from the solver's own free list (a worker clone's, under parallel
-// search) and touches no heap once the list is warm.
-func (s *Solver) makeChild(e *element, node []job.ProcID) *element {
+// distance and the per-parallel-job maxima incrementally. costs are the
+// node's members' costs in node order when the caller has them (the
+// level table's); nil reads them from the pair matrix or the node memo.
+// The child comes from the solver's own free list (a worker clone's,
+// under parallel search) and touches no heap once the list is warm.
+func (s *Solver) makeChild(e *element, node []job.ProcID, costs []float64) *element {
 	child := s.pool.get()
 	child.set.CopyFrom(e.set)
 	child.q = e.q + len(node)
@@ -691,8 +723,7 @@ func (s *Solver) makeChild(e *element, node []job.ProcID) *element {
 	} else {
 		child.jobMax = nil
 	}
-	var costs []float64
-	if s.pairM == nil {
+	if costs == nil && s.pairM == nil {
 		costs = s.nodeCosts(node)
 	}
 	for i, p := range node {

@@ -197,10 +197,10 @@ func TestDismissedChildAllocFreeWithTelemetry(t *testing.T) {
 	met := newSolverMetrics(sv.opts.Metrics)
 	met.begin(sv)
 	var stats Stats
-	warm := sv.makeChild(root, node)
+	warm := sv.makeChild(root, node, nil)
 	sv.recycle(warm)
 	allocs := testing.AllocsPerRun(200, func() {
-		c := sv.makeChild(root, node)
+		c := sv.makeChild(root, node, nil)
 		if ref := sv.table.find(c.keyWords); ref < 0 {
 			stats.DismissedWorse++
 		}
@@ -235,10 +235,10 @@ func TestDismissedChildAllocFreeWithTracing(t *testing.T) {
 	search := spans.Start("search")
 
 	var stats Stats
-	warm := sv.makeChild(root, node)
+	warm := sv.makeChild(root, node, nil)
 	sv.recycle(warm)
 	allocs := testing.AllocsPerRun(200, func() {
-		c := sv.makeChild(root, node)
+		c := sv.makeChild(root, node, nil)
 		if ref := sv.table.find(c.keyWords); ref < 0 {
 			stats.DismissedWorse++
 		}

@@ -1,6 +1,7 @@
 package degradation
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -111,6 +112,17 @@ func (c *Cost) NodeCosts(dst []float64, node []job.ProcID) []float64 {
 		dst = append(dst, vals[at[i]])
 	}
 	return dst
+}
+
+// SortedNodeCosts appends to dst what NodeCosts returns for a node listed
+// in ascending ID order, computed without the memo: for a caller that
+// keeps every node it reads in a table of its own (graph.LevelTable), so
+// the memo would only hold a second copy.
+func (c *Cost) SortedNodeCosts(dst []float64, sorted []job.ProcID) []float64 {
+	k := len(sorted)
+	dst = slices.Grow(dst, k)
+	c.computeSorted(dst[len(dst):len(dst)+k], sorted)
+	return dst[:len(dst)+k]
 }
 
 // computeSorted fills out[j] with the effective degradation of sorted[j]

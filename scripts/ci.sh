@@ -32,8 +32,9 @@ go test ./...
 # The DESIGN.md §5c/§6 allocation budget: a dismissed child must stay
 # allocation-free without telemetry, with a live registry being flushed,
 # and with the full tracing stack (event tracer + flight recorder +
-# spans) attached, keying and deduping a condensation candidate must
-# allocate nothing, HA*'s anchored, small-level and lazy candidate
+# spans) attached, a condensed OA* expansion read from the level table
+# and, above its budget, keying and deduping a condensation candidate
+# must allocate nothing, HA*'s anchored, small-level and lazy candidate
 # generation, a beam depth's survivor selection and a class-enumerated
 # PE-mix expansion must allocate nothing, and an SDC oracle query and an
 # SDC node-memo miss (one competition for the whole node) must allocate
