@@ -158,9 +158,8 @@ func TestAnchoredCandidatesAreValidAndCheap(t *testing.T) {
 		avail = append(avail, job.ProcID(p))
 	}
 	var nodes [][]job.ProcID
-	s.anchoredCandidates(1, avail, 16, func(node []job.ProcID) bool {
+	s.anchoredCandidates(1, avail, 16, func(node []job.ProcID) {
 		nodes = append(nodes, append([]job.ProcID(nil), node...))
-		return true
 	})
 	if len(nodes) == 0 {
 		t.Fatal("no anchored candidates produced")

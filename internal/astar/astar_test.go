@@ -232,66 +232,11 @@ func TestCondensationFiresOnPCJobs(t *testing.T) {
 	}
 }
 
-func TestLazyKSmallestMatchesSort(t *testing.T) {
-	// The lazy enumerator must emit exactly the k cheapest nodes, in
-	// ascending weight order, for a pairwise oracle.
-	m := cache.QuadCore
-	in, err := workload.SyntheticPairwiseInstance(16, &m, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.New(in.Cost(degradation.ModePC), nil)
-	s, err := NewSolver(g, Options{H: HPerProc, KPerLevel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.pairW == nil {
-		t.Fatal("pairwise fast path not detected")
-	}
-	avail := make([]job.ProcID, 0, 15)
-	for p := 2; p <= 16; p++ {
-		avail = append(avail, job.ProcID(p))
-	}
-	// Reference: enumerate and sort.
-	type cand struct {
-		w float64
-	}
-	var ws []float64
-	g.ForEachNode(1, avail, func(node []job.ProcID) bool {
-		ws = append(ws, g.Cost.NodeWeight(node))
-		return true
-	})
-	sortFloats(ws)
-	var got []float64
-	s.lazyKSmallest(1, avail, func(node []job.ProcID) bool {
-		got = append(got, g.Cost.NodeWeight(node))
-		return len(got) < 10
-	})
-	if len(got) != 10 {
-		t.Fatalf("lazy enumerator emitted %d nodes; want 10", len(got))
-	}
-	for i := range got {
-		if math.Abs(got[i]-ws[i]) > eps {
-			t.Fatalf("lazy emission %d = %v; want %v (full order %v...)", i, got[i], ws[i], ws[:10])
-		}
-		if i > 0 && got[i] < got[i-1]-eps {
-			t.Fatalf("lazy emissions not ascending: %v", got)
-		}
-	}
-}
-
-func sortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
-}
-
 func TestHAStarLargeScalePairwise(t *testing.T) {
 	// The large-scale configuration of Figs. 12-13 in miniature: the
-	// lazy enumerator must let HA* handle a batch whose levels are far
-	// beyond full enumeration... here just big enough to be meaningful.
+	// pairwise candidate generators must let HA* handle a batch whose
+	// levels are far beyond full enumeration... here just big enough to
+	// be meaningful.
 	m := cache.QuadCore
 	in, err := workload.SyntheticPairwiseInstance(96, &m, 5)
 	if err != nil {

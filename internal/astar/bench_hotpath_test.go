@@ -242,7 +242,8 @@ func TestCondensedCandidateAllocationFree(t *testing.T) {
 // k = n/u = 60). Once the leader's order exists, neither an anchored
 // expansion (239 available) nor a small-level expansion (39 available:
 // 9,139 nodes walked into a k-slot heap) allocates, and neither does the
-// lazy enumerator an explicit budget of 12 selects at 239 available.
+// walk an explicit budget of 12 selects at 239 available, above
+// smallLevel.
 func TestHAStarCandidatesAllocationFree(t *testing.T) {
 	g := pairwiseGraphTB(t, 240, 4, 1)
 	sv, err := NewSolver(g, Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: 60})
@@ -257,7 +258,7 @@ func TestHAStarCandidatesAllocationFree(t *testing.T) {
 	}{
 		{"anchored", 239, 60},
 		{"small-level", 39, 60},
-		{"lazy", 239, 12},
+		{"walk-above-small-level", 239, 12},
 	} {
 		avail := make([]job.ProcID, 0, c.avail)
 		for p := 2; p <= c.avail+1; p++ {

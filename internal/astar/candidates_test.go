@@ -1,10 +1,10 @@
 package astar
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,9 +20,10 @@ import (
 // graph.ForEachNode's order. In HA*'s branch (KPerLevel > 0), a level
 // under smallLevel (or any level without the pairwise fast path) is
 // enumerated whole, sorted by (weight, lessNodes) and walked until k
-// non-condensed nodes have been emitted; a larger pairwise level goes to
-// referenceLazy where forEachCandidate takes the lazy enumerator (see
-// usesLazy), to referenceAnchored otherwise. Condensation keys are
+// non-condensed nodes have been emitted. A larger pairwise level gives
+// the same sorted prefix, selected by referenceCheapest, where
+// forEachCandidate walks it (a budget of at most exactWalkMaxK at
+// u ≤ 5), and goes to referenceAnchored otherwise. Condensation keys are
 // deduped in a map and every emitted node is a fresh copy, so nothing is
 // shared with the solver's scratch. It survives only as the reference
 // semantics the generators are property-tested against.
@@ -53,21 +54,14 @@ func referenceCandidates(s *Solver, leader job.ProcID, avail []job.ProcID, stats
 		})
 		return
 	}
-	if level := graph.Binomial(len(avail), s.u-1); s.pairW != nil && level > smallLevel {
-		emitted := 0
-		emit := func(node []job.ProcID) bool {
-			if condensed(node) {
-				return true
-			}
-			fn(node)
-			emitted++
-			return emitted < k
+	if s.pairW != nil && graph.Binomial(len(avail), s.u-1) > smallLevel {
+		// The pairwise fast path implies an all-serial batch: nothing
+		// condenses on it.
+		if k <= exactWalkMaxK && s.u <= 5 {
+			referenceCheapest(s, leader, avail, k, fn)
+			return
 		}
-		if usesLazy(s, level) {
-			referenceLazy(s, leader, avail, emit)
-		} else {
-			referenceAnchored(s, leader, avail, k, emit)
-		}
+		referenceAnchored(s, leader, avail, k, fn)
 		return
 	}
 	var nodes [][]job.ProcID
@@ -117,12 +111,42 @@ func referenceWeight(s *Solver, node []job.ProcID) float64 {
 	return w
 }
 
+// referenceCheapest is the prefix of k nodes referenceCandidates' sort
+// gives on a level without condensation, selected rather than sorted:
+// every node of the level is weighed as the sort weighs it, and the k
+// least by (weight, lessNodes) are kept in an insertion-sorted list. It
+// serves the pairwise levels above smallLevel, where sorting up to
+// C(238, 3) = 2,196,956 nodes a case would make the test several times
+// slower.
+func referenceCheapest(s *Solver, leader job.ProcID, avail []job.ProcID, k int, fn func(node []job.ProcID)) {
+	var best [][]job.ProcID
+	var ws []float64
+	s.gr.ForEachNode(leader, avail, func(node []job.ProcID) bool {
+		w := referenceWeight(s, node)
+		i := len(best)
+		for i > 0 && (w < ws[i-1] || w == ws[i-1] && lessNodes(node, best[i-1])) {
+			i--
+		}
+		if i < k {
+			best = slices.Insert(best, i, append([]job.ProcID(nil), node...))
+			ws = slices.Insert(ws, i, w)
+			if len(best) > k {
+				best, ws = best[:k], ws[:k]
+			}
+		}
+		return true
+	})
+	for _, node := range best {
+		fn(node)
+	}
+}
+
 // referenceAnchored is anchoredCandidates written the direct way: every
 // greedy pick re-sums each candidate's pair costs against the whole node
 // built so far, membership is a mask indexed by process ID, and emitted
 // nodes are deduped in a map. It is the reference semantics the
 // per-position accumulator is property-tested against.
-func referenceAnchored(s *Solver, leader job.ProcID, avail []job.ProcID, k int, emit func(node []job.ProcID) bool) {
+func referenceAnchored(s *Solver, leader job.ProcID, avail []job.ProcID, k int, emit func(node []job.ProcID)) {
 	if s.u == 1 {
 		emit([]job.ProcID{leader})
 		return
@@ -174,128 +198,12 @@ func referenceAnchored(s *Solver, leader job.ProcID, avail []job.ProcID, k int, 
 		sortNode(node)
 		if key := graph.NodeID(node); !seen[key] {
 			seen[key] = true
-			if !emit(node) || len(seen) >= k {
+			emit(node)
+			if len(seen) >= k {
 				return
 			}
 		}
 	}
-}
-
-// referenceLazy is lazyKSmallest as it was first written: the
-// availability sorted by (leader cost, ID) with sort.Slice, prefix sums
-// over the sorted costs, and container/heap over states that each own a
-// fresh member slice. lazyKSmallest must emit the same nodes in the same
-// order.
-func referenceLazy(s *Solver, leader job.ProcID, avail []job.ProcID, emit func(node []job.ProcID) bool) {
-	r := s.u - 1
-	m := len(avail)
-	if r == 0 {
-		emit([]job.ProcID{leader})
-		return
-	}
-	if m < r {
-		return
-	}
-	li := int(leader) - 1
-	idx := make([]int, m)
-	for i := range idx {
-		idx[i] = i
-	}
-	scores := make([]float64, m)
-	for i, p := range avail {
-		scores[i] = s.pairW[li][int(p)-1]
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] < scores[idx[b]]
-		}
-		return avail[idx[a]] < avail[idx[b]]
-	})
-	sortedAvail := make([]job.ProcID, m)
-	sortedS := make([]float64, m)
-	for i, id := range idx {
-		sortedAvail[i] = avail[id]
-		sortedS[i] = scores[id]
-	}
-	prefix := make([]float64, m+1)
-	for i, v := range sortedS {
-		prefix[i+1] = prefix[i] + v
-	}
-	tail := func(pos, need int) float64 {
-		if pos+need > m {
-			return math.Inf(1)
-		}
-		return prefix[pos+need] - prefix[pos]
-	}
-
-	var lq refLazyQueue
-	heap.Init(&lq)
-	push := func(members []int32, pos int, exact float64) {
-		need := r - len(members)
-		b := exact + tail(pos, need)
-		if math.IsInf(b, 1) {
-			return
-		}
-		heap.Push(&lq, refLazyState{bound: b, exact: exact, members: members, pos: pos})
-	}
-	push(nil, 0, 0)
-
-	node := make([]job.ProcID, s.u)
-	for lq.Len() > 0 {
-		st := heap.Pop(&lq).(refLazyState)
-		if len(st.members) == r {
-			node[0] = leader
-			for i, mi := range st.members {
-				node[i+1] = sortedAvail[mi]
-			}
-			sortNode(node)
-			if !emit(node) {
-				return
-			}
-			continue
-		}
-		inc := st.exact + sortedS[st.pos]
-		for _, mi := range st.members {
-			inc += s.pairW[int(sortedAvail[mi])-1][int(sortedAvail[st.pos])-1]
-		}
-		withNew := make([]int32, len(st.members)+1)
-		copy(withNew, st.members)
-		withNew[len(st.members)] = int32(st.pos)
-		push(withNew, st.pos+1, inc)
-		push(st.members, st.pos+1, st.exact)
-	}
-}
-
-type refLazyState struct {
-	bound   float64
-	exact   float64
-	members []int32
-	pos     int
-}
-
-type refLazyQueue []refLazyState
-
-func (q refLazyQueue) Len() int { return len(q) }
-func (q refLazyQueue) Less(i, j int) bool {
-	if q[i].bound != q[j].bound {
-		return q[i].bound < q[j].bound
-	}
-	return len(q[i].members) > len(q[j].members)
-}
-func (q refLazyQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *refLazyQueue) Push(x interface{}) { *q = append(*q, x.(refLazyState)) }
-func (q *refLazyQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
-// usesLazy reports whether forEachCandidate hands a level of size
-// candidates to the exact lazy k-smallest enumerator.
-func usesLazy(s *Solver, size int64) bool {
-	return s.pairW != nil && size > smallLevel && s.opts.KPerLevel <= exactLazyMaxK && s.u <= 5
 }
 
 // candidateLevel draws a random level of a search: size+1 distinct
@@ -396,18 +304,14 @@ func tenthsPairwiseInstance(n int, m *cache.Machine, seed int64) (*workload.Inst
 }
 
 // generatorPops are the pairwise populations the generator tests draw
-// levels from. lazyMax caps the availability at which the lazy
-// enumerator is compared: on populations with many tied leader costs its
-// frontier degenerates (a single expansion of 239 smooth processes takes
-// about a second at any budget), so those are compared up to 60.
+// levels from.
 var generatorPops = []struct {
-	name    string
-	build   func(n int, m *cache.Machine, seed int64) (*workload.Instance, error)
-	lazyMax int
+	name  string
+	build func(n int, m *cache.Machine, seed int64) (*workload.Instance, error)
 }{
-	{"pairwise", workload.SyntheticPairwiseInstance, math.MaxInt},
-	{"smooth", workload.SyntheticPairwiseSmoothInstance, 60},
-	{"tenths", tenthsPairwiseInstance, 60},
+	{"pairwise", workload.SyntheticPairwiseInstance},
+	{"smooth", workload.SyntheticPairwiseSmoothInstance},
+	{"tenths", tenthsPairwiseInstance},
 }
 
 // generatorSolver builds an HA* solver over one generator population,
@@ -434,64 +338,41 @@ func generatorSolver(t *testing.T, build func(n int, m *cache.Machine, seed int6
 }
 
 // generatorCase checks one level at one budget: forEachCandidate against
-// referenceCandidates, and the anchored and (where its budget and u
-// allow) lazy generators on their own against their references. Lazy
-// comparisons, the dispatch's included, run only up to lazyMax available
-// processes. It returns the number of cases run, nodes emitted and
-// consecutive weight ties among forEachCandidate's nodes.
-func generatorCase(t *testing.T, name string, s *Solver, leader job.ProcID, avail []job.ProcID, k, lazyMax int) (cases, nodes, ties int) {
+// referenceCandidates, and the anchored generator on its own against
+// referenceAnchored. It returns the number of cases run, nodes emitted
+// and consecutive weight ties among forEachCandidate's nodes.
+func generatorCase(t *testing.T, name string, s *Solver, leader job.ProcID, avail []job.ProcID, k int) (cases, nodes, ties int) {
 	t.Helper()
-	emitAll := func(fn func([]job.ProcID)) func([]job.ProcID) bool {
-		return func(node []job.ProcID) bool { fn(node); return true }
-	}
 	s.opts.KPerLevel = k
-	lazyOK := len(avail) <= lazyMax
-	if lazyOK || !usesLazy(s, graph.Binomial(len(avail), s.u-1)) {
-		var st Stats
-		got := emittedNodes(func(fn func([]job.ProcID)) { s.forEachCandidate(nil, leader, avail, &st, nodesOnly(fn)) })
-		want := emittedNodes(func(fn func([]job.ProcID)) { referenceCandidates(s, leader, avail, &st, fn) })
-		sameNodeSequence(t, name, got, want)
-		for i := 1; i < len(got); i++ {
-			if referenceWeight(s, got[i]) == referenceWeight(s, got[i-1]) {
-				ties++
-			}
+	var st Stats
+	got := emittedNodes(func(fn func([]job.ProcID)) { s.forEachCandidate(nil, leader, avail, &st, nodesOnly(fn)) })
+	want := emittedNodes(func(fn func([]job.ProcID)) { referenceCandidates(s, leader, avail, &st, fn) })
+	sameNodeSequence(t, name, got, want)
+	for i := 1; i < len(got); i++ {
+		if referenceWeight(s, got[i]) == referenceWeight(s, got[i-1]) {
+			ties++
 		}
-		cases, nodes = 1, len(got)
 	}
 
-	gotA := emittedNodes(func(fn func([]job.ProcID)) { s.anchoredCandidates(leader, avail, k, emitAll(fn)) })
-	wantA := emittedNodes(func(fn func([]job.ProcID)) { referenceAnchored(s, leader, avail, k, emitAll(fn)) })
+	gotA := emittedNodes(func(fn func([]job.ProcID)) { s.anchoredCandidates(leader, avail, k, fn) })
+	wantA := emittedNodes(func(fn func([]job.ProcID)) { referenceAnchored(s, leader, avail, k, fn) })
 	sameNodeSequence(t, name+" anchored", gotA, wantA)
-	cases++
-	nodes += len(gotA)
-
-	if lazyOK && k <= exactLazyMaxK && s.u <= 5 {
-		capped := func(fn func([]job.ProcID)) func([]job.ProcID) bool {
-			emitted := 0
-			return func(node []job.ProcID) bool { fn(node); emitted++; return emitted < k }
-		}
-		gotL := emittedNodes(func(fn func([]job.ProcID)) { s.lazyKSmallest(leader, avail, capped(fn)) })
-		wantL := emittedNodes(func(fn func([]job.ProcID)) { referenceLazy(s, leader, avail, capped(fn)) })
-		sameNodeSequence(t, name+" lazy", gotL, wantL)
-		cases++
-		nodes += len(gotL)
-	}
-	return cases, nodes, ties
+	return 2, len(got) + len(gotA), ties
 }
 
 // TestCandidateGeneratorsMatchReference pins HA*'s candidate generation
-// to its reference semantics: the pruned small-level walk, the heap-select
-// fallback and the dispatch around them to referenceCandidates, the
-// bound-pruned anchored completion to referenceAnchored, and the lazy
-// k-smallest enumerator to referenceLazy. Over random levels of three
-// pairwise populations (the smooth one is quantised, so equal weights
-// exercise the lessNodes tie-break and equal increments the
-// first-position pick; the tenths one makes equal weights that round
-// differently in different summation orders), at u = 2, 4 and 8, n from
-// 16 to 240 (238 pads with imaginary processes at u = 4 and 8, whose
-// zero pair costs tie prefixes and zero the row minima), availability on
-// both sides of smallLevel and budgets from 1 to more than the level
-// holds, the emitted node sequences must be identical. A PC mix under the
+// to its reference semantics: the pruned pairwise level walk, the
+// heap-select fallback and the dispatch around them to
+// referenceCandidates, and the bound-pruned anchored completion to
+// referenceAnchored. Over random levels of three pairwise populations
+// (the smooth one is quantised, so equal weights exercise the lessNodes
+// tie-break and equal increments the first-position pick; the tenths one
+// makes equal weights that round differently in different summation
+// orders), at u = 2, 4 and 8, n from 16 to 240 (238 pads with imaginary
+// processes at u = 4 and 8, whose zero pair costs tie prefixes and zero
+// the row minima), availability on both sides of smallLevel up to n-1,
+// and budgets from 1 to more than the level holds, exactWalkMaxK and one
+// past it among them, the emitted node sequences must be identical. A PC mix under the
 // SDC oracle with condensation covers the heap path's condensed skips,
 // whose count must match too, and OA*'s whole level both walked from the
 // level table and keyed: the same nodes, the same condensed count, and
@@ -510,9 +391,9 @@ func TestCandidateGeneratorsMatchReference(t *testing.T) {
 				for _, m := range candidateSizes(rng, n, u) {
 					leader, avail := candidateLevel(rng, n, m)
 					level := graph.Binomial(m, u-1)
-					for _, k := range []int{1, 3, n / u, int(min(level, 1<<20)) + 1} {
+					for _, k := range []int{1, 3, exactWalkMaxK, exactWalkMaxK + 1, n / u, int(min(level, 1<<20)) + 1} {
 						name := fmt.Sprintf("%s n=%d u=%d |avail|=%d k=%d", pop.name, n, u, m, k)
-						c, nd, tie := generatorCase(t, name, s, leader, avail, k, pop.lazyMax)
+						c, nd, tie := generatorCase(t, name, s, leader, avail, k)
 						cases += c
 						nodes += nd
 						ties += tie
@@ -616,9 +497,9 @@ func TestCandidateGeneratorsMatchReference(t *testing.T) {
 						avail = append(avail, 2)
 					}
 					avail = append(avail, rest...)
-					for _, k := range []int{c.n / c.u, exactLazyMaxK + 1} {
+					for _, k := range []int{c.n / c.u, exactWalkMaxK + 1} {
 						name := fmt.Sprintf("%s n=%d u=%d step=%d leader=%d |avail|=%d k=%d", pop.name, c.n, c.u, step, leader, len(avail), k)
-						cs, nd, _ := generatorCase(t, name, s, leader, avail, k, pop.lazyMax)
+						cs, nd, _ := generatorCase(t, name, s, leader, avail, k)
 						cases += cs
 						nodes += nd
 						reuse++

@@ -70,24 +70,11 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	// The pairwise fast path implies an all-serial batch: nothing
 	// condenses on it.
 	if s.pairW != nil {
-		if graph.Binomial(len(avail), s.u-1) <= smallLevel {
-			s.smallPairLevel(leader, avail, k, func(node []job.ProcID) { fn(node, nil) })
-			return
-		}
-		emitted := 0
-		emitFn := func(node []job.ProcID) bool {
-			fn(node, nil)
-			emitted++
-			return emitted < k
-		}
-		if k <= exactLazyMaxK && s.u <= 5 {
-			// Exact k-smallest enumeration stays efficient for small
-			// budgets and small node cardinalities; its best-first
-			// frontier over include/exclude states blows up for large k
-			// or deep nodes (u-1 >= 7).
-			s.lazyKSmallest(leader, avail, emitFn)
+		emit := func(node []job.ProcID) { fn(node, nil) }
+		if graph.Binomial(len(avail), s.u-1) <= smallLevel || k <= exactWalkMaxK && s.u <= 5 {
+			s.walkPairLevel(leader, avail, k, emit)
 		} else {
-			s.anchoredCandidates(leader, avail, k, emitFn)
+			s.anchoredCandidates(leader, avail, k, emit)
 		}
 		return
 	}
@@ -199,7 +186,7 @@ func (s *Solver) levelCandidates(leader job.ProcID, avail []job.ProcID, stats *S
 	}
 }
 
-// boundSlack is the relative margin by which smallPairLevel's bound must
+// boundSlack is the relative margin by which walkPairLevel's bound must
 // clear the heap's top before it prunes. The bound and a node's weight
 // are the same kind of sum, of finite non-negative terms, rounded in
 // different orders; each is within about u² ulps of its exact value, so
@@ -207,11 +194,13 @@ func (s *Solver) levelCandidates(leader job.ProcID, avail []job.ProcID, stats *S
 // machine size, and only a near-tie is ever walked for nothing.
 const boundSlack = 1e-9
 
-// smallPairLevel emits, cheapest first, the k cheapest nodes of a level
-// of at most smallLevel nodes under the pairwise fast path: {leader} plus
-// u-1 of avail, ranked by (weight, lessNodes), a node's weight being its
-// pair costs summed row by row over the sorted node (row node[i] against
-// node[0..i-1], i ascending).
+// walkPairLevel emits, cheapest first, the k cheapest nodes of a level
+// under the pairwise fast path: {leader} plus u-1 of avail, ranked by
+// (weight, lessNodes), a node's weight being its pair costs summed row
+// by row over the sorted node (row node[i] against node[0..i-1], i
+// ascending). forEachCandidate sends it every pairwise level of at most
+// smallLevel nodes, and a larger one under a budget of at most
+// exactWalkMaxK at u ≤ 5.
 //
 // It walks the combinations depth-first over the leader's view of avail
 // (leaderView: ascending pair cost with the leader), carrying each
@@ -231,7 +220,7 @@ const boundSlack = 1e-9
 // over the sorted node in the summation order above, so the survivors are
 // the sorted prefix a whole-level sort would give, with the same sums bit
 // for bit; nothing beyond k nodes is stored.
-func (s *Solver) smallPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn func(node []job.ProcID)) {
+func (s *Solver) walkPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn func(node []job.ProcID)) {
 	u, r, m := s.u, s.u-1, len(avail)
 	sc := &s.scr
 	if cap(sc.node) < u {
@@ -359,7 +348,7 @@ func (s *Solver) smallPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn
 
 // candHeap is a binary heap over slot indices into a flat node store,
 // ordered by (weight, lessNodes): a min-heap for the non-pairwise
-// fallback's whole level, a max-heap (max set) for smallPairLevel's k
+// fallback's whole level, a max-heap (max set) for walkPairLevel's k
 // cheapest.
 type candHeap struct {
 	idx  []int32
@@ -421,14 +410,16 @@ func (h *candHeap) pop() int32 {
 }
 
 const (
-	// smallLevel is the node count up to which a level is walked whole
-	// (pruned under the pairwise fast path) rather than generated lazily.
+	// smallLevel is the node count up to which a pairwise level is
+	// ranked exactly, by walkPairLevel, under any budget.
 	smallLevel = 20000
-	// exactLazyMaxK is the largest per-level budget for which the exact
-	// lazy k-smallest enumerator is used; beyond it the best-first
-	// frontier over include/exclude states degenerates (near-tied
-	// bounds), so the greedy-anchored generator takes over.
-	exactLazyMaxK = 12
+	// exactWalkMaxK is the largest per-level budget at which a pairwise
+	// level above smallLevel is ranked exactly, by walkPairLevel, at
+	// u ≤ 5; a larger budget or deeper nodes go to anchoredCandidates.
+	// The walk prunes against the k-th cheapest weight met so far, a cut
+	// that rises with k, with a row-minimum bound that weakens as u-1
+	// grows.
+	exactWalkMaxK = 12
 )
 
 // anchoredCandidates approximates the k cheapest nodes of a level at
@@ -457,7 +448,7 @@ const (
 //
 // All working storage is solver scratch, reused across expansions;
 // membership is a per-anchor stamp, so a new anchor resets nothing.
-func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int, emit func(node []job.ProcID) bool) {
+func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int, emit func(node []job.ProcID)) {
 	r := s.u - 1
 	m := len(avail)
 	sc := &s.scr
@@ -547,9 +538,7 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 		if !seen.add(packNodeWords(sc.keyBuf[:0], node)) {
 			continue
 		}
-		if !emit(node) {
-			return
-		}
+		emit(node)
 		if seen.count >= k {
 			return
 		}
@@ -593,7 +582,8 @@ func lessNodes(a, b []job.ProcID) bool {
 // pairWeights extracts the symmetric pair-cost matrix when the batch is
 // all-serial and the oracle is additive-pairwise; nil otherwise. With it,
 // node weight == sum of pair costs over the node's unordered pairs, which
-// enables lazy k-smallest enumeration without touching the whole level.
+// lets walkPairLevel and anchoredCandidates rank nodes without weighing
+// the whole level.
 // It also fills pairMin, each row's smallest off-diagonal entry.
 // Leader orders and anchored node keys hold process IDs in 16 bits, so
 // a batch of more than 65,535 processes (two n² float64 matrices of
@@ -630,139 +620,6 @@ func (s *Solver) pairWeights() [][]float64 {
 		s.pairMin[i] = lo
 	}
 	return w
-}
-
-// lazyKSmallest enumerates the nodes {leader} ∪ S, S ⊆ avail, |S| = u-1,
-// in ascending order of node weight without materialising the level. It
-// is a best-first search over include/exclude decisions on the leader's
-// view of avail (leaderView); the admissible completion bound is the sum
-// of the cheapest remaining leader-pair costs. emit returning false stops
-// the enumeration.
-//
-// Its frontier, the states' member lists and the prefix sums live in
-// solver scratch: an include state appends its members to one arena, an
-// exclude state shares its parent's, and the queue is a binary heap that
-// sifts exactly as container/heap does, so ties pop in the same order.
-func (s *Solver) lazyKSmallest(leader job.ProcID, avail []job.ProcID, emit func(node []job.ProcID) bool) {
-	r := s.u - 1
-	m := len(avail)
-	sc := &s.scr
-	if cap(sc.node) < s.u {
-		sc.node = make([]job.ProcID, s.u)
-	}
-	node := sc.node[:s.u]
-	node[0] = leader
-	if r == 0 {
-		emit(node)
-		return
-	}
-	if m < r {
-		return
-	}
-	sorted, lc := s.leaderView(leader, avail)
-	prefix := append(sc.prefix[:0], 0)
-	for i, v := range lc {
-		prefix = append(prefix, prefix[i]+v)
-	}
-	sc.prefix = prefix
-	q := lazyQueue(sc.lazyQ[:0])
-	mem := sc.lazyMem[:0]
-	push := func(off, cnt int32, pos int, exact float64) {
-		need := r - int(cnt)
-		if pos+need > m {
-			return
-		}
-		b := exact + (prefix[pos+need] - prefix[pos])
-		if math.IsInf(b, 1) {
-			return
-		}
-		q.push(lazyState{bound: b, exact: exact, off: off, cnt: cnt, pos: int32(pos)})
-	}
-	push(0, 0, 0, 0)
-	for len(q) > 0 {
-		st := q.pop()
-		members := mem[st.off : st.off+st.cnt]
-		if int(st.cnt) == r {
-			node[0] = leader
-			for i, mi := range members {
-				node[i+1] = sorted[mi]
-			}
-			sortNode(node)
-			if !emit(node) {
-				break
-			}
-			continue
-		}
-		// Include sorted[st.pos].
-		x := sorted[st.pos]
-		inc := st.exact + lc[st.pos]
-		for _, mi := range members {
-			inc += s.pairW[int(sorted[mi])-1][int(x)-1]
-		}
-		off := int32(len(mem))
-		mem = append(mem, members...)
-		mem = append(mem, st.pos)
-		push(off, st.cnt+1, int(st.pos)+1, inc)
-		// Exclude it.
-		push(st.off, st.cnt, int(st.pos)+1, st.exact)
-	}
-	sc.lazyQ, sc.lazyMem = q[:0], mem[:0]
-}
-
-// lazyState is one include/exclude decision state of lazyKSmallest: its
-// members are view positions mem[off:off+cnt], and pos is the next
-// position to decide.
-type lazyState struct {
-	bound, exact float64
-	off, cnt     int32
-	pos          int32
-}
-
-// lazyQueue is lazyKSmallest's frontier: a binary min-heap by bound, the
-// state with more members first among equal bounds.
-type lazyQueue []lazyState
-
-func (q lazyQueue) less(i, j int) bool {
-	if q[i].bound != q[j].bound {
-		return q[i].bound < q[j].bound
-	}
-	return q[i].cnt > q[j].cnt
-}
-
-func (q *lazyQueue) push(st lazyState) {
-	*q = append(*q, st)
-	h := *q
-	for j := len(h) - 1; j > 0; {
-		i := (j - 1) / 2
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (q *lazyQueue) pop() lazyState {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h.less(j2, j) {
-			j = j2
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	st := h[n]
-	*q = h[:n]
-	return st
 }
 
 // leaderView returns avail in its leader's order, ascending (pair cost

@@ -139,11 +139,9 @@ func (s *Solver) hStrategy1(e *element) float64 {
 	l := int(e.node[0])
 	var mh mergeHeap
 	for lv := l + 1; lv <= s.n-s.u+1; lv++ {
-		ls, ok := s.gr.LevelStats(job.ProcID(lv))
-		if !ok {
-			// prepare() guarantees enumerability; defensive fallback
-			return s.hStrategy2(e)
-		}
+		// prepare admits Strategy 1 only once LevelStats has enumerated
+		// every level, and LevelStats caches that answer.
+		ls, _ := s.gr.LevelStats(job.ProcID(lv))
 		if ls.Size() > 0 {
 			mh = append(mh, mergeCursor{w: ls.SortedWeights[0], level: lv, idx: 0})
 		}

@@ -188,10 +188,10 @@ func TestParallelClonesShareLevelTable(t *testing.T) {
 // just the cost but the groups and every search counter must match.
 //
 // The last cases are pairwise batches. At n = 64 on quad-core, k = 16
-// is above exactLazyMaxK and C(63,3) = 39,711 above smallLevel, so the
+// is above exactWalkMaxK and C(63,3) = 39,711 above smallLevel, so the
 // first depths run anchoredCandidates inside beamGenerate's workers and
-// the later ones the pruned small-level walk; k = 8 hands the first
-// depths to lazyKSmallest instead. At n = 96 on 8-core, the anchored
+// the later ones the pruned level walk; k = 8 hands the first depths to
+// the walk too, above smallLevel. At n = 96 on 8-core, the anchored
 // depths give way to small levels from 17 available processes down.
 // Every worker builds its own leader orders. Each case solves
 // sequentially first, on the same Solver, so the main solver's candidate
@@ -210,7 +210,8 @@ func TestParallelBeamBitIdentical(t *testing.T) {
 
 	// Pairwise batches run every HA* generator inside the workers, each
 	// clone building its own leader orders: anchored and small levels at
-	// u = 4 and u = 8, and the lazy enumerator under a budget of 8.
+	// u = 4 and u = 8, and levels above smallLevel walked under a budget
+	// of 8.
 	for _, c := range []struct{ n, u, k int }{{64, 4, 16}, {96, 8, 12}, {64, 4, 8}} {
 		s, err := NewSolver(pairwiseGraphTB(t, c.n, c.u, 1), Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: c.k})
 		if err != nil {

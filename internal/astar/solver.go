@@ -52,7 +52,8 @@ type Solver struct {
 
 	// pairW[i][j] is the symmetric pair cost m[i][j]+m[j][i] when the
 	// oracle is additive-pairwise and the batch is all-serial; nil
-	// otherwise. Enables lazy k-smallest node enumeration at scale.
+	// otherwise. Enables the pairwise candidate generators (expand.go)
+	// that rank a level's nodes without weighing all of them.
 	pairW [][]float64
 	// pairMin[p-1] is the smallest entry of pairW's row p off the
 	// diagonal (0 when the row has none): the anchored generator's lower
@@ -108,8 +109,8 @@ type scratch struct {
 	greedyCd []job.ProcID // greedySchedule's candidate scratch (never aliases greedyNd)
 
 	// Candidate generation (expand.go). flat, w and idx are a node store
-	// (u-stride), its weights and a heap over its slots: the small
-	// pairwise level's k-slot heap, or the non-pairwise fallback's whole
+	// (u-stride), its weights and a heap over its slots: the pairwise
+	// level walk's k-slot heap, or the non-pairwise fallback's whole
 	// level (a solver only ever takes one of the two). pos, pre and mins
 	// are the pairwise level walk's view positions, prefix weights and
 	// prefix row-minimum sums.
@@ -135,11 +136,6 @@ type scratch struct {
 	stamp  []int32
 	seen   *wordSet
 	keyBuf []uint64
-	// lazyKSmallest's leader-cost prefix sums, state heap and member
-	// arena.
-	prefix  []float64
-	lazyQ   []lazyState
-	lazyMem []int32
 	// node is the node under construction (every generator); leaf is a
 	// sorted copy of a complete one (the pairwise walk's leaves, the
 	// class enumeration's emitted nodes).
@@ -306,7 +302,7 @@ func (s *Solver) prepare() error {
 		s.levelMinDone = make([]bool, s.n+1)
 	}
 	if s.opts.KPerLevel > 0 && s.pairW == nil {
-		// HA* without the lazy enumerator must enumerate levels.
+		// HA* without the pairwise fast path must enumerate levels.
 		if graph.Binomial(s.n-1, s.u-1) > int64(graph.DefaultEnumLimit) {
 			return fmt.Errorf("astar: HA* needs enumerable levels or an additive pairwise oracle at n=%d u=%d", s.n, s.u)
 		}

@@ -12,7 +12,7 @@ import (
 // the degradation process i suffers when co-running with j alone. The
 // additive-interference assumption is standard in contention modelling and
 // makes each query O(u); the large-scale synthetic experiments (Figs. 5,
-// 12, 13) use it, as does HA*'s lazy k-smallest node enumeration.
+// 12, 13) use it, as does HA*'s pairwise candidate generation.
 type PairwiseOracle struct {
 	batch    *job.Batch
 	m        [][]float64 // m[i-1][j-1]: slowdown of i caused by j

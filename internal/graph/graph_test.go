@@ -152,15 +152,6 @@ func TestLevelStats(t *testing.T) {
 	if math.Abs(ls.Min()-want) > 1e-12 {
 		t.Errorf("level 1 min = %v; want %v", ls.Min(), want)
 	}
-	if math.Abs(ls.KSmallestSum(2)-(ls.SortedWeights[0]+ls.SortedWeights[1])) > 1e-12 {
-		t.Error("KSmallestSum(2) mismatch")
-	}
-	if ls.KSmallestSum(99) != ls.KSmallestSum(5) {
-		t.Error("KSmallestSum should clamp at level size")
-	}
-	if ls.KSmallestSum(-1) != 0 {
-		t.Error("KSmallestSum(-1) != 0")
-	}
 	// cached: same pointer on second call
 	ls2, _ := g.LevelStats(1)
 	if ls2 != ls {

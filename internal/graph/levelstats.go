@@ -7,13 +7,12 @@ import (
 )
 
 // LevelStats summarises one fully-enumerated level of the co-scheduling
-// graph: the multiset of node weights in ascending order plus prefix sums.
-// The h(v) strategies of §III-D and the MER analysis of §IV consume these.
+// graph: the multiset of node weights in ascending order. The h(v)
+// strategies of §III-D and the MER analysis of §IV consume these.
 type LevelStats struct {
 	Leader job.ProcID
 	// SortedWeights holds every node weight of the level, ascending.
 	SortedWeights []float64
-	prefix        []float64 // prefix[i] = sum of the i smallest weights
 }
 
 // Min returns the smallest node weight in the level.
@@ -22,18 +21,6 @@ func (ls *LevelStats) Min() float64 {
 		return 0
 	}
 	return ls.SortedWeights[0]
-}
-
-// KSmallestSum returns the sum of the k smallest node weights (all of
-// them if the level has fewer than k nodes).
-func (ls *LevelStats) KSmallestSum(k int) float64 {
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(ls.prefix) {
-		k = len(ls.prefix) - 1
-	}
-	return ls.prefix[k]
 }
 
 // Size returns the node count of the level.
@@ -81,11 +68,7 @@ func (g *Graph) LevelStats(leader job.ProcID) (ls *LevelStats, ok bool) {
 		return true
 	})
 	sort.Float64s(weights)
-	prefix := make([]float64, len(weights)+1)
-	for i, w := range weights {
-		prefix[i+1] = prefix[i] + w
-	}
-	ls = &LevelStats{Leader: leader, SortedWeights: weights, prefix: prefix}
+	ls = &LevelStats{Leader: leader, SortedWeights: weights}
 	g.levelStats[leader] = ls
 	return ls, true
 }

@@ -240,16 +240,6 @@ func (bd *Builder) Build(cores int) (*Batch, error) {
 	return b, nil
 }
 
-// MustBuild is Build that panics on error; for use in tests and examples
-// with known-good inputs.
-func (bd *Builder) MustBuild(cores int) *Batch {
-	b, err := bd.Build(cores)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // SortedProcIDs returns a sorted copy of the given process IDs.
 func SortedProcIDs(ids []ProcID) []ProcID {
 	out := append([]ProcID(nil), ids...)

@@ -94,9 +94,6 @@ func (p *Problem) AddConstraint(terms []Term, rel Relation, rhs float64) {
 // NumVars returns the structural variable count.
 func (p *Problem) NumVars() int { return p.numVars }
 
-// NumConstraints returns the constraint count.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
 // Solution is the result of a solve.
 type Solution struct {
 	Status    Status

@@ -137,15 +137,6 @@ func (s *Spec) Build(m *cache.Machine) (*Instance, error) {
 	}, nil
 }
 
-// MustBuild is Build that panics on error, for tests and examples.
-func (s *Spec) MustBuild(m *cache.Machine) *Instance {
-	in, err := s.Build(m)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
 // DefaultHalo returns per-dimension halo volumes (bytes exchanged with each
 // neighbour over the whole run) for the NPB-MPI programs. Values are sized
 // so that communication degradations land in the same few-percent to

@@ -34,12 +34,12 @@ go test ./...
 # and with the full tracing stack (event tracer + flight recorder +
 # spans) attached, a condensed OA* expansion read from the level table
 # and, above its budget, keying and deduping a condensation candidate
-# must allocate nothing, HA*'s anchored, small-level and lazy candidate
-# generation, a beam depth's survivor selection and a class-enumerated
-# PE-mix expansion must allocate nothing, and an SDC oracle query and an
-# SDC node-memo miss (one competition for the whole node) must allocate
-# nothing (run explicitly so a -run filter in the main suite can never
-# silently drop the gate).
+# must allocate nothing, HA*'s anchored candidate generation and its
+# level walk below and above smallLevel, a beam depth's survivor
+# selection and a class-enumerated PE-mix expansion must allocate
+# nothing, and an SDC oracle query and an SDC node-memo miss (one
+# competition for the whole node) must allocate nothing (run explicitly
+# so a -run filter in the main suite can never silently drop the gate).
 go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree|TestBeamSelectionAllocationFree|TestClassCandidatesAllocationFree' -count=1
 go test ./internal/degradation/ -run 'TestSDCOracleDegradationAllocationFree|TestSDCMemoMissAllocationFree' -count=1
 
