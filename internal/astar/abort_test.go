@@ -211,17 +211,14 @@ func TestPollAbortAllocationFree(t *testing.T) {
 		t.Fatal("live context produced no done channel")
 	}
 	var stats Stats
-	warm := sv.makeChild(root, node, nil)
-	sv.recycle(warm)
+	primeDismissal(sv, sv.table, root, node)
+	inc := sv.newIncumbent()
 	allocs := testing.AllocsPerRun(200, func() {
 		// VisitedPaths stays 0, so every poll takes a memory sample.
 		if reason := sv.pollAbort(done, stats.VisitedPaths, sv.memSample(stats.VisitedPaths, 64)); reason != abort.None {
 			t.Fatalf("armed-but-untriggered poll aborted: %v", reason)
 		}
-		c := sv.makeChild(root, node, nil)
-		if ref := sv.table.find(c.keyWords); ref < 0 {
-			stats.DismissedWorse++
-		}
+		c, _ := dismissChild(t, sv, sv.table, inc, root, node, &stats)
 		sv.recycle(c)
 	})
 	if allocs > 0 {

@@ -387,3 +387,87 @@ func TestDismissStrategyKeepsShortestSameSetSubpath(t *testing.T) {
 		t.Errorf("shortest valid path cost = %v; want 24 (the paper's example)", res.Cost)
 	}
 }
+
+// searchCounters are the Stats fields a sequential solve's search order
+// decides.
+type searchCounters struct {
+	visited, expanded, generated, dismissed, dismissedWorse int64
+	pruned, condensed                                       int64
+	maxQueue                                                int
+	inFrontier                                              int64
+	keyTableEntries                                         int
+}
+
+// TestSequentialCountersPinned pins the sequential engine's counters on
+// fixed solves of solve-exact's shape (condensed OA* on a PC mix),
+// serve-mixed's (HA* at n = 16 with the incumbent) and O-SVP's. A
+// dropped goal pop, or any change in what is admitted, dismissed or
+// pruned, moves them, even where the cost and the admission identity
+// hold. Re-record them only in a change meant to alter the search order
+// (such as dominance labels replacing set-keyed dismissal), and say so.
+func TestSequentialCountersPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+		cost float64
+		want searchCounters
+	}{
+		{"oastar-pc-mix-seed1", mixedGraph(t, 16, 6, 2, 4, 1, degradation.ModePC),
+			Options{H: HStrategy2, Condense: true}, 3.055092156,
+			searchCounters{817, 816, 2439, 938, 18462, 1975, 22478, 1915, 685, 963}},
+		{"oastar-pc-mix-seed7", mixedGraph(t, 16, 6, 2, 4, 7, degradation.ModePC),
+			Options{H: HStrategy2, Condense: true}, 2.806869140,
+			searchCounters{997, 996, 4355, 2286, 21384, 766, 23901, 3518, 1073, 1057}},
+		{"hastar-n16-seed11", syntheticGraph(t, 16, 4, 11, degradation.ModePC),
+			Options{H: HStrategy2, KPerLevel: 4, UseIncumbent: true, Condense: true}, 4.374429960,
+			searchCounters{21, 20, 40, 15, 11, 2, 0, 20, 5, 21}},
+		{"osvp-n12-seed1", syntheticGraph(t, 12, 4, 1, degradation.ModePC),
+			Options{H: HNone}, 3.164632987,
+			searchCounters{377, 376, 1892, 1474, 4258, 0, 0, 1707, 42, 377}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := solveWith(t, c.g, c.opts)
+			st := res.Stats
+			got := searchCounters{st.VisitedPaths, st.Expanded, st.Generated, st.Dismissed, st.DismissedWorse,
+				st.Pruned, st.Condensed, st.MaxQueue, st.InFrontier, st.KeyTableEntries}
+			if got != c.want {
+				t.Errorf("counters %+v; want %+v", got, c.want)
+			}
+			if math.Abs(res.Cost-c.cost) > eps {
+				t.Errorf("cost %.9f; want %.9f", res.Cost, c.cost)
+			}
+		})
+	}
+}
+
+// TestWeightedHAStarNoWorseThanGreedy: a weighted HA* search cannot prune
+// against its greedy incumbent, but it must still never answer with a
+// costlier schedule than that incumbent, whether it completes or is cut
+// short by an expansion cap.
+func TestWeightedHAStarNoWorseThanGreedy(t *testing.T) {
+	for n := 16; n <= 24; n += 4 {
+		for seed := int64(1); seed <= 20; seed++ {
+			g := syntheticGraph(t, n, 4, seed, degradation.ModePC)
+			for _, w := range []float64{1.5, 2, 3, 5} {
+				for _, cap := range []int64{0, 4, 6} {
+					opts := Options{H: HStrategy2, KPerLevel: n / 4, UseIncumbent: true, Condense: true,
+						HWeight: w, MaxExpansions: cap}
+					s, err := NewSolver(g, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					greedy := g.Cost.PartitionCost(s.greedySchedule())
+					res, err := s.Solve()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Cost > greedy {
+						t.Errorf("n=%d seed=%d w=%v cap=%d: cost %.6f above the greedy incumbent's %.6f",
+							n, seed, w, cap, res.Cost, greedy)
+					}
+				}
+			}
+		}
+	}
+}

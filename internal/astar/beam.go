@@ -56,11 +56,6 @@ func (s *Solver) solveBeam() (*Result, error) {
 		met.flush(&stats, len(frontier), qMax/s.u, s.table, time.Since(start))
 		met.finish(&stats)
 	}()
-	hw := s.opts.HWeight
-	if hw < 1 {
-		hw = 1
-	}
-
 	s.table = newGTable(s.keyStride)
 	root := s.rootElement()
 	done := s.abortDone()
@@ -113,7 +108,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 				continue
 			}
 			admitBeam := func(child *element) {
-				ref := t.find(child.keyWords)
+				ref := t.find(child.keyWords, child.hash)
 				if ref >= 0 && t.gs[ref] <= child.g {
 					stats.DismissedWorse++
 					if tr != nil {
@@ -139,7 +134,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 					t.gs[ref] = child.g
 					t.elems[ref] = child
 				} else {
-					t.insert(child.keyWords, child.g, child)
+					t.insert(child.keyWords, child.hash, child.g, child)
 				}
 				stats.Generated++
 			}
@@ -160,7 +155,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 		if t.count == 0 {
 			return nil, errors.New("astar: beam search produced no children (malformed batch)")
 		}
-		next := s.beamSelect(t.elems, hw, func(e *element) {
+		next := s.beamSelect(t.elems, s.hw, func(e *element) {
 			stats.BeamTrimmed++
 			if tr != nil {
 				tr.Dismiss(stats.VisitedPaths, e.q, e.g, DismissBeamTrim)

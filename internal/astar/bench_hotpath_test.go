@@ -28,8 +28,8 @@ func syntheticGraphTB(tb testing.TB, n, u int, seed int64, mode degradation.Mode
 // This file is the micro-benchmark suite of the allocation-free hot path:
 // child construction + key packing + dismissal lookup in isolation, and
 // AllocsPerRun guards pinning the steady-state allocation count of a
-// dismissed child (the overwhelmingly common fate under Theorem-1
-// dismissal) at zero. The guards are exact counts and run in the tier-1
+// child dismissed by admitChild (the overwhelmingly common fate under
+// Theorem-1 dismissal) at zero. The guards are exact counts and run in the tier-1
 // suite; the benchmarks run with
 //
 //	go test ./internal/astar/ -bench HotPath -benchmem
@@ -70,6 +70,26 @@ func hotPathSolver(tb testing.TB, n, u int, pairwise bool) (*Solver, *element, [
 	return sv, root, node
 }
 
+// primeDismissal warms w's pool and records the hot-path child's key in
+// t, so that every later copy of that child is dismissed.
+func primeDismissal(w *Solver, t bestGTable, root *element, node []job.ProcID) {
+	warm := w.makeChild(root, node, nil)
+	t.admit(warm, -1)
+	w.recycle(warm)
+}
+
+// dismissChild builds the hot-path child on w and sends it through
+// admitChild, the admission both best-first engines run, against a table
+// primeDismissal primed. The caller traces and recycles the child.
+func dismissChild(tb testing.TB, w *Solver, t bestGTable, inc *incumbent, root *element, node []job.ProcID, st *Stats) (*element, DismissReason) {
+	c := w.makeChild(root, node, nil)
+	_, r, ok := w.admitChild(t, inc, c, st)
+	if ok {
+		tb.Fatal("hot-path child admitted; the guard measures a dismissed one")
+	}
+	return c, r
+}
+
 // BenchmarkHotPathMakeChild measures one pooled child construction
 // (set copy, Eq. 13 distance, key packing) plus its dismissal probe and
 // recycling — the per-candidate cost of the search inner loop.
@@ -79,7 +99,7 @@ func BenchmarkHotPathMakeChild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := sv.makeChild(root, node, nil)
-		_ = sv.table.find(c.keyWords)
+		_, _ = sv.table.probe(c)
 		sv.recycle(c)
 	}
 }
@@ -108,8 +128,9 @@ func BenchmarkHotPathTableInsert(b *testing.B) {
 		kc := append([]uint64(nil), key...)
 		for j := 0; j < 256; j++ {
 			kc[0] = uint64(j) << 1 // distinct sets, bit 0 unused
-			if t.find(kc) < 0 {
-				t.insert(kc, float64(j), nil)
+			h := hashKeyWords(kc)
+			if t.find(kc, h) < 0 {
+				t.insert(kc, h, float64(j), nil)
 			}
 		}
 	}
@@ -129,9 +150,9 @@ func BenchmarkHotPathSolveOAStar(b *testing.B) {
 }
 
 // TestDismissedChildStaysAllocationFree is the hot-path allocation guard:
-// once the pool and the node memo are warm, building a child, probing the
-// dismissal table and recycling the child must not allocate, on either
-// oracle.
+// once the pool and the node memo are warm, building a child, dismissing
+// it through admitChild on the sequential gTable and recycling it must
+// not allocate, on either oracle.
 func TestDismissedChildStaysAllocationFree(t *testing.T) {
 	for _, cfg := range []struct {
 		name     string
@@ -150,11 +171,11 @@ func TestDismissedChildStaysAllocationFree(t *testing.T) {
 			sv, root, node := hotPathSolver(t, cfg.n, cfg.u, cfg.pairwise)
 			// Warm the pool (and the node memo): the first child
 			// allocates its backing storage, every later one reuses it.
-			warm := sv.makeChild(root, node, nil)
-			sv.recycle(warm)
+			primeDismissal(sv, sv.table, root, node)
+			inc := sv.newIncumbent()
+			var stats Stats
 			allocs := testing.AllocsPerRun(200, func() {
-				c := sv.makeChild(root, node, nil)
-				_ = sv.table.find(c.keyWords)
+				c, _ := dismissChild(t, sv, sv.table, inc, root, node, &stats)
 				sv.recycle(c)
 			})
 			if allocs > cfg.budget {
@@ -297,7 +318,7 @@ func TestBeamSelectionAllocationFree(t *testing.T) {
 	sv.forEachCandidate(root, 1, sv.available(root, 1), &stats, func(node []job.ProcID, costs []float64) {
 		child := sv.makeChild(root, node, costs)
 		child.h = sv.heuristic(child)
-		sv.table.insert(child.keyWords, child.g, child)
+		sv.table.insert(child.keyWords, child.hash, child.g, child)
 	})
 	if sv.table.count != 60 {
 		t.Fatalf("depth table holds %d children; want 60", sv.table.count)

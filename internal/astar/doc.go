@@ -24,15 +24,17 @@
 //
 // # File map
 //
-// The solver is split by concern: solver.go holds the priority-list
-// search (OA*/HA*) and the element admission logic; beam.go the layered
-// beam search large batches use; expand.go candidate enumeration and
-// condensation; heuristics.go the h(v) strategies of §III-D; keytable.go
-// the word-packed dismissal table; pool.go the element free lists behind
-// the allocation-free hot path; parsolve.go and stripetable.go the
-// parallel best-first engine (DESIGN.md §5d); abortpath.go the one
-// abort poll the pop loop, the parallel workers and the beam generators
-// share, its memory-footprint estimate and the degraded result;
-// telemetry.go the event tracer, metrics and progress layer (DESIGN.md
-// §6); options.go the Options/Stats/Result surface.
+// The solver is split by concern: solver.go holds the sequential
+// priority-list search (OA*/HA*); admit.go the one child admission, the
+// best-g table contract and the incumbent that it shares with the
+// parallel best-first engine; beam.go the layered beam search large
+// batches use; expand.go candidate enumeration and condensation;
+// heuristics.go the h(v) strategies of §III-D; keytable.go the
+// word-packed dismissal table; pool.go the element free lists behind the
+// allocation-free hot path; parsolve.go and stripetable.go the parallel
+// best-first engine (DESIGN.md §5d); abortpath.go the one abort poll the
+// pop loop, the parallel workers and the beam generators share, its
+// memory-footprint estimate and the degraded result; telemetry.go the
+// event tracer, metrics and progress layer (DESIGN.md §6); options.go the
+// Options/Stats/Result surface.
 package astar

@@ -140,12 +140,12 @@ func (t *gTable) key(ei int32) []uint64 {
 	return t.keys[off : off+t.stride]
 }
 
-// find returns the entry index for key, or -1 when absent. The index is
-// stable for the table's lifetime (entries are never deleted), so callers
-// cache it on elements for the O(1) pop-staleness check.
-func (t *gTable) find(key []uint64) int32 {
+// find returns the entry index for key, whose hashKeyWords is h, or -1
+// when absent. The index is stable for the table's lifetime (entries are
+// never deleted), so elements cache it for the O(1) pop-staleness check.
+func (t *gTable) find(key []uint64, h uint64) int32 {
 	mask := uint64(len(t.slots) - 1)
-	i := hashKeyWords(key) & mask
+	i := h & mask
 	for {
 		ref := t.slots[i]
 		if ref == 0 {
@@ -168,9 +168,10 @@ func (t *gTable) find(key []uint64) int32 {
 	}
 }
 
-// insert adds a new entry for key (which must be absent) and returns its
-// index. The key words are copied into the arena.
-func (t *gTable) insert(key []uint64, g float64, e *element) int32 {
+// insert adds a new entry for key (which must be absent), whose
+// hashKeyWords is h, and returns its index. The key words are copied
+// into the arena.
+func (t *gTable) insert(key []uint64, h uint64, g float64, e *element) int32 {
 	if (t.count+1)*4 >= len(t.slots)*3 {
 		t.grow()
 	}
@@ -180,7 +181,7 @@ func (t *gTable) insert(key []uint64, g float64, e *element) int32 {
 	t.elems = append(t.elems, e)
 	t.count++
 	mask := uint64(len(t.slots) - 1)
-	i := hashKeyWords(key) & mask
+	i := h & mask
 	for t.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
@@ -201,6 +202,28 @@ func (t *gTable) grow() {
 		slots[i] = int32(ei) + 1
 	}
 	t.slots = slots
+}
+
+// probe, admit and stale are gTable's side of the best-g table contract
+// (admit.go), for the sequential engine and each stripe of the parallel
+// one: no lock, and admit trusts the probe that just ran.
+func (t *gTable) probe(e *element) (int32, bool) {
+	ref := t.find(e.keyWords, e.hash)
+	return ref, ref < 0 || t.gs[ref] > e.g
+}
+
+func (t *gTable) admit(e *element, ref int32) bool {
+	if ref >= 0 {
+		t.gs[ref] = e.g
+	} else {
+		ref = t.insert(e.keyWords, e.hash, e.g, nil)
+	}
+	e.keyRef = ref
+	return true
+}
+
+func (t *gTable) stale(e *element) bool {
+	return t.gs[e.keyRef] < e.g
 }
 
 // load returns the slot occupancy in [0,1], surfaced in Stats.

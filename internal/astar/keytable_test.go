@@ -178,7 +178,8 @@ func TestPackedKeyHashConsistency(t *testing.T) {
 	for i := range sets {
 		key := sv.packKey(nil, sets[i], maxes[i])
 		legacy := sv.legacyKey(sets[i], maxes[i])
-		ref := table.find(key)
+		h := hashKeyWords(key)
+		ref := table.find(key, h)
 		want := int32(-1)
 		for _, e := range inserted {
 			if e.key == legacy {
@@ -190,7 +191,7 @@ func TestPackedKeyHashConsistency(t *testing.T) {
 			t.Fatalf("input %d: find = %d; want %d", i, ref, want)
 		}
 		if ref < 0 {
-			ref = table.insert(key, float64(i), nil)
+			ref = table.insert(key, h, float64(i), nil)
 			inserted = append(inserted, entry{key: legacy, ref: ref})
 		}
 	}

@@ -134,8 +134,8 @@ type Options struct {
 	// frontier (parsolve.go), the paper's §VII future-work direction:
 	// per-shard heaps, work stealing, a shared incumbent bound, and a
 	// memory-aware load balancer that parks workers as the MemoryBudget
-	// footprint grows. 0 and 1 select the exact legacy single-goroutine
-	// search. Values above 1 apply only to configurations whose answer
+	// footprint grows. 0 and 1 select the single-goroutine pop loop.
+	// Values above 1 apply only to configurations whose answer
 	// is provably order-independent — best-first search with an
 	// admissible heuristic (HNone, HPerProc) at HWeight <= 1 and exact
 	// dismissal (ExactParallel or SE accounting when the batch has
@@ -177,8 +177,10 @@ type Stats struct {
 	DismissedWorse int64
 	// Condensed counts candidate nodes skipped by condensation.
 	Condensed int64
-	// Pruned counts children discarded against the incumbent bound
-	// (OA*/HA* with UseIncumbent only; zero otherwise).
+	// Pruned counts children discarded against the incumbent bound: the
+	// greedy schedule's cost under UseIncumbent, then the cheapest
+	// complete child admitted (best-first searches with an admissible h
+	// at weight 1 only; zero otherwise).
 	Pruned int64
 	// BeamTrimmed counts admitted sub-paths dropped by the beam's
 	// per-depth width cap (beam search only; zero otherwise).
@@ -207,7 +209,7 @@ type Stats struct {
 	KeyTableEntries int
 	KeyTableLoad    float64
 	// Parallelism is the number of expansion workers the solve actually
-	// ran (1 for the legacy sequential path, including configurations
+	// ran (1 for the sequential pop loop, including configurations
 	// where a requested Parallelism > 1 was ineligible and fell back).
 	Parallelism int
 	// Steals counts pops an expansion worker took from a frontier shard

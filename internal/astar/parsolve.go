@@ -19,11 +19,12 @@ import (
 // shards (per-shard heaps behind per-shard locks — there is no global
 // heap mutex), pops the cheapest element it can see, and steals from the
 // globally cheapest shard when its own run dry, so the expansion order
-// stays cost-anchored even though it is no longer serial. A shared
-// atomic incumbent bound prunes on admission exactly like the
-// sequential search, and a memory-aware load balancer parks workers as
-// the MemoryBudget footprint estimate grows — throttling first, hard
-// abort (the sequential promise) only on an actual breach.
+// stays cost-anchored even though it is no longer serial. Every child
+// passes the sequential search's own admission (admitChild, admit.go)
+// against the shared striped table and incumbent, and a memory-aware
+// load balancer parks workers as the MemoryBudget footprint estimate
+// grows — throttling first, hard abort (the sequential promise) only on
+// an actual breach.
 //
 // Correctness model: the engine only runs configurations whose answer is
 // order-independent — an admissible heuristic (HNone, HPerProc) at
@@ -77,18 +78,7 @@ type parEngine struct {
 	workers []*Solver // workers[0] is s itself; the rest are clones
 	shards  []*frontierShard
 	table   *stripedTable
-
-	// ubBits is the incumbent bound (Float64bits, monotone
-	// non-increasing): the cheapest complete schedule achieved so far,
-	// greedy or searched. completeSeen flags that at least one complete
-	// child was admitted (the tie-prune precondition).
-	ubBits       atomic.Uint64
-	completeSeen atomic.Bool
-	bestMu       sync.Mutex
-	bestGroups   [][]job.ProcID
-	bestCost     float64
-	greedyGroups [][]job.ProcID
-	greedyCost   float64
+	inc     *incumbent
 
 	// Termination protocol (HDA*-style double check): inflight is
 	// claimed under the shard lock before a pop publishes its new shard
@@ -100,7 +90,8 @@ type parEngine struct {
 	done     atomic.Bool
 	aborted  atomic.Uint32 // abort.Reason; 0 = running
 
-	// Search counters (Stats snapshot lives here during the solve).
+	// Search counters (Stats snapshot lives here during the solve). A
+	// worker folds its admission counters in once per expansion.
 	visited, expanded, generated   atomic.Int64
 	dismissedStale, dismissedWorse atomic.Int64
 	pruned, condensed              atomic.Int64
@@ -216,6 +207,7 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 		workers: workers,
 		shards:  make([]*frontierShard, nShards),
 		table:   newStripedTable(s.keyStride, nShards),
+		inc:     s.newIncumbent(),
 		tr:      tr,
 		doneCh:  s.abortDone(),
 	}
@@ -223,7 +215,6 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 		en.shards[i] = &frontierShard{}
 		en.shards[i].refreshTop()
 	}
-	en.ubBits.Store(math.Float64bits(math.Inf(1)))
 	en.activeTarget.Store(int32(p))
 	var seedAlloc int64
 	for _, pl := range s.allPools {
@@ -232,15 +223,8 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 	}
 	en.allocElems.Store(seedAlloc)
 
-	if s.opts.UseIncumbent {
-		if en.greedyGroups = s.greedySchedule(); en.greedyGroups != nil {
-			en.greedyCost = s.cost.PartitionCost(en.greedyGroups)
-			en.ubBits.Store(math.Float64bits(en.greedyCost))
-		}
-	}
-
 	root := s.rootElement()
-	root.stripe, root.keyRef, _ = en.table.admit(root.keyWords, 0)
+	en.table.admit(root, -1)
 	en.push(root, 0)
 
 	var wg sync.WaitGroup
@@ -289,41 +273,19 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 		if stats.VisitedPaths == 0 {
 			inFrontier-- // the never-Generated root is still queued
 		}
-		groups, cost, _ := en.result()
+		groups, cost := en.inc.best()
 		return s.finishAbort(r, &stats, inFrontier, groups, cost, start, met)
 	}
 
 	stats.InFrontier = en.frontierSize.Load()
 	stats.Duration = time.Since(start)
 	s.fillAllocStats(&stats)
-	groups, cost, ok := en.result()
-	if !ok {
+	groups, cost := en.inc.best()
+	if groups == nil {
 		return nil, errors.New("astar: priority list exhausted without a complete schedule")
 	}
 	tr.Finish(&stats, cost, groups)
 	return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
-}
-
-// result picks the engine's best schedule — the proven answer after a
-// clean termination, the incumbent an abort answers with: the best
-// admitted complete schedule, or the greedy incumbent when it is at
-// least as cheap (preferring greedy on ties keeps the returned
-// partition deterministic across runs — which equal-cost optimum the
-// racing workers admitted first is not).
-func (en *parEngine) result() ([][]job.ProcID, float64, bool) {
-	switch {
-	case en.bestGroups != nil && (en.greedyGroups == nil || en.bestCost < en.greedyCost):
-		return en.bestGroups, en.bestCost, true
-	case en.greedyGroups != nil:
-		return en.greedyGroups, en.greedyCost, true
-	default:
-		return nil, 0, false
-	}
-}
-
-// loadUB returns the current incumbent bound.
-func (en *parEngine) loadUB() float64 {
-	return math.Float64frombits(en.ubBits.Load())
 }
 
 // run is one expansion worker's main loop.
@@ -421,10 +383,10 @@ func (en *parEngine) rebalance() {
 	}
 }
 
-// shardOf routes a dismissal key to its frontier shard (high hash bits,
-// disjoint from both the stripe and the slot-probe bits).
-func (en *parEngine) shardOf(key []uint64) int {
-	return int((hashKeyWords(key) >> 52) & uint64(len(en.shards)-1))
+// shardOf routes a dismissal-key hash to its frontier shard (high hash
+// bits, disjoint from both the stripe and the slot-probe bits).
+func (en *parEngine) shardOf(h uint64) int {
+	return int((h >> 52) & uint64(len(en.shards)-1))
 }
 
 // push admits an element into its frontier shard. The pushes counter is
@@ -439,7 +401,7 @@ func (en *parEngine) push(e *element, f float64) {
 			break
 		}
 	}
-	sh := en.shards[en.shardOf(e.keyWords)]
+	sh := en.shards[en.shardOf(e.hash)]
 	sh.mu.Lock()
 	sh.seq++
 	sh.pq.push(heapEntry{f: f, g: e.g, seq: sh.seq, e: e})
@@ -454,7 +416,7 @@ func (en *parEngine) push(e *element, f float64) {
 // answer and stay queued, preserving the sequential InFrontier
 // semantics. Returns nil when nothing poppable is visible.
 func (en *parEngine) popBest(id int) (*element, bool) {
-	ub := en.loadUB()
+	ub := en.inc.bound()
 	best, bestF := -1, math.Inf(1)
 	for si := id; si < len(en.shards); si += len(en.workers) {
 		if f := math.Float64frombits(en.shards[si].topF.Load()); f < bestF {
@@ -478,7 +440,7 @@ func (en *parEngine) popBest(id int) (*element, bool) {
 	sh := en.shards[best]
 	sh.mu.Lock()
 	for len(sh.pq) > 0 {
-		if sh.pq[0].f >= en.loadUB() {
+		if sh.pq[0].f >= en.inc.bound() {
 			break // bound-blocked: cannot improve, stays in frontier
 		}
 		// Claim the element before its removal is published: the
@@ -487,7 +449,7 @@ func (en *parEngine) popBest(id int) (*element, bool) {
 		en.inflight.Add(1)
 		e := sh.pq.pop().e
 		sh.refreshTop()
-		if en.table.refG(e.stripe, e.keyRef) < e.g {
+		if en.table.stale(e) {
 			// Stale: superseded by a cheaper same-key sub-path while
 			// queued. Recycle into the popping worker's pool — get()
 			// re-homes it there.
@@ -528,12 +490,12 @@ func (en *parEngine) tryTerminate() bool {
 	if en.pushes.Load() != p0 {
 		return false
 	}
-	return minF >= en.loadUB()
+	return minF >= en.inc.bound()
 }
 
 // expandElement runs one expansion on worker w: the expand event, the
-// speculation accounting, candidate generation and child admission —
-// the parallel mirror of the sequential pop-loop body.
+// speculation accounting, candidate generation and child admission
+// through admitChild, pushing each admitted child onto its shard.
 func (en *parEngine) expandElement(w *Solver, e *element) {
 	popIdx := en.visited.Add(1)
 	if e.q > 0 {
@@ -552,10 +514,8 @@ func (en *parEngine) expandElement(w *Solver, e *element) {
 		en.trMu.Unlock()
 	}
 	if leader == 0 {
-		// A complete element can only be popped before any bound
-		// existed (the pop gate blocks f >= ub otherwise); offering it
-		// installs the bound.
-		en.offerComplete(e)
+		// Unreachable: a complete child was offered to the incumbent when
+		// it was admitted, so its f never passes the pop gate.
 		return
 	}
 	if gmin := en.globalMinF(); e.g+e.h > gmin+specEps {
@@ -569,11 +529,19 @@ func (en *parEngine) expandElement(w *Solver, e *element) {
 	avail := w.available(e, job.ProcID(leader))
 	var local Stats
 	w.forEachCandidate(e, job.ProcID(leader), avail, &local, func(node []job.ProcID, costs []float64) {
-		en.admitChild(w, popIdx, w.makeChild(e, node, costs))
+		child := w.makeChild(e, node, costs)
+		f, r, ok := w.admitChild(en.table, en.inc, child, &local)
+		if !ok {
+			en.traceDismiss(child.q, child.g, r)
+			w.recycle(child)
+			return
+		}
+		en.push(child, f)
 	})
-	if local.Condensed != 0 {
-		en.condensed.Add(local.Condensed)
-	}
+	en.generated.Add(local.Generated)
+	en.dismissedWorse.Add(local.DismissedWorse)
+	en.pruned.Add(local.Pruned)
+	en.condensed.Add(local.Condensed)
 }
 
 // globalMinF scans the shard minima for the cheapest queued f.
@@ -585,102 +553,6 @@ func (en *parEngine) globalMinF() float64 {
 		}
 	}
 	return minF
-}
-
-// admitChild applies the sequential admission pipeline to a freshly
-// generated child: Theorem-1 dismissal (optimistic probe before the
-// heuristic, re-checked under the stripe lock), incumbent pruning, the
-// complete-child bound update, and the frontier push.
-func (en *parEngine) admitChild(w *Solver, popIdx int64, child *element) {
-	if g, ok := en.table.bestG(child.keyWords); ok && g <= child.g {
-		en.dismissedWorse.Add(1)
-		en.traceDismiss(child.q, child.g, DismissWorse)
-		w.pool.put(child)
-		return
-	}
-	child.h = w.heuristic(child)
-	f := child.g + child.h // effective weight is 1 (eligibility)
-	ub := en.loadUB()
-	if f > ub {
-		en.pruned.Add(1)
-		en.traceDismiss(child.q, child.g, DismissPruned)
-		w.pool.put(child)
-		return
-	}
-	if f >= ub-1e-12 && child.q < w.n &&
-		(en.completeSeen.Load() || en.greedyGroups != nil) {
-		// A concrete schedule achieves ub: ties cannot beat it.
-		en.pruned.Add(1)
-		en.traceDismiss(child.q, child.g, DismissPruned)
-		w.pool.put(child)
-		return
-	}
-	if child.q == w.n {
-		en.offerComplete(child)
-	}
-	stripe, ref, improved := en.table.admit(child.keyWords, child.g)
-	if !improved {
-		// Another worker admitted a same-key sub-path at least as
-		// cheap between the probe and here.
-		en.dismissedWorse.Add(1)
-		en.traceDismiss(child.q, child.g, DismissWorse)
-		w.pool.put(child)
-		return
-	}
-	child.stripe, child.keyRef = stripe, ref
-	en.push(child, f)
-	en.generated.Add(1)
-}
-
-// offerComplete folds a complete schedule into the shared bound: the
-// incumbent Float64bits shrink monotonically via CAS, and the concrete
-// groups are reconstructed immediately under bestMu (parents of a
-// complete child are expanded elements, never recycled, so the walk is
-// safe while other workers run). Equal-cost completions keep the
-// byte-lexicographically smallest partition, making the choice
-// independent of worker arrival order.
-func (en *parEngine) offerComplete(e *element) {
-	g := e.g
-	for {
-		old := en.ubBits.Load()
-		if g >= math.Float64frombits(old) {
-			break
-		}
-		if en.ubBits.CompareAndSwap(old, math.Float64bits(g)) {
-			break
-		}
-	}
-	en.completeSeen.Store(true)
-	en.bestMu.Lock()
-	switch {
-	case en.bestGroups == nil || g < en.bestCost:
-		en.bestGroups, en.bestCost = reconstruct(e), g
-	case g == en.bestCost:
-		if cand := reconstruct(e); groupsLess(cand, en.bestGroups) {
-			en.bestGroups = cand
-		}
-	}
-	en.bestMu.Unlock()
-}
-
-// groupsLess orders two partitions lexicographically over their
-// flattened process IDs (group count first).
-func groupsLess(a, b [][]job.ProcID) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		ga, gb := a[i], b[i]
-		if len(ga) != len(gb) {
-			return len(ga) < len(gb)
-		}
-		for j := range ga {
-			if ga[j] != gb[j] {
-				return ga[j] < gb[j]
-			}
-		}
-	}
-	return false
 }
 
 // traceDismiss forwards a dismissal to the tracer under trMu. The

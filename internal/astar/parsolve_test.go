@@ -475,23 +475,21 @@ func TestParallelRebalance(t *testing.T) {
 
 // TestParallelWorkerDismissedChildAllocationFree extends the hot-path
 // allocation guard to a worker clone: once its pool is warm, building a
-// child, probing the shared striped table and recycling must not
-// allocate (the pairwise-oracle regime, as in the sequential guard).
+// child, dismissing it through admitChild on the shared striped table and
+// recycling it must not allocate (the pairwise-oracle regime, as in the
+// sequential guard).
 func TestParallelWorkerDismissedChildAllocationFree(t *testing.T) {
 	sv, _, node := hotPathSolver(t, 120, 4, true)
 	workers := sv.ensureClones(2)
 	w := workers[1]
 	st := newStripedTable(sv.keyStride, 8)
 	root := w.rootElement()
-	warm := w.makeChild(root, node, nil)
-	st.admit(warm.keyWords, warm.g)
-	w.pool.put(warm)
+	primeDismissal(w, st, root, node)
+	inc := sv.newIncumbent()
+	var local Stats
 	allocs := testing.AllocsPerRun(200, func() {
-		c := w.makeChild(root, node, nil)
-		if g, ok := st.bestG(c.keyWords); !ok || g > c.g {
-			t.Fatal("warm key missing from striped table")
-		}
-		w.pool.put(c)
+		c, _ := dismissChild(t, w, st, inc, root, node, &local)
+		w.recycle(c)
 	})
 	if allocs > 0 {
 		t.Fatalf("worker dismissed child costs %.1f allocs; want 0", allocs)
@@ -524,39 +522,49 @@ func TestParallelPoolWarmAcrossSolves(t *testing.T) {
 	}
 }
 
-// TestStripedTableAgreesWithSequential cross-checks the striped best-g
-// table against a plain gTable over a shared random key stream.
+// TestStripedTableAgreesWithSequential drives one random stream of
+// elements through the best-g table contract — probe, admit when the
+// probe lets the element through, then stale on every element admitted
+// so far — on the sequential gTable and on the striped table, which must
+// answer alike at every step.
 func TestStripedTableAgreesWithSequential(t *testing.T) {
 	sv, err := NewSolver(syntheticGraph(t, 16, 4, 3, degradation.ModePC), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := randFor(11)
-	seq := newGTable(sv.keyStride)
-	par := newStripedTable(sv.keyStride, 16)
-	key := make([]uint64, sv.keyStride)
+	tables := []bestGTable{newGTable(sv.keyStride), newStripedTable(sv.keyStride, 16)}
+	var admitted [2][]*element
 	for i := 0; i < 4000; i++ {
+		key := make([]uint64, sv.keyStride)
 		for w := range key {
 			key[w] = uint64(rng.Intn(64)) << 1
 		}
 		g := float64(rng.Intn(100))
-		ref := seq.find(key)
-		wantImproved := ref < 0 || seq.gs[ref] > g
-		if ref >= 0 && seq.gs[ref] > g {
-			seq.gs[ref] = g
-		} else if ref < 0 {
-			seq.insert(key, g, nil)
+		var oks [2]bool
+		for ti, tb := range tables {
+			e := &element{keyWords: key, hash: hashKeyWords(key), g: g, keyRef: -1, stripe: -1}
+			ref, ok := tb.probe(e)
+			if ok && !tb.admit(e, ref) {
+				t.Fatalf("step %d table %d: admit refused a probed key with no racing writer", i, ti)
+			}
+			if ok {
+				admitted[ti] = append(admitted[ti], e)
+			}
+			oks[ti] = ok
 		}
-		_, _, improved := par.admit(key, g)
-		if improved != wantImproved {
-			t.Fatalf("step %d: striped admit improved=%v, sequential says %v", i, improved, wantImproved)
+		if oks[0] != oks[1] {
+			t.Fatalf("step %d: probe ok sequential %v, striped %v", i, oks[0], oks[1])
 		}
-		if ref = seq.find(key); ref >= 0 {
-			if got, ok := par.bestG(key); !ok || got != seq.gs[ref] {
-				t.Fatalf("step %d: striped bestG %v ok=%v, sequential %v", i, got, ok, seq.gs[ref])
+		if i%100 == 99 {
+			for j := range admitted[0] {
+				if a, b := tables[0].stale(admitted[0][j]), tables[1].stale(admitted[1][j]); a != b {
+					t.Fatalf("step %d, admitted element %d: stale sequential %v, striped %v", i, j, a, b)
+				}
 			}
 		}
 	}
+	seq, par := tables[0].(*gTable), tables[1].(*stripedTable)
 	if par.count() != seq.count {
 		t.Errorf("striped entries %d != sequential count %d", par.count(), seq.count)
 	}
@@ -589,7 +597,7 @@ func TestStripedTableBytesMatchSequential(t *testing.T) {
 		for w := range key {
 			key[w] = uint64(rng.Intn(1<<12)) << 1
 		}
-		st.admit(key, float64(rng.Intn(100)))
+		st.admit(&element{keyWords: key, hash: hashKeyWords(key), g: float64(rng.Intn(100))}, -1)
 		if st.bytes() != sum() {
 			t.Fatalf("admit %d: bytes() = %d; stripes hold %d", i, st.bytes(), sum())
 		}
@@ -605,7 +613,7 @@ func TestStripedTableBytesMatchSequential(t *testing.T) {
 				for w := range key {
 					key[w] = uint64(rng.Intn(1<<12)) << 1
 				}
-				st.admit(key, float64(rng.Intn(100)))
+				st.admit(&element{keyWords: key, hash: hashKeyWords(key), g: float64(rng.Intn(100))}, -1)
 			}
 		}(wi)
 	}

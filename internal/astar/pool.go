@@ -84,7 +84,7 @@ func (p *elemPool) get() *element {
 }
 
 // put recycles an element. The caller must guarantee nothing references
-// it (no heap entry, no child, not bestComplete).
+// it (no heap entry, no child).
 func (p *elemPool) put(e *element) {
 	e.parent = nil
 	p.free = append(p.free, e)

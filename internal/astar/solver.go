@@ -80,6 +80,13 @@ type Solver struct {
 	keyJobWords   int
 	keyStride     int
 
+	// hw is the effective h weight (HWeight, at least 1); pruneExact is
+	// whether incumbent pruning is sound: f never overestimates, that
+	// is, an admissible h at weight 1. An inadmissible or weighted search
+	// keeps the incumbent purely as a fallback answer.
+	hw         float64
+	pruneExact bool
+
 	// Hot-path storage, reused across expansions within one solve: the
 	// best-g table, the element free lists (one per producing goroutine),
 	// and the working buffers in scr.
@@ -172,6 +179,7 @@ type scratch struct {
 type element struct {
 	set      *bitset.Set
 	keyWords []uint64 // word-packed dismissal key (keytable.go layout)
+	hash     uint64   // hashKeyWords(keyWords), for every table and shard
 	keyRef   int32    // gTable entry index once admitted; -1 before
 	stripe   int32    // stripedTable stripe of keyRef (parallel solves); -1 before
 	q        int      // processes scheduled
@@ -377,6 +385,8 @@ func (s *Solver) prepare() error {
 		s.keyJobWords = len(s.parJobs)
 	}
 	s.keyStride = s.keySetWords + s.keyCountWords + s.keyJobWords
+	s.hw = max(s.opts.HWeight, 1)
+	s.pruneExact = s.opts.H != HPerProcAvg && s.opts.HWeight <= 1
 	s.pool = s.newPool()
 	return nil
 }
@@ -494,27 +504,10 @@ func (s *Solver) Solve() (*Result, error) {
 		met.flush(&stats, len(pq), qMax/s.u, s.table, time.Since(start))
 		met.finish(&stats)
 	}()
-	ub := math.Inf(1)
-	var greedyGroups [][]job.ProcID
-	if s.opts.UseIncumbent {
-		if greedyGroups = s.greedySchedule(); greedyGroups != nil {
-			ub = s.cost.PartitionCost(greedyGroups)
-		}
-	}
-	// Incumbent pruning is only sound when f never overestimates: an
-	// admissible h at weight 1. Inadmissible or weighted searches keep
-	// the incumbent purely as a fallback result.
-	pruneExact := s.opts.H != HPerProcAvg && s.opts.HWeight <= 1
-	var bestComplete *element
-
+	inc := s.newIncumbent()
 	s.table = newGTable(s.keyStride)
 	root := s.rootElement()
-
-	hw := s.opts.HWeight
-	if hw < 1 {
-		hw = 1
-	}
-	root.keyRef = s.table.insert(root.keyWords, 0, nil)
+	s.table.admit(root, -1)
 	var seq int64
 	pq.push(heapEntry{f: 0, g: 0, seq: seq, e: root})
 	seq++
@@ -531,7 +524,7 @@ func (s *Solver) Solve() (*Result, error) {
 			if stats.VisitedPaths == 0 {
 				inFrontier--
 			}
-			groups, cost := s.incumbent(bestComplete, greedyGroups)
+			groups, cost := inc.best()
 			return s.finishAbort(reason, &stats, inFrontier, groups, cost, start, met)
 		}
 		if len(pq) > stats.MaxQueue {
@@ -539,17 +532,14 @@ func (s *Solver) Solve() (*Result, error) {
 		}
 		ent := pq.pop()
 		e := ent.e
-		if s.table.gs[e.keyRef] < e.g {
-			// Stale entry superseded by a shorter same-set sub-path. It
-			// was never expanded, so nothing references it and it can be
-			// recycled — unless it is the incumbent complete schedule.
+		if s.table.stale(e) {
+			// Superseded by a shorter same-set sub-path. It was never
+			// expanded, so nothing references it and it can be recycled.
 			stats.Dismissed++
 			if tr != nil {
 				tr.Dismiss(stats.VisitedPaths, e.q, e.g, DismissStale)
 			}
-			if e != bestComplete {
-				s.recycle(e)
-			}
+			s.recycle(e)
 			continue
 		}
 		stats.VisitedPaths++
@@ -570,93 +560,45 @@ func (s *Solver) Solve() (*Result, error) {
 			tr.Expand(stats.VisitedPaths, e.q/s.u, e.g, e.h, job.ProcID(leader))
 		}
 		if leader == 0 {
-			if bestComplete != nil && bestComplete.g < e.g {
-				e = bestComplete
+			// The goal was offered to the incumbent when it was admitted.
+			// It answers unless the incumbent is strictly cheaper, which
+			// only a search that cannot prune exactly allows.
+			groups, cost := inc.best()
+			if e.g <= cost {
+				groups, cost = reconstruct(e), e.g
 			}
 			stats.InFrontier = int64(len(pq))
 			stats.Duration = time.Since(start)
 			s.fillAllocStats(&stats)
-			groups := reconstruct(e)
-			tr.Finish(&stats, e.g, groups)
-			return &Result{Groups: groups, Cost: e.g, Stats: stats}, nil
+			tr.Finish(&stats, cost, groups)
+			return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
 		}
 		avail := s.available(e, job.ProcID(leader))
 		s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID, costs []float64) {
 			child := s.makeChild(e, node, costs)
-			// One probe serves both the dismissal and the admission below:
-			// nothing between them touches the best-g table.
-			ref := s.table.find(child.keyWords)
-			if ref >= 0 && s.table.gs[ref] <= child.g {
-				stats.DismissedWorse++
+			f, r, ok := s.admitChild(s.table, inc, child, &stats)
+			if !ok {
 				if tr != nil {
-					tr.Dismiss(stats.VisitedPaths, child.q, child.g, DismissWorse)
-				}
-				s.recycle(child)
-				return // dismissed before spending h work
-			}
-			child.h = s.heuristic(child)
-			f := child.g + hw*child.h
-			if pruneExact && f > ub {
-				stats.Pruned++
-				if tr != nil {
-					tr.Dismiss(stats.VisitedPaths, child.q, child.g, DismissPruned)
+					tr.Dismiss(stats.VisitedPaths, child.q, child.g, r)
 				}
 				s.recycle(child)
 				return
 			}
-			// With a concrete schedule achieving ub in hand, ties are
-			// prunable too: a path with f == ub cannot beat it.
-			if pruneExact && f >= ub-1e-12 && (bestComplete != nil || greedyGroups != nil) && child.q < s.n {
-				stats.Pruned++
-				if tr != nil {
-					tr.Dismiss(stats.VisitedPaths, child.q, child.g, DismissPruned)
-				}
-				s.recycle(child)
-				return
-			}
-			if child.q == s.n {
-				if child.g < ub {
-					ub = child.g // every completed child tightens the bound
-				}
-				if bestComplete == nil || child.g < bestComplete.g {
-					bestComplete = child
-				}
-			}
-			if ref >= 0 {
-				s.table.gs[ref] = child.g
-			} else {
-				ref = s.table.insert(child.keyWords, child.g, nil)
-			}
-			child.keyRef = ref
 			pq.push(heapEntry{f: f, g: child.g, seq: seq, e: child})
 			seq++
-			stats.Generated++
 		})
 	}
-	// Exhausted queue: fall back to the best complete schedule seen. The
-	// trace still ends with stats + solution events so offline analysis
-	// (coschedtrace check) can account for fully-drained searches too.
+	// Exhausted queue: fall back to the incumbent. The trace still ends
+	// with stats + solution events so offline analysis (coschedtrace
+	// check) can account for fully-drained searches too.
 	stats.Duration = time.Since(start)
 	s.fillAllocStats(&stats)
-	groups, cost := s.incumbent(bestComplete, greedyGroups)
+	groups, cost := inc.best()
 	tr.Finish(&stats, cost, groups)
 	if groups == nil {
 		return nil, errors.New("astar: priority list exhausted without a complete schedule")
 	}
 	return &Result{Groups: groups, Cost: cost, Stats: stats}, nil
-}
-
-// incumbent is the pop loop's best unproven schedule: the best admitted
-// complete sub-path, else the greedy upper bound, else nil.
-func (s *Solver) incumbent(bestComplete *element, greedyGroups [][]job.ProcID) ([][]job.ProcID, float64) {
-	switch {
-	case bestComplete != nil:
-		return reconstruct(bestComplete), bestComplete.g
-	case greedyGroups != nil:
-		return greedyGroups, s.cost.PartitionCost(greedyGroups)
-	default:
-		return nil, 0
-	}
 }
 
 // rootElement builds the empty sub-path from the solver's pool.
@@ -673,7 +615,7 @@ func (s *Solver) rootElement() *element {
 	} else {
 		root.jobMax = nil
 	}
-	root.keyWords = s.packKey(root.keyWords[:0], root.set, root.jobMax)
+	s.setKey(root)
 	return root
 }
 
@@ -748,8 +690,15 @@ func (s *Solver) makeChild(e *element, node []job.ProcID, costs []float64) *elem
 			child.jobMax[pi] = d
 		}
 	}
-	child.keyWords = s.packKey(child.keyWords[:0], child.set, child.jobMax)
+	s.setKey(child)
 	return child
+}
+
+// setKey packs e's dismissal key and hashes it, once for every table and
+// shard the element is routed through.
+func (s *Solver) setKey(e *element) {
+	e.keyWords = s.packKey(e.keyWords[:0], e.set, e.jobMax)
+	e.hash = hashKeyWords(e.keyWords)
 }
 
 // jobMaxKey encodes the per-job maxima into the legacy string dismissal

@@ -14,7 +14,8 @@ import (
 //
 // Entry references are (stripe, ref) pairs: a gTable never deletes or
 // reorders entries, so both halves stay stable for the table's lifetime
-// and elements cache them for the O(1) pop-staleness check.
+// and elements cache them for the O(1) pop-staleness check. An element
+// carries its key's hash, so no call hashes the key again.
 type stripedTable struct {
 	mask    uint64
 	stripes []tableStripe
@@ -61,56 +62,39 @@ func (st *stripedTable) stripeOf(h uint64) int32 {
 	return int32((h >> 40) & st.mask)
 }
 
-// bestG returns the recorded best distance for key, or ok=false when the
-// key is absent. This is the optimistic pre-heuristic probe of the
-// Theorem-1 dismissal: a racing improvement between this read and a
-// later admit is re-checked under the stripe lock there.
-func (st *stripedTable) bestG(key []uint64) (float64, bool) {
-	sp := &st.stripes[st.stripeOf(hashKeyWords(key))]
+// probe, admit and stale are the striped side of the best-g table
+// contract (admit.go): each runs its stripe's gTable method under the
+// stripe lock. The probe is optimistic, so admit probes again under the
+// lock and reports false when another worker recorded the key at least
+// as cheaply in between; the probe's ref hint goes unused.
+func (st *stripedTable) probe(e *element) (int32, bool) {
+	sp := &st.stripes[st.stripeOf(e.hash)]
 	sp.mu.Lock()
-	ref := sp.t.find(key)
-	if ref < 0 {
-		sp.mu.Unlock()
-		return 0, false
-	}
-	g := sp.t.gs[ref]
-	sp.mu.Unlock()
-	return g, true
+	defer sp.mu.Unlock()
+	return sp.t.probe(e)
 }
 
-// admit records key at distance g if no same-key entry at least as cheap
-// exists, returning the entry handle and whether the record was made
-// (improved=false is the Theorem-1 dismissal of the caller's child).
-func (st *stripedTable) admit(key []uint64, g float64) (stripe, ref int32, improved bool) {
-	stripe = st.stripeOf(hashKeyWords(key))
+func (st *stripedTable) admit(e *element, _ int32) bool {
+	stripe := st.stripeOf(e.hash)
 	sp := &st.stripes[stripe]
 	sp.mu.Lock()
-	ref = sp.t.find(key)
-	if ref >= 0 {
-		if sp.t.gs[ref] <= g {
-			sp.mu.Unlock()
-			return stripe, ref, false
-		}
-		sp.t.gs[ref] = g
-		sp.mu.Unlock()
-		return stripe, ref, true
+	defer sp.mu.Unlock()
+	ref, ok := sp.t.probe(e)
+	if !ok {
+		return false
 	}
 	before := sp.t.bytes()
-	ref = sp.t.insert(key, g, nil)
+	sp.t.admit(e, ref)
 	st.size.Add(sp.t.bytes() - before)
-	sp.mu.Unlock()
-	return stripe, ref, true
+	e.stripe = stripe
+	return true
 }
 
-// refG returns the current best distance of an admitted entry — the
-// pop-staleness check: an element whose g exceeds this was superseded
-// while queued.
-func (st *stripedTable) refG(stripe, ref int32) float64 {
-	sp := &st.stripes[stripe]
+func (st *stripedTable) stale(e *element) bool {
+	sp := &st.stripes[e.stripe]
 	sp.mu.Lock()
-	g := sp.t.gs[ref]
-	sp.mu.Unlock()
-	return g
+	defer sp.mu.Unlock()
+	return sp.t.stale(e)
 }
 
 // count returns the admitted keys across all stripes, for

@@ -187,23 +187,20 @@ func TestJSONLTraceRoundTrip(t *testing.T) {
 
 // TestDismissedChildAllocFreeWithTelemetry re-runs the hot-path
 // allocation guard with metrics attached: the per-child work (pooled
-// construction, dismissal probe, recycle, stack-local accounting) plus a
-// registry flush must still allocate nothing. This is the zero-overhead
-// contract of DESIGN.md §6 — enabling telemetry must not cost the search
-// its allocation-free inner loop.
+// construction, dismissal through admitChild with its stack-local
+// accounting, recycle) plus a registry flush must still allocate
+// nothing. This is the zero-overhead contract of DESIGN.md §6 — enabling
+// telemetry must not cost the search its allocation-free inner loop.
 func TestDismissedChildAllocFreeWithTelemetry(t *testing.T) {
 	sv, root, node := hotPathSolver(t, 120, 4, true)
 	sv.opts.Metrics = telemetry.New()
 	met := newSolverMetrics(sv.opts.Metrics)
 	met.begin(sv)
 	var stats Stats
-	warm := sv.makeChild(root, node, nil)
-	sv.recycle(warm)
+	primeDismissal(sv, sv.table, root, node)
+	inc := sv.newIncumbent()
 	allocs := testing.AllocsPerRun(200, func() {
-		c := sv.makeChild(root, node, nil)
-		if ref := sv.table.find(c.keyWords); ref < 0 {
-			stats.DismissedWorse++
-		}
+		c, _ := dismissChild(t, sv, sv.table, inc, root, node, &stats)
 		sv.recycle(c)
 		// Every iteration flushes — far more often than the real
 		// flushEvery cadence — and must still be allocation-free.
@@ -235,14 +232,11 @@ func TestDismissedChildAllocFreeWithTracing(t *testing.T) {
 	search := spans.Start("search")
 
 	var stats Stats
-	warm := sv.makeChild(root, node, nil)
-	sv.recycle(warm)
+	primeDismissal(sv, sv.table, root, node)
+	inc := sv.newIncumbent()
 	allocs := testing.AllocsPerRun(200, func() {
-		c := sv.makeChild(root, node, nil)
-		if ref := sv.table.find(c.keyWords); ref < 0 {
-			stats.DismissedWorse++
-		}
-		tr.Dismiss(stats.VisitedPaths, c.q, c.g, DismissWorse)
+		c, r := dismissChild(t, sv, sv.table, inc, root, node, &stats)
+		tr.Dismiss(stats.VisitedPaths, c.q, c.g, r)
 		sv.recycle(c)
 		met.flush(&stats, 1, 1, sv.table, time.Millisecond)
 	})
