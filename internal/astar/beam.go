@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cosched/internal/abort"
+	"cosched/internal/graph"
 	"cosched/internal/job"
 )
 
@@ -65,9 +66,18 @@ func (s *Solver) solveBeam() (*Result, error) {
 	for d := 0; d < depths; d++ {
 		t := s.table
 		t.reset()
+		if k := s.opts.KPerLevel; k > 0 {
+			// Room up front for every child the depth can admit spares
+			// the table's arenas append's many small steps, whose
+			// garbage every solve would carry.
+			n := s.depthRoom(frontier, k)
+			t.keys, t.gs, t.elems = reserve(t.keys, n*t.stride), reserve(t.gs, n), reserve(t.elems, n)
+		}
 		if bp > 1 {
 			gens = make([][]*element, len(frontier))
 			s.beamGenerate(genWorkers, frontier, gens, &stats, done)
+		} else {
+			s.shareDepth(frontier)
 		}
 		for idx, e := range frontier {
 			// Polled before the element is counted, so an aborted
@@ -146,8 +156,7 @@ func (s *Solver) solveBeam() (*Result, error) {
 				}
 				gens[idx] = nil
 			} else {
-				avail := s.available(e, job.ProcID(leader))
-				s.forEachCandidate(e, job.ProcID(leader), avail, &stats, func(node []job.ProcID, costs []float64) {
+				s.depthCandidates(idx, e, job.ProcID(leader), &stats, func(node []job.ProcID, costs []float64) {
 					admitBeam(s.makeChild(e, node, costs))
 				})
 			}
@@ -206,6 +215,24 @@ func (s *Solver) beamParallelism() int {
 	}
 }
 
+// depthRoom bounds the children a beam depth can admit under a budget of
+// k: each parent emits at most k nodes, and no more than its level holds,
+// C(m, u-1) for its m available processes, or, on an anchored pairwise
+// level, one node per anchor. So a budget beyond every level reserves no
+// more than that level's nodes.
+func (s *Solver) depthRoom(frontier []*element, k int) int {
+	room := 0
+	for _, e := range frontier {
+		m := s.n - e.q - 1
+		c := graph.Binomial(m, s.u-1)
+		if s.pairW != nil && !s.walksLevel(m, k) {
+			c = int64(m)
+		}
+		room += int(min(int64(k), c))
+	}
+	return room
+}
+
 // beamGenerate fans one depth's child generation over the worker
 // clones: worker wi expands frontier elements wi, wi+P, wi+2P, ... into
 // gens (children in candidate order, h precomputed), touching only its
@@ -226,23 +253,27 @@ func (s *Solver) beamGenerate(workers []*Solver, frontier []*element, gens [][]*
 			defer wg.Done()
 			w := workers[wi]
 			var local Stats
+			mine := w.scr.shareParents[:0]
 			for i := wi; i < len(frontier); i += len(workers) {
+				mine = append(mine, frontier[i])
+			}
+			w.scr.shareParents = mine
+			w.shareDepth(mine)
+			for j, e := range mine {
 				if w.pollAbort(done, visited, 0) != abort.None {
 					break
 				}
-				e := frontier[i]
 				leader := e.set.SmallestAbsent(w.n)
 				if leader == 0 {
 					continue
 				}
-				avail := w.available(e, job.ProcID(leader))
 				var kids []*element
-				w.forEachCandidate(e, job.ProcID(leader), avail, &local, func(node []job.ProcID, costs []float64) {
+				w.depthCandidates(j, e, job.ProcID(leader), &local, func(node []job.ProcID, costs []float64) {
 					child := w.makeChild(e, node, costs)
 					child.h = w.heuristic(child)
 					kids = append(kids, child)
 				})
-				gens[i] = kids
+				gens[wi+j*len(workers)] = kids
 			}
 			condensed[wi] = local.Condensed
 		}(wi)

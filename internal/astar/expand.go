@@ -2,6 +2,7 @@ package astar
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"cosched/internal/degradation"
@@ -71,7 +72,7 @@ func (s *Solver) forEachCandidate(e *element, leader job.ProcID, avail []job.Pro
 	// condenses on it.
 	if s.pairW != nil {
 		emit := func(node []job.ProcID) { fn(node, nil) }
-		if graph.Binomial(len(avail), s.u-1) <= smallLevel || k <= exactWalkMaxK && s.u <= 5 {
+		if s.walksLevel(len(avail), k) {
 			s.walkPairLevel(leader, avail, k, emit)
 		} else {
 			s.anchoredCandidates(leader, avail, k, emit)
@@ -194,45 +195,27 @@ func (s *Solver) levelCandidates(leader job.ProcID, avail []job.ProcID, stats *S
 // machine size, and only a near-tie is ever walked for nothing.
 const boundSlack = 1e-9
 
+// walksLevel reports whether a pairwise level of m available processes
+// under a budget of k goes to walkPairLevel: when it holds at most
+// smallLevel nodes, or at a budget of at most exactWalkMaxK at u ≤ 5.
+// Every other level goes to anchoredCandidates.
+func (s *Solver) walksLevel(m, k int) bool {
+	return graph.Binomial(m, s.u-1) <= smallLevel || k <= exactWalkMaxK && s.u <= 5
+}
+
 // walkPairLevel emits, cheapest first, the k cheapest nodes of a level
 // under the pairwise fast path: {leader} plus u-1 of avail, ranked by
 // (weight, lessNodes), a node's weight being its pair costs summed row
 // by row over the sorted node (row node[i] against node[0..i-1], i
-// ascending). forEachCandidate sends it every pairwise level of at most
-// smallLevel nodes, and a larger one under a budget of at most
-// exactWalkMaxK at u ≤ 5.
-//
-// It walks the combinations depth-first over the leader's view of avail
-// (leaderView: ascending pair cost with the leader), carrying each
-// prefix's weight, and keeps the k cheapest nodes met so far in a k-slot
-// max-heap. Depth d places the (d+1)-th member at view position p or
-// later; every completion of the prefix then weighs at least
-//
-//	pre[d] + lc[p] + … + lc[p+r-d-1] + (r-d)·(rowMin(node[1]) + … + rowMin(node[d]))
-//
-// because pair costs are finite and non-negative (NewPairwiseOracle's
-// premise), the leader costs lc ascend along the view, and no pair cost
-// is below its row's minimum (pairMin). The bound grows with p, so once
-// the heap is full and the bound clears its top by more than boundSlack,
-// no later position at that depth can place a node in the heap and the
-// depth stops. A node met later in the walk may still win a weight tie
-// on lessNodes, so a tie never prunes. Each leaf's weight is recomputed
-// over the sorted node in the summation order above, so the survivors are
-// the sorted prefix a whole-level sort would give, with the same sums bit
-// for bit; nothing beyond k nodes is stored.
+// ascending). forEachCandidate sends it the levels walksLevel selects. It
+// walks the leader's view of avail (leaderView) with walkLevel, for one
+// walker, into a k-slot heap in solver scratch.
 func (s *Solver) walkPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn func(node []job.ProcID)) {
 	u, r, m := s.u, s.u-1, len(avail)
 	sc := &s.scr
-	if cap(sc.node) < u {
-		sc.node = make([]job.ProcID, u)
-	}
-	if cap(sc.leaf) < u {
-		sc.leaf = make([]job.ProcID, u)
-	}
-	node := sc.node[:u]
-	node[0] = leader
 	if r == 0 {
-		fn(node)
+		sc.node = append(sc.node[:0], leader)
+		fn(sc.node)
 		return
 	}
 	if m < r {
@@ -248,30 +231,94 @@ func (s *Solver) walkPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn 
 	if cap(sc.flat) < k*u {
 		sc.flat = make([]job.ProcID, k*u)
 	}
+	view, lc := s.leaderView(leader, avail)
+	heaps := [1]walkHeap{{size: int32(k)}}
+	s.walkLevel(leader, view, lc, nil, 1, heaps[:], sc.flat[:k*u], sc.w[:k], sc.idx[:k])
+	flat := sc.flat
+	for _, id := range sc.idx[:heaps[0].stored] {
+		fn(flat[int(id)*u : int(id)*u+u])
+	}
+}
+
+// walkHeap is one walker's heap of its k cheapest nodes in a walkLevel
+// store: slots [first, first+size) of it, size being min(k, C(m, u-1))
+// for the walker's m available processes, stored of them filled, and
+// cut the heap top's weight plus boundSlack once full (+Inf before).
+// Once walked, the store's idx holds the walker's slots, relative to
+// first, cheapest first.
+type walkHeap struct {
+	first, size, stored int32
+	cut                 float64
+}
+
+// walkLevel walks the level {leader} plus u-1 of view, u ≥ 2, where view
+// ascends by (pair cost with the leader, ID) and lc holds those costs,
+// for every walker: bit b of walkers is walker b, whose k cheapest nodes
+// heaps[b] keeps in the store (flat, u-stride, with weights ws and heap
+// order idx). Walker b has view[p] when bit b of masks[p] is set; masks
+// nil means one walker, bit 0, that has every position.
+//
+// It walks the combinations depth-first over view, carrying each
+// prefix's weight and the walkers that have all of its members; a prefix
+// no walker has is skipped, and each leaf goes to the heap of every
+// walker that has it. Depth d places the (d+1)-th member at view position
+// p or later; every completion of the prefix then weighs at least
+//
+//	pre[d] + lc[p] + … + lc[p+r-d-1] + (r-d)·(rowMin(node[1]) + … + rowMin(node[d]))
+//
+// because pair costs are finite and non-negative (NewPairwiseOracle's
+// premise), the leader costs lc ascend along the view, and every later
+// member comes from the view, so its pair cost with a placed member y is
+// at least y's row minimum over the view (viewRowMin). A walker's own
+// view is a subsequence of view, whose row minima are at most its own,
+// so the bound holds for every walker. It grows with p, so once every
+// heap is full and the bound clears the loosest top (the largest cut) by
+// more than boundSlack, no later position at that depth can place a node
+// in any heap and the depth stops. A node met later in the walk may still
+// win a weight tie on lessNodes, so a tie never prunes. Each leaf's
+// weight is recomputed over the sorted node in the summation order
+// above, so each heap ends as its walker's sorted prefix a whole-level
+// sort would give, with the same sums bit for bit, and is then sorted
+// in place, cheapest first; nothing beyond the heaps is stored.
+func (s *Solver) walkLevel(leader job.ProcID, view []job.ProcID, lc []float64, masks []uint64, walkers uint64, heaps []walkHeap, flat []job.ProcID, ws []float64, idx []int32) {
+	u, r, m := s.u, s.u-1, len(view)
+	sc := &s.scr
+	if cap(sc.node) < u {
+		sc.node = make([]job.ProcID, u)
+	}
+	if cap(sc.leaf) < u {
+		sc.leaf = make([]job.ProcID, u)
+	}
 	if cap(sc.pos) < r {
 		sc.pos = make([]int, r)
 		sc.pre = make([]float64, r)
 		sc.mins = make([]float64, r)
+		sc.pmask = make([]uint64, r)
 	}
-	flat, ws, pos, pre, mins := sc.flat[:k*u], sc.w[:k], sc.pos[:r], sc.pre[:r], sc.mins[:r]
-	leaf := sc.leaf[:u]
-	view, lc := s.leaderView(leader, avail)
-	h := candHeap{w: ws, flat: flat, u: u, max: true}
-	stored := 0
-	cut := math.Inf(1) // the heap top's weight plus the slack, once full
-	pos[0], pre[0], mins[0] = 0, 0, 0
+	rm := s.walkRowMins()
+	node, leaf := sc.node[:u], sc.leaf[:u]
+	pos, pre, mins, pmask := sc.pos[:r], sc.pre[:r], sc.mins[:r], sc.pmask[:r]
+	open := bits.OnesCount64(walkers) // heaps not yet full
+	for wk := walkers; wk != 0; wk &= wk - 1 {
+		wh := &heaps[bits.TrailingZeros64(wk)]
+		wh.stored, wh.cut = 0, math.Inf(1)
+	}
+	loose := math.Inf(1) // the largest cut, once every heap is full
+	h := candHeap{u: u, max: true}
+	node[0] = leader
+	pos[0], pre[0], mins[0], pmask[0] = 0, 0, 0, walkers
 	// Depth d places node[d+1] = view[pos[d]] on a prefix of weight
-	// pre[d] whose members' row minima sum to mins[d]; r-1-d more
-	// processes must fit after it.
+	// pre[d] whose members' row minima sum to mins[d] and which the
+	// walkers pmask[d] have; r-1-d more processes must fit after it.
 	for d := 0; ; {
 		p := pos[d]
 		stop := p > m-r+d
-		if !stop && stored == k {
+		if !stop && open == 0 {
 			b := pre[d]
 			for _, l := range lc[p : p+r-d] {
 				b += l
 			}
-			stop = b+float64(r-d)*mins[d] > cut
+			stop = b+float64(r-d)*mins[d] > loose
 		}
 		if stop {
 			if d == 0 {
@@ -280,6 +327,13 @@ func (s *Solver) walkPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn 
 			d--
 			pos[d]++
 			continue
+		}
+		pm := pmask[d]
+		if masks != nil {
+			if pm &= masks[p]; pm == 0 {
+				pos[d]++
+				continue
+			}
 		}
 		x := view[p]
 		node[d+1] = x
@@ -290,13 +344,14 @@ func (s *Solver) walkPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn 
 		}
 		if d < r-1 {
 			pre[d+1] = w
-			mins[d+1] = mins[d] + s.pairMin[int(x)-1]
+			mins[d+1] = mins[d] + rm.of(x, row, view)
+			pmask[d+1] = pm
 			pos[d+1] = p + 1
 			d++
 			continue
 		}
 		pos[d]++
-		if w > cut {
+		if w > loose {
 			continue // the same sum, rounded in walk order
 		}
 		copy(leaf, node)
@@ -308,47 +363,110 @@ func (s *Solver) walkPairLevel(leader job.ProcID, avail []job.ProcID, k int, fn 
 				w += row[int(y)-1]
 			}
 		}
-		slot := stored
-		if stored < k {
-			stored++
-		} else {
-			slot = int(h.idx[0])
-			if w > ws[slot] || w == ws[slot] && !lessNodes(leaf, flat[slot*u:slot*u+u]) {
+		cut := false // a full heap's top changed
+		for ; pm != 0; pm &= pm - 1 {
+			wh := &heaps[bits.TrailingZeros64(pm)]
+			first, size := int(wh.first), int(wh.size)
+			at := first + int(wh.stored)
+			if int(wh.stored) == size {
+				at = first + int(idx[first])
+				if w > ws[at] || w == ws[at] && !lessNodes(leaf, flat[at*u:at*u+u]) {
+					continue
+				}
+			}
+			copy(flat[at*u:], leaf)
+			ws[at] = w
+			if int(wh.stored) < size-1 {
+				wh.stored++
 				continue
 			}
+			h.idx, h.w, h.flat = idx[first:first+size], ws[first:first+size], flat[first*u:(first+size)*u]
+			if int(wh.stored) < size {
+				wh.stored++
+				h.init()
+				open--
+			} else {
+				h.down(0)
+			}
+			wh.cut = h.w[h.idx[0]] * (1 + boundSlack)
+			cut = true
 		}
-		copy(flat[slot*u:], leaf)
-		ws[slot] = w
-		switch {
-		case stored < k:
-			continue
-		case h.idx == nil:
-			h.idx = sc.idx[:k]
+		if cut && open == 0 {
+			loose = 0
+			for wk := walkers; wk != 0; wk &= wk - 1 {
+				loose = max(loose, heaps[bits.TrailingZeros64(wk)].cut)
+			}
+		}
+	}
+	// Heap-sort each heap in place: each popped greatest lands in the
+	// slot the shrinking heap just gave up, leaving its order ascending.
+	for wk := walkers; wk != 0; wk &= wk - 1 {
+		wh := &heaps[bits.TrailingZeros64(wk)]
+		first, size := int(wh.first), int(wh.size)
+		h.idx, h.w, h.flat = idx[first:first+int(wh.stored)], ws[first:first+size], flat[first*u:(first+size)*u]
+		if wh.stored < wh.size {
 			h.init()
-		default:
-			h.down(0)
 		}
-		cut = ws[h.idx[0]] * (1 + boundSlack)
+		order := h.idx
+		for len(h.idx) > 0 {
+			last := len(h.idx) - 1
+			order[last] = h.pop()
+		}
 	}
-	if stored < k {
-		h.idx = sc.idx[:stored]
-		h.init()
+}
+
+// viewRowMin is x's smallest pair cost (row, x's row of the pair-cost
+// matrix) against the other processes of view, 0 if there are none.
+func viewRowMin(row []float64, x job.ProcID, view []job.ProcID) float64 {
+	lo := math.Inf(1)
+	for _, z := range view {
+		if c := row[int(z)-1]; c < lo && z != x {
+			lo = c
+		}
 	}
-	// Heap-sort in place: each popped greatest lands in the slot the
-	// shrinking heap just gave up, leaving order ascending.
-	order := h.idx
-	for len(h.idx) > 0 {
-		last := len(h.idx) - 1
-		order[last] = h.pop()
+	if math.IsInf(lo, 1) {
+		return 0
 	}
-	for _, id := range order {
-		fn(flat[int(id)*u : int(id)*u+u])
+	return lo
+}
+
+// rowMins holds one walk's row minima over its view, computed the first
+// time a process is placed: min[p-1] is process p's where at[p-1] holds
+// the walk's epoch ep.
+type rowMins struct {
+	ep  uint32
+	min []float64
+	at  []uint32
+}
+
+// walkRowMins starts a walk's row minima in solver scratch.
+func (s *Solver) walkRowMins() *rowMins {
+	rm := &s.scr.rowMins
+	if len(rm.at) < s.n {
+		rm.min = make([]float64, s.n)
+		rm.at = make([]uint32, s.n)
 	}
+	rm.ep++
+	if rm.ep == 0 {
+		clear(rm.at)
+		rm.ep = 1
+	}
+	return rm
+}
+
+// of returns x's row minimum over view (viewRowMin), row being x's row.
+func (rm *rowMins) of(x job.ProcID, row []float64, view []job.ProcID) float64 {
+	xi := int(x) - 1
+	if rm.at[xi] != rm.ep {
+		rm.at[xi] = rm.ep
+		rm.min[xi] = viewRowMin(row, x, view)
+	}
+	return rm.min[xi]
 }
 
 // candHeap is a binary heap over slot indices into a flat node store,
 // ordered by (weight, lessNodes): a min-heap for the non-pairwise
-// fallback's whole level, a max-heap (max set) for walkPairLevel's k
+// fallback's whole level, a max-heap (max set) for walkLevel's k
 // cheapest.
 type candHeap struct {
 	idx  []int32
@@ -447,7 +565,9 @@ const (
 // its own rounding cannot cost a position.
 //
 // All working storage is solver scratch, reused across expansions;
-// membership is a per-anchor stamp, so a new anchor resets nothing.
+// membership is a per-anchor stamp, so a new anchor resets nothing. A
+// member's acc is +Inf, which no pair cost reaches and adding a row
+// keeps, so the rescan reads no stamp.
 func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int, emit func(node []job.ProcID)) {
 	r := s.u - 1
 	m := len(avail)
@@ -486,10 +606,7 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 			best := -1
 			bestInc := math.Inf(1)
 			for p, x := range sorted[:hi] {
-				if stamp[p] == anchor {
-					continue
-				}
-				inc := acc[p] + row[int(x)-1]
+				inc := acc[p] + row[int(x)-1] // a member's +Inf stays +Inf
 				acc[p] = inc
 				if inc < bestInc {
 					bestInc, best = inc, p
@@ -512,6 +629,7 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 					}
 				}
 				if stamp[hi] == anchor {
+					acc[hi] = math.Inf(1)
 					continue
 				}
 				x := sorted[hi]
@@ -530,6 +648,7 @@ func (s *Solver) anchoredCandidates(leader job.ProcID, avail []job.ProcID, k int
 			}
 			node = append(node, sorted[best])
 			stamp[best] = anchor
+			acc[best] = math.Inf(1)
 		}
 		if len(node) < s.u {
 			continue
@@ -632,14 +751,9 @@ func (s *Solver) pairWeights() [][]float64 {
 func (s *Solver) leaderView(leader job.ProcID, avail []job.ProcID) ([]job.ProcID, []float64) {
 	sc := &s.scr
 	li := int(leader) - 1
-	if sc.orders == nil {
-		sc.orders = make([][]uint16, s.n)
+	ord := s.leaderOrderOf(li)
+	if sc.mark == nil {
 		sc.mark = make([]uint32, s.n)
-	}
-	ord := sc.orders[li]
-	if ord == nil {
-		ord = s.leaderOrder(li)
-		sc.orders[li] = ord
 	}
 	sc.epoch++
 	if sc.epoch == 0 {
@@ -664,6 +778,22 @@ func (s *Solver) leaderView(leader job.ProcID, avail []job.ProcID) ([]job.ProcID
 	}
 	sc.view, sc.viewCost = view, cost
 	return view, cost
+}
+
+// leaderOrderOf returns the leader's order (leaderOrder) for the leader
+// at 0-based index li, building it the first time that leader expands
+// and keeping it in solver scratch for the solver's life.
+func (s *Solver) leaderOrderOf(li int) []uint16 {
+	sc := &s.scr
+	if sc.orders == nil {
+		sc.orders = make([][]uint16, s.n)
+	}
+	ord := sc.orders[li]
+	if ord == nil {
+		ord = s.leaderOrder(li)
+		sc.orders[li] = ord
+	}
+	return ord
 }
 
 // leaderOrder ranks every process but the leader (0-based index li) by

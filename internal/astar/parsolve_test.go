@@ -189,15 +189,17 @@ func TestParallelClonesShareLevelTable(t *testing.T) {
 //
 // The last cases are pairwise batches. At n = 64 on quad-core, k = 16
 // is above exactWalkMaxK and C(63,3) = 39,711 above smallLevel, so the
-// first depths run anchoredCandidates inside beamGenerate's workers and
+// first depths run the anchored picks inside beamGenerate's workers and
 // the later ones the pruned level walk; k = 8 hands the first depths to
 // the walk too, above smallLevel. At n = 96 on 8-core, the anchored
 // depths give way to small levels from 17 available processes down.
-// Every worker builds its own leader orders. Each case solves
-// sequentially first, on the same Solver, so the main solver's candidate
-// scratch (its leader orders included) is warm before ensureClones
-// copies it; under -race a clone sharing that scratch is a reported
-// race.
+// At n = 240 on quad-core with 2 generators, each worker's 8 parents
+// share leaders, so both workers serve them from their own groups
+// (share.go), anchored and walked. Every worker builds its own leader
+// orders. Each case solves sequentially first, on the same Solver, so
+// the main solver's candidate scratch (its leader orders and depth
+// groups included) is warm before ensureClones copies it; under -race a
+// clone sharing that scratch is a reported race.
 func TestParallelBeamBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := syntheticGraph(t, 16, 4, seed, degradation.ModePC)
@@ -212,7 +214,7 @@ func TestParallelBeamBitIdentical(t *testing.T) {
 	// clone building its own leader orders: anchored and small levels at
 	// u = 4 and u = 8, and levels above smallLevel walked under a budget
 	// of 8.
-	for _, c := range []struct{ n, u, k int }{{64, 4, 16}, {96, 8, 12}, {64, 4, 8}} {
+	for _, c := range []struct{ n, u, k, p int }{{64, 4, 16, 4}, {96, 8, 12, 4}, {64, 4, 8, 4}, {240, 4, 60, 2}} {
 		s, err := NewSolver(pairwiseGraphTB(t, c.n, c.u, 1), Options{H: HPerProcAvg, HWeight: 1.2, BeamWidth: 16, KPerLevel: c.k})
 		if err != nil {
 			t.Fatal(err)
@@ -221,15 +223,29 @@ func TestParallelBeamBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.opts.Parallelism = 4
+		s.opts.Parallelism = c.p
 		res, err := s.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Parallelism != 4 {
-			t.Fatalf("beam ran at parallelism %d; want 4", res.Stats.Parallelism)
+		if res.Stats.Parallelism != c.p {
+			t.Fatalf("beam ran at parallelism %d; want %d", res.Stats.Parallelism, c.p)
 		}
-		checkBeamBitIdentical(t, fmt.Sprintf("pairwise n=%d u=%d k=%d", c.n, c.u, c.k), base, res)
+		name := fmt.Sprintf("pairwise n=%d u=%d k=%d p=%d", c.n, c.u, c.k, c.p)
+		checkBeamBitIdentical(t, name, base, res)
+		if c.n == 240 {
+			// The last depth's groups: every generator shared one.
+			for wi, w := range append([]*Solver{s}, s.parClones...) {
+				sh := &w.scr.share
+				shared := false
+				for _, g := range sh.groups[:sh.used] {
+					shared = shared || g.parents > 1
+				}
+				if !shared {
+					t.Fatalf("%s: generator %d shared no leader at the last depth", name, wi)
+				}
+			}
+		}
 	}
 }
 

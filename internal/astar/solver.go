@@ -119,14 +119,17 @@ type scratch struct {
 	// (u-stride), its weights and a heap over its slots: the pairwise
 	// level walk's k-slot heap, or the non-pairwise fallback's whole
 	// level (a solver only ever takes one of the two). pos, pre and mins
-	// are the pairwise level walk's view positions, prefix weights and
-	// prefix row-minimum sums.
-	flat []job.ProcID
-	w    []float64
-	idx  []int32
-	pos  []int
-	pre  []float64
-	mins []float64
+	// are the pairwise level walk's view positions, prefix weights,
+	// prefix row-minimum sums and prefix walker masks, and rowMins its
+	// row minima over the walked view.
+	flat    []job.ProcID
+	w       []float64
+	idx     []int32
+	pos     []int
+	pre     []float64
+	mins    []float64
+	pmask   []uint64
+	rowMins rowMins
 	// Leader orders (leaderView): orders[l-1] ranks every process but l
 	// by (pair cost with l, ID), built the first time l leads a pairwise
 	// expansion and kept for the solver's life. mark stamps one
@@ -148,6 +151,12 @@ type scratch struct {
 	// class enumeration's emitted nodes).
 	node []job.ProcID
 	leaf []job.ProcID
+	// share is the beam depth's candidate sharing (share.go) over
+	// shareParents, the parents a parallel beam generator expands; chain
+	// holds the view positions of a shared anchored node's members.
+	share        depthShare
+	shareParents []*element
+	chain        []int32
 	// condSeen dedups one expansion's condensation keys (§III-E),
 	// packed into condKeyBuf by graph.AppendCondenseKey.
 	condSeen   *wordSet

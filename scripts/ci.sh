@@ -35,12 +35,13 @@ go test ./...
 # spans) attached, a condensed OA* expansion read from the level table
 # and, above its budget, keying and deduping a condensation candidate
 # must allocate nothing, HA*'s anchored candidate generation and its
-# level walk below and above smallLevel, a beam depth's survivor
+# level walk below and above smallLevel, a warm beam depth's candidates
+# shared per leader (anchored and walked), a beam depth's survivor
 # selection and a class-enumerated PE-mix expansion must allocate
 # nothing, and an SDC oracle query and an SDC node-memo miss (one
 # competition for the whole node) must allocate nothing (run explicitly
 # so a -run filter in the main suite can never silently drop the gate).
-go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree|TestBeamSelectionAllocationFree|TestClassCandidatesAllocationFree' -count=1
+go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree|TestSharedCandidatesAllocationFree|TestBeamSelectionAllocationFree|TestClassCandidatesAllocationFree' -count=1
 go test ./internal/degradation/ -run 'TestSDCOracleDegradationAllocationFree|TestSDCMemoMissAllocationFree' -count=1
 
 # Race matrix over the concurrent search paths: the work-stealing
