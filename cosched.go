@@ -156,14 +156,14 @@ func (a Accounting) mode() degradation.Mode {
 }
 
 // Options tunes a Solve call. The zero value requests OA* with the
-// paper's best configuration (h Strategy 2 or the scalable per-process
-// variant, condensation on, full PC accounting).
+// per-process bound as h, condensation on and full PC accounting.
 type Options struct {
 	Method     Method
 	Accounting Accounting
-	// HStrategy: 0 = automatic (Strategy 2 when levels are enumerable,
-	// per-process bound otherwise), 1 and 2 force the paper's two
-	// strategies, 3 forces the scalable per-process bound.
+	// HStrategy: 0 = the per-process bound, as 3; 1 and 2 force the
+	// paper's two strategies (§III-D). Every choice returns the same OA*
+	// cost and runs at any Parallelism. HA* above 40 processes keeps its
+	// average-cost estimator whatever the choice.
 	HStrategy int
 	// KPerLevel overrides HA*'s per-level candidate budget; 0 means the
 	// paper's MER function n/u. Ignored by other methods.
@@ -186,9 +186,9 @@ type Options struct {
 	// searches (OA*/HA*): 0 picks runtime.GOMAXPROCS(0), 1 forces the
 	// exact legacy sequential path, higher values run the sharded-frontier
 	// parallel engine when the configuration's answer is order-independent
-	// (admissible unweighted heuristics with exact dismissal — SE
-	// accounting or ExactParallel when the batch has parallel jobs — or
-	// any beam search) and silently fall back to sequential otherwise.
+	// (any HStrategy at HWeight <= 1 with exact dismissal — SE accounting
+	// or ExactParallel when the batch has parallel jobs — or any beam
+	// search) and silently fall back to sequential otherwise.
 	// The schedule's Stats.Parallelism records what actually ran.
 	// IP/PG/O-SVP/brute-force ignore it.
 	Parallelism int
@@ -241,7 +241,7 @@ func (o *Options) validate() error {
 		return &OptionError{Field: "Accounting", Value: int(o.Accounting), Reason: "unknown accounting mode"}
 	}
 	if o.HStrategy < 0 || o.HStrategy > 3 {
-		return &OptionError{Field: "HStrategy", Value: o.HStrategy, Reason: "must be 0 (auto), 1, 2 or 3"}
+		return &OptionError{Field: "HStrategy", Value: o.HStrategy, Reason: "must be 0 or 3 (the per-process bound), 1 or 2 (the paper's strategies)"}
 	}
 	if o.KPerLevel < 0 {
 		return &OptionError{Field: "KPerLevel", Value: o.KPerLevel, Reason: "must be non-negative"}
@@ -415,44 +415,49 @@ func solveGraph(ctx context.Context, inst *Instance, cost *degradation.Cost, opt
 	sp := obs.spans.Start("graph")
 	g := graph.New(cost, inst.in.Patterns)
 	sp.End()
-	n, u := g.N(), g.U()
 	par := opts.Parallelism
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	aopts := astar.Options{
-		Condense:      !opts.DisableCondensation,
-		ExactParallel: opts.ExactParallel,
-		MaxExpansions: opts.MaxExpansions,
-		MemoryBudget:  opts.MemoryBudget,
-		Parallelism:   par,
-		Ctx:           ctx,
-		Metrics:       opts.Metrics,
+	// The per-process bound is the automatic h; HStrategy 1 and 2 force
+	// the paper's strategies, except where HA*'s large-batch policy
+	// needs its estimator.
+	aopts := astar.Options{H: astar.HPerProc}
+	if opts.Method == MethodHAStar {
+		aopts = astar.HAStarOptions(g.N(), g.U())
+		if opts.KPerLevel > 0 {
+			aopts.KPerLevel = opts.KPerLevel
+		}
+		// An explicit beam is what makes the SolveRobust ladder's third
+		// rung strictly bounded.
+		if opts.BeamWidth > 0 {
+			aopts.BeamWidth = opts.BeamWidth
+		}
 	}
+	if aopts.H == astar.HPerProc {
+		switch opts.HStrategy {
+		case 1:
+			aopts.H = astar.HStrategy1
+		case 2:
+			aopts.H = astar.HStrategy2
+		}
+	}
+	if opts.HWeight > 0 {
+		aopts.HWeight = opts.HWeight
+	}
+	aopts.Condense = !opts.DisableCondensation
+	aopts.ExactParallel = opts.ExactParallel
+	aopts.MaxExpansions = opts.MaxExpansions
+	aopts.MemoryBudget = opts.MemoryBudget
+	aopts.Parallelism = par
+	aopts.Ctx = ctx
+	aopts.Metrics = opts.Metrics
 	tr := astar.NewEventTracer(obs.em)
 	aopts.Tracer = tr
 	if opts.ProgressWriter != nil {
 		aopts.Progress = &telemetry.ProgressReporter{W: opts.ProgressWriter, Every: opts.ProgressEvery}
 	}
-	switch opts.HStrategy {
-	case 1:
-		aopts.H = astar.HStrategy1
-	case 2:
-		aopts.H = astar.HStrategy2
-	case 3:
-		aopts.H = astar.HPerProc
-	default:
-		// HStrategy2 builds its level-minima table lazily and cannot run
-		// multi-worker; with parallelism requested the auto pick prefers
-		// the admissible per-process bound so the parallel engine engages.
-		if g.LevelEnumerable(1) && n <= 40 && par <= 1 {
-			aopts.H = astar.HStrategy2
-		} else {
-			aopts.H = astar.HPerProc
-		}
-	}
-	switch opts.Method {
-	case MethodOSVP:
+	if opts.Method == MethodOSVP {
 		// O-SVP [33] is this search with h = 0, no condensation, no
 		// incumbent and one worker: uniform-cost search. Its phases have
 		// no prepare span of their own (h = 0 precomputes nothing) and
@@ -479,29 +484,6 @@ func solveGraph(ctx context.Context, inst *Instance, cost *degradation.Cost, opt
 			return nil, err
 		}
 		return newSchedule(inst, cost, res.Groups, res.Cost, searchStats(res)), nil
-	case MethodHAStar:
-		aopts.KPerLevel = opts.KPerLevel
-		if aopts.KPerLevel == 0 {
-			aopts.KPerLevel = n / u // the paper's MER function
-		}
-		aopts.UseIncumbent = true
-		// Large batches need the scalable estimator, a depth bias and a
-		// bounded beam to converge (DESIGN.md §5a).
-		if n > 40 {
-			aopts.H = astar.HPerProcAvg
-			aopts.HWeight = 1.2
-			aopts.BeamWidth = 16
-			aopts.UseIncumbent = false
-		}
-	}
-	// Explicit caller overrides win over the method defaults; the beam
-	// is what makes the SolveRobust ladder's third rung strictly bounded.
-	if opts.BeamWidth > 0 && opts.Method == MethodHAStar {
-		aopts.BeamWidth = opts.BeamWidth
-		aopts.UseIncumbent = false
-	}
-	if opts.HWeight > 0 {
-		aopts.HWeight = opts.HWeight
 	}
 	if tr != nil {
 		tr.HName = aopts.H.String()

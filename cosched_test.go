@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,16 +64,32 @@ func TestSolveParallelismOption(t *testing.T) {
 	if base.Stats.Parallelism != 1 {
 		t.Errorf("sequential solve recorded parallelism %d", base.Stats.Parallelism)
 	}
-	for _, p := range []int{0, 2, 4} {
-		s, err := Solve(inst, Options{Method: MethodOAStar, HStrategy: 3, Parallelism: p})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
-		}
-		if math.Abs(s.TotalDegradation-base.TotalDegradation) > 1e-9 {
-			t.Errorf("parallelism %d changed cost %v -> %v", p, base.TotalDegradation, s.TotalDegradation)
-		}
-		if p > 1 && s.Stats.Parallelism != p {
-			t.Errorf("requested parallelism %d, stats recorded %d", p, s.Stats.Parallelism)
+	// Every h runs on the parallel engine at the sequential cost, and the
+	// automatic one (0) is the per-process bound at every parallelism.
+	for h := 0; h <= 3; h++ {
+		for _, p := range []int{0, 1, 2, 4} {
+			var buf bytes.Buffer
+			s, err := Solve(inst, Options{Method: MethodOAStar, HStrategy: h, Parallelism: p, EventTraceWriter: &buf})
+			if err != nil {
+				t.Fatalf("h %d, parallelism %d: %v", h, p, err)
+			}
+			if math.Abs(s.TotalDegradation-base.TotalDegradation) > 1e-9 {
+				t.Errorf("h %d, parallelism %d changed cost %v -> %v", h, p, base.TotalDegradation, s.TotalDegradation)
+			}
+			if p > 1 && s.Stats.Parallelism != p {
+				t.Errorf("h %d: requested parallelism %d, stats recorded %d", h, p, s.Stats.Parallelism)
+			}
+			events, err := telemetry.ReadEvents(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := slices.IndexFunc(events, func(ev telemetry.Event) bool { return ev.Ev == "solve_start" })
+			if i < 0 {
+				t.Fatalf("h %d, parallelism %d: no solve_start event", h, p)
+			}
+			if name := events[i].HName; (h == 0 || h == 3) && name != "perproc" {
+				t.Errorf("h %d, parallelism %d ran %q; want perproc", h, p, name)
+			}
 		}
 	}
 	if _, err := Solve(inst, Options{Parallelism: -1}); err == nil {

@@ -2,6 +2,7 @@ package astar
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,6 +69,23 @@ func TestAbortExpiredContext(t *testing.T) {
 			if res.Stats.VisitedPaths != 0 {
 				t.Errorf("expired context still popped %d elements", res.Stats.VisitedPaths)
 			}
+		})
+	}
+	// Strategies 1 and 2 read level statistics prepare builds, polling
+	// the context between levels: past the deadline HA*, which has no
+	// level table, enumerates no level and the search's first poll
+	// aborts.
+	for _, h := range []HStrategy{HStrategy1, HStrategy2} {
+		t.Run("levels-"+h.String(), func(t *testing.T) {
+			s, err := NewSolver(g, Options{H: h, KPerLevel: 3, Ctx: ctx})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.levelOrder != nil || slices.ContainsFunc(s.levelWeights, func(w []float64) bool { return w != nil }) {
+				t.Error("level statistics built past an expired deadline")
+			}
+			res, err := s.Solve()
+			requireDegraded(t, g, res, err, abort.Deadline)
 		})
 	}
 }

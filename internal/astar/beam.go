@@ -194,25 +194,12 @@ func (s *Solver) solveBeam() (*Result, error) {
 }
 
 // beamParallelism resolves Options.Parallelism for the beam search: the
-// layered structure lets any thread-safe heuristic parallelise (the
-// merge replays sequential admission exactly, so even the inadmissible
-// HPerProcAvg estimator stays bit-identical); only the lazily-built
-// level-minima strategies (HStrategy1/2), whose tables are not
-// goroutine-safe, force the sequential path.
+// layered structure lets every heuristic parallelise (each reads only
+// tables prepare built, and the merge replays sequential admission
+// exactly, so even the inadmissible HPerProcAvg estimator stays
+// bit-identical), so the request is only capped.
 func (s *Solver) beamParallelism() int {
-	p := s.opts.Parallelism
-	if p <= 1 {
-		return 1
-	}
-	if p > maxParallelism {
-		p = maxParallelism
-	}
-	switch s.opts.H {
-	case HNone, HPerProc, HPerProcAvg:
-		return p
-	default:
-		return 1
-	}
+	return max(1, min(s.opts.Parallelism, maxParallelism))
 }
 
 // depthRoom bounds the children a beam depth can admit under a budget of

@@ -374,3 +374,26 @@ func TestClassCandidatesAllocationFree(t *testing.T) {
 		t.Errorf("a class-enumerated level-1 expansion costs %.1f allocs; want 0", allocs)
 	}
 }
+
+// TestHStrategy2AllocationFree pins Strategy 2 at 0 allocations per warm
+// call: prepare builds the level minima and their order, so a child's h
+// sums the prepared order with no slice and no sort.
+func TestHStrategy2AllocationFree(t *testing.T) {
+	sv, err := NewSolver(syntheticGraphTB(t, 16, 4, 17, degradation.ModePC), Options{H: HStrategy2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := sv.makeChild(sv.rootElement(), []job.ProcID{1, 5, 9, 13}, nil)
+	want := sv.hStrategy2(child)
+	if want <= 0 {
+		t.Fatalf("h = %v; the guard needs a child with levels left to bound", want)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if sv.hStrategy2(child) != want {
+			t.Fatal("h changed between calls")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm hStrategy2 costs %.1f allocs; want 0", allocs)
+	}
+}

@@ -1,8 +1,9 @@
 package astar
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"cosched/internal/degradation"
 	"cosched/internal/job"
@@ -56,10 +57,76 @@ func (s *Solver) hPerProc(e *element) float64 {
 	return h
 }
 
+// prepareLevelBounds builds, once, what Strategies 1 and 2 read on an
+// all-serial batch: Strategy 1 every level's node weights, ascending;
+// Strategy 2 every level's least node weight (levelMinWeight) and the
+// leaders ordered by it, ties by leader. It polls the solve's context
+// between levels; cut short, it leaves the rest unfilled (empty levels,
+// no order, both still admissible) for a search whose first poll then
+// aborts.
+func (s *Solver) prepareLevelBounds() {
+	last := s.n - s.u + 1
+	if s.opts.H == HStrategy1 {
+		s.levelWeights = make([][]float64, last+1)
+	} else {
+		s.levelMin = make([]float64, last+1)
+		if s.levels == nil && !s.gr.LevelEnumerable(1) {
+			s.computeDmin() // the pair bound's floors
+		}
+	}
+	done := s.abortDone()
+	for l := 1; l <= last; l++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if s.opts.H == HStrategy1 {
+			ls, _ := s.gr.LevelStats(job.ProcID(l)) // prepare checked every level is enumerable
+			s.levelWeights[l] = ls.SortedWeights
+		} else {
+			s.levelMin[l] = s.levelMinWeight(job.ProcID(l))
+		}
+	}
+	if s.opts.H == HStrategy2 {
+		s.levelOrder = make([]job.ProcID, last)
+		for i := range s.levelOrder {
+			s.levelOrder[i] = job.ProcID(i + 1)
+		}
+		slices.SortStableFunc(s.levelOrder, func(a, b job.ProcID) int {
+			return cmp.Compare(s.levelMin[a], s.levelMin[b])
+		})
+	}
+}
+
+// levelMinWeight returns a lower bound on the least node weight of the
+// level led by the given process: exact when the level is enumerable
+// (read from the level table where the solver has one, which it has
+// only when every level is), the sum of the u cheapest per-process pair
+// floors otherwise.
+func (s *Solver) levelMinWeight(leader job.ProcID) float64 {
+	if s.levels != nil {
+		return s.levels.LevelMin(leader)
+	}
+	if ls, ok := s.gr.LevelStats(leader); ok {
+		return ls.Min()
+	}
+	w := s.dminAll[int(leader)-1]
+	rest := slices.Clone(s.dminAll[leader:])
+	slices.Sort(rest)
+	for _, d := range rest[:min(s.u-1, len(rest))] {
+		w += d
+	}
+	return w
+}
+
 // hStrategy2 (§III-D Strategy 2): the remaining (n-q)/u machines each
 // cost at least the minimum node weight of one remaining valid level; the
 // sum of the (n-q)/u smallest per-level minima over unscheduled-leader
-// levels is therefore a lower bound.
+// levels is therefore a lower bound. Levels beyond n-u+1 are statically
+// empty (fewer than u-1 higher-numbered processes exist) and can never
+// lead a node, so they are excluded rather than counted as zero. The
+// minima are summed in the prepared ascending order, so no child sorts.
 //
 // With parallel jobs the Eq. 13 objective can undercut node-weight sums
 // (a job's max may already be paid), so in mixed batches the bound is
@@ -74,54 +141,17 @@ func (s *Solver) hStrategy2(e *element) float64 {
 		// handles parallel maxima correctly (prepare built its floors).
 		return s.hPerProc(e)
 	}
-	// Collect per-level minima for levels led by unscheduled processes
-	// and sum the k smallest. Levels beyond n-u+1 are statically empty
-	// (fewer than u-1 higher-numbered processes exist) and can never
-	// lead a node, so they are excluded rather than counted as zero.
-	mins := make([]float64, 0, s.n-e.q)
-	e.set.ForEachAbsent(s.n, func(v int) bool {
-		if v <= s.n-s.u+1 {
-			mins = append(mins, s.levelMinWeight(job.ProcID(v)))
-		}
-		return true
-	})
-	sort.Float64s(mins)
 	var h float64
-	for i := 0; i < k && i < len(mins); i++ {
-		h += mins[i]
+	for _, l := range s.levelOrder {
+		if k == 0 {
+			break
+		}
+		if !e.set.Has(int(l)) {
+			h += s.levelMin[l]
+			k--
+		}
 	}
 	return h
-}
-
-// levelMinWeight returns (and caches) a lower bound on the minimum node
-// weight of the level led by the given process: exact when the level is
-// enumerable (read from the level table where the solver has one, which
-// it has only when every level is), the sum of the u cheapest
-// per-process pair floors otherwise.
-func (s *Solver) levelMinWeight(leader job.ProcID) float64 {
-	if s.levelMinDone[leader] {
-		return s.levelMin[leader]
-	}
-	var w float64
-	if s.levels != nil {
-		w = s.levels.LevelMin(leader)
-	} else if ls, ok := s.gr.LevelStats(leader); ok {
-		w = ls.Min()
-	} else {
-		s.computeDmin()
-		w = s.dminAll[int(leader)-1]
-		rest := make([]float64, 0, s.n-int(leader))
-		for p := int(leader) + 1; p <= s.n; p++ {
-			rest = append(rest, s.dminAll[p-1])
-		}
-		sort.Float64s(rest)
-		for i := 0; i < s.u-1 && i < len(rest); i++ {
-			w += rest[i]
-		}
-	}
-	s.levelMin[leader] = w
-	s.levelMinDone[leader] = true
-	return w
 }
 
 // hStrategy1 (§III-D Strategy 1): regardless of validity, take the
@@ -139,11 +169,8 @@ func (s *Solver) hStrategy1(e *element) float64 {
 	l := int(e.node[0])
 	var mh mergeHeap
 	for lv := l + 1; lv <= s.n-s.u+1; lv++ {
-		// prepare admits Strategy 1 only once LevelStats has enumerated
-		// every level, and LevelStats caches that answer.
-		ls, _ := s.gr.LevelStats(job.ProcID(lv))
-		if ls.Size() > 0 {
-			mh = append(mh, mergeCursor{w: ls.SortedWeights[0], level: lv, idx: 0})
+		if w := s.levelWeights[lv]; len(w) > 0 {
+			mh = append(mh, mergeCursor{w: w[0], level: lv, idx: 0})
 		}
 	}
 	heap.Init(&mh)
@@ -151,9 +178,8 @@ func (s *Solver) hStrategy1(e *element) float64 {
 	for i := 0; i < k && mh.Len() > 0; i++ {
 		cur := mh[0]
 		h += cur.w
-		ls, _ := s.gr.LevelStats(job.ProcID(cur.level))
-		if cur.idx+1 < ls.Size() {
-			mh[0] = mergeCursor{w: ls.SortedWeights[cur.idx+1], level: cur.level, idx: cur.idx + 1}
+		if w := s.levelWeights[cur.level]; cur.idx+1 < len(w) {
+			mh[0] = mergeCursor{w: w[cur.idx+1], level: cur.level, idx: cur.idx + 1}
 			heap.Fix(&mh, 0)
 		} else {
 			heap.Pop(&mh)

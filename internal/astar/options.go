@@ -20,20 +20,23 @@ const (
 	HNone HStrategy = iota
 	// HStrategy1 is the paper's Strategy 1: take the (n-q)/u smallest
 	// node weights from all nodes of the levels below v, regardless of
-	// validity. Requires the graph's levels to be enumerable.
+	// validity. Requires the graph's levels to be enumerable; prepare
+	// enumerates them once.
 	HStrategy1
 	// HStrategy2 is the paper's Strategy 2: take the smallest node
 	// weight of each of the (n-q)/u cheapest remaining valid levels.
-	// Requires per-level minima, exact when levels are enumerable and a
-	// pair-based lower bound otherwise.
+	// prepare computes the per-level minima once, exact when levels are
+	// enumerable and a pair-based lower bound otherwise.
 	HStrategy2
-	// HPerProc is this implementation's scalable tightening of Strategy
-	// 2: every unscheduled serial process contributes its cheapest
-	// possible pair degradation (for additive-pairwise oracles, the sum
-	// of its u-1 cheapest pair degradations), and every untouched
-	// parallel job the largest such bound among its processes. O(1)
-	// amortised per child, admissible under the co-runner monotonicity
-	// of the oracle.
+	// HPerProc is this implementation's scalable per-process bound:
+	// every unscheduled serial process contributes its cost floor (its
+	// least cost over every node, or, beyond the level table, its
+	// cheapest pair degradation — for additive-pairwise oracles the sum
+	// of its u-1 cheapest), and every untouched parallel job the largest
+	// such floor among its processes. O(1) amortised per serial child,
+	// no level enumeration, admissible under the co-runner monotonicity
+	// of the oracle. It does not dominate Strategy 2 (ablation-h) and
+	// returns the same OA* costs.
 	HPerProc
 	// HPerProcAvg estimates instead of bounds: each unscheduled process
 	// is charged its average pairwise degradation times (u-1)
@@ -59,6 +62,21 @@ func (h HStrategy) String() string {
 	default:
 		return fmt.Sprintf("HStrategy(%d)", int(h))
 	}
+}
+
+// HAStarOptions returns HA*'s search policy for n processes on u-core
+// machines (§IV): the paper's per-level budget k = n/u (its MER
+// function), the per-process bound and the greedy incumbent; above 40
+// processes the average-cost estimator, a mild depth bias (HWeight 1.2)
+// and a beam of 16 survivors per depth, which the thousand-process
+// batches of Figs. 12-13 need to converge (DESIGN.md §5a). The beam
+// reads no incumbent. Callers add condensation, parallelism, the
+// context and observers.
+func HAStarOptions(n, u int) Options {
+	if n > 40 {
+		return Options{H: HPerProcAvg, HWeight: 1.2, KPerLevel: n / u, BeamWidth: 16}
+	}
+	return Options{H: HPerProc, KPerLevel: n / u, UseIncumbent: true}
 }
 
 // Options configures one search.
@@ -136,13 +154,13 @@ type Options struct {
 	// memory-aware load balancer that parks workers as the MemoryBudget
 	// footprint grows. 0 and 1 select the single-goroutine pop loop.
 	// Values above 1 apply only to configurations whose answer
-	// is provably order-independent — best-first search with an
-	// admissible heuristic (HNone, HPerProc) at HWeight <= 1 and exact
-	// dismissal (ExactParallel or SE accounting when the batch has
-	// parallel jobs), and the beam search with any thread-safe
-	// heuristic (HNone, HPerProc, HPerProcAvg); everything else
-	// silently runs sequentially. Stats.Parallelism records the worker
-	// count actually used, so callers can observe the fallback.
+	// is provably order-independent — the beam search with any
+	// heuristic, and best-first search with an admissible heuristic
+	// (every h but HPerProcAvg) at HWeight <= 1 and exact dismissal
+	// (ExactParallel or SE accounting when the batch has parallel jobs);
+	// everything else silently runs sequentially. Stats.Parallelism
+	// records the worker count actually used, so callers can observe
+	// the fallback.
 	Parallelism int
 }
 

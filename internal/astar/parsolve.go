@@ -27,8 +27,9 @@ import (
 // an actual breach.
 //
 // Correctness model: the engine only runs configurations whose answer is
-// order-independent — an admissible heuristic (HNone, HPerProc) at
-// effective weight 1, with exact dismissal (see eligibleParallelism).
+// order-independent — an admissible heuristic (every h but HPerProcAvg;
+// each reads only tables prepare built) at effective weight 1, with
+// exact dismissal (see eligibleParallelism).
 // The trimmed candidate graph is a pure function of each element's
 // process set, dismissal is the same Theorem-1 rule against one shared
 // (striped) best-g table, and pruning only ever discards children that
@@ -117,31 +118,19 @@ type parEngine struct {
 
 // eligibleParallelism resolves Options.Parallelism for the best-first
 // path: the worker count to run, or 1 when the configuration cannot be
-// parallelised without changing the answer (inadmissible or weighted
-// heuristics, the lazily-built level-minima strategies whose tables
-// are not goroutine-safe, and set-keyed dismissal under Eq. 13's
-// per-job maxima, where which same-set sub-path survives depends on
-// expansion order — DESIGN.md §5a).
+// parallelised without changing the answer: an inadmissible or weighted
+// heuristic, whose incumbent cannot prune exactly (pruneExact), and
+// set-keyed dismissal under Eq. 13's per-job maxima, where which
+// same-set sub-path survives depends on expansion order (DESIGN.md §5a).
 func (s *Solver) eligibleParallelism() int {
-	p := s.opts.Parallelism
-	if p <= 1 {
-		return 1
-	}
-	if p > maxParallelism {
-		p = maxParallelism
-	}
-	if s.opts.HWeight > 1 {
+	p := min(s.opts.Parallelism, maxParallelism)
+	if p <= 1 || !s.pruneExact {
 		return 1
 	}
 	if len(s.parJobs) > 0 && s.cost.Mode != degradation.ModeSE && !s.opts.ExactParallel {
 		return 1
 	}
-	switch s.opts.H {
-	case HNone, HPerProc:
-		return p
-	default:
-		return 1
-	}
+	return p
 }
 
 // workerClone returns a Solver sharing every read-only table of s

@@ -306,29 +306,74 @@ func checkBeamBitIdentical(t *testing.T, name string, base, res *Result) {
 }
 
 // TestParallelIneligibleFallsBack checks the silent sequential
-// fallback: configurations whose answer is order-dependent (weighted or
-// lazily-tabled heuristics on the best-first path) run at parallelism 1
-// regardless of the request, and still answer optimally.
+// fallback: a weighted heuristic on the best-first path, whose answer is
+// order-dependent, runs at parallelism 1 regardless of the request.
 func TestParallelIneligibleFallsBack(t *testing.T) {
 	g := syntheticGraph(t, 12, 4, 1, degradation.ModePC)
-	want := solveWith(t, g, Options{H: HNone}).Cost
-	for name, opts := range map[string]Options{
-		"hstrategy2":  {H: HStrategy2, Parallelism: 4},
-		"weighted":    {H: HPerProc, HWeight: 1.5, KPerLevel: 3, Parallelism: 4},
-		"beam-tabled": {H: HStrategy2, BeamWidth: 64, KPerLevel: 3, Parallelism: 4},
-	} {
-		t.Run(name, func(t *testing.T) {
-			res := solveWith(t, g, opts)
-			if res.Stats.Parallelism != 1 {
-				t.Errorf("ineligible config ran at parallelism %d", res.Stats.Parallelism)
-			}
-			// Only the exact configuration must also stay optimal; the
-			// weighted/beam fallbacks answer what their sequential
-			// counterparts would.
-			if name == "hstrategy2" && math.Abs(res.Cost-want) > eps {
-				t.Errorf("fallback cost %v != optimal %v", res.Cost, want)
-			}
-		})
+	t.Run("weighted", func(t *testing.T) {
+		res := solveWith(t, g, Options{H: HPerProc, HWeight: 1.5, KPerLevel: 3, Parallelism: 4})
+		if res.Stats.Parallelism != 1 {
+			t.Errorf("ineligible config ran at parallelism %d", res.Stats.Parallelism)
+		}
+	})
+}
+
+// TestParallelLevelStrategies runs the paper's Strategies 1 and 2 on
+// both parallel engines. prepare builds what they read and nothing
+// writes it after, so 4 best-first workers answer at the sequential
+// cost, whether the minima come from the level table (OA*), from
+// LevelStats (HA*, which has no table) or from the pair bound, and 4
+// beam generators replay the sequential beam bit for bit.
+func TestParallelLevelStrategies(t *testing.T) {
+	serial := syntheticGraph(t, 12, 4, 1, degradation.ModePC)
+	ha := syntheticGraph(t, 16, 4, 11, degradation.ModePC)
+	pairBound := syntheticGraph(t, 12, 4, 4, degradation.ModePC)
+	pairBound.EnumLimit = 2 // only the one-node last level is enumerable
+	type tcase struct {
+		name  string
+		g     *graph.Graph
+		opts  Options
+		table bool
+	}
+	for _, h := range []HStrategy{HStrategy1, HStrategy2} {
+		cases := []tcase{
+			{"oastar-tabled", serial, Options{H: h}, true},
+			{"hastar", ha, Options{H: h, KPerLevel: 4, UseIncumbent: true, Condense: true}, false},
+			{"beam", serial, Options{H: h, BeamWidth: 64, KPerLevel: 3}, false},
+		}
+		if h == HStrategy2 {
+			cases = append(cases, tcase{"oastar-pair-bound", pairBound, Options{H: h}, false})
+		}
+		for _, c := range cases {
+			t.Run(h.String()+"/"+c.name, func(t *testing.T) {
+				base := solveWith(t, c.g, c.opts)
+				opts := c.opts
+				opts.Parallelism = 4
+				s, err := NewSolver(c.g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (s.levels != nil) != c.table {
+					t.Fatalf("level table built: %v; want %v", s.levels != nil, c.table)
+				}
+				res, err := s.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.g.Cost.ValidatePartition(res.Groups); err != nil {
+					t.Fatalf("invalid schedule: %v", err)
+				}
+				checkInvariant(t, &res.Stats)
+				if res.Stats.Parallelism != 4 {
+					t.Fatalf("solve ran at parallelism %d; want 4", res.Stats.Parallelism)
+				}
+				if opts.BeamWidth > 0 {
+					checkBeamBitIdentical(t, c.name, base, res)
+				} else if math.Abs(res.Cost-base.Cost) > eps {
+					t.Errorf("parallel cost %v != sequential %v", res.Cost, base.Cost)
+				}
+			})
+		}
 	}
 }
 

@@ -45,10 +45,15 @@ type Solver struct {
 	dminSerial []float64
 	hSerialAll float64 // sum of dminSerial over all processes
 
-	// levelMin caches per-level minimum node weights (exact when the
-	// level is enumerable, pair-based lower bound otherwise).
+	// What Strategies 1 and 2 read on an all-serial batch, built once in
+	// prepare (prepareLevelBounds) and read-only after, so worker clones
+	// share them: levelWeights[l] holds level l's node weights ascending
+	// (Strategy 1); levelMin[l] bounds level l's least node weight from
+	// below, and levelOrder ranks the leaders 1..n-u+1 by (levelMin,
+	// leader) (Strategy 2).
+	levelWeights [][]float64
 	levelMin     []float64
-	levelMinDone []bool
+	levelOrder   []job.ProcID
 
 	// pairW[i][j] is the symmetric pair cost m[i][j]+m[j][i] when the
 	// oracle is additive-pairwise and the batch is all-serial; nil
@@ -305,18 +310,10 @@ func (s *Solver) prepare() error {
 	if s.opts.H == HPerProcAvg {
 		s.computeAvgEstimates()
 	}
-	switch s.opts.H {
-	case HStrategy1:
-		// Strategy 1 merges sorted node weights across whole levels,
-		// so every level must be enumerable.
-		for l := 1; l <= s.n-s.u+1; l++ {
-			if _, ok := s.gr.LevelStats(job.ProcID(l)); !ok {
-				return fmt.Errorf("astar: level %d too large for h strategy 1 (use strategy 2 or perproc)", l)
-			}
-		}
-	case HStrategy2:
-		s.levelMin = make([]float64, s.n+1)
-		s.levelMinDone = make([]bool, s.n+1)
+	// Strategy 1 merges sorted node weights across whole levels, so
+	// every level must be enumerable; level 1 is the largest.
+	if s.opts.H == HStrategy1 && !s.gr.LevelEnumerable(1) {
+		return errors.New("astar: level 1 too large for h strategy 1 (use strategy 2 or perproc)")
 	}
 	if s.opts.KPerLevel > 0 && s.pairW == nil {
 		// HA* without the pairwise fast path must enumerate levels.
@@ -384,9 +381,13 @@ func (s *Solver) prepare() error {
 		s.levels = graph.NewLevelTable(s.gr, s.opts.Condense && len(s.parJobs) > 0, s.abortDone())
 	}
 	// The floors are read by the per-process bound, which strategies 1
-	// and 2 fall back to on batches with parallel jobs.
-	if s.opts.H == HPerProc || (s.opts.H == HStrategy1 || s.opts.H == HStrategy2) && len(s.parJobs) > 0 {
+	// and 2 return on batches with parallel jobs; on all-serial batches
+	// the two read level statistics instead.
+	levelH := s.opts.H == HStrategy1 || s.opts.H == HStrategy2
+	if s.opts.H == HPerProc || levelH && len(s.parJobs) > 0 {
 		s.computeDmin()
+	} else if levelH {
+		s.prepareLevelBounds()
 	}
 	s.keySetWords = (s.n + 64) / 64
 	s.keyCountWords = (len(s.peJobMask) + 7) / 8
@@ -441,9 +442,6 @@ func (s *Solver) elementKey(set *bitset.Set) string {
 // single cheapest pair (d(p,S) >= min_q d(p,{q}) because co-runners never
 // help; Eq. 9's communication term breaks that premise, DESIGN.md §5a).
 func (s *Solver) computeDmin() {
-	if s.dminAll != nil {
-		return
-	}
 	s.dminAll = make([]float64, s.n)
 	s.dminSerial = make([]float64, s.n)
 	b := s.gr.Batch

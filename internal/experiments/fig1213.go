@@ -16,22 +16,6 @@ func init() {
 	register("fig13", fig13)
 }
 
-// haLargeOptions is the large-scale HA* configuration: the paper's
-// per-level budget k = n/u, the average-cost estimator, a mild depth bias
-// and a bounded beam (DESIGN.md §3 records why the thousand-process runs
-// need the estimator/beam instead of the priority-list search).
-func haLargeOptions(n, u int) astar.Options {
-	return astar.Options{
-		H:           astar.HPerProcAvg,
-		HWeight:     1.2,
-		KPerLevel:   n / u,
-		BeamWidth:   16,
-		Parallelism: activeParallelism,
-		Metrics:     activeMetrics,
-		Tracer:      astar.NewEventTracer(solveTrace()),
-	}
-}
-
 // fig12 reproduces Figure 12: average degradation of HA* vs PG on large
 // synthetic batches (quad-core and 8-core machines).
 func fig12(opts RunOptions) (*Report, error) {
@@ -58,7 +42,7 @@ func fig12(opts RunOptions) (*Report, error) {
 			}
 			c := in.Cost(degradation.ModePC)
 			g := graph.New(c, in.Patterns)
-			s, err := astar.NewSolver(g, haLargeOptions(n, u))
+			s, err := astar.NewSolver(g, haOptions(n, u))
 			if err != nil {
 				return nil, err
 			}
@@ -106,7 +90,7 @@ func fig13(opts RunOptions) (*Report, error) {
 			}
 			c := in.Cost(degradation.ModePC)
 			g := graph.New(c, in.Patterns)
-			s, err := astar.NewSolver(g, haLargeOptions(n, u))
+			s, err := astar.NewSolver(g, haOptions(n, u))
 			if err != nil {
 				return nil, err
 			}

@@ -15,9 +15,8 @@ import (
 )
 
 // solveOA runs the optimal A* search with the evaluation's standard
-// configuration: h Strategy 2 where levels are enumerable (the paper's
-// setting), the scalable per-process bound otherwise, condensation on,
-// greedy incumbent pruning on. ExactParallel strengthens the dismissal
+// configuration: the per-process bound as h, condensation on, greedy
+// incumbent pruning on. ExactParallel strengthens the dismissal
 // key with per-job maxima: the paper's plain set-keyed dismissal
 // (Theorem 1) can miss the optimum on mixed batches (DESIGN.md §3, and
 // Table II in EXPERIMENTS.md shows the case that exposed it).
@@ -47,9 +46,11 @@ func solveOAOpt(in *workload.Instance, mode degradation.Mode, limit time.Duratio
 	if opts.H == astar.HNone && opts.KPerLevel == 0 && !opts.UseIncumbent {
 		// caller asked for raw defaults; leave as-is (O-SVP style)
 	} else if opts.H == astar.HNone {
-		// HPerProc is the tightest admissible estimator this repo has
-		// (it dominates the paper's Strategy 2, which Table IV still
-		// exercises explicitly).
+		// The per-process bound, cosched's default. It does not dominate
+		// the paper's Strategy 2 (Table IV and ablation-h run both):
+		// ablation-h's serial batches visit up to 3% more paths under it.
+		// It returns the same costs, needs no level enumeration and
+		// costs O(1) per serial child.
 		opts.H = astar.HPerProc
 	}
 	s, err := astar.NewSolver(g, opts)
@@ -91,22 +92,20 @@ func solveOAPlain(in *workload.Instance, mode degradation.Mode) (*astar.Result, 
 		MaxExpansions: 1_500_000}))
 }
 
-// solveHA runs the heuristic A* with the paper's MER budget k = n/u.
+// haOptions is HA*'s policy for n processes on u-core machines
+// (astar.HAStarOptions, the paper's MER budget k = n/u) with
+// condensation on and the run's parallelism and observers.
+func haOptions(n, u int) astar.Options {
+	o := astar.HAStarOptions(n, u)
+	o.Condense = true
+	o.Parallelism, o.Metrics, o.Tracer = activeParallelism, activeMetrics, astar.NewEventTracer(solveTrace())
+	return o
+}
+
+// solveHA runs the heuristic A* under haOptions.
 func solveHA(in *workload.Instance, mode degradation.Mode) (*astar.Result, error) {
-	c := in.Cost(mode)
-	g := graph.New(c, in.Patterns)
-	n, u := g.N(), g.U()
-	opts := astar.Options{KPerLevel: n / u, Condense: true, UseIncumbent: true,
-		Parallelism: activeParallelism, Metrics: activeMetrics,
-		Tracer: astar.NewEventTracer(solveTrace())}
-	if n > 40 {
-		opts.H = astar.HPerProcAvg
-		opts.HWeight = 1.2
-		opts.BeamWidth = 16
-	} else {
-		opts.H = astar.HPerProc
-	}
-	s, err := astar.NewSolver(g, opts)
+	g := graph.New(in.Cost(mode), in.Patterns)
+	s, err := astar.NewSolver(g, haOptions(g.N(), g.U()))
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,6 @@ type Graph struct {
 	// fall back to bounds. Zero means DefaultEnumLimit.
 	EnumLimit int
 
-	levelStats map[job.ProcID]*LevelStats
 	// cond[p-1] is process p's condensation identity (AppendCondenseKey).
 	cond []condProc
 }
@@ -40,11 +39,7 @@ const DefaultEnumLimit = 4_000_000
 // entries (or a nil map) mean no communication. The patterns must be
 // valid for their jobs (comm.Pattern.Validate), as the oracles check.
 func New(c *degradation.Cost, patterns map[job.JobID]*comm.Pattern) *Graph {
-	g := &Graph{
-		Batch:      c.Batch,
-		Cost:       c,
-		levelStats: make(map[job.ProcID]*LevelStats),
-	}
+	g := &Graph{Batch: c.Batch, Cost: c}
 	g.buildCondense(patterns)
 	return g
 }

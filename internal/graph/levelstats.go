@@ -23,9 +23,6 @@ func (ls *LevelStats) Min() float64 {
 	return ls.SortedWeights[0]
 }
 
-// Size returns the node count of the level.
-func (ls *LevelStats) Size() int { return len(ls.SortedWeights) }
-
 // enumLimit returns the effective per-level enumeration budget.
 func (g *Graph) enumLimit() int64 {
 	if g.EnumLimit > 0 {
@@ -51,15 +48,13 @@ func (g *Graph) fullLevelAvail(leader job.ProcID) []job.ProcID {
 	return avail
 }
 
-// LevelStats enumerates (once, then caches) the level led by the given
-// process and returns its weight statistics. ok is false when the level
-// exceeds the enumeration budget; callers must then fall back to bounds.
+// LevelStats enumerates the level led by the given process and returns
+// its weight statistics. ok is false when the level exceeds the
+// enumeration budget; callers must then fall back to bounds. Every call
+// enumerates afresh: a caller that reads a level more than once keeps
+// the result.
 func (g *Graph) LevelStats(leader job.ProcID) (ls *LevelStats, ok bool) {
-	if ls, ok := g.levelStats[leader]; ok {
-		return ls, ls != nil
-	}
 	if !g.LevelEnumerable(leader) {
-		g.levelStats[leader] = nil
 		return nil, false
 	}
 	var weights []float64
@@ -68,9 +63,7 @@ func (g *Graph) LevelStats(leader job.ProcID) (ls *LevelStats, ok bool) {
 		return true
 	})
 	sort.Float64s(weights)
-	ls = &LevelStats{Leader: leader, SortedWeights: weights}
-	g.levelStats[leader] = ls
-	return ls, true
+	return &LevelStats{Leader: leader, SortedWeights: weights}, true
 }
 
 // EffectiveRank computes the §IV effective rank of a node of the shortest
