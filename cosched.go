@@ -230,10 +230,12 @@ type Options struct {
 	ProgressEvery  time.Duration
 }
 
-// validate rejects option values that have no meaningful interpretation
+// Validate rejects option values that have no meaningful interpretation
 // before any solver work starts, so nonsense surfaces as a typed
 // OptionError instead of a hang, a panic or a silently absurd schedule.
-func (o *Options) validate() error {
+// SolveContext and SolveRobust call it first; a caller that queues
+// work before solving (the serving daemon) calls it before admission.
+func (o *Options) Validate() error {
 	if o.Method < MethodOAStar || o.Method > MethodBruteForce {
 		return &OptionError{Field: "Method", Value: int(o.Method), Reason: "unknown method"}
 	}
@@ -331,7 +333,7 @@ func SolveContext(ctx context.Context, inst *Instance, opts Options) (sched *Sch
 	if inst == nil || inst.in == nil {
 		return nil, fmt.Errorf("cosched: nil instance")
 	}
-	if verr := opts.validate(); verr != nil {
+	if verr := opts.Validate(); verr != nil {
 		return nil, verr
 	}
 	if ctx == nil {
@@ -520,7 +522,7 @@ func solveIP(ctx context.Context, inst *Instance, cost *degradation.Cost, opts O
 			}
 		}
 		if !found {
-			// validate() already vets the name; this guards direct callers.
+			// Validate already vets the name; this guards direct callers.
 			return nil, &OptionError{Field: "IPConfig", Value: opts.IPConfig, Reason: "unknown branch-and-bound preset"}
 		}
 	}

@@ -140,7 +140,8 @@ func fingerprintOracle(w fpWriter, b *job.Batch, o degradation.Oracle) error {
 // HWeight, BeamWidth and IPConfig — into a short hex SHA-256. Combined
 // with Instance.Fingerprint it keys the serving daemon's solution cache:
 // two requests with equal instance and option fingerprints ask for the
-// same schedule.
+// same schedule. HStrategy 3 is hashed as 0, the automatic bound it
+// names, so the two share one cache entry.
 //
 // Budget and observation fields (MaxExpansions, MemoryBudget, tracing,
 // metrics, progress) are deliberately excluded: they decide
@@ -155,7 +156,11 @@ func (o Options) Fingerprint() string {
 	w.str("cosched/options/v1")
 	w.i64(int64(o.Method))
 	w.i64(int64(o.Accounting))
-	w.i64(int64(o.HStrategy))
+	hs := o.HStrategy
+	if hs == 3 {
+		hs = 0
+	}
+	w.i64(int64(hs))
 	w.i64(int64(o.KPerLevel))
 	flags := int64(0)
 	if o.DisableCondensation {

@@ -111,6 +111,28 @@ func TestOptionsFingerprintIgnoresBudgets(t *testing.T) {
 	}
 }
 
+// TestOptionsFingerprintHStrategy pins the h choice's part of the key:
+// HStrategy 3 runs the search 0 runs, so the two share a fingerprint,
+// while 0, 1 and 2 differ. The default options' fingerprint is pinned
+// to its recorded value, since every key in a spill log carries it.
+func TestOptionsFingerprintHStrategy(t *testing.T) {
+	if got, want := (Options{}).Fingerprint(), "fcfc8c6860a42d26d04eb5099d897dfe4e1797d6340d7da1b58df6d0697c33e7"; got != want {
+		t.Errorf("default options fingerprint = %s; want %s", got, want)
+	}
+	for _, method := range []Method{MethodOAStar, MethodHAStar} {
+		fps := map[int]string{}
+		for hs := 0; hs <= 3; hs++ {
+			fps[hs] = Options{Method: method, HStrategy: hs}.Fingerprint()
+		}
+		if fps[0] != fps[3] {
+			t.Errorf("%v: HStrategy 0 and 3 fingerprint differently", method)
+		}
+		if fps[0] == fps[1] || fps[0] == fps[2] || fps[1] == fps[2] {
+			t.Errorf("%v: HStrategy 0, 1 and 2 do not all differ: %v", method, fps)
+		}
+	}
+}
+
 // TestInstanceFingerprintGolden pins one SDC and one pairwise instance's
 // fingerprint to values recorded by an earlier release. A -cache-dir
 // spill log survives an upgrade only while fingerprints stay put, so a

@@ -81,7 +81,7 @@ func TestAbortExpiredContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.levelOrder != nil || slices.ContainsFunc(s.levelWeights, func(w []float64) bool { return w != nil }) {
+			if s.levelOrder != nil || slices.ContainsFunc(s.levelSums, func(w []float64) bool { return w != nil }) {
 				t.Error("level statistics built past an expired deadline")
 			}
 			res, err := s.Solve()

@@ -283,3 +283,36 @@ func TestStrategy2PairBoundFallback(t *testing.T) {
 		t.Errorf("pair-bound Strategy 2 lost optimality: %v vs %v", res.Cost, bf.Cost)
 	}
 }
+
+// TestStrategy1SumsMatchLevelWeights pins Strategy 1's prepared sums to
+// the rule they implement: for every leader l and every k up to n/u, the
+// k smallest node weights of levels l+1..n-u+1, summed ascending from 0,
+// bit for bit (fewer when those levels hold fewer nodes).
+func TestStrategy1SumsMatchLevelWeights(t *testing.T) {
+	for _, n := range []int{12, 16} {
+		g := syntheticGraph(t, n, 4, 5, degradation.ModePC)
+		s, err := NewSolver(g, Options{H: HStrategy1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := n - g.U() + 1
+		for l := 1; l <= last; l++ {
+			var above []float64
+			for lv := l + 1; lv <= last; lv++ {
+				ls, _ := g.LevelStats(job.ProcID(lv))
+				above = append(above, ls.SortedWeights...)
+			}
+			slices.Sort(above)
+			want := 0.0
+			for k := 0; k <= n/g.U(); k++ {
+				if k > 0 && k <= len(above) {
+					want += above[k-1]
+				}
+				sums := s.levelSums[l]
+				if got := sums[min(k, len(sums)-1)]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("n=%d leader %d k=%d: h %v; the %d smallest weights above sum to %v", n, l, k, got, k, want)
+				}
+			}
+		}
+	}
+}

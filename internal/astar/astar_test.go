@@ -400,9 +400,10 @@ type searchCounters struct {
 
 // TestSequentialCountersPinned pins the sequential engine's counters on
 // fixed solves of solve-exact's shape (condensed OA* on a PC mix),
-// HA* at n = 16 with the incumbent, O-SVP's, and Strategy 2 from each
+// HA* at n = 16 with the incumbent, O-SVP's, Strategy 2 from each
 // source but the pair bound (TestStrategy2PairBoundFallback's): the
-// level table (all-serial OA*) and LevelStats (HA*, which has none). A
+// level table (all-serial OA*) and LevelStats (HA*, which has none), and
+// Strategy 1's prepared sums under OA* and HA*. A
 // dropped goal pop, or any change in what is admitted, dismissed or
 // pruned, moves them, even where the cost and the admission identity
 // hold. Re-record them only in a change meant to alter the search order
@@ -427,6 +428,12 @@ func TestSequentialCountersPinned(t *testing.T) {
 		{"oastar-serial-n16-seed2", syntheticGraph(t, 16, 4, 2, degradation.ModePC),
 			Options{H: HStrategy2, Condense: true}, 4.539022843,
 			searchCounters{4122, 4121, 30109, 25149, 146379, 4809, 0, 22904, 839, 4167}},
+		{"oastar-serial-n16-seed2-strategy1", syntheticGraph(t, 16, 4, 2, degradation.ModePC),
+			Options{H: HStrategy1, Condense: true}, 4.539022843,
+			searchCounters{4131, 4130, 39166, 33990, 138363, 3777, 0, 29866, 1046, 4166}},
+		{"hastar-n16-seed11-strategy1", syntheticGraph(t, 16, 4, 11, degradation.ModePC),
+			Options{H: HStrategy1, KPerLevel: 4, UseIncumbent: true, Condense: true}, 4.374429960,
+			searchCounters{21, 20, 38, 14, 13, 2, 0, 20, 4, 21}},
 		{"osvp-n12-seed1", syntheticGraph(t, 12, 4, 1, degradation.ModePC),
 			Options{H: HNone}, 3.164632987,
 			searchCounters{377, 376, 1892, 1474, 4258, 0, 0, 1707, 42, 377}},

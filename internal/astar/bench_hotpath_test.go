@@ -397,3 +397,26 @@ func TestHStrategy2AllocationFree(t *testing.T) {
 		t.Fatalf("warm hStrategy2 costs %.1f allocs; want 0", allocs)
 	}
 }
+
+// TestHStrategy1AllocationFree pins Strategy 1 at 0 allocations per
+// call: prepare builds each leader's prefix sums of the smallest node
+// weights above it, so a child's h is one table read with no merge heap.
+func TestHStrategy1AllocationFree(t *testing.T) {
+	sv, err := NewSolver(syntheticGraphTB(t, 16, 4, 17, degradation.ModePC), Options{H: HStrategy1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := sv.makeChild(sv.rootElement(), []job.ProcID{1, 5, 9, 13}, nil)
+	want := sv.hStrategy1(child)
+	if want <= 0 {
+		t.Fatalf("h = %v; the guard needs a child with levels left to bound", want)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if sv.hStrategy1(child) != want {
+			t.Fatal("h changed between calls")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("hStrategy1 costs %.1f allocs; want 0", allocs)
+	}
+}

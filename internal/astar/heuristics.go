@@ -2,7 +2,6 @@ package astar
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 
 	"cosched/internal/degradation"
@@ -58,45 +57,61 @@ func (s *Solver) hPerProc(e *element) float64 {
 }
 
 // prepareLevelBounds builds, once, what Strategies 1 and 2 read on an
-// all-serial batch: Strategy 1 every level's node weights, ascending;
-// Strategy 2 every level's least node weight (levelMinWeight) and the
-// leaders ordered by it, ties by leader. It polls the solve's context
-// between levels; cut short, it leaves the rest unfilled (empty levels,
-// no order, both still admissible) for a search whose first poll then
-// aborts.
+// all-serial batch: for Strategy 1, per leader l, the prefix sums of the
+// n/u smallest node weights of levels l+1 to n-u+1 (levelSums); for
+// Strategy 2, every level's least node weight (levelMin) and the leaders
+// ordered by it, ties by leader. Strategy 1 builds from the last level
+// down, keeping the n/u smallest weights seen, and polls the solve's
+// context between levels (as Strategy 2 does); cut short, it leaves the
+// rest unfilled (no sums, empty levels, no order, all still admissible)
+// for a search whose first poll then aborts.
 func (s *Solver) prepareLevelBounds() {
 	last := s.n - s.u + 1
-	if s.opts.H == HStrategy1 {
-		s.levelWeights = make([][]float64, last+1)
-	} else {
-		s.levelMin = make([]float64, last+1)
-		if s.levels == nil && !s.gr.LevelEnumerable(1) {
-			s.computeDmin() // the pair bound's floors
-		}
-	}
 	done := s.abortDone()
+	if s.opts.H == HStrategy1 {
+		// A child has k = (n-q)/u < n/u machines left to bound.
+		keep := s.n / s.u
+		s.levelSums = make([][]float64, last+1)
+		var smallest []float64 // the keep smallest weights of the levels above l, ascending
+		for l := last; l >= 1; l-- {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			sums := make([]float64, len(smallest)+1)
+			for i, w := range smallest {
+				sums[i+1] = sums[i] + w
+			}
+			s.levelSums[l] = sums
+			if l > 1 {
+				ls, _ := s.gr.LevelStats(job.ProcID(l)) // prepare checked every level is enumerable
+				smallest = append(smallest, ls.SortedWeights[:min(keep, len(ls.SortedWeights))]...)
+				slices.Sort(smallest)
+				smallest = smallest[:min(keep, len(smallest))]
+			}
+		}
+		return
+	}
+	s.levelMin = make([]float64, last+1)
+	if s.levels == nil && !s.gr.LevelEnumerable(1) {
+		s.computeDmin() // the pair bound's floors
+	}
 	for l := 1; l <= last; l++ {
 		select {
 		case <-done:
 			return
 		default:
 		}
-		if s.opts.H == HStrategy1 {
-			ls, _ := s.gr.LevelStats(job.ProcID(l)) // prepare checked every level is enumerable
-			s.levelWeights[l] = ls.SortedWeights
-		} else {
-			s.levelMin[l] = s.levelMinWeight(job.ProcID(l))
-		}
+		s.levelMin[l] = s.levelMinWeight(job.ProcID(l))
 	}
-	if s.opts.H == HStrategy2 {
-		s.levelOrder = make([]job.ProcID, last)
-		for i := range s.levelOrder {
-			s.levelOrder[i] = job.ProcID(i + 1)
-		}
-		slices.SortStableFunc(s.levelOrder, func(a, b job.ProcID) int {
-			return cmp.Compare(s.levelMin[a], s.levelMin[b])
-		})
+	s.levelOrder = make([]job.ProcID, last)
+	for i := range s.levelOrder {
+		s.levelOrder[i] = job.ProcID(i + 1)
 	}
+	slices.SortStableFunc(s.levelOrder, func(a, b job.ProcID) int {
+		return cmp.Compare(s.levelMin[a], s.levelMin[b])
+	})
 }
 
 // levelMinWeight returns a lower bound on the least node weight of the
@@ -156,8 +171,8 @@ func (s *Solver) hStrategy2(e *element) float64 {
 
 // hStrategy1 (§III-D Strategy 1): regardless of validity, take the
 // (n-q)/u smallest node weights among all nodes of the levels below the
-// element's last node and sum them. Implemented as a k-way merge over the
-// per-level sorted weight arrays.
+// element's last node and sum them, ascending. h depends only on that
+// node's leader and on k, so it is one read of the sums prepare built.
 func (s *Solver) hStrategy1(e *element) float64 {
 	k := (s.n - e.q) / s.u
 	if k == 0 {
@@ -166,44 +181,9 @@ func (s *Solver) hStrategy1(e *element) float64 {
 	if len(s.parJobs) > 0 {
 		return s.hPerProc(e)
 	}
-	l := int(e.node[0])
-	var mh mergeHeap
-	for lv := l + 1; lv <= s.n-s.u+1; lv++ {
-		if w := s.levelWeights[lv]; len(w) > 0 {
-			mh = append(mh, mergeCursor{w: w[0], level: lv, idx: 0})
-		}
+	sums := s.levelSums[e.node[0]]
+	if len(sums) == 0 {
+		return 0 // prepare was cut short before this leader
 	}
-	heap.Init(&mh)
-	var h float64
-	for i := 0; i < k && mh.Len() > 0; i++ {
-		cur := mh[0]
-		h += cur.w
-		if w := s.levelWeights[cur.level]; cur.idx+1 < len(w) {
-			mh[0] = mergeCursor{w: w[cur.idx+1], level: cur.level, idx: cur.idx + 1}
-			heap.Fix(&mh, 0)
-		} else {
-			heap.Pop(&mh)
-		}
-	}
-	return h
-}
-
-type mergeCursor struct {
-	w     float64
-	level int
-	idx   int
-}
-
-type mergeHeap []mergeCursor
-
-func (m mergeHeap) Len() int            { return len(m) }
-func (m mergeHeap) Less(i, j int) bool  { return m[i].w < m[j].w }
-func (m mergeHeap) Swap(i, j int)       { m[i], m[j] = m[j], m[i] }
-func (m *mergeHeap) Push(x interface{}) { *m = append(*m, x.(mergeCursor)) }
-func (m *mergeHeap) Pop() interface{} {
-	old := *m
-	n := len(old)
-	x := old[n-1]
-	*m = old[:n-1]
-	return x
+	return sums[min(k, len(sums)-1)]
 }

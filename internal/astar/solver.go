@@ -47,13 +47,14 @@ type Solver struct {
 
 	// What Strategies 1 and 2 read on an all-serial batch, built once in
 	// prepare (prepareLevelBounds) and read-only after, so worker clones
-	// share them: levelWeights[l] holds level l's node weights ascending
-	// (Strategy 1); levelMin[l] bounds level l's least node weight from
-	// below, and levelOrder ranks the leaders 1..n-u+1 by (levelMin,
-	// leader) (Strategy 2).
-	levelWeights [][]float64
-	levelMin     []float64
-	levelOrder   []job.ProcID
+	// share them: levelSums[l][i] sums, ascending, the i smallest node
+	// weights of levels l+1..n-u+1, for i up to n/u (Strategy 1);
+	// levelMin[l] bounds level l's least node weight from below, and
+	// levelOrder ranks the leaders 1..n-u+1 by (levelMin, leader)
+	// (Strategy 2).
+	levelSums  [][]float64
+	levelMin   []float64
+	levelOrder []job.ProcID
 
 	// pairW[i][j] is the symmetric pair cost m[i][j]+m[j][i] when the
 	// oracle is additive-pairwise and the batch is all-serial; nil

@@ -104,9 +104,9 @@ func TestCacheStatsOneOutcomePerRequest(t *testing.T) {
 // tightly byte-bounded cache to force evictions and checks the
 // acceptance criterion: Stats.Bytes stays at or under the budget.
 func TestCacheBytesMetricBounded(t *testing.T) {
-	// A sub-threshold entry capacity keeps the cache on one shard, so
-	// the whole byte budget is one pool and the eviction pressure of
-	// the seed loop is deterministic.
+	// The entry bound (32) stays above the 24 seeds, so only the byte
+	// budget evicts, and the seed loop's eviction pressure is
+	// deterministic.
 	const budget = 2048
 	s, ts := newTestServer(t, Config{Workers: 2, CacheEntries: 32, CacheBytes: budget})
 	for seed := 1; seed <= 24; seed++ {

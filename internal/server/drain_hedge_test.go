@@ -20,7 +20,7 @@ func jsonReader(s string) io.Reader { return strings.NewReader(s) }
 // it does not validate.
 func mustPrepare(t *testing.T, s *Server, req *SolveRequest) cosched.Options {
 	t.Helper()
-	opts, err := s.prepare(req)
+	opts, err := s.prepare(req, req.Robust)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}

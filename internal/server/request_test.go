@@ -52,8 +52,9 @@ func TestRequestKeyMatchesFingerprintEquivalence(t *testing.T) {
 
 // FuzzSolveRequest drives arbitrary bodies through the front of the
 // request path — decode, validate, key. Decoding never panics, nothing
-// that validates exceeds the request bounds, and a request's key is the
-// key of its own JSON re-encoding.
+// that validates exceeds the request bounds or fails
+// cosched.Options.Validate, and a request's key is the key of its own
+// JSON re-encoding.
 func FuzzSolveRequest(f *testing.F) {
 	for _, body := range []string{ // the bodies scripts/ci.sh sends
 		`{"synthetic": 8, "seed": 4, "method": "hastar"}`,
@@ -64,6 +65,8 @@ func FuzzSolveRequest(f *testing.F) {
 		`{"synthetic": 8, "seed": 3, "method": "hastar"}`,
 		`{"synthetic": 8, "seed": 9, "method": "hastar"}`,
 		`{}`,
+		`{"synthetic": 8, "h_strategy": 9}`,
+		`{"synthetic": 8, "method": "oastar", "h_weight": 2, "robust": true}`,
 		specBody,
 	} {
 		f.Add([]byte(body))
@@ -75,8 +78,12 @@ func FuzzSolveRequest(f *testing.F) {
 		if decodeBody(httptest.NewRecorder(), r, &req) != nil {
 			return
 		}
-		if _, err := s.prepare(&req); err != nil {
+		opts, err := s.prepare(&req, req.Robust)
+		if err != nil {
 			return
+		}
+		if err := opts.Validate(); err != nil {
+			t.Fatalf("prepare accepted options Validate refuses: %v", err)
 		}
 		procs := 0.0
 		if req.Spec != nil {

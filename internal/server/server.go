@@ -358,13 +358,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// refreshCacheGauges snapshots the solution cache's O(1) size counters
-// into the server.cache.* gauges.
+// refreshCacheGauges copies one snapshot of the solution cache into the
+// server.cache.* gauges.
 func (s *Server) refreshCacheGauges() {
-	s.cacheBytes.Set(s.cache.Bytes())
-	s.cacheEntries.Set(int64(s.cache.Len()))
-	s.cacheRetries.Set(s.cache.Retries())
-	s.cacheSpilled.Set(s.cache.Spilled())
+	st := s.cache.Stats()
+	s.cacheBytes.Set(st.Bytes)
+	s.cacheEntries.Set(int64(st.Entries))
+	s.cacheRetries.Set(st.Retries)
+	s.cacheSpilled.Set(st.Spilled)
 }
 
 // emitCacheEvent records one solution-cache state change ("cache"
@@ -377,7 +378,7 @@ func (s *Server) emitCacheEvent(reason string, n int64) {
 		Ev:      "cache",
 		Reason:  reason,
 		N:       int(n),
-		Bytes:   s.cache.Bytes(),
+		Bytes:   s.cache.Stats().Bytes,
 		TMS:     float64(time.Since(s.epoch)) / float64(time.Millisecond),
 		Replica: s.cfg.ReplicaID,
 	})
@@ -661,7 +662,7 @@ func (s *Server) answer(ctx context.Context, req *SolveRequest, robust bool, ev 
 	s.mu.Unlock()
 	defer s.pending.Done()
 
-	opts, err := s.prepare(req)
+	opts, err := s.prepare(req, robust)
 	if err != nil {
 		return nil, &httpError{status: http.StatusBadRequest, msg: err.Error()}
 	}
@@ -758,8 +759,11 @@ func (s *Server) answer(ctx context.Context, req *SolveRequest, robust bool, ev 
 
 // prepare validates the wire request — its size first, so an oversized
 // request is refused before anything is parsed or built — and returns
-// its solver options.
-func (s *Server) prepare(req *SolveRequest) (cosched.Options, error) {
+// its solver options, refused here when cosched.Options.Validate or the
+// OA* weight rule would refuse them after a queue slot, a worker and an
+// instance build. robust says whether the SolveRobust ladder, which
+// ignores Method, will run them.
+func (s *Server) prepare(req *SolveRequest, robust bool) (cosched.Options, error) {
 	var opts cosched.Options
 	if n := max(req.Synthetic, req.SyntheticLarge, specProcesses(req.Spec)); n > maxProcesses {
 		return opts, fmt.Errorf("workload asks for more than %d processes", maxProcesses)
@@ -796,6 +800,12 @@ func (s *Server) prepare(req *SolveRequest) (cosched.Options, error) {
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 1
+	}
+	if err := opts.Validate(); err != nil {
+		return opts, err
+	}
+	if !robust && opts.Method == cosched.MethodOAStar && opts.HWeight > 1 {
+		return opts, fmt.Errorf("h_weight %v > 1 forfeits OA*'s optimality; use it with hastar", opts.HWeight)
 	}
 	opts.Metrics = s.cfg.Metrics
 	return opts, nil

@@ -373,13 +373,31 @@ func TestBadRequestsAreRejected(t *testing.T) {
 			http.StatusBadRequest},
 		{"huge body", "/v1/solve", `{"synthetic": 4, "method": "` + strings.Repeat("x", maxBodyBytes) + `"}`,
 			http.StatusRequestEntityTooLarge},
+		// Options cosched.Options.Validate refuses, refused before the
+		// cache, a queue slot or an instance build.
+		{"bad h_strategy", "/v1/solve", `{"synthetic": 8, "h_strategy": 9}`, http.StatusBadRequest},
+		{"bad h_strategy on a large build", "/v1/solve-robust", `{"synthetic_large": 4096, "h_strategy": 9}`, http.StatusBadRequest},
+		{"negative k_per_level", "/v1/solve", `{"synthetic": 8, "method": "hastar", "k_per_level": -1}`, http.StatusBadRequest},
+		{"unknown ip_config", "/v1/solve", `{"synthetic": 8, "method": "ip", "ip_config": "bnb-quantum"}`, http.StatusBadRequest},
+		{"negative h_weight", "/v1/solve", `{"synthetic": 8, "method": "hastar", "h_weight": -1}`, http.StatusBadRequest},
+		{"negative beam_width", "/v1/solve", `{"synthetic": 8, "method": "hastar", "beam_width": -4}`, http.StatusBadRequest},
+		{"negative max_expansions", "/v1/solve", `{"synthetic": 8, "max_expansions": -1}`, http.StatusBadRequest},
+		{"negative memory budget", "/v1/solve-robust", `{"synthetic": 8, "memory_budget_bytes": -1}`, http.StatusBadRequest},
+		{"weighted oastar", "/v1/solve", `{"synthetic": 8, "method": "oastar", "h_weight": 2}`, http.StatusBadRequest},
+		{"weighted default method", "/v1/solve", `{"synthetic": 8, "h_weight": 1.5}`, http.StatusBadRequest},
 	} {
 		status, out := postJSON(t, ts.URL+tc.path, tc.body)
 		if status != tc.status {
 			t.Errorf("%s: status %d (%v); want %d", tc.name, status, out, tc.status)
 		}
 	}
-	if st := s.CacheStats(); st.Hits+st.Misses+st.Shared != 0 || s.admitted.Value() != 0 {
-		t.Errorf("refused requests reached the cache (%+v) or the queue (%d admitted)", st, s.admitted.Value())
+	if st := s.CacheStats(); st.Hits+st.Misses+st.Shared != 0 || s.admitted.Value() != 0 || s.solves.Value() != 0 {
+		t.Errorf("refused requests reached the cache (%+v), the queue (%d admitted) or a solve (%d)",
+			st, s.admitted.Value(), s.solves.Value())
+	}
+	// The robust ladder ignores Method and seeds its beam with h_weight,
+	// so the OA* weight rule leaves it alone.
+	if _, err := s.prepare(&SolveRequest{Synthetic: 8, HWeight: 2}, true); err != nil {
+		t.Errorf("robust request with h_weight 2 refused: %v", err)
 	}
 }

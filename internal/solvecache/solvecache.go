@@ -10,19 +10,17 @@
 // non-degraded schedules — by returning ok=false from the compute
 // callback of Do.
 //
-// Internally the key space is split over lock-striped shards (by a hash
-// of the key string), each an independent LRU+singleflight
-// behind its own mutex, so a daemon running many solver workers does not
-// serialise every request on one cache lock. Small capacities stay on a
-// single shard, keeping the LRU eviction order exact where tests and
-// tiny deployments can observe it; see New.
+// One mutex guards one LRU list and one singleflight table, so the
+// eviction order is exact: the least-recently-used entry of the whole
+// cache is always the next to go. A hit holds the lock only for a map
+// lookup and a list move.
 //
 // Bounding is byte-accurate when Config.SizeOf is supplied: every
 // resident entry is charged len(key) + SizeOf(value) bytes against
-// Config.MaxBytes, split over the shards, and shards evict
-// least-recently-used entries until back under their share. The legacy
-// entry-count bound (Config.Capacity) composes with it — an entry is
-// evicted when either bound is exceeded.
+// Config.MaxBytes, and the LRU tail is evicted until the cache is back
+// under it. The entry-count bound (Config.Capacity) composes with it —
+// an entry is evicted when either bound is exceeded. An entry is
+// refused only when it alone exceeds MaxBytes.
 //
 // Persistence (Config.Spill) appends every stored entry, its value as
 // JSON, to a length-prefixed, checksummed segment log (see codec.go and
@@ -64,11 +62,11 @@ func (o Outcome) String() string {
 	}
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness counters,
-// aggregated across shards. Hits + Misses + Shared equals the number of
-// logical Get/Do calls: a Do that internally retried after a failed
-// leader still contributes exactly one outcome, the one it returns (the
-// retry rounds are counted separately under Retries).
+// Stats is a point-in-time snapshot of cache effectiveness counters.
+// Hits + Misses + Shared equals the number of logical Get/Do calls: a
+// Do that internally retried after a failed leader still contributes
+// exactly one outcome, the one it returns (the retry rounds are counted
+// separately under Retries).
 type Stats struct {
 	// Hits counts Do/Get calls answered from the cache.
 	Hits int64
@@ -83,8 +81,8 @@ type Stats struct {
 	// additional work, not an additional outcome.
 	Retries int64
 	// Evictions counts entries removed by the capacity or byte bound
-	// (including entries rejected at store time because they exceed a
-	// shard's entire byte share).
+	// (including entries refused at store time because they alone
+	// exceed MaxBytes).
 	Evictions int64
 	// Entries is the current cache population.
 	Entries int
@@ -106,17 +104,6 @@ type Stats struct {
 	Spilled     int64
 	SpillErrors int64
 }
-
-// nShards is the stripe count of a sharded cache (a power of two). 16
-// keeps worst-case lock contention at 1/16th of a single mutex while
-// costing only a few hundred spare bytes per idle shard.
-const nShards = 16
-
-// shardThreshold is the capacity below which the cache stays on a
-// single shard: splitting a tiny capacity across 16 LRUs would make the
-// effective eviction order depend on key hashes, and the contention a
-// sub-64-entry deployment can generate does not need striping.
-const shardThreshold = 64
 
 // maxDoAttempts bounds the singleflight rounds of one Do call: the
 // initial round plus up to maxDoAttempts-1 retries after failed
@@ -141,46 +128,29 @@ type flight[V any] struct {
 	retry bool // leader failed: waiters recompute
 }
 
-// shard is one lock stripe of the cache: an independent LRU with its
-// own singleflight table and effectiveness counters.
-type shard[V any] struct {
-	c         *Cache[V]
-	mu        sync.Mutex
-	m         map[string]*list.Element
-	ll        *list.List // front = most recently used
-	flights   map[string]*flight[V]
-	capacity  int
-	maxBytes  int64
-	bytes     int64
-	onEvict   func(key string)
-	hits      int64
-	misses    int64
-	shared    int64
-	evictions int64
-}
-
 // Cache is a concurrency-safe, capacity- and byte-bounded LRU with
-// singleflight computation, striped over independent shards by key
-// hash, optionally persisted to a spill-log directory. The zero value
-// is not usable; construct with New or NewWithConfig.
+// singleflight computation, optionally persisted to a spill-log
+// directory. The zero value is not usable; construct with New or
+// NewWithConfig.
 type Cache[V any] struct {
-	shards []*shard[V]
-	mask   uint64
-	sizeOf func(V) int
+	capacity int
+	maxBytes int64
+	sizeOf   func(V) int
+	onEvict  func(key string)
 
-	// O(1) aggregates, maintained by the shards under their locks.
-	bytesTotal   atomic.Int64
-	entriesTotal atomic.Int64
-	retries      atomic.Int64
+	// mu guards the LRU, the flight table and st, whose Entries,
+	// Spilled and SpillErrors Stats fills in at snapshot time.
+	mu      sync.Mutex
+	m       map[string]*list.Element
+	ll      *list.List // front = most recently used
+	flights map[string]*flight[V]
+	st      Stats
 
-	// Spill state. spillMu serialises appends against Close; the
-	// replay-time counters are fixed at construction.
-	spillMu       sync.Mutex
-	spill         *spillLog
-	spilled       atomic.Int64
-	spillErrors   atomic.Int64
-	replayed      int64
-	replaySkipped int64
+	// Spill state. spillMu serialises appends against Close.
+	spillMu     sync.Mutex
+	spill       *spillLog
+	spilled     atomic.Int64
+	spillErrors atomic.Int64
 }
 
 // SpillConfig enables the write-behind disk spill: stored entries are
@@ -204,34 +174,28 @@ type SpillConfig struct {
 // or MaxBytes) should be set for a long-running process; a zero Config
 // is a valid unbounded, unsized, memory-only cache.
 type Config[V any] struct {
-	// Capacity bounds the entry count (<= 0 means unbounded). The bound
-	// is exact: shards split it with the remainder distributed, so the
-	// summed shard capacities equal Capacity.
+	// Capacity bounds the entry count (<= 0 means unbounded).
 	Capacity int
 	// MaxBytes bounds the resident byte charge (<= 0 means unbounded);
 	// requires SizeOf. Each entry is charged len(key) + SizeOf(value).
-	// An entry larger than an entire shard's byte share is rejected at
-	// store time (reported as an immediate eviction) rather than
-	// evicting the whole shard for nothing.
+	// An entry that alone exceeds MaxBytes is refused at store time
+	// (reported as an immediate eviction) rather than evicting the whole
+	// cache for nothing.
 	MaxBytes int64
 	// SizeOf reports a value's byte cost. Required when MaxBytes > 0;
 	// without it Stats.Bytes stays zero.
 	SizeOf func(V) int
 	// OnEvict, if non-nil, is called — outside the cache lock — with
-	// each key removed by a bound (including store-time rejections of
-	// oversized entries, whose keys were never resident).
+	// each key removed by a bound (including store-time refusals of
+	// oversized entries, which drop any older value under the key).
 	OnEvict func(key string)
 	// Spill, if non-nil, enables the disk spill (see SpillConfig).
 	Spill *SpillConfig
 }
 
 // New returns a memory-only cache holding at most capacity entries
-// (capacity <= 0 means unbounded). Capacities of shardThreshold and
-// above — and the unbounded case — are striped over nShards shards;
-// smaller capacities use a single shard so the LRU eviction order stays
-// globally exact. The configured capacity is exact: the shard shares
-// sum to it. onEvict, if non-nil, is called — outside the cache lock —
-// with each key removed by the capacity bound.
+// (capacity <= 0 means unbounded). onEvict, if non-nil, is called —
+// outside the cache lock — with each key removed by the capacity bound.
 func New[V any](capacity int, onEvict func(key string)) *Cache[V] {
 	c, err := NewWithConfig(Config[V]{Capacity: capacity, OnEvict: onEvict})
 	if err != nil {
@@ -254,38 +218,14 @@ func NewWithConfig[V any](cfg Config[V]) (*Cache[V], error) {
 	if cfg.Spill != nil && cfg.Spill.Dir == "" {
 		return nil, fmt.Errorf("solvecache: spill requires a directory")
 	}
-	n := nShards
-	if cfg.Capacity > 0 && cfg.Capacity < shardThreshold {
-		n = 1
-	}
-	c := &Cache[V]{shards: make([]*shard[V], n), mask: uint64(n - 1), sizeOf: cfg.SizeOf}
-	for i := range c.shards {
-		cap := 0
-		if cfg.Capacity > 0 {
-			// Exact split: the first Capacity%n shards take the
-			// remainder, so the shard bounds sum to Capacity (a plain
-			// ceil would let a 65-entry cache hold 80).
-			cap = cfg.Capacity / n
-			if i < cfg.Capacity%n {
-				cap++
-			}
-		}
-		var maxB int64
-		if cfg.MaxBytes > 0 {
-			maxB = cfg.MaxBytes / int64(n)
-			if int64(i) < cfg.MaxBytes%int64(n) {
-				maxB++
-			}
-		}
-		c.shards[i] = &shard[V]{
-			c:        c,
-			m:        make(map[string]*list.Element),
-			ll:       list.New(),
-			flights:  make(map[string]*flight[V]),
-			capacity: cap,
-			maxBytes: maxB,
-			onEvict:  cfg.OnEvict,
-		}
+	c := &Cache[V]{
+		capacity: cfg.Capacity,
+		maxBytes: cfg.MaxBytes,
+		sizeOf:   cfg.SizeOf,
+		onEvict:  cfg.OnEvict,
+		m:        make(map[string]*list.Element),
+		ll:       list.New(),
+		flights:  make(map[string]*flight[V]),
 	}
 	if cfg.Spill != nil {
 		if err := c.attachSpill(cfg.Spill); err != nil {
@@ -295,20 +235,6 @@ func NewWithConfig[V any](cfg Config[V]) (*Cache[V], error) {
 	return c, nil
 }
 
-// shardFor routes a key to its stripe (FNV-1a over the key bytes).
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return c.shards[h&c.mask]
-}
-
 // Get returns the cached value for key, refreshing its recency.
 //
 // Stats contract: every Get counts one outcome (a hit or a miss), just
@@ -316,91 +242,81 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 // request therefore counts two outcomes for one logical lookup and
 // skews hit-rate metrics — use a single Do per request instead.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.m[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
 	if !ok {
-		s.misses++
-		s.mu.Unlock()
+		c.st.Misses++
 		var zero V
 		return zero, false
 	}
-	s.hits++
-	s.ll.MoveToFront(e)
-	v := e.Value.(*entry[V]).v
-	s.mu.Unlock()
-	return v, true
+	c.st.Hits++
+	c.ll.MoveToFront(e)
+	return e.Value.(*entry[V]).v, true
 }
 
 // Put stores a value under key (refreshing recency if it already
-// exists), evicts the shard's least-recently-used entries beyond its
-// capacity and byte shares, and appends the entry to the spill log when
-// one is configured. Put itself counts no outcome.
+// exists), evicts the least-recently-used entries beyond the capacity
+// and byte bounds, and appends the entry to the spill log when one is
+// configured. Put itself counts no outcome.
 func (c *Cache[V]) Put(key string, v V) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	evicted := s.putLocked(key, v)
-	s.mu.Unlock()
-	s.notifyEvicted(evicted)
+	c.mu.Lock()
+	evicted := c.putLocked(key, v)
+	c.mu.Unlock()
+	c.notifyEvicted(evicted)
 	c.spillAppend(key, v)
 }
 
 // putLocked inserts or refreshes an entry and applies both bounds,
 // returning the evicted keys for out-of-lock notification.
-func (s *shard[V]) putLocked(key string, v V) []string {
+func (c *Cache[V]) putLocked(key string, v V) []string {
 	var cost int64
-	if s.c.sizeOf != nil {
-		cost = int64(len(key)) + int64(s.c.sizeOf(v))
+	if c.sizeOf != nil {
+		cost = int64(len(key)) + int64(c.sizeOf(v))
 	}
-	if e, ok := s.m[key]; ok {
-		ent := e.Value.(*entry[V])
-		s.bytes += cost - ent.cost
-		s.c.bytesTotal.Add(cost - ent.cost)
-		ent.v, ent.cost = v, cost
-		s.ll.MoveToFront(e)
-		return s.evictLocked(nil)
-	}
-	if s.maxBytes > 0 && cost > s.maxBytes {
-		// Bigger than this shard's entire byte share: storing it would
-		// evict every co-resident entry and then itself. Reject at the
-		// door, reported as an immediate eviction of the new key.
-		s.evictions++
+	e, ok := c.m[key]
+	if c.maxBytes > 0 && cost > c.maxBytes {
+		// Bigger than the whole budget: storing it would evict every
+		// other entry and then itself. Refuse it at the door, along with
+		// any older value under its key, reported as an immediate
+		// eviction of the key.
+		if ok {
+			c.removeLocked(e)
+		}
+		c.st.Evictions++
 		return []string{key}
 	}
-	s.m[key] = s.ll.PushFront(&entry[V]{key: key, v: v, cost: cost})
-	s.bytes += cost
-	s.c.bytesTotal.Add(cost)
-	s.c.entriesTotal.Add(1)
-	return s.evictLocked(nil)
-}
-
-// evictLocked removes LRU entries until the shard satisfies both its
-// entry and byte bounds, appending the removed keys to evicted.
-func (s *shard[V]) evictLocked(evicted []string) []string {
-	for (s.capacity > 0 && s.ll.Len() > s.capacity) ||
-		(s.maxBytes > 0 && s.bytes > s.maxBytes) {
-		back := s.ll.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*entry[V])
-		s.ll.Remove(back)
-		delete(s.m, ent.key)
-		s.bytes -= ent.cost
-		s.c.bytesTotal.Add(-ent.cost)
-		s.c.entriesTotal.Add(-1)
-		s.evictions++
-		evicted = append(evicted, ent.key)
+	if ok {
+		ent := e.Value.(*entry[V])
+		c.st.Bytes += cost - ent.cost
+		ent.v, ent.cost = v, cost
+		c.ll.MoveToFront(e)
+	} else {
+		c.m[key] = c.ll.PushFront(&entry[V]{key: key, v: v, cost: cost})
+		c.st.Bytes += cost
+	}
+	var evicted []string
+	for (c.capacity > 0 && c.ll.Len() > c.capacity) || (c.maxBytes > 0 && c.st.Bytes > c.maxBytes) {
+		evicted = append(evicted, c.removeLocked(c.ll.Back()))
+		c.st.Evictions++
 	}
 	return evicted
 }
 
-func (s *shard[V]) notifyEvicted(keys []string) {
-	if s.onEvict == nil {
+// removeLocked drops a resident entry and returns its key.
+func (c *Cache[V]) removeLocked(e *list.Element) string {
+	ent := c.ll.Remove(e).(*entry[V])
+	delete(c.m, ent.key)
+	c.st.Bytes -= ent.cost
+	return ent.key
+}
+
+func (c *Cache[V]) notifyEvicted(keys []string) {
+	if c.onEvict == nil {
 		return
 	}
 	for _, k := range keys {
-		s.onEvict(k)
+		c.onEvict(k)
 	}
 }
 
@@ -423,31 +339,32 @@ func (s *shard[V]) notifyEvicted(keys []string) {
 // table, so a repeatedly-failing computation terminates instead of
 // recursing.
 func (c *Cache[V]) Do(key string, compute func() (V, bool, error)) (V, Outcome, error) {
-	s := c.shardFor(key)
 	var outcome Outcome // decided, and counted, on the first round
 	for attempt := 1; ; attempt++ {
-		s.mu.Lock()
-		if e, ok := s.m[key]; ok {
+		c.mu.Lock()
+		if attempt > 1 {
+			c.st.Retries++
+		}
+		if e, ok := c.m[key]; ok {
 			if attempt == 1 {
-				s.hits++
+				c.st.Hits++
 				outcome = Hit
 			}
-			s.ll.MoveToFront(e)
+			c.ll.MoveToFront(e)
 			v := e.Value.(*entry[V]).v
-			s.mu.Unlock()
+			c.mu.Unlock()
 			return v, outcome, nil
 		}
-		if f, ok := s.flights[key]; ok && attempt < maxDoAttempts {
+		if f, ok := c.flights[key]; ok && attempt < maxDoAttempts {
 			if attempt == 1 {
-				s.shared++
+				c.st.Shared++
 				outcome = Shared
 			}
-			s.mu.Unlock()
+			c.mu.Unlock()
 			<-f.done
 			if f.retry {
 				// The leader failed, and its failure is its own: run
 				// another round — as a fresh waiter or the new leader.
-				c.retries.Add(1)
 				continue
 			}
 			return f.v, outcome, nil
@@ -458,14 +375,14 @@ func (c *Cache[V]) Do(key string, compute func() (V, bool, error)) (V, Outcome, 
 		var f *flight[V]
 		if attempt < maxDoAttempts {
 			f = &flight[V]{done: make(chan struct{})}
-			s.flights[key] = f
+			c.flights[key] = f
 		}
 		if attempt == 1 {
-			s.misses++
+			c.st.Misses++
 			outcome = Miss
 		}
-		s.mu.Unlock()
-		v, err := c.lead(s, key, f, compute)
+		c.mu.Unlock()
+		v, err := c.lead(key, f, compute)
 		return v, outcome, err
 	}
 }
@@ -473,21 +390,21 @@ func (c *Cache[V]) Do(key string, compute func() (V, bool, error)) (V, Outcome, 
 // lead runs compute as the flight leader (or alone, past the retry
 // budget, when f is nil), stores cacheable results, and settles the
 // flight — telling waiters to retry when compute failed or panicked.
-func (c *Cache[V]) lead(s *shard[V], key string, f *flight[V], compute func() (V, bool, error)) (v V, err error) {
+func (c *Cache[V]) lead(key string, f *flight[V], compute func() (V, bool, error)) (v V, err error) {
 	var ok, completed bool
 	defer func() {
 		stored := completed && ok && err == nil
-		s.mu.Lock()
+		c.mu.Lock()
 		var evicted []string
 		if stored {
-			evicted = s.putLocked(key, v)
+			evicted = c.putLocked(key, v)
 		}
 		if f != nil {
-			delete(s.flights, key)
+			delete(c.flights, key)
 			f.v, f.retry = v, !completed || err != nil
 		}
-		s.mu.Unlock()
-		s.notifyEvicted(evicted)
+		c.mu.Unlock()
+		c.notifyEvicted(evicted)
 		if f != nil {
 			close(f.done)
 		}
@@ -500,47 +417,14 @@ func (c *Cache[V]) lead(s *shard[V], key string, f *flight[V], compute func() (V
 	return v, err
 }
 
-// Len returns the current entry count across all shards (O(1)).
-func (c *Cache[V]) Len() int {
-	return int(c.entriesTotal.Load())
-}
-
-// Bytes returns the resident byte charge across all shards (O(1); zero
-// for unsized caches).
-func (c *Cache[V]) Bytes() int64 {
-	return c.bytesTotal.Load()
-}
-
-// Retries returns the singleflight retry rounds run so far (O(1); see
-// Stats.Retries).
-func (c *Cache[V]) Retries() int64 {
-	return c.retries.Load()
-}
-
-// Spilled returns the entries appended to the spill log so far (O(1);
-// see Stats.Spilled).
-func (c *Cache[V]) Spilled() int64 {
-	return c.spilled.Load()
-}
-
-// Stats snapshots the effectiveness counters, summed across shards.
+// Stats snapshots the effectiveness counters and the resident set
+// (O(1): one lock, no walk).
 func (c *Cache[V]) Stats() Stats {
-	st := Stats{
-		Retries:       c.retries.Load(),
-		Bytes:         c.bytesTotal.Load(),
-		Replayed:      c.replayed,
-		ReplaySkipped: c.replaySkipped,
-		Spilled:       c.spilled.Load(),
-		SpillErrors:   c.spillErrors.Load(),
-	}
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Shared += s.shared
-		st.Evictions += s.evictions
-		st.Entries += s.ll.Len()
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	st := c.st
+	st.Entries = c.ll.Len()
+	c.mu.Unlock()
+	st.Spilled = c.spilled.Load()
+	st.SpillErrors = c.spillErrors.Load()
 	return st
 }

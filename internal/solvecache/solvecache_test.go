@@ -150,77 +150,62 @@ func TestDoPanicDoesNotWedgeKey(t *testing.T) {
 	}
 }
 
-// TestShardSelection pins the sharding policy: capacities below the
-// threshold get one shard (globally exact LRU order), the threshold and
-// above — and unbounded — get the full stripe set with the capacity
-// split in per-shard shares.
-func TestShardSelection(t *testing.T) {
-	for _, tc := range []struct {
-		capacity, shards, per int
-	}{
-		{1, 1, 1},
-		{2, 1, 2},
-		{63, 1, 63},
-		{64, nShards, 4},
-		{100, nShards, 7}, // 100/16 = 6 rem 4: shard 0 takes an extra
-		{0, nShards, 0},
-		{-1, nShards, 0},
-	} {
-		c := New[int](tc.capacity, nil)
-		if len(c.shards) != tc.shards {
-			t.Errorf("capacity %d: %d shards; want %d", tc.capacity, len(c.shards), tc.shards)
-		}
-		if got := c.shards[0].capacity; got != tc.per {
-			t.Errorf("capacity %d: per-shard capacity %d; want %d", tc.capacity, got, tc.per)
-		}
+// TestExactCapacity pins the entry bound on the whole cache, at the
+// daemon's default of 128 entries: 128 distinct puts evict nothing, the
+// 129th evicts exactly the least-recently-used key, and past that the
+// resident set is always the most recent 128 keys, with Stats and
+// onEvict agreeing on every count.
+func TestExactCapacity(t *testing.T) {
+	const capacity = 128
+	var evicted []string
+	c := New[int](capacity, func(key string) { evicted = append(evicted, key) })
+	key := func(i int) string { return fmt.Sprintf("key-%d", i) }
+	for i := 0; i < capacity; i++ {
+		c.Put(key(i), i)
 	}
-}
+	if st := c.Stats(); st.Entries != capacity || st.Evictions != 0 || len(evicted) != 0 {
+		t.Fatalf("after %d puts: Stats %+v, onEvict %v; want %d entries and no eviction", capacity, st, evicted, capacity)
+	}
+	if _, ok := c.Get(key(0)); !ok { // refresh key-0: key-1 becomes the coldest
+		t.Fatal("key-0 missing at capacity")
+	}
+	c.Put(key(capacity), capacity)
+	if len(evicted) != 1 || evicted[0] != key(1) {
+		t.Fatalf("put %d evicted %v; want exactly [%s]", capacity+1, evicted, key(1))
+	}
 
-// TestShardedAggregation fills a sharded cache past its capacity and
-// checks that Len, Stats and the capacity bound hold across shards.
-func TestShardedAggregation(t *testing.T) {
-	const capacity = 64
-	var evicted atomic.Int64
-	c := New[int](capacity, func(string) { evicted.Add(1) })
 	const total = 500
-	for i := 0; i < total; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), i)
-	}
-	// Per-shard bounds sum to exactly the configured capacity.
-	if n := c.Len(); n > capacity || n == 0 {
-		t.Errorf("Len = %d; want in (0, %d]", n, capacity)
+	for i := capacity + 1; i < total; i++ {
+		c.Put(key(i), i)
 	}
 	st := c.Stats()
-	if st.Entries != c.Len() {
-		t.Errorf("Stats.Entries %d != Len %d", st.Entries, c.Len())
+	if st.Entries != capacity {
+		t.Errorf("Entries = %d; want exactly %d", st.Entries, capacity)
 	}
-	if st.Evictions != int64(total)-int64(st.Entries) {
-		t.Errorf("Evictions %d + Entries %d != Puts %d", st.Evictions, st.Entries, total)
-	}
-	if evicted.Load() != st.Evictions {
-		t.Errorf("onEvict saw %d keys; Stats says %d", evicted.Load(), st.Evictions)
+	if st.Evictions != int64(total-capacity) || int64(len(evicted)) != st.Evictions {
+		t.Errorf("Evictions %d, onEvict saw %d; want %d each", st.Evictions, len(evicted), total-capacity)
 	}
 	hits, misses := 0, 0
 	for i := 0; i < total; i++ {
-		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); ok {
+		_, ok := c.Get(key(i))
+		if ok != (i >= total-capacity) {
+			t.Errorf("%s resident = %v; want only the last %d keys put", key(i), ok, capacity)
+		}
+		if ok {
 			hits++
 		} else {
 			misses++
 		}
 	}
-	if hits != st.Entries {
-		t.Errorf("%d keys retrievable; Stats.Entries says %d", hits, st.Entries)
-	}
-	st = c.Stats()
-	if st.Hits != int64(hits) || st.Misses != int64(misses) {
-		t.Errorf("aggregated hit/miss counters %d/%d; want %d/%d", st.Hits, st.Misses, hits, misses)
+	if st := c.Stats(); st.Hits != int64(hits)+1 || st.Misses != int64(misses) {
+		t.Errorf("hit/miss counters %d/%d; want %d/%d", st.Hits, st.Misses, hits+1, misses)
 	}
 }
 
-// TestShardedConcurrentDo hammers a sharded cache from many goroutines
-// (run under -race in CI): singleflight and the counters must stay
-// coherent when callers spread over shards.
-func TestShardedConcurrentDo(t *testing.T) {
+// TestConcurrentDo hammers one cache from many goroutines (run under
+// -race in CI): singleflight, the counters and the LRU must stay
+// coherent under concurrent Do calls.
+func TestConcurrentDo(t *testing.T) {
 	c := New[int](256, nil)
 	var computes atomic.Int64
 	var wg sync.WaitGroup
@@ -242,41 +227,20 @@ func TestShardedConcurrentDo(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := computes.Load(); got < keys || got > workers*keys {
-		t.Errorf("compute ran %d times; want in [%d, %d]", got, keys, workers*keys)
+	// Every key computes once: a later caller hits, a concurrent one
+	// shares, and nothing is evicted below capacity.
+	if got := computes.Load(); got != keys {
+		t.Errorf("compute ran %d times; want %d", got, keys)
 	}
 	st := c.Stats()
-	if st.Entries != keys {
-		t.Errorf("Entries = %d; want %d", st.Entries, keys)
+	if st.Entries != keys || st.Misses != keys || st.Evictions != 0 {
+		t.Errorf("Stats = %+v; want %d entries, %d misses, no eviction", st, keys, keys)
 	}
 	if st.Hits+st.Misses+st.Shared != workers*keys {
 		t.Errorf("outcome counters sum to %d; want %d", st.Hits+st.Misses+st.Shared, workers*keys)
 	}
-}
-
-// TestShardCapacitySums is the capacity-overshoot regression test: a
-// plain ceil split gave every shard ceil(capacity/nShards), so a cache
-// configured for 65 entries could hold 16*5 = 80. The shares must sum
-// to exactly the configured capacity, with the remainder spread over
-// the leading shards.
-func TestShardCapacitySums(t *testing.T) {
-	for _, capacity := range []int{64, 65, 100} {
-		c := New[int](capacity, nil)
-		sum := 0
-		for _, s := range c.shards {
-			sum += s.capacity
-		}
-		if sum != capacity {
-			t.Errorf("capacity %d: shard shares sum to %d; want exactly %d", capacity, sum, capacity)
-		}
-		// The bound must hold in practice, not just in configuration:
-		// overfill every shard and check the resident total.
-		for i := 0; i < capacity*4; i++ {
-			c.Put(fmt.Sprintf("key-%d", i), i)
-		}
-		if n := c.Len(); n > capacity {
-			t.Errorf("capacity %d: %d entries resident; want <= %d", capacity, n, capacity)
-		}
+	if len(c.flights) != 0 {
+		t.Errorf("%d flights leaked after all Do calls returned", len(c.flights))
 	}
 }
 
@@ -392,12 +356,11 @@ func TestDoRetryBounded(t *testing.T) {
 
 // TestByteBound exercises the byte-size bound: Stats.Bytes must stay
 // under MaxBytes, eviction must follow LRU order, and an entry larger
-// than a whole shard share must be rejected rather than flushing the
-// shard.
+// than the whole budget must be refused rather than flushing the cache.
 func TestByteBound(t *testing.T) {
 	var evicted []string
 	c, err := NewWithConfig(Config[string]{
-		Capacity: 4, // single shard: exact LRU order
+		Capacity: 4,
 		MaxBytes: 64,
 		SizeOf:   func(v string) int { return len(v) },
 		OnEvict:  func(key string) { evicted = append(evicted, key) },
@@ -465,8 +428,61 @@ func TestByteBoundUnderDo(t *testing.T) {
 			t.Fatalf("Bytes = %d after %d stores; want <= %d", got, i+1, maxBytes)
 		}
 	}
-	if c.Bytes() != c.Stats().Bytes {
-		t.Errorf("Bytes() = %d, Stats().Bytes = %d; want equal", c.Bytes(), c.Stats().Bytes)
+}
+
+// TestEntryUpToWholeByteBudget pins that the byte bound is one budget:
+// under MaxBytes M an entry of M/2 is stored beside smaller ones, one of
+// exactly M is stored and evicts everything else, and only one of M+1
+// is refused.
+func TestEntryUpToWholeByteBudget(t *testing.T) {
+	const budget = 1024
+	var evicted []string
+	c, err := NewWithConfig(Config[string]{
+		MaxBytes: budget,
+		SizeOf:   func(v string) int { return len(v) },
+		OnEvict:  func(key string) { evicted = append(evicted, key) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each entry costs len(key) + len(value); keys are one byte.
+	for _, k := range []string{"a", "b", "c", "d"} {
+		c.Put(k, strings.Repeat("s", 63)) // 64 bytes each
+	}
+	c.Put("h", strings.Repeat("h", budget/2-1))
+	if _, ok := c.Get("h"); !ok {
+		t.Fatalf("a %d-byte entry under a %d-byte budget was not stored (evicted %v)", budget/2, budget, evicted)
+	}
+	if st := c.Stats(); st.Entries != 5 || st.Bytes != 4*64+budget/2 || len(evicted) != 0 {
+		t.Fatalf("Stats %+v, evicted %v; want all 5 entries resident in %d bytes", st, evicted, 4*64+budget/2)
+	}
+	c.Put("w", strings.Repeat("w", budget-1))
+	if _, ok := c.Get("w"); !ok {
+		t.Fatal("an entry of exactly the budget was not stored")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != budget || len(evicted) != 5 {
+		t.Errorf("Stats %+v, evicted %v; want the whole-budget entry alone after 5 evictions", st, evicted)
+	}
+	c.Put("x", strings.Repeat("x", budget))
+	if _, ok := c.Get("x"); ok {
+		t.Error("an entry one byte over the budget was stored")
+	}
+	if _, ok := c.Get("w"); !ok {
+		t.Error("refusing an oversized entry evicted the resident one")
+	}
+	if evicted[len(evicted)-1] != "x" {
+		t.Errorf("oversized store reported %v; want x last", evicted)
+	}
+	// An oversized value under a resident key drops the older value
+	// rather than flushing the cache around it.
+	c.Put("a", strings.Repeat("s", 63))
+	c.Put("b", strings.Repeat("s", 63))
+	c.Put("a", strings.Repeat("a", budget))
+	if _, ok := c.Get("b"); !ok || evicted[len(evicted)-1] != "a" {
+		t.Errorf("an oversized re-store of a reported %v and kept b = %v; want a dropped alone", evicted, ok)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 64 {
+		t.Errorf("Stats %+v after an oversized re-store; want b alone in 64 bytes", st)
 	}
 }
 

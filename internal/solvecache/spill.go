@@ -52,7 +52,8 @@ type spillLog struct {
 // attachSpill opens (or creates) the spill log under cfg, replays it
 // into the cache, compacts the surviving entries, and wires the log in
 // for write-behind appends. Called from NewWithConfig before the cache
-// is shared, so replay may use putLocked without spill re-appends.
+// is shared, so replay stores through putLocked without spill
+// re-appends.
 func (c *Cache[V]) attachSpill(cfg *SpillConfig) error {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("solvecache: spill dir: %w", err)
@@ -70,8 +71,8 @@ func (c *Cache[V]) attachSpill(cfg *SpillConfig) error {
 		if err != nil {
 			return err
 		}
-		c.replayed += replayed
-		c.replaySkipped += skipped
+		c.st.Replayed += replayed
+		c.st.ReplaySkipped += skipped
 	}
 	log := &spillLog{dir: cfg.Dir, segmentBytes: segBytes, seq: maxSeq}
 	if err := c.compact(log, segs); err != nil {
@@ -127,11 +128,10 @@ func (c *Cache[V]) replaySegment(path string, isTail bool) (replayed, skipped in
 				skipped++
 				continue
 			}
-			s := c.shardFor(rec.Key)
-			s.mu.Lock()
-			evicted := s.putLocked(rec.Key, v)
-			s.mu.Unlock()
-			s.notifyEvicted(evicted)
+			c.mu.Lock()
+			evicted := c.putLocked(rec.Key, v)
+			c.mu.Unlock()
+			c.notifyEvicted(evicted)
 			replayed++
 		case errors.Is(err, errVersionSkew):
 			// The frame validated, so n is trustworthy: skip just this
@@ -159,33 +159,29 @@ func (c *Cache[V]) replaySegment(path string, isTail bool) (replayed, skipped in
 
 // compact writes the cache's current population into a fresh segment
 // generation and deletes the replayed files, leaving the log no larger
-// than the live set. Entries are written back-to-front per shard so
-// replaying the compacted log reproduces the LRU order (most recent
-// inserted last = most recent).
+// than the live set. The LRU list is written back-to-front, so
+// replaying the compacted log reproduces the recency order (most recent
+// inserted last = most recent). Like replay, it runs before the cache
+// is shared.
 func (c *Cache[V]) compact(log *spillLog, oldSegs []string) error {
 	if err := log.openSegment(); err != nil {
 		return err
 	}
 	var buf []byte
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for e := s.ll.Back(); e != nil; e = e.Prev() {
-			ent := e.Value.(*entry[V])
-			val, err := json.Marshal(ent.v)
-			if err != nil {
-				continue // unmarshalable: drop from the log only
-			}
-			buf, err = AppendRecord(buf[:0], Record{Key: ent.key, Value: val})
-			if err != nil {
-				continue
-			}
-			if _, err := log.f.Write(buf); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("solvecache: compact: %w", err)
-			}
-			log.fSize += int64(len(buf))
+	for e := c.ll.Back(); e != nil; e = e.Prev() {
+		ent := e.Value.(*entry[V])
+		val, err := json.Marshal(ent.v)
+		if err != nil {
+			continue // unmarshalable: drop from the log only
 		}
-		s.mu.Unlock()
+		buf, err = AppendRecord(buf[:0], Record{Key: ent.key, Value: val})
+		if err != nil {
+			continue
+		}
+		if _, err := log.f.Write(buf); err != nil {
+			return fmt.Errorf("solvecache: compact: %w", err)
+		}
+		log.fSize += int64(len(buf))
 	}
 	if err := log.f.Sync(); err != nil {
 		return fmt.Errorf("solvecache: compact: %w", err)

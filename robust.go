@@ -58,7 +58,7 @@ func SolveRobust(ctx context.Context, inst *Instance, opts Options) (*Schedule, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	deadline, hasDeadline := ctx.Deadline()

@@ -37,12 +37,13 @@ go test ./...
 # must allocate nothing, HA*'s anchored candidate generation and its
 # level walk below and above smallLevel, a warm beam depth's candidates
 # shared per leader (anchored and walked), a beam depth's survivor
-# selection, a class-enumerated PE-mix expansion and a warm Strategy 2
-# h (a walk down the level minima prepare ordered) must allocate
-# nothing, and an SDC oracle query and an SDC node-memo miss (one
+# selection, a class-enumerated PE-mix expansion, a warm Strategy 2
+# h (a walk down the level minima prepare ordered) and a Strategy 1 h
+# (one read of the sums prepare built) must allocate nothing, and an
+# SDC oracle query and an SDC node-memo miss (one
 # competition for the whole node) must allocate nothing (run explicitly
 # so a -run filter in the main suite can never silently drop the gate).
-go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree|TestSharedCandidatesAllocationFree|TestBeamSelectionAllocationFree|TestClassCandidatesAllocationFree|TestHStrategy2AllocationFree' -count=1
+go test ./internal/astar/ -run 'TestDismissedChildStaysAllocationFree|TestDismissedChildAllocFreeWithTelemetry|TestDismissedChildAllocFreeWithTracing|TestCondensedCandidateAllocationFree|TestHAStarCandidatesAllocationFree|TestSharedCandidatesAllocationFree|TestBeamSelectionAllocationFree|TestClassCandidatesAllocationFree|TestHStrategy2AllocationFree|TestHStrategy1AllocationFree' -count=1
 go test ./internal/degradation/ -run 'TestSDCOracleDegradationAllocationFree|TestSDCMemoMissAllocationFree' -count=1
 
 # Race matrix over the concurrent search paths: the work-stealing
