@@ -204,8 +204,8 @@ func main() {
 				st.LPIters, st.BoundImprovements)
 		}
 		if st.Parallelism > 1 {
-			fmt.Printf("parallel search: %d workers, %d steals, %d speculative expansions, %d park transitions\n",
-				st.Parallelism, st.Steals, st.Speculative, st.Parked)
+			fmt.Printf("parallel search: %d workers, %d steals, %d speculative expansions\n",
+				st.Parallelism, st.Steals, st.Speculative)
 		}
 		if st.ElemAllocated+st.ElemReused > 0 {
 			reusePct := 100 * float64(st.ElemReused) / float64(st.ElemAllocated+st.ElemReused)

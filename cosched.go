@@ -175,7 +175,8 @@ type Options struct {
 	ExactParallel bool
 	// HWeight inflates the graph-search heuristic: f = g + HWeight·h
 	// (weighted A*). Zero means 1. Only meaningful for MethodHAStar;
-	// OA* rejects values above 1 because they forfeit optimality.
+	// Validate refuses values above 1 for OA*, because they forfeit
+	// optimality.
 	HWeight float64
 	// BeamWidth, when positive, turns MethodHAStar into a beam search
 	// that expands at most BeamWidth elements per path depth — strictly
@@ -204,8 +205,8 @@ type Options struct {
 	// byte footprint (pooled elements, dismissal-key table, priority
 	// list). On breach the search returns its best incumbent as a
 	// degraded schedule (AbortMemory) instead of growing the frontier
-	// until the process dies. Zero means unbounded; IP/PG/brute-force
-	// ignore it.
+	// until the process dies, at any Parallelism and on every SolveRobust
+	// rung. Zero means unbounded; IP/PG/brute-force ignore it.
 	MemoryBudget int64
 	// EventTraceWriter, when non-nil, receives the machine-readable JSONL
 	// event stream of the solve (telemetry.Event per line: solve_start,
@@ -250,6 +251,9 @@ func (o *Options) Validate() error {
 	}
 	if math.IsNaN(o.HWeight) || o.HWeight < 0 {
 		return &OptionError{Field: "HWeight", Value: o.HWeight, Reason: "must be a non-negative number"}
+	}
+	if o.Method == MethodOAStar && o.HWeight > 1 {
+		return &OptionError{Field: "HWeight", Value: o.HWeight, Reason: "above 1 forfeits OA*'s optimality; use it with MethodHAStar"}
 	}
 	if o.BeamWidth < 0 {
 		return &OptionError{Field: "BeamWidth", Value: o.BeamWidth, Reason: "must be non-negative"}
@@ -570,7 +574,6 @@ func searchStats(r *astar.Result) Stats {
 		Parallelism:     r.Stats.Parallelism,
 		Steals:          r.Stats.Steals,
 		Speculative:     r.Stats.Speculative,
-		Parked:          r.Stats.Parked,
 		Degraded:        r.Stats.Degraded,
 		AbortReason:     r.Stats.Aborted,
 	}

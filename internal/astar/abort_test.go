@@ -127,7 +127,9 @@ func TestAbortExpansionCap(t *testing.T) {
 
 func TestAbortMemoryBudget(t *testing.T) {
 	g := syntheticGraph(t, 16, 4, 1, degradation.ModePC)
-	for name, opts := range abortModes() {
+	modes := abortModes()
+	modes["parallel-beam"] = Options{H: HPerProcAvg, HWeight: 1.2, KPerLevel: 3, BeamWidth: 4, Parallelism: 4}
+	for name, opts := range modes {
 		t.Run(name, func(t *testing.T) {
 			opts.MemoryBudget = 1 // breached by the root element alone
 			s, err := NewSolver(g, opts)
@@ -136,6 +138,9 @@ func TestAbortMemoryBudget(t *testing.T) {
 			}
 			res, err := s.Solve()
 			requireDegraded(t, g, res, err, abort.Memory)
+			if want := max(opts.Parallelism, 1); res.Stats.Parallelism != want {
+				t.Errorf("ran %d workers; want %d", res.Stats.Parallelism, want)
+			}
 		})
 	}
 }

@@ -134,12 +134,6 @@ func (t *gTable) bytes() int64 {
 	return int64(len(t.slots))*4 + int64(len(t.keys))*8 + int64(t.count)*16
 }
 
-// key returns the stored key words of entry ei.
-func (t *gTable) key(ei int32) []uint64 {
-	off := int(ei) * t.stride
-	return t.keys[off : off+t.stride]
-}
-
 // find returns the entry index for key, whose hashKeyWords is h, or -1
 // when absent. The index is stable for the table's lifetime (entries are
 // never deleted), so elements cache it for the O(1) pop-staleness check.

@@ -124,11 +124,12 @@ type Options struct {
 	Ctx context.Context
 	// MemoryBudget, when positive, caps the search's estimated live byte
 	// footprint: pooled elements at their preallocated capacities, the
-	// dismissal key table's arenas, and the priority list. The estimate
-	// is refreshed every few dozen pops; on breach the search returns its
-	// best incumbent as a degraded result (Stats.Aborted = abort.Memory)
-	// instead of growing the frontier until the process dies. Zero means
-	// unbounded.
+	// dismissal key table's arenas, and the priority list. The pop loop
+	// and the beam merge refresh the estimate every 64 pops, each
+	// parallel worker on every loop iteration; on breach every engine
+	// returns its best incumbent as a degraded result (Stats.Aborted =
+	// abort.Memory) instead of growing the frontier until the process
+	// dies. Zero means unbounded.
 	MemoryBudget int64
 	// Tracer, when non-nil, writes the solve's event trace (solve_start,
 	// every expansion and dismissal, progress, abort, stats, solution)
@@ -150,9 +151,10 @@ type Options struct {
 	Progress *telemetry.ProgressReporter
 	// Parallelism runs N independent expansion workers over a sharded
 	// frontier (parsolve.go), the paper's §VII future-work direction:
-	// per-shard heaps, work stealing, a shared incumbent bound, and a
-	// memory-aware load balancer that parks workers as the MemoryBudget
-	// footprint grows. 0 and 1 select the single-goroutine pop loop.
+	// per-shard heaps, work stealing and a shared incumbent bound; every
+	// worker polls the MemoryBudget footprint on every loop iteration,
+	// and a breach aborts the solve with the best incumbent, as on one
+	// worker. 0 and 1 select the single-goroutine pop loop.
 	// Values above 1 apply only to configurations whose answer
 	// is provably order-independent — the beam search with any
 	// heuristic, and best-first search with an admissible heuristic
@@ -239,10 +241,6 @@ type Stats struct {
 	// busy. Their children re-enter through the shared dismissal table,
 	// so speculation never affects the answer.
 	Speculative int64
-	// Parked counts park transitions of the memory-aware load balancer:
-	// workers throttled while the footprint estimate sat between the
-	// soft threshold and the hard MemoryBudget (parallel solves only).
-	Parked int64
 	// Degraded reports that the search stopped before proving its answer
 	// (deadline, cancellation, expansion cap or memory budget) and
 	// returned the best incumbent it held instead: a feasible schedule,

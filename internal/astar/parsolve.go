@@ -21,10 +21,12 @@ import (
 // globally cheapest shard when its own run dry, so the expansion order
 // stays cost-anchored even though it is no longer serial. Every child
 // passes the sequential search's own admission (admitChild, admit.go)
-// against the shared striped table and incumbent, and a memory-aware
-// load balancer parks workers as the MemoryBudget footprint estimate
-// grows — throttling first, hard abort (the sequential promise) only on
-// an actual breach.
+// against the shared striped table and incumbent. Every worker polls
+// the one abort check on every loop iteration, MemoryBudget included:
+// the footprint estimate is read from shared atomics, and a breach
+// aborts the whole solve with the best incumbent (abort.Memory), as in
+// the sequential pop loop, overshooting the budget by at most one
+// expansion per worker.
 //
 // Correctness model: the engine only runs configurations whose answer is
 // order-independent — an admissible heuristic (every h but HPerProcAvg;
@@ -42,11 +44,6 @@ import (
 const (
 	// maxParallelism caps Options.Parallelism.
 	maxParallelism = 64
-	// parkSoftNum/parkSoftDen place the load balancer's soft threshold
-	// at 3/4 of MemoryBudget: above it workers park one by one; at the
-	// budget itself the solve aborts with abort.Memory as the
-	// sequential path would.
-	parkSoftNum, parkSoftDen = 3, 4
 	// specEps is the tolerance above the global frontier minimum within
 	// which a pop still counts as on-frontier; anything above it is a
 	// speculative expansion (Stats.Speculative).
@@ -99,14 +96,10 @@ type parEngine struct {
 	frontierSize, maxQueue         atomic.Int64
 	qMax                           atomic.Int64
 	steals, speculative            atomic.Int64
-	parks, unparks                 atomic.Int64
 
-	// Memory-aware load balancing: allocElems is the shared fresh-
-	// allocation counter every worker pool bumps, activeTarget the
-	// number of workers currently allowed to expand (worker 0 always
-	// is).
-	allocElems   atomic.Int64
-	activeTarget atomic.Int32
+	// allocElems is the shared fresh-allocation counter every worker
+	// pool bumps, the element term of memSample.
+	allocElems atomic.Int64
 
 	// trMu serializes the tracer's events (its sink sees one ordered
 	// stream, and its per-solve state is not goroutine-safe); unused
@@ -204,7 +197,6 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 		en.shards[i] = &frontierShard{}
 		en.shards[i].refreshTop()
 	}
-	en.activeTarget.Store(int32(p))
 	var seedAlloc int64
 	for _, pl := range s.allPools {
 		seedAlloc += pl.gets - pl.reuse
@@ -281,29 +273,13 @@ func (s *Solver) solveParallel(p int) (*Result, error) {
 func (en *parEngine) run(id int) {
 	w := en.workers[id]
 	idle := 0
-	parked := false
 	for {
 		if en.done.Load() || en.aborted.Load() != 0 {
 			return
 		}
-		if id == 0 {
-			en.rebalance()
-		}
 		if r := en.s.pollAbort(en.doneCh, en.visited.Load(), en.memSample()); r != abort.None {
 			en.aborted.CompareAndSwap(0, uint32(r))
 			return
-		}
-		if id > 0 && int32(id) >= en.activeTarget.Load() {
-			if !parked {
-				parked = true
-				en.parks.Add(1)
-			}
-			time.Sleep(100 * time.Microsecond)
-			continue
-		}
-		if parked {
-			parked = false
-			en.unparks.Add(1)
 		}
 		e, stolen := en.popBest(id)
 		if e == nil {
@@ -335,41 +311,15 @@ func (en *parEngine) run(id int) {
 
 // memSample is the parallel engine's memory sample, read from shared
 // atomics only — the worker pools' shared fresh-allocation count, the
-// striped table's entry count and the frontier size — so every worker
-// takes it on every poll (the expansion cap is checked against the
-// shared pop counter, so its overshoot is at most one expansion per
-// worker); 0 while no budget is set.
+// striped table's bytes and the frontier size — so every worker takes
+// it on every poll, and a breach, like the expansion cap against the
+// shared pop counter, overshoots by at most one expansion per worker;
+// 0 while no budget is set.
 func (en *parEngine) memSample() int64 {
 	if en.s.opts.MemoryBudget <= 0 {
 		return 0
 	}
 	return en.s.footprint(en.allocElems.Load(), en.table.bytes(), en.frontierSize.Load())
-}
-
-// rebalance is the memory-aware load balancer, run by worker 0: below
-// the soft threshold every worker expands; between soft threshold and
-// budget the allowed-worker target ramps down linearly (never below
-// worker 0), parking the rest instead of aborting; an actual budget
-// breach is left to the abort poll, which aborts with abort.Memory.
-func (en *parEngine) rebalance() {
-	budget := en.s.opts.MemoryBudget
-	if budget <= 0 {
-		return
-	}
-	soft := budget * parkSoftNum / parkSoftDen
-	fp := en.memSample()
-	p := int32(len(en.workers))
-	switch {
-	case fp <= soft:
-		en.activeTarget.Store(p)
-	case fp < budget:
-		frac := float64(fp-soft) / float64(budget-soft)
-		tgt := p - int32(frac*float64(p))
-		if tgt < 1 {
-			tgt = 1
-		}
-		en.activeTarget.Store(tgt)
-	}
 }
 
 // shardOf routes a dismissal-key hash to its frontier shard (high hash
@@ -571,20 +521,18 @@ func (en *parEngine) snapshot(st *Stats) {
 	st.MaxQueue = int(en.maxQueue.Load())
 	st.Steals = en.steals.Load()
 	st.Speculative = en.speculative.Load()
-	st.Parked = en.parks.Load()
 }
 
 // parallelMetrics is the astar.parallel.* handle set, the parallel
-// engine's addition to the DESIGN.md §6 catalogue: steal / speculation
-// / park-unpark counters and worker, shard-count, active-worker and
-// deepest-shard gauges. Flushed by the coordinator only (the delta
-// state is not goroutine-safe, like solverMetrics).
+// engine's addition to the DESIGN.md §6 catalogue: steal and
+// speculation counters and worker, shard-count and deepest-shard
+// gauges. Flushed by the coordinator only (the delta state is not
+// goroutine-safe, like solverMetrics).
 type parallelMetrics struct {
 	steals, speculative *telemetry.Counter
-	parks, unparks      *telemetry.Counter
 	workers, shards     *telemetry.Gauge
-	active, shardDepth  *telemetry.Gauge
-	last                struct{ steals, spec, parks, unparks int64 }
+	shardDepth          *telemetry.Gauge
+	last                struct{ steals, spec int64 }
 }
 
 // newParallelMetrics resolves the astar.parallel.* handles, or nil when
@@ -596,11 +544,8 @@ func newParallelMetrics(r *telemetry.Registry) *parallelMetrics {
 	return &parallelMetrics{
 		steals:      r.Counter("astar.parallel.steals"),
 		speculative: r.Counter("astar.parallel.speculative"),
-		parks:       r.Counter("astar.parallel.parks"),
-		unparks:     r.Counter("astar.parallel.unparks"),
 		workers:     r.Gauge("astar.parallel.workers"),
 		shards:      r.Gauge("astar.parallel.shards"),
-		active:      r.Gauge("astar.parallel.active"),
 		shardDepth:  r.Gauge("astar.parallel.shard_depth_max"),
 	}
 }
@@ -613,16 +558,11 @@ func (m *parallelMetrics) flush(en *parEngine) {
 		return
 	}
 	steals, spec := en.steals.Load(), en.speculative.Load()
-	parks, unparks := en.parks.Load(), en.unparks.Load()
 	m.steals.Add(steals - m.last.steals)
 	m.speculative.Add(spec - m.last.spec)
-	m.parks.Add(parks - m.last.parks)
-	m.unparks.Add(unparks - m.last.unparks)
 	m.last.steals, m.last.spec = steals, spec
-	m.last.parks, m.last.unparks = parks, unparks
 	m.workers.Set(int64(len(en.workers)))
 	m.shards.Set(int64(len(en.shards)))
-	m.active.Set(int64(en.activeTarget.Load()))
 	deepest := 0
 	for _, sh := range en.shards {
 		sh.mu.Lock()

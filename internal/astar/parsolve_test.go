@@ -17,8 +17,8 @@ import (
 // parallel beam path (beam.go): cost equality against the sequential
 // solver across the eligible configuration matrix, the admission
 // invariant on every run, abort semantics with workers racing, the
-// memory-aware load balancer, and the per-worker allocation-free
-// dismissed-child guard. Run with -race; scripts/ci.sh does.
+// memory breach every worker polls for, and the per-worker
+// allocation-free dismissed-child guard. Run with -race; scripts/ci.sh does.
 
 // checkInvariant asserts the admission identity that every solve —
 // sequential or parallel, completed or aborted — must satisfy.
@@ -477,11 +477,45 @@ func TestParallelAbortMemoryBudget(t *testing.T) {
 	}
 }
 
-// TestParallelRebalance unit-tests the memory-aware load balancer's
-// ramp: full fleet below the soft threshold, a linear park-down between
-// soft threshold and budget (never below worker 0), and restoration
-// when the footprint falls again.
-func TestParallelRebalance(t *testing.T) {
+// TestParallelMidRunMemoryBreach: a budget the root fits under but the
+// search outgrows aborts the 4-worker engine mid-run with abort.Memory
+// and its best incumbent — a valid degraded schedule, reported as the
+// 4-worker solve it was, with the admission identity intact.
+func TestParallelMidRunMemoryBreach(t *testing.T) {
+	g := syntheticGraph(t, 20, 4, 1, degradation.ModePC)
+	s, err := NewSolver(g, Options{H: HPerProc, Parallelism: 4, UseIncumbent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The engine's table starts with shardCount(4) empty stripes; the
+	// budget holds 8000 elements on top of them, about eight times what
+	// the root's expansion admits and 2% of what the whole search
+	// allocates.
+	s.opts.MemoryBudget = s.footprint(8000, newStripedTable(s.keyStride, shardCount(4)).bytes(), 0)
+	res, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.Degraded || res.Stats.Aborted != abort.Memory {
+		t.Fatalf("expected degraded Memory result, got %+v", res.Stats)
+	}
+	if res.Stats.Parallelism != 4 {
+		t.Errorf("ran %d workers; want 4", res.Stats.Parallelism)
+	}
+	if res.Stats.VisitedPaths < 2 {
+		t.Errorf("breached after %d pops; want a breach mid-run, not at the root", res.Stats.VisitedPaths)
+	}
+	if err := g.Cost.ValidatePartition(res.Groups); err != nil {
+		t.Errorf("degraded schedule invalid: %v", err)
+	}
+	checkInvariant(t, &res.Stats)
+}
+
+// TestParallelMemSampleBreach pins the parallel engine's memory sample,
+// the one footprint estimate every worker polls: no abort while it is at
+// or below MemoryBudget (or no budget is set), abort.Memory one element
+// past it.
+func TestParallelMemSampleBreach(t *testing.T) {
 	g := syntheticGraph(t, 12, 4, 1, degradation.ModePC)
 	s, err := NewSolver(g, Options{H: HPerProc, Parallelism: 8})
 	if err != nil {
@@ -490,43 +524,19 @@ func TestParallelRebalance(t *testing.T) {
 	en := &parEngine{s: s, workers: s.ensureClones(8), table: newStripedTable(s.keyStride, 8)}
 	perElem := int64(112) + 8*int64(s.keySetWords+s.keyStride+s.u+len(s.parJobs))
 
-	s.opts.MemoryBudget = 0
-	en.activeTarget.Store(8)
-	en.rebalance()
-	if got := en.activeTarget.Load(); got != 8 {
-		t.Errorf("no budget: activeTarget %d, want 8", got)
+	en.allocElems.Store(1 << 30)
+	if en.memSample() != 0 || s.pollAbort(nil, 0, en.memSample()) != abort.None {
+		t.Error("sampled or aborted with no budget set")
 	}
 
 	// The budget holds 1000 elements on top of the empty striped table,
-	// whose slot arrays the footprint counts too; the soft threshold
-	// falls at about 740 elements.
+	// whose slot arrays the footprint counts too.
 	s.opts.MemoryBudget = en.table.bytes() + 1000*perElem
-	en.allocElems.Store(100)
-	en.rebalance()
-	if got := en.activeTarget.Load(); got != 8 {
-		t.Errorf("under soft threshold: activeTarget %d, want 8", got)
-	}
-
-	en.allocElems.Store(900) // 60% into the soft-to-hard ramp
-	en.rebalance()
-	if got := en.activeTarget.Load(); got >= 8 || got < 1 {
-		t.Errorf("inside ramp: activeTarget %d, want in [1,7]", got)
-	}
-
-	en.allocElems.Store(999) // just under the hard budget
-	en.rebalance()
-	if got := en.activeTarget.Load(); got != 1 {
-		t.Errorf("near budget: activeTarget %d, want 1 (worker 0 never parks)", got)
-	}
-
-	en.allocElems.Store(100)
-	en.rebalance()
-	if got := en.activeTarget.Load(); got != 8 {
-		t.Errorf("after recovery: activeTarget %d, want 8", got)
-	}
-
-	if s.pollAbort(nil, 0, en.memSample()) != abort.None {
-		t.Error("poll aborted below the budget")
+	for _, elems := range []int64{100, 1000} {
+		en.allocElems.Store(elems)
+		if s.pollAbort(nil, 0, en.memSample()) != abort.None {
+			t.Errorf("poll aborted at %d of the budget's 1000 elements", elems)
+		}
 	}
 	en.allocElems.Store(1001)
 	if s.pollAbort(nil, 0, en.memSample()) != abort.Memory {

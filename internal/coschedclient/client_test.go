@@ -587,7 +587,8 @@ func TestAbandonedHalfOpenProbeDoesNotWedgeBreaker(t *testing.T) {
 	// acts on open circuits) and the home could never rejoin the fleet;
 	// the round's outcome drain must release the slot so that once the
 	// home is fast again a probe completes and the breaker closes.
-	var mode atomic.Int32 // 0 = broken, 1 = revived but slow, 2 = fast
+	var mode atomic.Int32     // 0 = broken, 1 = revived but slow, 2 = fast
+	var rejoinBy atomic.Int64 // the rejoin deadline in Unix ns, set before mode 2
 	home := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch mode.Load() {
 		case 0:
@@ -606,7 +607,21 @@ func TestAbandonedHalfOpenProbeDoesNotWedgeBreaker(t *testing.T) {
 		}
 	}))
 	defer home.Close()
-	other := httptest.NewServer(okHandler("other", nil, nil, 0))
+	otherOK := okHandler("other", nil, nil, 0)
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if mode.Load() == 2 {
+			// Once the home is fast, the other replica answers only
+			// after the rejoin deadline, so no hedge can beat a probe
+			// the home's breaker admits, however loaded the host.
+			io.Copy(io.Discard, r.Body) //nolint:errcheck // unread body hides client disconnects
+			select {
+			case <-time.After(time.Until(time.Unix(0, rejoinBy.Load()))):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		otherOK(w, r)
+	}))
 	defer other.Close()
 
 	c := newClient(t, func(cfg *Config) {
@@ -656,9 +671,23 @@ func TestAbandonedHalfOpenProbeDoesNotWedgeBreaker(t *testing.T) {
 	}
 
 	// Make the home fast: a fresh probe must be admitted, succeed, and
-	// close the breaker. A leaked slot would keep the home out forever.
-	mode.Store(2)
+	// close the breaker. A leaked slot would keep the home out forever,
+	// and with the other replica held past the deadline it is then the
+	// only way the rejoin can fail. The last slow probe's slot is
+	// released off the critical path, so let that drain finish first,
+	// within the same deadline, rather than read a late drain as a leak.
 	deadline := time.Now().Add(2 * time.Second)
+	rejoinBy.Store(deadline.UnixNano())
+	slotHeld := func() bool {
+		b := c.brk[0]
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.probeInFlight
+	}
+	for slotHeld() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	mode.Store(2)
 	for {
 		res, err := c.SolveKeyed(context.Background(), key, "rejoin", solveBody())
 		if err != nil {

@@ -99,6 +99,3 @@ func (o *PairwiseOracle) Matrix() [][]float64 { return o.m }
 // CommFactor returns the bytes-to-degradation conversion factor of the
 // Eq. 9 communication term (0 when communication is disabled).
 func (o *PairwiseOracle) CommFactor() float64 { return o.commFactor }
-
-// Pattern returns the decomposition of the given job, or nil.
-func (o *PairwiseOracle) Pattern(j job.JobID) *comm.Pattern { return o.patterns[j] }

@@ -155,9 +155,6 @@ func (o *SDCOracle) CommDegradation(p job.ProcID, coRunners []job.ProcID) float6
 	return pt.Time(o.batch.Proc(p).Rank, same, o.machine.NetworkBandwidth) / ct
 }
 
-// Pattern returns the decomposition of the given job, or nil.
-func (o *SDCOracle) Pattern(j job.JobID) *comm.Pattern { return o.patterns[j] }
-
 // Machine returns the machine the oracle models.
 func (o *SDCOracle) Machine() *cache.Machine { return o.machine }
 

@@ -91,9 +91,6 @@ func (p *Problem) AddConstraint(terms []Term, rel Relation, rhs float64) {
 	p.cons = append(p.cons, constraint{terms: append([]Term(nil), terms...), rel: rel, rhs: rhs})
 }
 
-// NumVars returns the structural variable count.
-func (p *Problem) NumVars() int { return p.numVars }
-
 // Solution is the result of a solve.
 type Solution struct {
 	Status    Status

@@ -138,9 +138,6 @@ func (s *System) Free(m int) int {
 // Running returns the processes currently on machine m.
 func (s *System) Running(m int) []job.ProcID { return s.perMachine[m] }
 
-// Now returns the simulation clock.
-func (s *System) Now() float64 { return s.now }
-
 // Simulate runs the arrival sequence under the policy. Arrivals must be
 // time-sorted; every job of the batch must appear exactly once.
 func Simulate(c *degradation.Cost, solo func(job.ProcID) float64, machines int,

@@ -53,8 +53,8 @@ func TestRequestKeyMatchesFingerprintEquivalence(t *testing.T) {
 // FuzzSolveRequest drives arbitrary bodies through the front of the
 // request path — decode, validate, key. Decoding never panics, nothing
 // that validates exceeds the request bounds or fails
-// cosched.Options.Validate, and a request's key is the key of its own
-// JSON re-encoding.
+// cosched.Options.Validate (ValidateRobust for a robust request), and a
+// request's key is the key of its own JSON re-encoding.
 func FuzzSolveRequest(f *testing.F) {
 	for _, body := range []string{ // the bodies scripts/ci.sh sends
 		`{"synthetic": 8, "seed": 4, "method": "hastar"}`,
@@ -82,8 +82,12 @@ func FuzzSolveRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := opts.Validate(); err != nil {
-			t.Fatalf("prepare accepted options Validate refuses: %v", err)
+		validate := opts.Validate
+		if req.Robust {
+			validate = opts.ValidateRobust // the ladder ignores Method
+		}
+		if err := validate(); err != nil {
+			t.Fatalf("prepare accepted options the solve's validation refuses: %v", err)
 		}
 		procs := 0.0
 		if req.Spec != nil {

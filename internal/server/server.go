@@ -759,10 +759,10 @@ func (s *Server) answer(ctx context.Context, req *SolveRequest, robust bool, ev 
 
 // prepare validates the wire request — its size first, so an oversized
 // request is refused before anything is parsed or built — and returns
-// its solver options, refused here when cosched.Options.Validate or the
-// OA* weight rule would refuse them after a queue slot, a worker and an
-// instance build. robust says whether the SolveRobust ladder, which
-// ignores Method, will run them.
+// its solver options, refused here when cosched.Options.Validate (or,
+// under the SolveRobust ladder, ValidateRobust) would refuse them after
+// a queue slot, a worker and an instance build. robust says whether the
+// ladder, which ignores Method, will run them.
 func (s *Server) prepare(req *SolveRequest, robust bool) (cosched.Options, error) {
 	var opts cosched.Options
 	if n := max(req.Synthetic, req.SyntheticLarge, specProcesses(req.Spec)); n > maxProcesses {
@@ -801,11 +801,13 @@ func (s *Server) prepare(req *SolveRequest, robust bool) (cosched.Options, error
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 1
 	}
-	if err := opts.Validate(); err != nil {
-		return opts, err
+	if robust {
+		err = opts.ValidateRobust()
+	} else {
+		err = opts.Validate()
 	}
-	if !robust && opts.Method == cosched.MethodOAStar && opts.HWeight > 1 {
-		return opts, fmt.Errorf("h_weight %v > 1 forfeits OA*'s optimality; use it with hastar", opts.HWeight)
+	if err != nil {
+		return opts, err
 	}
 	opts.Metrics = s.cfg.Metrics
 	return opts, nil

@@ -179,8 +179,8 @@ type Config[V any] struct {
 	// MaxBytes bounds the resident byte charge (<= 0 means unbounded);
 	// requires SizeOf. Each entry is charged len(key) + SizeOf(value).
 	// An entry that alone exceeds MaxBytes is refused at store time
-	// (reported as an immediate eviction) rather than evicting the whole
-	// cache for nothing.
+	// (reported as an immediate eviction, and never spilled) rather than
+	// evicting the whole cache for nothing.
 	MaxBytes int64
 	// SizeOf reports a value's byte cost. Required when MaxBytes > 0;
 	// without it Stats.Bytes stays zero.
@@ -258,18 +258,22 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // Put stores a value under key (refreshing recency if it already
 // exists), evicts the least-recently-used entries beyond the capacity
 // and byte bounds, and appends the entry to the spill log when one is
-// configured. Put itself counts no outcome.
+// configured and the entry was stored. Put itself counts no outcome.
 func (c *Cache[V]) Put(key string, v V) {
 	c.mu.Lock()
-	evicted := c.putLocked(key, v)
+	evicted, stored := c.putLocked(key, v)
 	c.mu.Unlock()
 	c.notifyEvicted(evicted)
-	c.spillAppend(key, v)
+	if stored {
+		c.spillAppend(key, v)
+	}
 }
 
 // putLocked inserts or refreshes an entry and applies both bounds,
-// returning the evicted keys for out-of-lock notification.
-func (c *Cache[V]) putLocked(key string, v V) []string {
+// returning the evicted keys for out-of-lock notification and whether
+// the entry was stored: one bigger than MaxBytes is refused, and a
+// refused entry is never spilled, so no restart replays it.
+func (c *Cache[V]) putLocked(key string, v V) (evicted []string, stored bool) {
 	var cost int64
 	if c.sizeOf != nil {
 		cost = int64(len(key)) + int64(c.sizeOf(v))
@@ -284,7 +288,7 @@ func (c *Cache[V]) putLocked(key string, v V) []string {
 			c.removeLocked(e)
 		}
 		c.st.Evictions++
-		return []string{key}
+		return []string{key}, false
 	}
 	if ok {
 		ent := e.Value.(*entry[V])
@@ -295,12 +299,11 @@ func (c *Cache[V]) putLocked(key string, v V) []string {
 		c.m[key] = c.ll.PushFront(&entry[V]{key: key, v: v, cost: cost})
 		c.st.Bytes += cost
 	}
-	var evicted []string
 	for (c.capacity > 0 && c.ll.Len() > c.capacity) || (c.maxBytes > 0 && c.st.Bytes > c.maxBytes) {
 		evicted = append(evicted, c.removeLocked(c.ll.Back()))
 		c.st.Evictions++
 	}
-	return evicted
+	return evicted, true
 }
 
 // removeLocked drops a resident entry and returns its key.
@@ -393,11 +396,11 @@ func (c *Cache[V]) Do(key string, compute func() (V, bool, error)) (V, Outcome, 
 func (c *Cache[V]) lead(key string, f *flight[V], compute func() (V, bool, error)) (v V, err error) {
 	var ok, completed bool
 	defer func() {
-		stored := completed && ok && err == nil
-		c.mu.Lock()
 		var evicted []string
-		if stored {
-			evicted = c.putLocked(key, v)
+		stored := false
+		c.mu.Lock()
+		if completed && ok && err == nil {
+			evicted, stored = c.putLocked(key, v)
 		}
 		if f != nil {
 			delete(c.flights, key)

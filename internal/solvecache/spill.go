@@ -129,7 +129,7 @@ func (c *Cache[V]) replaySegment(path string, isTail bool) (replayed, skipped in
 				continue
 			}
 			c.mu.Lock()
-			evicted := c.putLocked(rec.Key, v)
+			evicted, _ := c.putLocked(rec.Key, v)
 			c.mu.Unlock()
 			c.notifyEvicted(evicted)
 			replayed++

@@ -81,6 +81,33 @@ func TestSpillReplayRespectsBounds(t *testing.T) {
 	}
 }
 
+// TestSpillSkipsRefusedEntry pins that only a stored entry is spilled:
+// a value bigger than MaxBytes, offered once through Put and once
+// through Do, is refused both times, never reaches the log, and so a
+// restart over that log replays nothing.
+func TestSpillSkipsRefusedEntry(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config[string]{MaxBytes: 64, SizeOf: func(v string) int { return len(v) }}
+	c := newSpilled(t, dir, cfg)
+	big := strings.Repeat("v", 100)
+	c.Put("put", big)
+	if _, _, err := c.Do("do", func() (string, bool, error) { return big, true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Evictions != 2 || st.Spilled != 0 {
+		t.Fatalf("Entries/Evictions/Spilled = %d/%d/%d; want 0/2/0 (both refused, neither spilled)",
+			st.Entries, st.Evictions, st.Spilled)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2 := newSpilled(t, dir, cfg)
+	defer c2.Close() //nolint:errcheck
+	if st := c2.Stats(); st.Replayed != 0 || st.Entries != 0 {
+		t.Errorf("restart Replayed/Entries = %d/%d; want 0/0", st.Replayed, st.Entries)
+	}
+}
+
 func TestSpillTornTail(t *testing.T) {
 	dir := t.TempDir()
 	c := newSpilled(t, dir, Config[string]{})

@@ -41,40 +41,36 @@ var robustRungs = []robustRung{
 // SolveRobust schedules the instance under a hard deadline by walking a
 // fallback ladder — OA*, then HA*, then a bounded beam search, then PG —
 // splitting the context's remaining time evenly across the rungs still
-// ahead. The first rung that completes without degrading answers; if
-// every rung degrades, the cheapest feasible degraded schedule wins. A
-// rung that aborts on its MemoryBudget is retried once on the same rung
-// with the budget halved before the ladder moves on. PG runs in
-// microseconds whatever the deadline, so SolveRobust returns a usable
-// schedule even under an already-expired context.
+// ahead. Each rung runs at most once. The first rung that completes
+// without degrading answers; if every rung degrades — on its deadline
+// share, MaxExpansions or MemoryBudget alike — the cheapest feasible
+// degraded schedule wins. PG runs in microseconds whatever the
+// deadline, so SolveRobust returns a usable schedule even under an
+// already-expired context.
 //
 // Stats.Fallbacks on the returned schedule records every attempt in
 // order; Stats.Degraded/AbortReason describe the answering attempt. The
 // Method, BeamWidth and HWeight fields of opts are managed by the ladder
-// (Method is ignored; BeamWidth/HWeight seed the beam rung); everything
+// (Method is ignored; BeamWidth/HWeight seed the beam rung, so opts is
+// validated as HA*, the first rung that reads HWeight); everything
 // else — accounting, tracing, metrics, MemoryBudget, MaxExpansions —
-// applies to every rung.
+// applies to every rung unchanged.
 func SolveRobust(ctx context.Context, inst *Instance, opts Options) (*Schedule, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := opts.Validate(); err != nil {
+	if err := opts.ValidateRobust(); err != nil {
 		return nil, err
 	}
 	deadline, hasDeadline := ctx.Deadline()
 
 	var (
-		attempts  []Fallback
-		best      *Schedule
-		lastErr   error
-		userBeam  = opts.BeamWidth
-		userHW    = opts.HWeight
-		memBudget = opts.MemoryBudget
+		attempts []Fallback
+		best     *Schedule
+		lastErr  error
 	)
 	for i, rung := range robustRungs {
 		ropts := opts
-		ropts.BeamWidth, ropts.HWeight = userBeam, userHW
-		ropts.MemoryBudget = memBudget
 		rung.prepare(&ropts)
 
 		// Split what remains of the deadline evenly over this rung and
@@ -98,17 +94,6 @@ func SolveRobust(ctx context.Context, inst *Instance, opts Options) (*Schedule, 
 		}
 
 		sched, err := SolveContext(rungCtx, inst, ropts)
-		// A memory-budget abort means the instance does not fit this
-		// rung's frontier: retry the rung once at half budget — a much
-		// shallower search that may still beat the next rung down. Only
-		// retry while the rung context still has usable time: a slow
-		// first attempt can exhaust it, and a retry on a spent context
-		// just records a second degraded attempt without searching.
-		if err == nil && sched.Stats.AbortReason == AbortMemory && ropts.MemoryBudget > 1 && rungHasTime(rungCtx) {
-			attempts = append(attempts, fallbackRecord(ropts.Method, sched, nil))
-			ropts.MemoryBudget /= 2
-			sched, err = SolveContext(rungCtx, inst, ropts)
-		}
 		cancel()
 
 		attempts = append(attempts, fallbackRecord(ropts.Method, sched, err))
@@ -131,21 +116,22 @@ func SolveRobust(ctx context.Context, inst *Instance, opts Options) (*Schedule, 
 	return best, nil
 }
 
+// ValidateRobust is the validation SolveRobust runs: Validate, with OA*
+// validated as HA*, the first rung that reads HWeight, because the ladder
+// ignores Method and an HWeight above 1 only seeds its beam rung. A
+// caller that queues robust work before solving (the serving daemon)
+// calls it before admission.
+func (o *Options) ValidateRobust() error {
+	v := *o
+	if v.Method == MethodOAStar {
+		v.Method = MethodHAStar
+	}
+	return v.Validate()
+}
+
 // errRungSkipped is the Fallback.Err text recorded for a rung the ladder
 // never started because its deadline share had already expired.
 const errRungSkipped = "skipped: deadline share exhausted before the rung started"
-
-// rungHasTime reports whether a rung context can still host a useful
-// retry: not cancelled, and its deadline (if any) not yet reached.
-func rungHasTime(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	if d, ok := ctx.Deadline(); ok && time.Until(d) <= 0 {
-		return false
-	}
-	return true
-}
 
 // fallbackRecord condenses one ladder attempt into its Stats.Fallbacks
 // entry.

@@ -3,6 +3,7 @@ package cosched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -204,48 +205,47 @@ func TestSolveRobustRungDurationsRespectShares(t *testing.T) {
 	validGroups(t, sched, 24, 4)
 }
 
-// cancelOnMemoryAbortSink cancels a context the moment a solver reports
-// a memory abort — deterministically exhausting the rung context between
-// a rung's first attempt and its would-be halved-budget retry.
-type cancelOnMemoryAbortSink struct{ cancel context.CancelFunc }
-
-// Emit implements telemetry.EventSink.
-func (s *cancelOnMemoryAbortSink) Emit(ev telemetry.Event) error {
-	if ev.Ev == "abort" && ev.Reason == "memory" {
-		s.cancel()
-	}
-	return nil
-}
-
-// TestSolveRobustNoRetryOnExhaustedRungContext pins the memory-retry
-// guard: when a rung's first attempt aborts on MemoryBudget and the rung
-// context is already spent, the ladder must move on instead of burning a
-// second attempt on a context that cannot search. Pre-fix, the retry
-// reused the exhausted context and recorded a pointless second degraded
-// attempt on the same rung.
-func TestSolveRobustNoRetryOnExhaustedRungContext(t *testing.T) {
+// TestSolveRobustMemoryBudgetRunsEachRungOnce pins the one budget
+// contract on the ladder: a MemoryBudget below every graph search's
+// initial footprint (2 KiB) aborts the OA*, HA* and beam rungs with
+// AbortMemory, each in exactly one attempt — none is rerun at a smaller
+// budget — at one worker or four, and PG, which the budget does not
+// bound, answers with its own schedule.
+func TestSolveRobustMemoryBudgetRunsEachRungOnce(t *testing.T) {
 	inst, err := SyntheticSerial(16, QuadCore, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sink := &cancelOnMemoryAbortSink{cancel: cancel}
-	// A 2KiB budget is below any solver's initial footprint, so the
-	// first graph rung aborts AbortMemory on its first poll; the sink
-	// then kills the parent (and with it the rung) context.
-	sched, err := SolveRobust(ctx, inst, Options{MemoryBudget: 2048, EventSink: sink})
+	pg, err := Solve(inst, Options{Method: MethodPG})
 	if err != nil {
-		t.Fatalf("robust solve errored: %v", err)
+		t.Fatal(err)
 	}
-	var prev Fallback
-	for i, fb := range sched.Stats.Fallbacks {
-		if i > 0 && fb.Method == prev.Method && prev.Aborted == AbortMemory && fb.Aborted == AbortCancel {
-			t.Errorf("rung %v retried on an exhausted context: %+v", fb.Method, sched.Stats.Fallbacks)
-		}
-		prev = fb
+	want := []Method{MethodOAStar, MethodHAStar, MethodHAStar, MethodPG}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
+			sched, err := SolveRobust(context.Background(), inst, Options{MemoryBudget: 2048, Parallelism: par})
+			if err != nil {
+				t.Fatalf("robust solve errored: %v", err)
+			}
+			fbs := sched.Stats.Fallbacks
+			if len(fbs) != len(want) {
+				t.Fatalf("ladder recorded %d attempts %+v; want one per rung", len(fbs), fbs)
+			}
+			for i, fb := range fbs {
+				wantAbort := AbortMemory
+				if i == len(fbs)-1 {
+					wantAbort = AbortNone
+				}
+				if fb.Method != want[i] || fb.Err != "" || fb.Aborted != wantAbort || fb.Degraded != (wantAbort != AbortNone) {
+					t.Errorf("attempt %d = %+v; want a %v run ending %v", i, fb, want[i], wantAbort)
+				}
+			}
+			if sched.Stats.Degraded || sched.TotalDegradation != pg.TotalDegradation {
+				t.Errorf("answer degraded=%v cost %v; want PG's clean %v", sched.Stats.Degraded, sched.TotalDegradation, pg.TotalDegradation)
+			}
+			validGroups(t, sched, 16, 4)
+		})
 	}
-	validGroups(t, sched, 16, 4)
 }
 
 func TestOptionValidation(t *testing.T) {
@@ -258,6 +258,7 @@ func TestOptionValidation(t *testing.T) {
 		{"negative KPerLevel", Options{Method: MethodHAStar, KPerLevel: -1}, "KPerLevel"},
 		{"negative MaxExpansions", Options{MaxExpansions: -5}, "MaxExpansions"},
 		{"NaN HWeight", Options{Method: MethodHAStar, HWeight: math.NaN()}, "HWeight"},
+		{"weighted OA*", Options{Method: MethodOAStar, HWeight: 2}, "HWeight"},
 		{"negative HWeight", Options{Method: MethodHAStar, HWeight: -1}, "HWeight"},
 		{"negative BeamWidth", Options{Method: MethodHAStar, BeamWidth: -2}, "BeamWidth"},
 		{"negative MemoryBudget", Options{MemoryBudget: -1}, "MemoryBudget"},
@@ -280,6 +281,11 @@ func TestOptionValidation(t *testing.T) {
 				t.Errorf("error text %q does not name the field", oe.Error())
 			}
 		})
+	}
+	// The ladder ignores Method and seeds its beam rung with HWeight, so
+	// the OA* weight rule leaves a robust solve alone.
+	if _, err := SolveRobust(context.Background(), inst, Options{HWeight: 2}); err != nil {
+		t.Errorf("robust solve with HWeight 2 refused: %v", err)
 	}
 }
 

@@ -89,12 +89,10 @@ type Stats struct {
 	Parallelism int
 	// Steals counts frontier-shard pops a parallel expansion worker took
 	// from a shard it does not own; Speculative counts expansions of
-	// elements above the global frontier minimum at pop time; Parked
-	// counts park transitions of the memory-aware load balancer. All
-	// zero for sequential solves.
+	// elements above the global frontier minimum at pop time. Both zero
+	// for sequential solves.
 	Steals      int64
 	Speculative int64
-	Parked      int64
 	// Phases is the wall-clock breakdown of the solve pipeline in
 	// completion order: "oracle" (degradation precompute), then per
 	// method "graph"/"prepare"/"search" (graph searches), or

@@ -171,6 +171,18 @@ grep -q 'fallback ladder:' "$tracedir/robust.out" || {
     echo "ci: SolveRobust did not report its fallback ladder" >&2
     exit 1
 }
+# One memory-budget contract on every rung: a 2 KiB budget is below any
+# graph search's initial footprint, so OA*, HA* and the beam each abort
+# on memory in exactly one attempt (no rung is rerun at a smaller
+# budget) and PG answers; the ladder's trace must pass the invariant
+# replay.
+go run ./cmd/coschedcli -synthetic 16 -robust -membudget 2048 -trace "$tracedir/robust-mem.jsonl" > "$tracedir/robust-mem.out"
+grep -qxF 'fallback ladder: OA*(degraded:memory) → HA*(degraded:memory) → HA*(degraded:memory) → PG(ok)' "$tracedir/robust-mem.out" || {
+    echo "ci: the ladder under a memory budget did not run each rung once:" >&2
+    grep 'fallback ladder:' "$tracedir/robust-mem.out" >&2 || true
+    exit 1
+}
+go run ./cmd/coschedtrace check "$tracedir/robust-mem.jsonl" > /dev/null
 echo "ci: every method degrades gracefully under an expired deadline" >&2
 
 # Seeded fault-injection online run: crashes, evictions, placement
